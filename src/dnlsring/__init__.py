@@ -26,8 +26,8 @@ from .orbits import (BranchPoint, ContinuationBranch, FourierOrbit, NoConvergenc
                      integrate, linearized_residual, newton_orbit,
                      orbit_residual_norm, orthogonality_check, residual)
 from .symmetry import (BlockDecomposition, ChangeOfVariables, IsotropyLabel,
-                       ModeMap, SymmetryResidual, assemble_P, block_extract,
-                       group_action, symmetry_residual, t_k_apply, t_k_matrix,
+                       SymmetryResidual, assemble_P, block_extract, group_action,
+                       symmetry_residual, t_k_apply, t_k_matrix,
                        traveling_wave_residual)
 
 __version__ = "0.1.0"

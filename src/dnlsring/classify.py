@@ -9,6 +9,7 @@ saturable potentials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,7 +84,10 @@ class RegimeReport:
     notes: tuple[str, ...] = ()
 
 
-def _degenerate_table(n: int, potential) -> list[tuple[int, float]]:
+@functools.lru_cache(maxsize=8)
+def _degenerate_table(n: int, potential) -> tuple[tuple[int, float], ...]:
+    """Degenerate amplitudes (k, mu_k) of every mode; they depend on (n,
+    potential) only, so a sweep over mu computes them once."""
     out = []
     for k in range(1, n):
         c = blocks.coefficients(n, k)
@@ -91,7 +95,7 @@ def _degenerate_table(n: int, potential) -> list[tuple[int, float]]:
             continue
         for mu_k in blocks.degenerate_amplitudes(n, k, potential):
             out.append((k, mu_k))
-    return out
+    return tuple(out)
 
 
 def _regime_tag(n: int, k: int, x: float) -> str | None:
@@ -194,7 +198,7 @@ def schrodinger_regimes(n: int) -> RegimeReport:
             entries.append(RegimeEntry(k=k, condition="b",
                                        mu_interval=(0.0, math.sqrt(c.alpha / 2.0)),
                                        two_sided=gamma_pos, mirror_of=mirror))
-    excluded = tuple((k, mu) for k, mu in _degenerate_table(n, potential))
+    excluded = _degenerate_table(n, potential)
     half_alpha1 = blocks.coefficients(n, 1).alpha / 2.0
     return RegimeReport(n=n, potential_kind="cubic", entries=tuple(entries),
                         excluded=excluded,
@@ -255,7 +259,7 @@ def saturable_regimes(n: int) -> RegimeReport:
     else:
         notes.append("delta_1 <= -1/4 for this n, so with the convention "
                      "mu_- = mu_+ = 0 condition (b) holds for every amplitude of mode 1")
-    excluded = tuple((k, mu) for k, mu in _degenerate_table(n, potential))
+    excluded = _degenerate_table(n, potential)
     return RegimeReport(n=n, potential_kind="saturable", entries=tuple(entries),
                         excluded=excluded, stability=((0.0, math.inf),),
                         notes=tuple(notes))

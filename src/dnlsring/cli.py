@@ -12,9 +12,11 @@ Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import ast
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,8 +57,6 @@ class RunConfig:
     p_max: int = 256
     nu_min: float | None = None
     nu_max: float | None = None
-    t_final: float = 100.0
-    dt: float = 0.01
     format: str = "json"
     out: str | None = None
     config: str | None = None
@@ -125,29 +125,75 @@ def _build_potential(cfg: RunConfig):
         hp = _expr_fn(cfg.h_prime_expr)
         G = _expr_fn(cfg.g_expr) if cfg.g_expr else None
         pot = custom_potential(h, hp, G)
-        pot.validate()
+        try:
+            pot.validate()
+        except ArithmeticError as exc:
+            raise ConfigError(f"potential expression cannot be evaluated: {exc}") from exc
         return pot
     raise ConfigError(f"unknown potential kind: {cfg.potential}")
 
 
-def _expr_fn(expr: str):
-    """Expression of s evaluated with the numpy namespace."""
-    namespace = {"np": np, "exp": np.exp, "log": np.log, "log1p": np.log1p,
-                 "sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt,
-                 "tanh": np.tanh, "pi": np.pi, "abs": np.abs}
-    code = compile(expr, "<potential-expr>", "eval")
+_EXPR_FUNCS = {name: getattr(np, name) for name in
+               ("exp", "log", "log1p", "sin", "cos", "tan", "sqrt", "tanh", "abs")}
+_EXPR_NAMESPACE = {"__builtins__": {}, "pi": np.pi, **_EXPR_FUNCS,
+                   "np": SimpleNamespace(**_EXPR_FUNCS)}
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
-    def fn(s, _code=code, _ns=namespace):
-        return eval(_code, {"__builtins__": {}}, dict(_ns, s=np.asarray(s, dtype=float)))
+
+def _check_expr(node) -> None:
+    """Accept numbers, ``s``, ``pi``, + - * / ** and positional calls of the
+    functions in ``_EXPR_FUNCS`` (bare or as ``np.<name>``); integer
+    literals become floats, so no power of integers can run unbounded."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        node.value = float(node.value)
+        return
+    if isinstance(node, ast.Name) and node.id in ("s", "pi"):
+        return
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINOPS):
+        _check_expr(node.left)
+        _check_expr(node.right)
+        return
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _check_expr(node.operand)
+        return
+    if isinstance(node, ast.Call) and not node.keywords:
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id == "np":
+            name = func.attr
+        else:
+            name = func.id if isinstance(func, ast.Name) else None
+        if name in _EXPR_FUNCS:
+            for arg in node.args:
+                _check_expr(arg)
+            return
+    raise ValueError(f"{ast.unparse(node)!r} is not a number, s, pi, + - * / ** "
+                     "or a call of " + ", ".join(_EXPR_FUNCS))
+
+
+def _expr_fn(expr: str):
+    """Function of s for a potential expression, parsed and checked once."""
+    try:
+        tree = ast.parse(expr, "<potential-expr>", mode="eval")
+        _check_expr(tree.body)
+        code = compile(tree, "<potential-expr>", "eval")
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"invalid potential expression {expr!r}: {exc}") from exc
+
+    def fn(s, _code=code):
+        return eval(_code, _EXPR_NAMESPACE, {"s": np.asarray(s, dtype=float)})
 
     return fn
 
 
-def _make_ring(cfg: RunConfig, mu: float) -> RingSystem:
+def _rings(cfg: RunConfig) -> list[RingSystem]:
+    """One ring per requested mu, all sharing one potential."""
+    mus = _mu_values(cfg)
     if cfg.n is None:
         raise ConfigError("--n is required")
     try:
-        return RingSystem(n=cfg.n, mu=mu, potential=_build_potential(cfg))
+        potential = _build_potential(cfg)
+        return [RingSystem(n=cfg.n, mu=mu, potential=potential) for mu in mus]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,8 +260,7 @@ def _bifurcation_rows(ring: RingSystem, mu: float,
 
 
 def cmd_equilibrium(cfg: RunConfig):
-    mus = _mu_values(cfg)
-    ring = _make_ring(cfg, mus[0])
+    ring = _rings(cfg)[0]
     a_bar, omega = standing_wave(ring)
     res = float(np.abs(gradient_V(ring, a_bar)).max())
     payload = {
@@ -228,8 +273,7 @@ def cmd_equilibrium(cfg: RunConfig):
 
 
 def cmd_blocks(cfg: RunConfig):
-    mus = _mu_values(cfg)
-    ring = _make_ring(cfg, mus[0])
+    ring = _rings(cfg)[0]
     from .model import hessian_V
     P = assemble_P(ring.n)
     decomp = block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
@@ -257,13 +301,13 @@ def cmd_blocks(cfg: RunConfig):
 
 
 def cmd_bifurcations(cfg: RunConfig):
-    mus = _mu_values(cfg)
+    rings = _rings(cfg)
     records = []
     rows = []
     excluded = []
     degenerate_failures = 0
-    for mu in mus:
-        ring = _make_ring(cfg, mu)
+    for ring in rings:
+        mu = ring.mu
         stable = blocks.linear_stability(ring).stable
         try:
             points = classify.enumerate_bifurcations(ring)
@@ -278,8 +322,9 @@ def cmd_bifurcations(cfg: RunConfig):
         if cfg.nu_max is not None:
             points = [pt for pt in points if pt.nu <= cfg.nu_max]
         records.extend(_point_record(mu, pt) for pt in points)
-        rows.extend(_bifurcation_rows(ring, mu, points, stable))
-    if degenerate_failures == len(mus):
+        if cfg.format == "csv":
+            rows.extend(_bifurcation_rows(ring, mu, points, stable))
+    if degenerate_failures == len(rings):
         payload = {"points": [], "excluded": excluded}
         return _report(cfg, payload), CSV_COLUMNS, [], _EXIT_ALL_DEGENERATE
     records.sort(key=lambda r: (r["mu"], r["k"], r["nu"]))
@@ -288,8 +333,7 @@ def cmd_bifurcations(cfg: RunConfig):
 
 
 def cmd_stability(cfg: RunConfig):
-    mus = _mu_values(cfg)
-    ring = _make_ring(cfg, mus[0])
+    ring = _rings(cfg)[0]
     verdict = blocks.linear_stability(ring)
     spectrum = blocks.full_spectrum_oracle(ring)
     oracle = blocks.spectrum_max_real(spectrum)
@@ -306,8 +350,7 @@ def cmd_stability(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    mus = _mu_values(cfg)
-    ring = _make_ring(cfg, mus[0])
+    ring = _rings(cfg)[0]
     if cfg.k is None or cfg.branch not in ("plus", "minus"):
         raise ConfigError("verify needs --k and --branch {plus,minus}")
     if cfg.k == ring.n:
@@ -381,7 +424,7 @@ def _regimes_json(report: classify.RegimeReport) -> dict:
 def cmd_sweep(cfg: RunConfig):
     if not cfg.mu_range:
         raise ConfigError("sweep needs --mu-range")
-    mus = _mu_values(cfg)
+    rings = _rings(cfg)
     if cfg.potential == "cubic":
         regimes = classify.schrodinger_regimes(cfg.n)
     elif cfg.potential == "saturable":
@@ -392,8 +435,8 @@ def cmd_sweep(cfg: RunConfig):
     rows = []
     excluded = []
     degenerate_failures = 0
-    for mu in mus:
-        ring = _make_ring(cfg, mu)
+    for ring in rings:
+        mu = ring.mu
         stable = blocks.linear_stability(ring).stable
         try:
             points = classify.enumerate_bifurcations(ring)
@@ -406,8 +449,9 @@ def cmd_sweep(cfg: RunConfig):
             "points": sorted((_point_record(mu, pt) for pt in points),
                              key=lambda r: (r["mu"], r["k"], r["nu"])),
         })
-        rows.extend(_bifurcation_rows(ring, mu, points, stable))
-    if degenerate_failures == len(mus):
+        if cfg.format == "csv":
+            rows.extend(_bifurcation_rows(ring, mu, points, stable))
+    if degenerate_failures == len(rings):
         payload = {"regimes": _regimes_json(regimes) if regimes else None,
                    "samples": [], "excluded": excluded}
         return _report(cfg, payload), CSV_COLUMNS, [], _EXIT_ALL_DEGENERATE
@@ -452,16 +496,12 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--steps", type=int)
             sp.add_argument("--ds", type=float)
             sp.add_argument("--p-max", dest="p_max", type=int)
-        if name == "stability":
-            sp.add_argument("--t-final", dest="t_final", type=float)
-            sp.add_argument("--dt", type=float)
     return parser
 
 
 _CONFIG_TYPES = {
     "n": int, "k": int, "steps": int, "p_max": int,
     "mu": float, "ds": float, "nu_min": float, "nu_max": float,
-    "t_final": float, "dt": float,
 }
 
 

@@ -9,6 +9,14 @@ here by a truncated Fourier series with modes |l| <= p.  The module provides
 * a gauged Newton solver for periodic orbits,
 * pseudo-arclength continuation of branches away from a bifurcation point,
   restricted to the isotropy subspace of the bifurcating mode.
+
+The solver and the continuation share one set of coordinates: the modes
+l = 0..p, each mapped by a linear map T_l (the identity in the full space,
+the mode-space isometry t_(l k mod n) in the isotropy subspace of mode k).
+In those coordinates the Jacobian is assembled in closed form from the
+Fourier modes of the sampled on-site Hessian, and one Newton loop solves the
+residual bordered by the caller's constraint rows (gauge conditions plus an
+amplitude or arclength condition) by least squares.
 """
 
 from __future__ import annotations
@@ -221,56 +229,190 @@ def orthogonality_check(ring: RingSystem, orbit: FourierOrbit) -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# packing of real unknowns
+# coordinates on the half spectrum l = 0..p
 
 
-def _pack(coeffs: np.ndarray) -> np.ndarray:
-    """[x_0, Re x_1, Im x_1, ..., Re x_p, Im x_p] as one real vector."""
+class _FourierSpace:
+    """Real coordinates of truncated orbits, one linear map T_l per mode.
+
+    Mode l >= 0 of an orbit is ``x_l = T_l V_l`` with ``V_l`` in C^w, and
+    ``x_-l = conj(x_l)``; ``T_0`` is real.  The full space takes T_l = I
+    (w = 2n).  The Z~_n(k) fixed-point subspace takes T_l = t_{(l k) mod n}
+    (w = 2), because mode l of a fixed orbit lies in W_{(l k) mod n}: 4p + 3
+    real unknowns in place of 2n(2p+1) + 1.  Points are packed as
+    [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu]; residuals, projected by
+    T_l^*, are packed the same way without nu.
+    """
+
+    def __init__(self, n: int, p: int, k: int | None = None):
+        self.n, self.p, self.k = n, p, k
+        if k is None:
+            self.maps = np.broadcast_to(np.eye(2 * n), (p + 1, 2 * n, 2 * n))
+        else:
+            self.maps = np.array([t_k_matrix(n, (l * k - 1) % n + 1)
+                                  for l in range(p + 1)])
+        self.width = self.maps.shape[2]
+
+    @property
+    def dim(self) -> int:
+        return self.width * (2 * self.p + 1) + 1
+
+    def pack(self, V: np.ndarray, *tail: float) -> np.ndarray:
+        return np.concatenate([V[0].real, np.stack([V[1:].real, V[1:].imag], 1).ravel(),
+                               tail])
+
+    def unpack(self, z: np.ndarray) -> tuple[np.ndarray, float]:
+        w = self.width
+        rest = z[w:-1].reshape(self.p, 2, w)
+        return np.vstack([z[:w], rest[:, 0] + 1j * rest[:, 1]]), float(z[-1])
+
+    def expand(self, V: np.ndarray) -> np.ndarray:
+        """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n)."""
+        X = (self.maps @ V[:, :, None])[:, :, 0]
+        coeffs = np.concatenate([X[:0:-1].conj(), X])
+        coeffs[self.p] = coeffs[self.p].real
+        return coeffs
+
+    def project(self, F: np.ndarray) -> np.ndarray:
+        """Modes l = 0..p of a (2p+1, 2n) array, mapped by T_l^*; computed as
+        conj(T_l^T conj(F_l)), so that no conjugate copy of the maps is made."""
+        return (self.maps.swapaxes(1, 2) @ F[self.p:, :, None].conj())[:, :, 0].conj()
+
+    def residual(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
+        return self.pack(self.project(_residual_modes(ring, self.expand(V), nu, num)))
+
+    def row(self, t: np.ndarray) -> np.ndarray:
+        """Packed row r with r . dz = Re <dV_0, t_0> + 2 Re sum_{l>0} <dV_l, t_l>,
+        the L2 pairing of the orbits dx and T t, since every T_l is an isometry."""
+        return self.pack(np.vstack([t[:1], 2.0 * t[1:]]), 0.0)
+
+    def gauge_rows(self, V: np.ndarray) -> list[np.ndarray]:
+        """L2 rows of the time-shift tangent i l V_l and the rotation tangent
+        -J2 V_l (both commute with every T_l)."""
+        rotation = -(V.reshape(self.p + 1, -1, 2) @ J2.T).reshape(V.shape)
+        return [self.row(1j * np.arange(self.p + 1)[:, None] * V), self.row(rotation)]
+
+    def amplitude(self, V: np.ndarray) -> float:
+        """l2 norm of the oscillating modes, as :attr:`FourierOrbit.amplitude`."""
+        return float(np.sqrt(2.0 * (np.abs(V[1:]) ** 2).sum()))
+
+    def grown(self, *zs: np.ndarray) -> tuple["_FourierSpace", list[np.ndarray]]:
+        """The space with twice the modes, and ``zs`` padded with zero modes."""
+        space = _FourierSpace(self.n, 2 * self.p, self.k)
+        pad = np.zeros(space.dim - self.dim)
+        return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
+
+    def jacobian(self, ring: RingSystem, V: np.ndarray, nu: float, num: int,
+                 border: np.ndarray) -> np.ndarray:
+        """Packed Jacobian of :meth:`residual`, with ``border`` rows below.
+
+        Closed form of the sampled linearization: with S_m the discrete
+        Fourier modes of the on-site Hessian blocks along the orbit, mode l
+        of the linearized gradient is sum_l' S_(l-l') dx_l' plus the site
+        coupling C dx_l.  Block (l, l') is therefore T_l^* S_(l-l') T_l', the
+        conjugate partner dx_-l' = conj(T_l' dV_l') adds
+        T_l^* S_(l+l') conj(T_l'), the diagonal block adds
+        T_l^* (C - l nu iJJ) T_l and the nu column is T_l^* (-l iJJ x_l).
+        This is the operator of :func:`linearized_residual`, not an
+        approximation.  One row mode is built at a time, straight into the
+        result, which keeps the temporaries small next to it.
+        """
+        p, w, n = self.p, self.width, self.n
+        coeffs = self.expand(V)
+        S = _hessian_modes(ring, coeffs, num)
+        T, ls = self.maps, np.arange(p + 1)
+        rows = w * (2 * p + 1)
+        A = np.zeros((rows + len(border), self.dim))
+        A[rows:] = border
+        A[:rows, -1] = self.pack(self.project(-np.arange(-p, p + 1)[:, None]
+                                              * _apply_iJJ(coeffs)))
+        for l in range(p + 1):
+            Tl = T[l]
+            r = w * max(2 * l - 1, 0)
+            parts = [(np.real, A[r:r + w])]
+            if l:   # mode 0 of a real signal is real
+                parts.append((np.imag, A[r + w:r + 2 * w]))
+            # dV_l' = a + i b enters as M_+ (a + i b) + M_- (a - i b) for l' > 0,
+            # with M_- = conj(T_l^T S_-(l+l') T_l') since S_-m = conj(S_m)
+            for sign, H in ((1, Tl.conj().T), (-1, Tl.T)):
+                M = np.einsum("ija,mjab->mijb", H.reshape(w, n, 2),
+                              S[2 * p + sign * l - ls]).reshape(-1, w, 2 * n) @ T
+                if sign == 1:
+                    M[l] += H @ (np.roll(Tl, 2, axis=0) + np.roll(Tl, -2, axis=0)
+                                 - l * nu * _apply_iJJ(Tl.T).T)
+                else:
+                    np.conjugate(M, out=M)
+                B = M[1:].swapaxes(0, 1)
+                for part, out in parts:
+                    if sign == 1:
+                        out[:, :w] = part(M[0])
+                    cols = out[:, w:-1].reshape(w, p, 2, w)   # a view of A
+                    cols[:, :, 0] += part(B)
+                    cols[:, :, 1] += part(1j * sign * B)
+        return A
+
+
+def _hessian_modes(ring: RingSystem, coeffs: np.ndarray, num: int) -> np.ndarray:
+    """Discrete Fourier modes m = -2p..2p (row m + 2p) of the on-site Hessian
+    blocks (omega + h - 2) I + 2 mu^2 h' x x^T sampled along the orbit.  The
+    modes are taken mod num, as the sampled transform takes them."""
     p = (coeffs.shape[0] - 1) // 2
-    parts = [coeffs[p].real]
-    for l in range(1, p + 1):
-        parts.append(coeffs[p + l].real)
-        parts.append(coeffs[p + l].imag)
-    return np.concatenate(parts)
+    X = _modes_to_samples(coeffs, num).reshape(num, ring.n, 2)
+    mu2 = ring.mu ** 2
+    s = mu2 * (X ** 2).sum(axis=-1)
+    S = (2.0 * mu2 * np.asarray(ring.potential.h_prime(s)))[..., None, None] \
+        * X[..., :, None] * X[..., None, :]
+    S += (ring.omega + np.asarray(ring.potential.h(s)) - 2.0)[..., None, None] * np.eye(2)
+    return np.fft.fft(S, axis=0)[np.arange(-2 * p, 2 * p + 1) % num] / num
 
 
-def _unpack(z: np.ndarray, p: int, width: int) -> np.ndarray:
-    coeffs = np.zeros((2 * p + 1, width), dtype=complex)
-    coeffs[p] = z[:width]
-    for l in range(1, p + 1):
-        re = z[(2 * l - 1) * width:(2 * l) * width]
-        im = z[(2 * l) * width:(2 * l + 1) * width]
-        coeffs[p + l] = re + 1j * im
-        coeffs[p - l] = re - 1j * im
-    return coeffs
+def _newton(ring, space, z, constraints, tol, ctol, max_iter, num, *,
+            free_nu=True, guard=False):
+    """Newton iteration on [residual; constraints] = 0 in packed coordinates.
+
+    ``constraints(z)`` gives the border rows and their values at z.  Each
+    iteration solves the bordered system by least squares; with ``guard`` the
+    singular values of that solve are tested before convergence, so a
+    singular system raises even at a solution.  Without ``free_nu`` the
+    frequency column is dropped.  Returns the solution and the iteration
+    count.
+    """
+    cols = slice(None) if free_nu else slice(-1)
+    for iteration in range(max_iter + 1):
+        V, nu = space.unpack(z)
+        res = space.residual(ring, V, nu, num)
+        rows, values = constraints(z)
+        done = np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol
+        if done and not guard:
+            return z, iteration
+        A = space.jacobian(ring, V, nu, num, rows)[:, cols]
+        step, _, _, svals = np.linalg.lstsq(A, -np.concatenate([res, values]), rcond=None)
+        if guard and svals[-1] < 1e-10 * max(svals[0], 1.0):
+            raise SingularJacobian(
+                f"gauged Jacobian is singular (smallest singular value "
+                f"{svals[-1]:.2e}); expected exactly at a bifurcation point",
+                direction=np.linalg.svd(A)[2][-1])
+        if done:
+            return z, iteration
+        del A   # the next Jacobian is built without this one alive
+        z = z.copy()
+        z[cols] += step
+    raise NoConvergence(f"no convergence after {max_iter} Newton iterations; "
+                        f"residual {np.linalg.norm(res):.3e}")
 
 
-def _l2_row(coeffs: np.ndarray) -> np.ndarray:
-    """Packed row so that row . packed(dx) = Re sum_l <dx_l, t_l>."""
-    p = (coeffs.shape[0] - 1) // 2
-    parts = [coeffs[p].real]
-    for l in range(1, p + 1):
-        parts.append(2.0 * coeffs[p + l].real)
-        parts.append(2.0 * coeffs[p + l].imag)
-    return np.concatenate(parts)
-
-
-def _stack_residual(F: np.ndarray) -> np.ndarray:
-    p = (F.shape[0] - 1) // 2
-    parts = [F[p].real]
-    for l in range(1, p + 1):
-        parts.append(F[p + l].real)
-        parts.append(F[p + l].imag)
-    return np.concatenate(parts)
-
-
-def _tangent_time(coeffs: np.ndarray) -> np.ndarray:
-    p = (coeffs.shape[0] - 1) // 2
-    return 1j * np.arange(-p, p + 1)[:, None] * coeffs
-
-
-def _tangent_rotation(coeffs: np.ndarray) -> np.ndarray:
-    return -_apply_iJJ(coeffs) / 1j
+def _orbit_constraints(space, z, amplitude):
+    """Gauge rows at z with value 0 and, if given, the amplitude row."""
+    V, _ = space.unpack(z)
+    rows, values = space.gauge_rows(V), [0.0, 0.0]
+    if amplitude is not None:
+        amp = space.amplitude(V)
+        grad = np.zeros_like(V)
+        if amp > 0:
+            grad[1:] = V[1:] / amp
+        rows.append(space.row(grad))
+        values.append(amp - amplitude)
+    return np.array(rows), np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +426,18 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
                  num_samples: int | None = None) -> FourierOrbit:
     """Solve the truncated periodic-orbit system F = 0 by gauged Newton.
 
-    Two scalar gauge conditions remove the time-translation and rotation
-    degeneracies: every update is orthogonal (in the L2 pairing) to the
-    group tangents dx/dt and -JJ x at the current iterate.  With
-    ``fix_nu=True`` the frequency stays at ``initial.nu``; passing
-    ``amplitude`` instead frees nu and pins the oscillating-mode amplitude,
-    which selects a nontrivial orbit near a bifurcation.
+    The unknowns are the modes l = 0..p of the orbit (real and imaginary
+    parts) and, unless ``fix_nu``, the frequency.  Two scalar gauge
+    conditions remove the time-translation and rotation degeneracies: every
+    update is orthogonal (in the L2 pairing) to the group tangents dx/dt and
+    -JJ x at the current iterate.  With ``fix_nu=True`` the frequency stays
+    at ``initial.nu``; passing ``amplitude`` instead frees nu and pins the
+    oscillating-mode amplitude, which selects a nontrivial orbit near a
+    bifurcation.  Each iteration builds the Jacobian in closed form from the
+    Fourier modes of the sampled Hessian (the same operator as
+    :func:`linearized_residual`) and solves the gauged system by least
+    squares; the singular values of that solve are tested before
+    convergence.  The Fourier order doubles while the tail exceeds 1e-12.
 
     Raises
     ------
@@ -304,184 +452,31 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
         raise ValueError("an amplitude constraint requires a free frequency")
     if amplitude is None and not fix_nu:
         raise ValueError("a free frequency requires an amplitude constraint")
-    p = initial.p
-    coeffs = initial.coeffs.copy()
-    nu = float(initial.nu)
+    space = _FourierSpace(initial.n, initial.p)
+    z = space.pack(space.project(initial.coeffs), float(initial.nu))
     total_iters = 0
     while True:
-        coeffs, nu, iters = _newton_full(ring, coeffs, nu, fix_nu, amplitude,
-                                         tol, max_iter, num_samples)
+        num = num_samples or _default_samples(space.p)
+        z, iters = _newton(ring, space, z,
+                           lambda z: _orbit_constraints(space, z, amplitude),
+                           tol, tol, max_iter, num, free_nu=not fix_nu, guard=True)
         total_iters += iters
-        tail = 0.0 if p == 0 else np.abs(coeffs[[0, -1]]).max()
+        coeffs = space.expand(space.unpack(z)[0])
+        tail = 0.0 if space.p == 0 else np.abs(coeffs[[0, -1]]).max()
         if not adapt_p or tail <= _TAIL_TOL:
             break
-        if 2 * p > p_max:
+        if 2 * space.p > p_max:
             raise NoConvergence(
-                f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {p}")
-        p = 2 * p
-        grown = np.zeros((2 * p + 1, coeffs.shape[1]), dtype=complex)
-        grown[p - (coeffs.shape[0] - 1) // 2: p + (coeffs.shape[0] - 1) // 2 + 1] = coeffs
-        coeffs = grown
-    F = _residual_modes(ring, coeffs, nu, num_samples or _default_samples(p))
-    return FourierOrbit(nu=nu, coeffs=coeffs,
+                f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {space.p}")
+        space, (z,) = space.grown(z)
+    F = _residual_modes(ring, coeffs, z[-1], num)
+    return FourierOrbit(nu=float(z[-1]), coeffs=coeffs,
                         residual_norm=orbit_residual_norm(F),
                         newton_iterations=total_iters)
 
 
-def _newton_full(ring, coeffs, nu, fix_nu, amplitude, tol, max_iter, num_samples):
-    width = coeffs.shape[1]
-    p = (coeffs.shape[0] - 1) // 2
-    num = num_samples or _default_samples(p)
-    n_unknowns = width * (2 * p + 1) + (0 if fix_nu else 1)
-    for iteration in range(max_iter + 1):
-        F = _residual_modes(ring, coeffs, nu, num)
-        res = _stack_residual(F)
-        rows = [_l2_row(_tangent_time(coeffs)), _l2_row(_tangent_rotation(coeffs))]
-        rhs_rows = [0.0, 0.0]
-        if not fix_nu:
-            rows = [np.append(r, 0.0) for r in rows]
-        if amplitude is not None:
-            amp = np.sqrt(2.0 * (np.abs(coeffs[p + 1:]) ** 2).sum())
-            grad = np.zeros_like(coeffs)
-            if amp > 0:
-                grad[p + 1:] = coeffs[p + 1:] / amp
-            row = np.append(_l2_row(grad), 0.0)
-            rows.append(row)
-            rhs_rows.append(amp - amplitude)
-        A = np.zeros((res.size + len(rows), n_unknowns))
-        for col in range(width * (2 * p + 1)):
-            e = np.zeros(width * (2 * p + 1))
-            e[col] = 1.0
-            dF = linearized_residual(ring, FourierOrbit(nu=nu, coeffs=coeffs),
-                                     _unpack(e, p, width), 0.0, num)
-            A[:res.size, col] = _stack_residual(dF)
-        if not fix_nu:
-            dF = linearized_residual(ring, FourierOrbit(nu=nu, coeffs=coeffs),
-                                     np.zeros_like(coeffs), 1.0, num)
-            A[:res.size, -1] = _stack_residual(dF)
-        for i, row in enumerate(rows):
-            A[res.size + i] = row
-        svals = np.linalg.svd(A, compute_uv=False)
-        if svals[-1] < 1e-10 * max(svals[0], 1.0):
-            _, _, Vt = np.linalg.svd(A)
-            raise SingularJacobian(
-                f"gauged Jacobian is singular (smallest singular value "
-                f"{svals[-1]:.2e}); expected exactly at a bifurcation point",
-                direction=Vt[-1])
-        if np.linalg.norm(res) <= tol and max(abs(v) for v in rhs_rows) <= tol:
-            return coeffs, nu, iteration
-        b = np.concatenate([res, np.asarray(rhs_rows)])
-        step = np.linalg.lstsq(A, -b, rcond=None)[0]
-        dz = step[:width * (2 * p + 1)]
-        coeffs = coeffs + _unpack(dz, p, width)
-        if not fix_nu:
-            nu += step[-1]
-    raise NoConvergence(f"no convergence after {max_iter} Newton iterations; "
-                        f"residual {np.linalg.norm(res):.3e}")
-
-
 # ---------------------------------------------------------------------------
 # continuation in the isotropy subspace of mode k
-
-
-class _ReducedSpace:
-    """Coordinates on the Z~_n(k) fixed-point subspace of the loop space.
-
-    Fourier mode l of a fixed orbit lies in the mode space W_{(l k) mod n},
-    so the orbit is described by one complex 2-vector per mode l = 0..p
-    (real at l = 0) plus the frequency: (4p + 3) real unknowns in place of
-    2n(2p+1) + 1.
-    """
-
-    def __init__(self, n: int, k: int, p: int):
-        self.n, self.k, self.p = n, k, p
-        self.maps = [t_k_matrix(n, ((l * k - 1) % n) + 1) for l in range(p + 1)]
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.p + 3  # includes nu
-
-    def expand(self, V: np.ndarray) -> np.ndarray:
-        """Reduced modes (p+1, 2) -> full coefficients (2p+1, 2n)."""
-        p = self.p
-        coeffs = np.zeros((2 * p + 1, 2 * self.n), dtype=complex)
-        coeffs[p] = (self.maps[0] @ V[0]).real
-        for l in range(1, p + 1):
-            coeffs[p + l] = self.maps[l] @ V[l]
-            coeffs[p - l] = coeffs[p + l].conj()
-        return coeffs
-
-    def project(self, F: np.ndarray) -> np.ndarray:
-        p = self.p
-        out = np.empty((p + 1, 2), dtype=complex)
-        for l in range(p + 1):
-            out[l] = self.maps[l].conj().T @ F[p + l]
-        return out
-
-    def pack(self, V: np.ndarray, nu: float) -> np.ndarray:
-        parts = [V[0].real]
-        for l in range(1, self.p + 1):
-            parts.extend([V[l].real, V[l].imag])
-        parts.append([nu])
-        return np.concatenate(parts)
-
-    def unpack(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        V = np.zeros((self.p + 1, 2), dtype=complex)
-        V[0] = z[0:2]
-        for l in range(1, self.p + 1):
-            V[l] = z[4 * l - 2:4 * l] + 1j * z[4 * l:4 * l + 2]
-        return V, float(z[-1])
-
-    def residual(self, ring: RingSystem, z: np.ndarray, num: int) -> np.ndarray:
-        V, nu = self.unpack(z)
-        F = _residual_modes(ring, self.expand(V), nu, num)
-        return self._stack(self.project(F))
-
-    def _stack(self, VF: np.ndarray) -> np.ndarray:
-        parts = [VF[0].real]
-        for l in range(1, self.p + 1):
-            parts.extend([VF[l].real, VF[l].imag])
-        return np.concatenate(parts)
-
-    def jacobian(self, ring: RingSystem, z: np.ndarray, num: int) -> np.ndarray:
-        V, nu = self.unpack(z)
-        coeffs = self.expand(V)
-        orbit = FourierOrbit(nu=nu, coeffs=coeffs)
-        A = np.zeros((4 * self.p + 2, self.dim))
-        for col in range(self.dim):
-            e = np.zeros(self.dim)
-            e[col] = 1.0
-            dV, dnu = self.unpack(e)
-            dcoeffs = self.expand(dV)
-            dF = linearized_residual(ring, orbit, dcoeffs, dnu, num)
-            A[:, col] = self._stack(self.project(dF))
-        return A
-
-    def gauge_rows(self, z: np.ndarray) -> list[np.ndarray]:
-        """L2 phase-condition rows (time shift, rotation) at the point z."""
-        V, _ = self.unpack(z)
-        time_t = 1j * np.arange(self.p + 1)[:, None] * V
-        rot_t = -(V @ J2.T)
-        rows = []
-        for t in (time_t, rot_t):
-            parts = [t[0].real]
-            for l in range(1, self.p + 1):
-                parts.extend([2.0 * t[l].real, 2.0 * t[l].imag])
-            parts.append([0.0])
-            rows.append(np.concatenate(parts))
-        return rows
-
-    def amplitude(self, z: np.ndarray) -> float:
-        V, _ = self.unpack(z)
-        return float(np.sqrt(2.0 * (np.abs(V[1:]) ** 2).sum()))
-
-
-def _grow_packed(z: np.ndarray, old_p: int, new_p: int) -> np.ndarray:
-    """Pad a packed reduced vector with zero modes up to new_p."""
-    out = np.zeros(4 * new_p + 3)
-    out[:4 * old_p + 2] = z[:-1]
-    out[-1] = z[-1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -499,33 +494,21 @@ class ContinuationBranch:
     steps_taken: int = 0
 
 
-def _corrector(ring, space, z, z_prev, tangent, ds, tol, num, max_iter=25):
-    """Newton corrector for the bordered (gauged + arclength) system."""
-    for _ in range(max_iter):
-        res = space.residual(ring, z, num)
-        rows = space.gauge_rows(z_prev)
-        rhs = [float(r @ (z - z_prev)) for r in rows]
-        arc = float(tangent @ (z - z_prev) - ds)
-        b = np.concatenate([res, rhs, [arc]])
-        if np.linalg.norm(res) <= tol and max(abs(v) for v in rhs + [arc]) <= 10 * tol:
-            return z
-        A = np.vstack([space.jacobian(ring, z, num)] + rows + [tangent])
-        step = np.linalg.lstsq(A, -b, rcond=None)[0]
-        z = z + step
-    raise NoConvergence(f"corrector stalled at residual {np.linalg.norm(res):.3e}")
-
-
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                     p: int = 8, p_max: int = 256, amplitude_max: float = 10.0,
                     tol: float = 1e-10) -> ContinuationBranch:
     """Pseudo-arclength continuation of the periodic branch born at ``bif``.
 
     The first predictor leaves the trivial solution along the kernel vector
-    of the singular block m_k(nu); correction and all subsequent steps run
-    inside the Z~_n(k) fixed-point subspace with secant tangents, and every
-    accepted point is re-checked against the full-space residual.  The
-    branch stops on the step count, on five consecutive step halvings, or
-    when the amplitude bound is hit.
+    of the singular block m_k(nu).  Correction and all subsequent steps run
+    in the Z~_n(k) fixed-point subspace, with secant tangents: the corrector
+    is the Newton loop of :func:`newton_orbit` in that subspace (one complex
+    2-vector per mode l = 0..p, mapped by t_(l k mod n)), with the gauge rows
+    at the previous point and the arclength row as its border.  The Fourier
+    order doubles while the tail exceeds 1e-12, and every accepted point is
+    re-checked against the full-space residual.  The branch stops on the step
+    count, on five consecutive step halvings, or when the amplitude bound is
+    hit.
 
     Raises
     ------
@@ -533,25 +516,26 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         Only when not a single point could be corrected.
     """
     n, k = ring.n, bif.k
-    space = _ReducedSpace(n, k, p)
+    space = _FourierSpace(n, p, k)
     V0 = np.zeros((p + 1, 2), dtype=complex)
     V0[0] = np.sqrt(n) * np.array([1.0, 0.0])
-    z_triv = space.pack(V0, bif.nu)
-    w = blocks.kernel_vector(ring, k, bif.nu)
+    z_prev = space.pack(V0, bif.nu)
     dV = np.zeros((p + 1, 2), dtype=complex)
-    dV[1] = w
+    dV[1] = blocks.kernel_vector(ring, k, bif.nu)
     tangent = space.pack(dV, 0.0)
     tangent /= np.linalg.norm(tangent)
 
     branch = ContinuationBranch(origin=bif, points=[])
-    z_prev = z_triv
     ds_target = ds
     halvings = 0
     while len(branch.points) < steps:
         num = _default_samples(space.p)
-        z_pred = z_prev + ds * tangent
+        border = np.vstack(space.gauge_rows(space.unpack(z_prev)[0]) + [tangent])
+        target = np.array([0.0, 0.0, ds])
         try:
-            z_new = _corrector(ring, space, z_pred, z_prev, tangent, ds, tol, num)
+            z_new, _ = _newton(ring, space, z_prev + ds * tangent,
+                               lambda z: (border, border @ (z - z_prev) - target),
+                               tol, 10 * tol, 24, num)
         except NoConvergence:
             halvings += 1
             if halvings > 5:
@@ -572,10 +556,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                 if not branch.points:
                     raise NoConvergence(f"tail {tail:.2e} above {_TAIL_TOL} at p_max")
                 return branch
-            old_p = space.p
-            space = _ReducedSpace(n, k, 2 * old_p)
-            z_prev = _grow_packed(z_prev, old_p, space.p)
-            tangent = _grow_packed(tangent, old_p, space.p)
+            space, (z_prev, tangent) = space.grown(z_prev, tangent)
             continue
         F = _residual_modes(ring, coeffs, nu, num)
         full_res = orbit_residual_norm(F)
@@ -583,7 +564,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             raise NoConvergence(
                 f"full-space residual {full_res:.2e} leaves the symmetry subspace")
         orbit = FourierOrbit(nu=nu, coeffs=coeffs, residual_norm=full_res)
-        branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(z_new),
+        branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(V),
                                          nu=nu))
         branch.steps_taken += 1
         new_tangent = z_new - z_prev

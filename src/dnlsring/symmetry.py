@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "ModeMap",
     "ChangeOfVariables",
     "IsotropyLabel",
     "t_k_matrix",
@@ -61,18 +60,6 @@ def t_k_apply(n: int, k: int, w) -> np.ndarray:
     if w.shape != (2,):
         raise ValueError("w must be a complex 2-vector")
     return t_k_matrix(n, k) @ w
-
-
-@dataclass(frozen=True)
-class ModeMap:
-    """Isometry C^2 -> W_k together with its index data."""
-
-    n: int
-    k: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return t_k_matrix(self.n, self.k)
 
 
 @dataclass(frozen=True)

@@ -262,3 +262,92 @@ def test_custom_potential_expressions(capsys):
                    "--h-expr", "s", "--h-prime-expr", "1.0 + 0*s",
                    "--g-expr", "s**2/2", "--mu", "0.5")
     assert abs(doc["payload"]["omega"] - 0.75) < 1e-12
+
+
+EXPR_PAYLOADS = ["().__class__.__base__.__subclasses__().__len__()+0*s",
+                 "__import__('os')", "s.__class__", "lambda: s", "exp(x=s)",
+                 "9**9**9**9"]
+
+
+@pytest.mark.parametrize("payload", EXPR_PAYLOADS)
+def test_potential_expression_code_is_rejected(capsys, tmp_path, payload):
+    base = ["equilibrium", "--n", "5", "--mu", "1"]
+    code, out, err = run_cli(capsys, *base, "--potential", "custom",
+                             "--h-expr", payload, "--h-prime-expr", "0*s")
+    assert code == 2 and out == ""
+    assert "potential expression" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"potential = custom\nh_expr = {payload}\nh_prime_expr = 0*s\n")
+    code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "potential expression" in err
+
+
+def test_potential_expression_values():
+    from dnlsring.cli import _expr_fn
+    s = np.linspace(0.0, 4.0, 101)
+    cases = [("1/(1+s)", 1 / (1 + s)), ("-1/(1+s)**2", -1 / (1 + s) ** 2),
+             ("log1p(s)", np.log1p(s)), ("s+0.1*s**2", s + 0.1 * s ** 2),
+             ("np.tanh(s)*pi - +abs(-s)", np.tanh(s) * np.pi - np.abs(s))]
+    for text, want in cases:
+        assert np.array_equal(_expr_fn(text)(s), want), text
+        assert _expr_fn(text)(0.5) == _expr_fn(text)(np.array([0.5]))[0]
+
+
+def test_degenerate_table_computed_once_per_command(capsys, monkeypatch):
+    import dnlsring.cli as cli
+    calls = []
+    original = blocks.degenerate_amplitudes
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blocks, "degenerate_amplitudes", counted)
+    argv = ["bifurcations", "--n", "8", "--potential", "custom",
+            "--h-expr", "1/(1+s)", "--h-prime-expr=-1/(1+s)**2", "--g-expr", "log1p(s)"]
+    counts = []
+    for mu_args in (["--mu", "0.1"], ["--mu-range", "0.1:2:5"]):
+        calls.clear()
+        code, cached, _ = run_cli(capsys, *argv, *mu_args)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # the same bytes as with the table recomputed for every mu
+    monkeypatch.setattr(cli.classify, "_degenerate_table",
+                        cli.classify._degenerate_table.__wrapped__)
+    calls.clear()
+    _, fresh, _ = run_cli(capsys, *argv, "--mu-range", "0.1:2:5")
+    assert len(calls) == 5 * counts[0]
+    assert fresh == cached
+
+
+@pytest.mark.parametrize("command", ["bifurcations", "sweep"])
+def test_csv_rows_built_only_for_csv(capsys, monkeypatch, command):
+    import dnlsring.cli as cli
+    calls = []
+    original = cli._bifurcation_rows
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_bifurcation_rows", counted)
+    argv = [command, "--n", "6", "--potential", "cubic", "--mu-range", "0.2:0.4:3"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls == [] and json.loads(out)["payload"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and len(calls) == 3
+    assert len(out.strip().splitlines()) == 1 + 3 * 5
+
+
+def test_stability_has_no_integration_options(capsys, tmp_path):
+    base = ["stability", "--n", "6", "--potential", "cubic", "--mu", "0.4"]
+    assert run_cli(capsys, *base, "--dt", "0.1")[0] == 2
+    assert run_cli(capsys, *base, "--t-final", "10")[0] == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("dt = 0.1\n")
+    code, _, err = run_cli(capsys, *base, "--config", str(cfg))
+    assert code == 2 and "unknown key" in err
+    doc = run_json(capsys, *base)
+    assert "dt" not in doc["config"] and "t_final" not in doc["config"]

@@ -3,16 +3,17 @@ import pytest
 
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
-from dnlsring.model import (RingSystem, cubic_potential, potential_V,
-                            saturable_potential, standing_wave)
+from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
+                            potential_V, saturable_potential, standing_wave)
 from dnlsring.orbits import (ContinuationBranch, FourierOrbit, NoConvergence,
-                             SingularJacobian, continue_branch,
-                             extrapolate_nu_to_zero, integrate,
+                             SingularJacobian, _default_samples, _FourierSpace,
+                             continue_branch, extrapolate_nu_to_zero, integrate,
                              linearized_residual, newton_orbit,
                              orbit_residual_norm, orthogonality_check, residual)
 from dnlsring.symmetry import symmetry_residual, t_k_matrix, traveling_wave_residual
 
 SAT = saturable_potential()
+CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
 
 
 def random_trig_orbit(rng, n, p, nu=0.9, scale=0.3):
@@ -130,6 +131,46 @@ def test_orthogonality_at_equilibrium():
     a, _ = standing_wave(ring)
     c1, c2 = orthogonality_check(ring, FourierOrbit.from_state(a, nu=1.0, p=4))
     assert abs(c1) <= 1e-14 and abs(c2) <= 1e-14
+
+
+# --- closed-form Jacobian ----------------------------------------------------
+
+def column_jacobian(ring, space, z, num):
+    """Reference for the packed Jacobian: one linearized_residual call per
+    packed unknown, projected and packed like the residual."""
+    V, nu = space.unpack(z)
+    orbit = FourierOrbit(nu=nu, coeffs=space.expand(V))
+    cols = []
+    for e in np.eye(space.dim):
+        dV, dnu = space.unpack(e)
+        dF = linearized_residual(ring, orbit, space.expand(dV), dnu, num)
+        cols.append(space.pack(space.project(dF)))
+    return np.column_stack(cols)
+
+
+def test_closed_form_jacobian_matches_column_assembly():
+    # full space (k = None) and isotropy spaces over n, p and potentials; the
+    # nu column is compared too, and fixing nu only drops that column
+    rng = np.random.default_rng(11)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    cases = [(n, k) for n in (3, 4, 5, 6, 7, 8, 24)
+             for k in (None, int(rng.integers(1, n)))]
+    for i, (n, k) in enumerate(cases):
+        p = (1, 2, 5, 8)[i % 4]
+        ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
+        space = _FourierSpace(n, p, k)
+        w = space.width
+        V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
+        V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
+        z = space.pack(V, rng.uniform(0.5, 2.0))
+        num = _default_samples(p)
+        border = rng.normal(size=(3, space.dim))
+        A = space.jacobian(ring, V, z[-1], num, border)
+        rows = A.shape[0] - 3
+        assert np.array_equal(A[rows:], border)
+        ref = column_jacobian(ring, space, z, num)
+        J = A[:rows]
+        assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
 
 
 # --- newton_orbit ------------------------------------------------------------
