@@ -8,7 +8,8 @@ with ``alpha_k = 4 cos(zeta) sin^2(k zeta / 2)`` and
 ``gamma_k = 2 sin(k zeta) sin(zeta)``; the linearization block at frequency
 nu is ``m_k(nu) = -nu (iJ) + B_k``.  Everything downstream (Morse indices,
 index jumps, critical frequencies, degenerate amplitudes, linear stability)
-is closed form in these coefficients.
+is closed form in these coefficients, whose structural zeros are decided
+by integer rules on (n, k).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "linear_stability",
 ]
 
-_ZERO_SNAP = 1e-12      # coefficients below this are structural zeros
 _SINGULAR_TOL = 1e-12   # |det| below this counts as a singular block
 _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
 
@@ -74,26 +74,25 @@ class BlockCoefficients:
 def coefficients(n: int, k: int) -> BlockCoefficients:
     """Coefficients alpha_k, gamma_k and delta_k = (alpha^2-gamma^2)/(2 alpha).
 
-    Values within 1e-12 of zero are snapped to exact zeros so that the
-    structural cases (k = n for every n, all k for n = 4) are handled
-    exactly; delta is absent at those.
+    Exact zeros are decided on the integers: alpha_k = 0 iff n = 4 or k = n
+    (delta is absent there), gamma_k = 0 iff 2k = 0 mod n, and delta_k = 0
+    iff k in {2, n-2}, where alpha_k / gamma_k = tan(k zeta / 2) / tan(zeta)
+    = +-1.  Every other value is the float formula, however small.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     zeta = 2.0 * np.pi / n
-    alpha = float(4.0 * np.cos(zeta) * np.sin(k * zeta / 2.0) ** 2)
-    gamma = float(2.0 * np.sin(k * zeta) * np.sin(zeta))
-    if abs(alpha) < _ZERO_SNAP:
-        alpha = 0.0
-    if abs(gamma) < _ZERO_SNAP:
-        gamma = 0.0
+    alpha = gamma = 0.0
+    if n != 4 and k != n:
+        alpha = float(4.0 * np.cos(zeta) * np.sin(k * zeta / 2.0) ** 2)
+    if 2 * k % n:
+        gamma = float(2.0 * np.sin(k * zeta) * np.sin(zeta))
     if alpha == 0.0:
         delta = None
+    elif k in (2, n - 2):
+        delta = 0.0
     else:
         delta = (alpha ** 2 - gamma ** 2) / (2.0 * alpha)
-        # |alpha| = |gamma| at k in {2, n-2}; keep that delta an exact zero
-        if abs(delta) < _ZERO_SNAP:
-            delta = 0.0
     return BlockCoefficients(k=k, alpha=alpha, gamma=gamma, delta=delta)
 
 
@@ -193,19 +192,18 @@ def sigma(ring: RingSystem) -> int:
 
 
 def eta(ring: RingSystem, k: int, nu0: float) -> int:
-    """Signed Morse-index jump sigma * (n_k(nu0 - rho) - n_k(nu0 + rho)).
-
-    The probe distance rho is min(1e-4 * max(1, |nu0|), |nu_+ - nu_-| / 10)
-    so it never straddles both critical values.  Degenerate double roots
-    jump by zero.
+    """Signed Morse-index jump sigma * (n_k(nu0^-) - n_k(nu0^+)) at nu0, one of
+    ``critical_frequencies(ring, k).nus``: +-sigma * sgn(T_k) at nu_-+, with
+    T_k = 2 mu^2 h' - 2 alpha_k the block trace (nonzero at a real simple
+    pair, where T_k = 0 would make the radicand -alpha_k^2).  The roots
+    straddle gamma_k.  Degenerate and absent roots jump by zero.
     """
     cf = critical_frequencies(ring, k)
     if cf.degenerate or not cf.nus:
         return 0
-    gap = cf.nus[-1] - cf.nus[0]
-    rho = min(1e-4 * max(1.0, abs(nu0)), gap / 10.0)
-    s = sigma(ring)
-    return s * (morse_index(ring, k, nu0 - rho) - morse_index(ring, k, nu0 + rho))
+    c = coefficients(ring.n, k)
+    side = 1 if nu0 < c.gamma else -1
+    return sigma(ring) * int(np.sign(mu_h_prime(ring) - c.alpha)) * side
 
 
 def degenerate_amplitudes(n: int, k: int, potential,

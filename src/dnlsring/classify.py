@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import blocks
 from .model import RingSystem, cubic_potential, saturable_potential
@@ -273,34 +274,34 @@ def stability_interval(n: int, potential) -> tuple[tuple[float, float], ...]:
     if n == 4:
         return ((0.0, math.inf),)
     half_alpha1 = blocks.coefficients(n, 1).alpha / 2.0
-    if n == 3:
-        # stable iff mu^2 h'(mu^2) > alpha_1/2 = -3/4
-        if kind in ("cubic", "saturable"):
-            return ((0.0, math.inf),)
-        return _scan_intervals(potential, lambda x: x > half_alpha1)
+    # n = 3: stable iff mu^2 h'(mu^2) > alpha_1/2 = -3/4; n >= 5: iff below
+    if kind == "saturable" or (kind == "cubic" and n == 3):
+        return ((0.0, math.inf),)
     if kind == "cubic":
         return ((0.0, math.sqrt(half_alpha1)),)
-    if kind == "saturable":
-        return ((0.0, math.inf),)
-    return _scan_intervals(potential, lambda x: x < half_alpha1)
+    return _scan_intervals(potential, half_alpha1, above=n == 3)
 
 
-def _scan_intervals(potential, ok, mu_max: float = 10.0,
+def _scan_intervals(potential, threshold: float, above: bool, mu_max: float = 10.0,
                     samples: int = 2001) -> tuple[tuple[float, float], ...]:
-    """Stability intervals of a custom potential by dense scan in mu."""
+    """Amplitudes where f(mu) = mu^2 h'(mu^2) - threshold is positive
+    (``above``) or negative: a dense scan in mu brackets each finite endpoint
+    and brentq refines it to 1e-12, as in ``blocks.degenerate_amplitudes``."""
+    def f(m):
+        return m * m * float(potential.h_prime(m * m)) - threshold
+
     mus = np.linspace(1e-6, mu_max, samples)
-    flags = np.array([ok(m * m * float(potential.h_prime(m * m))) for m in mus])
-    intervals = []
-    start = None
-    for m, good in zip(mus, flags):
-        if good and start is None:
-            start = m
-        elif not good and start is not None:
-            intervals.append((float(start), float(m)))
-            start = None
-    if start is not None:
-        intervals.append((float(start), math.inf))
-    # snap the leading endpoint to 0 when stability starts immediately
-    if intervals and intervals[0][0] <= 1e-6:
-        intervals[0] = (0.0, intervals[0][1])
-    return tuple(intervals)
+    vals = np.array([f(m) for m in mus])
+    flags = vals > 0.0 if above else vals < 0.0
+    edges = []
+    for i in np.flatnonzero(flags[1:] != flags[:-1]):
+        # without a sign change (h' is nan on one side) the grid point stays
+        bracketed = vals[i] * vals[i + 1] <= 0.0
+        edges.append(brentq(f, mus[i], mus[i + 1], xtol=1e-12, rtol=8.9e-16)
+                     if bracketed else float(mus[i + 1]))
+    # stability from the first sample on starts at 0; past the last, at inf
+    if flags[0]:
+        edges.insert(0, 0.0)
+    if flags[-1]:
+        edges.append(math.inf)
+    return tuple(zip(edges[0::2], edges[1::2]))

@@ -5,6 +5,13 @@ Reports are emitted as JSON (default) or CSV, with sorted keys and fixed
 17-significant-digit float formatting so identical configurations produce
 byte-identical output.
 
+Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
+--mu, --format, --out and --config.  Only bifurcations and sweep take a
+--mu-range (sweep requires one); equilibrium, blocks, stability and verify
+report on one amplitude and reject a mu range, from a flag or a config file.
+bifurcations filters its points with --k, --nu-min and --nu-max; verify
+takes --k, --branch, --steps, --ds and --p-max.
+
 Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
 3 every requested amplitude is degenerate, 4 numerical failure.
 """
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import blocks, classify, orbits
 from .model import (RingSystem, cubic_potential, custom_potential,
-                    gradient_V, saturable_potential, standing_wave)
+                    gradient_V, hessian_V, saturable_potential, standing_wave)
 from .symmetry import assemble_P, block_extract, symmetry_residual
 
 SCHEMA_VERSION = "1"
@@ -186,6 +193,13 @@ def _expr_fn(expr: str):
     return fn
 
 
+def _ring(cfg: RunConfig) -> RingSystem:
+    """The one ring of the single-amplitude commands."""
+    if cfg.mu_range:
+        raise ConfigError(f"{cfg.command} takes one amplitude (--mu), not a mu range")
+    return _rings(cfg)[0]
+
+
 def _rings(cfg: RunConfig) -> list[RingSystem]:
     """One ring per requested mu, all sharing one potential."""
     mus = _mu_values(cfg)
@@ -232,21 +246,17 @@ def _point_record(mu: float, pt: classify.BifurcationPoint) -> dict:
     }
 
 
-def _bifurcation_rows(ring: RingSystem, mu: float,
-                      points: list[classify.BifurcationPoint],
+def _bifurcation_rows(ring: RingSystem, points: list[classify.BifurcationPoint],
                       stable: bool) -> list[list]:
     """One CSV row per mode k = 1..n-1 with both roots side by side."""
     rows = []
-    by_k: dict[int, dict[str, classify.BifurcationPoint]] = {}
-    for pt in points:
-        by_k.setdefault(pt.k, {})[pt.root] = pt
+    by_root = {(pt.k, pt.root): pt for pt in points}
     for k in range(1, ring.n):
         c = blocks.coefficients(ring.n, k)
-        plus = by_k.get(k, {}).get("plus")
-        minus = by_k.get(k, {}).get("minus")
+        minus, plus = by_root.get((k, "minus")), by_root.get((k, "plus"))
         some = plus or minus
         rows.append([
-            ring.n, k, mu, c.alpha, c.gamma,
+            ring.n, k, ring.mu, c.alpha, c.gamma,
             "-" if c.delta is None else _fmt(c.delta),
             minus.nu if minus else None, plus.nu if plus else None,
             minus.eta if minus else None, plus.eta if plus else None,
@@ -260,7 +270,7 @@ def _bifurcation_rows(ring: RingSystem, mu: float,
 
 
 def cmd_equilibrium(cfg: RunConfig):
-    ring = _rings(cfg)[0]
+    ring = _ring(cfg)
     a_bar, omega = standing_wave(ring)
     res = float(np.abs(gradient_V(ring, a_bar)).max())
     payload = {
@@ -273,8 +283,7 @@ def cmd_equilibrium(cfg: RunConfig):
 
 
 def cmd_blocks(cfg: RunConfig):
-    ring = _rings(cfg)[0]
-    from .model import hessian_V
+    ring = _ring(cfg)
     P = assemble_P(ring.n)
     decomp = block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
     records = []
@@ -300,40 +309,47 @@ def cmd_blocks(cfg: RunConfig):
     return _report(cfg, payload), header, rows, _EXIT_OK
 
 
-def cmd_bifurcations(cfg: RunConfig):
-    rings = _rings(cfg)
-    records = []
-    rows = []
-    excluded = []
-    degenerate_failures = 0
-    for ring in rings:
-        mu = ring.mu
+def _classify_mus(cfg: RunConfig):
+    """(ring, stable, points) of every requested mu that is not degenerate,
+    the {"mu", "k"} records of those that are, and the exit code: 3 when
+    every mu is degenerate.  The one per-mu loop of bifurcations and sweep."""
+    classified, excluded = [], []
+    for ring in _rings(cfg):
         stable = blocks.linear_stability(ring).stable
         try:
             points = classify.enumerate_bifurcations(ring)
         except classify.DegenerateAmplitude as exc:
-            excluded.append({"mu": mu, "k": exc.k})
-            degenerate_failures += 1
+            excluded.append({"mu": ring.mu, "k": exc.k})
             continue
-        if cfg.k is not None:
-            points = [pt for pt in points if pt.k == cfg.k]
-        if cfg.nu_min is not None:
-            points = [pt for pt in points if pt.nu >= cfg.nu_min]
-        if cfg.nu_max is not None:
-            points = [pt for pt in points if pt.nu <= cfg.nu_max]
-        records.extend(_point_record(mu, pt) for pt in points)
-        if cfg.format == "csv":
-            rows.extend(_bifurcation_rows(ring, mu, points, stable))
-    if degenerate_failures == len(rings):
-        payload = {"points": [], "excluded": excluded}
-        return _report(cfg, payload), CSV_COLUMNS, [], _EXIT_ALL_DEGENERATE
-    records.sort(key=lambda r: (r["mu"], r["k"], r["nu"]))
+        classified.append((ring, stable, points))
+    return classified, excluded, _EXIT_OK if classified else _EXIT_ALL_DEGENERATE
+
+
+def _csv_rows(cfg: RunConfig, classified) -> list[list]:
+    """The CSV rows of classified amplitudes; none for JSON output."""
+    if cfg.format != "csv":
+        return []
+    return [row for ring, stable, points in classified
+            for row in _bifurcation_rows(ring, points, stable)]
+
+
+def cmd_bifurcations(cfg: RunConfig):
+    classified, excluded, code = _classify_mus(cfg)
+
+    def keep(pt):
+        return ((cfg.k is None or pt.k == cfg.k)
+                and (cfg.nu_min is None or pt.nu >= cfg.nu_min)
+                and (cfg.nu_max is None or pt.nu <= cfg.nu_max))
+
+    classified = [(ring, stable, [pt for pt in points if keep(pt)])
+                  for ring, stable, points in classified]
+    records = [_point_record(ring.mu, pt) for ring, _, points in classified for pt in points]
     payload = {"points": records, "excluded": excluded}
-    return _report(cfg, payload), CSV_COLUMNS, rows, _EXIT_OK
+    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, classified), code
 
 
 def cmd_stability(cfg: RunConfig):
-    ring = _rings(cfg)[0]
+    ring = _ring(cfg)
     verdict = blocks.linear_stability(ring)
     spectrum = blocks.full_spectrum_oracle(ring)
     oracle = blocks.spectrum_max_real(spectrum)
@@ -350,7 +366,7 @@ def cmd_stability(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    ring = _rings(cfg)[0]
+    ring = _ring(cfg)
     if cfg.k is None or cfg.branch not in ("plus", "minus"):
         raise ConfigError("verify needs --k and --branch {plus,minus}")
     if cfg.k == ring.n:
@@ -424,40 +440,15 @@ def _regimes_json(report: classify.RegimeReport) -> dict:
 def cmd_sweep(cfg: RunConfig):
     if not cfg.mu_range:
         raise ConfigError("sweep needs --mu-range")
-    rings = _rings(cfg)
-    if cfg.potential == "cubic":
-        regimes = classify.schrodinger_regimes(cfg.n)
-    elif cfg.potential == "saturable":
-        regimes = classify.saturable_regimes(cfg.n)
-    else:
-        regimes = None
-    samples = []
-    rows = []
-    excluded = []
-    degenerate_failures = 0
-    for ring in rings:
-        mu = ring.mu
-        stable = blocks.linear_stability(ring).stable
-        try:
-            points = classify.enumerate_bifurcations(ring)
-        except classify.DegenerateAmplitude as exc:
-            excluded.append({"mu": mu, "k": exc.k})
-            degenerate_failures += 1
-            continue
-        samples.append({
-            "mu": mu, "stable": stable, "count": len(points),
-            "points": sorted((_point_record(mu, pt) for pt in points),
-                             key=lambda r: (r["mu"], r["k"], r["nu"])),
-        })
-        if cfg.format == "csv":
-            rows.extend(_bifurcation_rows(ring, mu, points, stable))
-    if degenerate_failures == len(rings):
-        payload = {"regimes": _regimes_json(regimes) if regimes else None,
-                   "samples": [], "excluded": excluded}
-        return _report(cfg, payload), CSV_COLUMNS, [], _EXIT_ALL_DEGENERATE
-    payload = {"regimes": _regimes_json(regimes) if regimes else None,
+    classified, excluded, code = _classify_mus(cfg)
+    regimes = {"cubic": classify.schrodinger_regimes,
+               "saturable": classify.saturable_regimes}.get(cfg.potential)
+    samples = [{"mu": ring.mu, "stable": stable, "count": len(points),
+                "points": [_point_record(ring.mu, pt) for pt in points]}
+               for ring, stable, points in classified]
+    payload = {"regimes": _regimes_json(regimes(cfg.n)) if regimes else None,
                "samples": samples, "excluded": excluded}
-    return _report(cfg, payload), CSV_COLUMNS, rows, _EXIT_OK
+    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, classified), code
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +474,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--h-prime-expr", dest="h_prime_expr")
         sp.add_argument("--g-expr", dest="g_expr")
         sp.add_argument("--mu", type=float)
-        sp.add_argument("--mu-range", dest="mu_range")
         sp.add_argument("--format", choices=["json", "csv"])
         sp.add_argument("--out")
         sp.add_argument("--config")
-        if name in ("bifurcations", "sweep", "verify"):
+        if name in ("bifurcations", "sweep"):
+            sp.add_argument("--mu-range", dest="mu_range")
+        if name in ("bifurcations", "verify"):
             sp.add_argument("--k", type=int)
+        if name == "bifurcations":
             sp.add_argument("--nu-min", dest="nu_min", type=float)
             sp.add_argument("--nu-max", dest="nu_max", type=float)
         if name == "verify":

@@ -239,24 +239,27 @@ def _hessian_apply_sites(ring: RingSystem, X: np.ndarray, dX: np.ndarray) -> np.
         + (2.0 * mu2 * hp * dot)[..., None] * X + lap
 
 
+def _onsite_hessian(ring: RingSystem, X: np.ndarray) -> np.ndarray:
+    """On-site 2x2 Hessian blocks (omega + h - 2) I + 2 mu^2 h' x x^T, with h
+    and h' at mu^2 |x|^2, for site views X of shape (..., n, 2)."""
+    mu2 = ring.mu ** 2
+    s = mu2 * (X ** 2).sum(axis=-1)
+    hval = np.asarray(ring.potential.h(s))
+    hp = np.asarray(ring.potential.h_prime(s))
+    return (ring.omega + hval - 2.0)[..., None, None] * np.eye(2) \
+        + (2.0 * mu2 * hp)[..., None, None] * (X[..., :, None] * X[..., None, :])
+
+
 def hessian_V(ring: RingSystem, x) -> np.ndarray:
     """Symmetric 2n x 2n second derivative of :func:`potential_V` at x."""
     x = _as_state(ring, x)
-    n, mu2 = ring.n, ring.mu ** 2
-    X = _site_view(x)
-    r2 = (X ** 2).sum(axis=-1)
-    hval = ring.potential.h(mu2 * r2)
-    hp = ring.potential.h_prime(mu2 * r2)
-    H = np.zeros((2 * n, 2 * n))
-    eye2 = np.eye(2)
-    for j in range(n):
-        blk = (ring.omega + hval[j] - 2.0) * eye2 \
-            + 2.0 * mu2 * hp[j] * np.outer(X[j], X[j])
-        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blk
-        jp = (j + 1) % n
-        H[2 * j:2 * j + 2, 2 * jp:2 * jp + 2] += eye2
-        H[2 * jp:2 * jp + 2, 2 * j:2 * j + 2] += eye2
-    return H
+    n = ring.n
+    H = np.zeros((n, 2, n, 2))
+    j = np.arange(n)
+    H[j, :, j, :] = _onsite_hessian(ring, _site_view(x))
+    H[j, :, (j + 1) % n, :] = np.eye(2)
+    H[(j + 1) % n, :, j, :] = np.eye(2)
+    return H.reshape(2 * n, 2 * n)
 
 
 def vector_field(ring: RingSystem, x) -> np.ndarray:

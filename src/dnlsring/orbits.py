@@ -27,7 +27,7 @@ import numpy as np
 
 from . import blocks
 from .model import (J2, RingSystem, _gradient_sites, _hessian_apply_sites,
-                    block_symplectic, hessian_V, vector_field)
+                    _onsite_hessian, block_symplectic, hessian_V, vector_field)
 from .symmetry import t_k_matrix
 
 __all__ = [
@@ -357,12 +357,7 @@ def _hessian_modes(ring: RingSystem, coeffs: np.ndarray, num: int) -> np.ndarray
     blocks (omega + h - 2) I + 2 mu^2 h' x x^T sampled along the orbit.  The
     modes are taken mod num, as the sampled transform takes them."""
     p = (coeffs.shape[0] - 1) // 2
-    X = _modes_to_samples(coeffs, num).reshape(num, ring.n, 2)
-    mu2 = ring.mu ** 2
-    s = mu2 * (X ** 2).sum(axis=-1)
-    S = (2.0 * mu2 * np.asarray(ring.potential.h_prime(s)))[..., None, None] \
-        * X[..., :, None] * X[..., None, :]
-    S += (ring.omega + np.asarray(ring.potential.h(s)) - 2.0)[..., None, None] * np.eye(2)
+    S = _onsite_hessian(ring, _modes_to_samples(coeffs, num).reshape(num, ring.n, 2))
     return np.fft.fft(S, axis=0)[np.arange(-2 * p, 2 * p + 1) % num] / num
 
 

@@ -44,14 +44,12 @@ def t_k_matrix(n: int, k: int) -> np.ndarray:
     """
     if not 1 <= k <= n:
         raise ValueError(f"mode index k must be in 1..{n}, got {k}")
-    zeta = 2.0 * np.pi / n
-    T = np.empty((2 * n, 2), dtype=complex)
-    for j in range(1, n + 1):
-        # reducing k*j mod n keeps the phase exact at multiples of 2*pi,
-        # so the fully symmetric mode k = n comes out exactly real
-        phase = np.exp(2j * np.pi * ((k * j) % n) / n)
-        T[2 * (j - 1):2 * j] = phase * _rotation(j * zeta)
-    return T / np.sqrt(n)
+    j = np.arange(1, n + 1)
+    # reducing k*j mod n keeps the phase exact at multiples of 2*pi,
+    # so the fully symmetric mode k = n comes out exactly real
+    phase = np.exp(2j * np.pi * (k * j % n) / n)
+    R = np.moveaxis(_rotation(j * (2.0 * np.pi / n)), -1, 0)   # (n, 2, 2)
+    return (phase[:, None, None] * R).reshape(2 * n, 2) / np.sqrt(n)
 
 
 def t_k_apply(n: int, k: int, w) -> np.ndarray:

@@ -14,6 +14,14 @@ CUBIC = cubic_potential()
 SAT = saturable_potential()
 
 
+def probe_eta(ring, k, nu):
+    """Reference index jump by counting Morse indices at nu -+ rho, with rho
+    small enough never to straddle both roots."""
+    nus = critical_frequencies(ring, k).nus
+    rho = min(1e-4 * max(1.0, abs(nu)), (nus[-1] - nus[0]) / 10.0)
+    return sigma(ring) * (morse_index(ring, k, nu - rho) - morse_index(ring, k, nu + rho))
+
+
 def closed_form_roots(ring):
     """All 2n roots of the block determinants, as eigenvalues i*nu."""
     x = mu_h_prime(ring)
@@ -80,6 +88,27 @@ def test_coefficients_mirror_relations():
             c, cm = coefficients(n, k), coefficients(n, n - k)
             assert abs(cm.alpha - c.alpha) < 1e-12
             assert abs(cm.gamma + c.gamma) < 1e-12
+
+
+def test_coefficients_structural_zeros_are_exact():
+    # a coefficient is exactly 0.0 in the integer cases and nowhere else
+    for n in range(3, 201):
+        for k in range(1, n + 1):
+            c = coefficients(n, k)
+            assert (c.alpha == 0.0) == (n == 4 or k == n)
+            assert (c.gamma == 0.0) == (2 * k % n == 0)
+            assert (c.delta is None) == (c.alpha == 0.0)
+            if c.delta is not None:
+                assert (c.delta == 0.0) == (k in (2, n - 2))
+
+
+def test_coefficients_large_ring_keeps_small_values():
+    # alpha_1 ~ 3.9e-13 and gamma_1 ~ 7.9e-13 are below any snapping threshold
+    c = coefficients(10 ** 7, 1)
+    zeta = 2.0 * np.pi / 10 ** 7
+    assert c.alpha > 0.0 and c.gamma > 0.0 and c.delta is not None
+    assert abs(c.alpha - zeta ** 2) <= 1e-6 * zeta ** 2
+    assert abs(c.gamma - 2.0 * zeta ** 2) <= 1e-6 * zeta ** 2
 
 
 def test_coefficients_range_check():
@@ -265,6 +294,28 @@ def test_eta_sign_pattern_generic():
         s = sigma(ring)
         assert eta(ring, k, cf.nus[0]) == -s
         assert eta(ring, k, cf.nus[1]) == s
+
+
+def test_eta_closed_form_matches_morse_probe():
+    pots = [CUBIC, SAT,
+            custom_potential(lambda s: s + 0.1 * s * s, lambda s: 1.0 + 0.2 * s,
+                             lambda s: s * s / 2.0 + 0.1 * s ** 3 / 3.0),
+            custom_potential(lambda s: -s, lambda s: -np.ones_like(np.asarray(s, float)),
+                             lambda s: -s * s / 2.0)]
+    rng = np.random.default_rng(1303)
+    roots = 0
+    for n in range(3, 40):
+        for mu in rng.uniform(0.02, 3.0, 60):
+            for pot in pots:
+                ring = RingSystem(n=n, mu=float(mu), potential=pot)
+                for k in range(1, n):
+                    cf = critical_frequencies(ring, k)
+                    if cf.degenerate:
+                        continue
+                    for nu in cf.nus:
+                        assert eta(ring, k, nu) == probe_eta(ring, k, nu), (n, mu, k, nu)
+                        roots += 1
+    assert roots > 50000
 
 
 def test_positivity_cases_n_ge_5():

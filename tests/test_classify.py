@@ -209,7 +209,17 @@ def test_stability_interval_custom_scan():
                            G=lambda s: np.asarray(s, float) ** 2 / 2)
     iv = stability_interval(6, pot)
     assert len(iv) == 1
-    assert iv[0][0] == 0.0 and abs(iv[0][1] - 0.5) < 1e-2
+    assert iv[0][0] == 0.0 and abs(iv[0][1] - 0.5) < 1e-10
+    # h = s + b s^2: stable iff s + 2 b s^2 < alpha_1 / 2 with s = mu^2, so the
+    # endpoint is sqrt(s*), s* = (-1 + sqrt(1 + 4 b alpha_1)) / (4 b)
+    b = 0.1
+    quintic = custom_potential(h=lambda s: s + b * s * s, h_prime=lambda s: 1.0 + 2.0 * b * s,
+                               G=lambda s: s * s / 2.0 + b * s ** 3 / 3.0)
+    for n in (5, 8, 12):
+        s_star = (-1.0 + math.sqrt(1.0 + 4.0 * b * coefficients(n, 1).alpha)) / (4.0 * b)
+        iv = stability_interval(n, quintic)
+        assert len(iv) == 1
+        assert iv[0][0] == 0.0 and abs(iv[0][1] - math.sqrt(s_star)) < 1e-10
 
 
 def test_stability_interval_verified_by_oracle():

@@ -341,13 +341,42 @@ def test_csv_rows_built_only_for_csv(capsys, monkeypatch, command):
     assert len(out.strip().splitlines()) == 1 + 3 * 5
 
 
-def test_stability_has_no_integration_options(capsys, tmp_path):
-    base = ["stability", "--n", "6", "--potential", "cubic", "--mu", "0.4"]
-    assert run_cli(capsys, *base, "--dt", "0.1")[0] == 2
-    assert run_cli(capsys, *base, "--t-final", "10")[0] == 2
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text("dt = 0.1\n")
-    code, _, err = run_cli(capsys, *base, "--config", str(cfg))
-    assert code == 2 and "unknown key" in err
+_BASE_ARGS = {
+    "equilibrium": ["--mu", "0.4"],
+    "blocks": ["--mu", "0.4"],
+    "stability": ["--mu", "0.4"],
+    "verify": ["--mu", "0.4", "--k", "3", "--branch", "plus", "--steps", "1"],
+    "sweep": ["--mu-range", "0.2:0.5:4"],
+}
+_UNREAD_OPTIONS = [
+    ("stability", "--dt", "0.1", "unrecognized"),
+    ("stability", "--t-final", "10", "unrecognized"),
+    ("stability", "--config", "dt = 0.1", "unknown key"),
+    ("sweep", "--k", "3", "unrecognized"),
+    ("sweep", "--nu-min", "5", "unrecognized"),
+    ("sweep", "--nu-max", "6", "unrecognized"),
+    ("verify", "--nu-min", "5", "unrecognized"),
+    ("verify", "--nu-max", "6", "unrecognized"),
+] + [(command, flag, value, message)
+     for command in ("equilibrium", "blocks", "stability", "verify")
+     for flag, value, message in (("--mu-range", "0.1:1.5:5", "unrecognized"),
+                                  ("--config", "mu_range = 0.1:1.5:5", "not a mu range"))]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message", _UNREAD_OPTIONS,
+    ids=[f"{c} {f} {v.split()[0]}" if f == "--config" else f"{c} {f}"
+         for c, f, v, _ in _UNREAD_OPTIONS])
+def test_stability_has_no_integration_options(capsys, tmp_path, command, flag, value,
+                                              message):
+    """An option a subcommand does not read, as a flag or a config-file key,
+    is an error (exit 2), not silently ignored."""
+    base = [command, "--n", "8", "--potential", "cubic", *_BASE_ARGS[command]]
+    if flag == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(value + "\n")
+        value = str(cfg)
+    code, _, err = run_cli(capsys, *base, flag, value)
+    assert code == 2 and message in err
     doc = run_json(capsys, *base)
     assert "dt" not in doc["config"] and "t_final" not in doc["config"]

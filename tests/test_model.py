@@ -159,6 +159,32 @@ def test_hessian_symmetric_fd_and_kernel():
     assert np.abs(hessian_V(ring, a) @ Ja).max() <= 1e-10
 
 
+def loop_hessian_V(ring, x):
+    """Site-by-site assembly of the Hessian, the reference of the array build."""
+    n, mu2 = ring.n, ring.mu ** 2
+    X = x.reshape(n, 2)
+    r2 = (X ** 2).sum(axis=-1)
+    hval, hp = ring.potential.h(mu2 * r2), ring.potential.h_prime(mu2 * r2)
+    H = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (ring.omega + hval[j] - 2.0) * np.eye(2) \
+            + 2.0 * mu2 * hp[j] * np.outer(X[j], X[j])
+        jp = (j + 1) % n
+        H[2 * j:2 * j + 2, 2 * jp:2 * jp + 2] += np.eye(2)
+        H[2 * jp:2 * jp + 2, 2 * j:2 * j + 2] += np.eye(2)
+    return H
+
+
+def test_hessian_matches_site_loop():
+    # same arithmetic in the same order, so the two builds agree bit for bit
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 5, 6, 17, 256):
+        for pot in (cubic_potential(), saturable_potential()):
+            ring = RingSystem(n=n, mu=float(rng.uniform(0.1, 2.0)), potential=pot)
+            x = rng.normal(size=2 * n)
+            assert np.array_equal(hessian_V(ring, x), loop_hessian_V(ring, x))
+
+
 def test_vector_field_properties():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)

@@ -24,6 +24,24 @@ def test_t_k_full_mode_is_pure_rotation_pattern():
                                    atol=1e-14)
 
 
+def loop_t_k_matrix(n, k):
+    """Row-pair by row-pair construction of t_k, the reference of the array build."""
+    T = np.empty((2 * n, 2), dtype=complex)
+    for j in range(1, n + 1):
+        c, s = np.cos(j * 2 * np.pi / n), np.sin(j * 2 * np.pi / n)
+        T[2 * (j - 1):2 * j] = np.exp(2j * np.pi * ((k * j) % n) / n) \
+            * np.array([[c, -s], [s, c]])
+    return T / np.sqrt(n)
+
+
+def test_t_k_matrix_matches_site_loop():
+    # vectorized sin/cos/exp may round differently: a few ulp of O(1) entries
+    tol = 4 * np.finfo(float).eps
+    for n in list(range(3, 40)) + [96, 256]:
+        for k in range(1, n + 1):
+            assert np.abs(t_k_matrix(n, k) - loop_t_k_matrix(n, k)).max() <= tol
+
+
 def test_t_k_isometry_and_orthogonality():
     rng = np.random.default_rng(0)
     n = 7
