@@ -371,6 +371,8 @@ def cmd_verify(cfg: RunConfig):
         raise ConfigError("verify needs --k and --branch {plus,minus}")
     if cfg.k == ring.n:
         raise ConfigError("k = n carries no bifurcation with full symmetry")
+    if cfg.steps < 1 or not cfg.ds > 0:
+        raise ConfigError(f"verify needs steps >= 1 and ds > 0, got {cfg.steps}, {cfg.ds}")
     points = classify.enumerate_bifurcations(ring)
     matches = [pt for pt in points if pt.k == cfg.k and pt.root == cfg.branch]
     if not matches:
@@ -513,7 +515,11 @@ def _load_config_file(path: str) -> dict:
                 if key not in {f.name for f in fields(RunConfig)}:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 caster = _CONFIG_TYPES.get(key, str)
-                values[key] = caster(value)
+                try:
+                    values[key] = caster(value)
+                except ValueError:
+                    raise ConfigError(f"{path}:{line_no}: {key} must be "
+                                      f"{caster.__name__}, got {value!r}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values

@@ -154,6 +154,9 @@ class RingSystem:
         object.__setattr__(self, "n", int(self.n))
         if not self.mu > 0:
             raise ValueError("mu must be positive")
+        s = self.mu ** 2
+        if not np.isfinite([self.potential.h(s), self.potential.h_prime(s)]).all():
+            raise ValueError(f"h or h' is not finite at mu^2 = {s!r}")
 
     @property
     def zeta(self) -> float:

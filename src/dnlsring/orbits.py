@@ -11,12 +11,12 @@ here by a truncated Fourier series with modes |l| <= p.  The module provides
   restricted to the isotropy subspace of the bifurcating mode.
 
 The solver and the continuation share one set of coordinates: the modes
-l = 0..p, each mapped by a linear map T_l (the identity in the full space,
-the mode-space isometry t_(l k mod n) in the isotropy subspace of mode k).
-In those coordinates the Jacobian is assembled in closed form from the
-Fourier modes of the sampled on-site Hessian, and one Newton loop solves the
-residual bordered by the caller's constraint rows (gauge conditions plus an
-amplitude or arclength condition) by least squares.
+l = 0..p of the oscillators they keep, with one coupling matrix K_l per mode
+(all n oscillators in the full space; oscillator n alone in the isotropy
+subspace of mode k, at a cost that does not grow with n).  There the
+residual and its closed-form Jacobian are written once, and one Newton loop
+solves the residual bordered by the caller's constraint rows (gauge
+conditions plus an amplitude or arclength condition) by least squares.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ __all__ = [
 
 _REALITY_TOL = 1e-14
 _TAIL_TOL = 1e-12
+_NEWTON_TOL = 1e-10     # residual norm of newton_orbit and of the continuation
+_MAX_ITER = 50          # Newton iterations of newton_orbit
+_P_MAX = 256            # Fourier order at which p-doubling gives up
+_MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
+_MIDPOINT_ITER = 25
 
 
 class NoConvergence(RuntimeError):
@@ -162,16 +167,6 @@ def _apply_iJJ(coeffs: np.ndarray) -> np.ndarray:
     return 1j * (stacked @ J2.T).reshape(coeffs.shape)
 
 
-def _residual_modes(ring: RingSystem, coeffs: np.ndarray, nu: float,
-                    num: int) -> np.ndarray:
-    p = (coeffs.shape[0] - 1) // 2
-    X = _modes_to_samples(coeffs, num).reshape(num, ring.n, 2)
-    G = _gradient_sites(ring, X).reshape(num, 2 * ring.n)
-    g = _samples_to_modes(G, p)
-    ls = np.arange(-p, p + 1)
-    return -nu * ls[:, None] * _apply_iJJ(coeffs) + g
-
-
 def residual(ring: RingSystem, orbit: FourierOrbit,
              num_samples: int | None = None) -> np.ndarray:
     """Per-mode residual F_l = -l nu (i JJ) x_l + g_l for |l| <= p.
@@ -181,7 +176,10 @@ def residual(ring: RingSystem, orbit: FourierOrbit,
     4p+1 samples).
     """
     num = num_samples or _default_samples(orbit.p)
-    return _residual_modes(ring, orbit.coeffs, orbit.nu, num)
+    X = _modes_to_samples(orbit.coeffs, num).reshape(num, ring.n, 2)
+    g = _samples_to_modes(_gradient_sites(ring, X).reshape(num, 2 * ring.n), orbit.p)
+    ls = np.arange(-orbit.p, orbit.p + 1)
+    return -orbit.nu * ls[:, None] * _apply_iJJ(orbit.coeffs) + g
 
 
 def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
@@ -219,7 +217,7 @@ def orthogonality_check(ring: RingSystem, orbit: FourierOrbit) -> tuple[float, f
     the 1e-10 check level even for non-polynomial potentials.
     """
     num = max(8 * orbit.p + 1, 257)
-    F = _residual_modes(ring, orbit.coeffs, orbit.nu, num)
+    F = residual(ring, orbit, num)
     ls = np.arange(-orbit.p, orbit.p + 1)[:, None]
     xdot = 1j * ls * orbit.coeffs
     rot = -_apply_iJJ(orbit.coeffs) / 1j  # -JJ x per mode
@@ -233,25 +231,33 @@ def orthogonality_check(ring: RingSystem, orbit: FourierOrbit) -> tuple[float, f
 
 
 class _FourierSpace:
-    """Real coordinates of truncated orbits, one linear map T_l per mode.
+    """Real coordinates of truncated orbits: the modes V_l, l = 0..p, of the
+    kept oscillators, with one coupling matrix K_l per mode.
 
-    Mode l >= 0 of an orbit is ``x_l = T_l V_l`` with ``V_l`` in C^w, and
-    ``x_-l = conj(x_l)``; ``T_0`` is real.  The full space takes T_l = I
-    (w = 2n).  The Z~_n(k) fixed-point subspace takes T_l = t_{(l k) mod n}
-    (w = 2), because mode l of a fixed orbit lies in W_{(l k) mod n}: 4p + 3
-    real unknowns in place of 2n(2p+1) + 1.  Points are packed as
-    [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu]; residuals, projected by
-    T_l^*, are packed the same way without nu.
+    The full space keeps all n oscillators, V_l = x_l (w = 2n), and K_l is
+    the ring adjacency.  The Z~_n(k) fixed-point space keeps oscillator n
+    alone, V_l = sqrt(n) x_(n,l) (w = 2): there x_(j,l) = e^(i k_l j zeta)
+    R(j zeta) x_(n,l) with k_l = l k mod n, so mode l couples only to itself,
+    through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ; 4p + 3 real
+    unknowns in place of 2n(2p+1) + 1, with the L2 pairing of the whole orbit.
+    Points are packed as [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu];
+    residuals the same way without nu.
     """
 
     def __init__(self, n: int, p: int, k: int | None = None):
         self.n, self.p, self.k = n, p, k
         if k is None:
-            self.maps = np.broadcast_to(np.eye(2 * n), (p + 1, 2 * n, 2 * n))
-        else:
-            self.maps = np.array([t_k_matrix(n, (l * k - 1) % n + 1)
-                                  for l in range(p + 1)])
-        self.width = self.maps.shape[2]
+            eye = np.eye(2 * n)   # the ring adjacency, one matrix for every mode
+            self.coupling = np.broadcast_to(np.roll(eye, 2, 0) + np.roll(eye, -2, 0),
+                                            (p + 1, 2 * n, 2 * n))
+            self.scale = 1.0
+        else:   # k_l in 1..n
+            self.kl = [(l * k - 1) % n + 1 for l in range(p + 1)]
+            cs = [blocks.coefficients(n, kl) for kl in self.kl]
+            self.coupling = np.array([(2.0 * np.cos(2.0 * np.pi / n) - c.alpha) * np.eye(2)
+                                      + c.gamma * blocks.IJ for c in cs])
+            self.scale = np.sqrt(n)
+        self.width = self.coupling.shape[2]
 
     @property
     def dim(self) -> int:
@@ -267,28 +273,38 @@ class _FourierSpace:
         return np.vstack([z[:w], rest[:, 0] + 1j * rest[:, 1]]), float(z[-1])
 
     def expand(self, V: np.ndarray) -> np.ndarray:
-        """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n)."""
-        X = (self.maps @ V[:, :, None])[:, :, 0]
+        """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n): all n
+        oscillators, built once per corrected point, never inside Newton."""
+        X = V if self.k is None else np.array(
+            [t_k_matrix(self.n, kl) @ v for kl, v in zip(self.kl, V)])
         coeffs = np.concatenate([X[:0:-1].conj(), X])
         coeffs[self.p] = coeffs[self.p].real
         return coeffs
 
-    def project(self, F: np.ndarray) -> np.ndarray:
-        """Modes l = 0..p of a (2p+1, 2n) array, mapped by T_l^*; computed as
-        conj(T_l^T conj(F_l)), so that no conjugate copy of the maps is made."""
-        return (self.maps.swapaxes(1, 2) @ F[self.p:, :, None].conj())[:, :, 0].conj()
+    def _samples(self, V: np.ndarray, num: int) -> np.ndarray:
+        """Time samples (num, w/2, 2) of the kept oscillators."""
+        coeffs = np.concatenate([V[:0:-1].conj(), V]) / self.scale
+        return _modes_to_samples(coeffs, num).reshape(num, -1, 2)
 
     def residual(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
-        return self.pack(self.project(_residual_modes(ring, self.expand(V), nu, num)))
+        """F_l = (K_l - l nu iJJ) V_l + DFT[(omega + h - 2) x]_l over the kept
+        oscillators, scaled back to V coordinates."""
+        X = self._samples(V, num)
+        s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
+        G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
+        onsite = np.fft.fft(G.reshape(num, -1), axis=0)[:self.p + 1] * (self.scale / num)
+        ls = np.arange(self.p + 1)[:, None]
+        coupled = (self.coupling @ V[:, :, None])[:, :, 0]
+        return self.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
 
     def row(self, t: np.ndarray) -> np.ndarray:
         """Packed row r with r . dz = Re <dV_0, t_0> + 2 Re sum_{l>0} <dV_l, t_l>,
-        the L2 pairing of the orbits dx and T t, since every T_l is an isometry."""
+        the L2 pairing of the orbits whose coordinates are dV and t."""
         return self.pack(np.vstack([t[:1], 2.0 * t[1:]]), 0.0)
 
     def gauge_rows(self, V: np.ndarray) -> list[np.ndarray]:
         """L2 rows of the time-shift tangent i l V_l and the rotation tangent
-        -J2 V_l (both commute with every T_l)."""
+        -J2 V_l (the rotation commutes with the symmetry pattern)."""
         rotation = -(V.reshape(self.p + 1, -1, 2) @ J2.T).reshape(V.shape)
         return [self.row(1j * np.arange(self.p + 1)[:, None] * V), self.row(rotation)]
 
@@ -307,58 +323,34 @@ class _FourierSpace:
         """Packed Jacobian of :meth:`residual`, with ``border`` rows below.
 
         Closed form of the sampled linearization: with S_m the discrete
-        Fourier modes of the on-site Hessian blocks along the orbit, mode l
-        of the linearized gradient is sum_l' S_(l-l') dx_l' plus the site
-        coupling C dx_l.  Block (l, l') is therefore T_l^* S_(l-l') T_l', the
-        conjugate partner dx_-l' = conj(T_l' dV_l') adds
-        T_l^* S_(l+l') conj(T_l'), the diagonal block adds
-        T_l^* (C - l nu iJJ) T_l and the nu column is T_l^* (-l iJJ x_l).
+        Fourier modes of the on-site Hessian blocks along the orbit,
+        block-diagonal over the kept oscillators, block (l, l') is S_(l-l');
+        the conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'), the
+        diagonal block adds K_l - l nu iJJ and the nu column is -l iJJ V_l.
         This is the operator of :func:`linearized_residual`, not an
-        approximation.  One row mode is built at a time, straight into the
-        result, which keeps the temporaries small next to it.
+        approximation.  One row mode is built at a time, straight into A.
         """
-        p, w, n = self.p, self.width, self.n
-        coeffs = self.expand(V)
-        S = _hessian_modes(ring, coeffs, num)
-        T, ls = self.maps, np.arange(p + 1)
+        p, w = self.p, self.width
+        # modes m = -2p..2p (row m + 2p), taken mod num as the sampled transform takes them
+        S = np.fft.fft(_onsite_hessian(ring, self._samples(V, num)), axis=0)
+        S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
+                      np.eye(w // 2)).reshape(-1, w, w)    # block-diagonal
+        ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
         rows = w * (2 * p + 1)
         A = np.zeros((rows + len(border), self.dim))
         A[rows:] = border
-        A[:rows, -1] = self.pack(self.project(-np.arange(-p, p + 1)[:, None]
-                                              * _apply_iJJ(coeffs)))
+        A[:rows, -1] = self.pack(-ls[:, None] * _apply_iJJ(V))
         for l in range(p + 1):
-            Tl = T[l]
+            # dV_l' = a + i b enters as plus (a + i b) + minus (a - i b), l' > 0
+            plus, minus = S[2 * p + l - ls], S[2 * p + l + ls[1:]]
+            plus[l] += self.coupling[l] - l * nu * iJJ
+            pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
+            row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
             r = w * max(2 * l - 1, 0)
-            parts = [(np.real, A[r:r + w])]
+            A[r:r + w, :-1] = row.real
             if l:   # mode 0 of a real signal is real
-                parts.append((np.imag, A[r + w:r + 2 * w]))
-            # dV_l' = a + i b enters as M_+ (a + i b) + M_- (a - i b) for l' > 0,
-            # with M_- = conj(T_l^T S_-(l+l') T_l') since S_-m = conj(S_m)
-            for sign, H in ((1, Tl.conj().T), (-1, Tl.T)):
-                M = np.einsum("ija,mjab->mijb", H.reshape(w, n, 2),
-                              S[2 * p + sign * l - ls]).reshape(-1, w, 2 * n) @ T
-                if sign == 1:
-                    M[l] += H @ (np.roll(Tl, 2, axis=0) + np.roll(Tl, -2, axis=0)
-                                 - l * nu * _apply_iJJ(Tl.T).T)
-                else:
-                    np.conjugate(M, out=M)
-                B = M[1:].swapaxes(0, 1)
-                for part, out in parts:
-                    if sign == 1:
-                        out[:, :w] = part(M[0])
-                    cols = out[:, w:-1].reshape(w, p, 2, w)   # a view of A
-                    cols[:, :, 0] += part(B)
-                    cols[:, :, 1] += part(1j * sign * B)
+                A[r + w:r + 2 * w, :-1] = row.imag
         return A
-
-
-def _hessian_modes(ring: RingSystem, coeffs: np.ndarray, num: int) -> np.ndarray:
-    """Discrete Fourier modes m = -2p..2p (row m + 2p) of the on-site Hessian
-    blocks (omega + h - 2) I + 2 mu^2 h' x x^T sampled along the orbit.  The
-    modes are taken mod num, as the sampled transform takes them."""
-    p = (coeffs.shape[0] - 1) // 2
-    S = _onsite_hessian(ring, _modes_to_samples(coeffs, num).reshape(num, ring.n, 2))
-    return np.fft.fft(S, axis=0)[np.arange(-2 * p, 2 * p + 1) % num] / num
 
 
 def _newton(ring, space, z, constraints, tol, ctol, max_iter, num, *,
@@ -416,9 +408,7 @@ def _orbit_constraints(space, z, amplitude):
 
 def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
                  fix_nu: bool = True, amplitude: float | None = None,
-                 tol: float = 1e-10, max_iter: int = 50,
-                 adapt_p: bool = True, p_max: int = 256,
-                 num_samples: int | None = None) -> FourierOrbit:
+                 adapt_p: bool = True) -> FourierOrbit:
     """Solve the truncated periodic-orbit system F = 0 by gauged Newton.
 
     The unknowns are the modes l = 0..p of the orbit (real and imaginary
@@ -440,34 +430,34 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
         When the gauged Jacobian is rank deficient, as happens exactly at a
         critical frequency of the trivial solution.
     NoConvergence
-        After ``max_iter`` iterations above ``tol``, or when the Fourier
-        tail still exceeds 1e-12 at ``p_max``.
+        After 50 iterations above 1e-10, or when the Fourier tail still
+        exceeds 1e-12 at p = 256.
     """
     if amplitude is not None and fix_nu:
         raise ValueError("an amplitude constraint requires a free frequency")
     if amplitude is None and not fix_nu:
         raise ValueError("a free frequency requires an amplitude constraint")
     space = _FourierSpace(initial.n, initial.p)
-    z = space.pack(space.project(initial.coeffs), float(initial.nu))
+    z = space.pack(initial.coeffs[initial.p:], float(initial.nu))
     total_iters = 0
     while True:
-        num = num_samples or _default_samples(space.p)
+        num = _default_samples(space.p)
         z, iters = _newton(ring, space, z,
                            lambda z: _orbit_constraints(space, z, amplitude),
-                           tol, tol, max_iter, num, free_nu=not fix_nu, guard=True)
+                           _NEWTON_TOL, _NEWTON_TOL, _MAX_ITER, num,
+                           free_nu=not fix_nu, guard=True)
         total_iters += iters
         coeffs = space.expand(space.unpack(z)[0])
         tail = 0.0 if space.p == 0 else np.abs(coeffs[[0, -1]]).max()
         if not adapt_p or tail <= _TAIL_TOL:
             break
-        if 2 * space.p > p_max:
+        if 2 * space.p > _P_MAX:
             raise NoConvergence(
                 f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {space.p}")
         space, (z,) = space.grown(z)
-    F = _residual_modes(ring, coeffs, z[-1], num)
-    return FourierOrbit(nu=float(z[-1]), coeffs=coeffs,
-                        residual_norm=orbit_residual_norm(F),
-                        newton_iterations=total_iters)
+    orbit = FourierOrbit(nu=float(z[-1]), coeffs=coeffs, newton_iterations=total_iters)
+    orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +480,29 @@ class ContinuationBranch:
 
 
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
-                    p: int = 8, p_max: int = 256, amplitude_max: float = 10.0,
-                    tol: float = 1e-10) -> ContinuationBranch:
+                    p: int = 8, p_max: int = _P_MAX,
+                    amplitude_max: float = 10.0) -> ContinuationBranch:
     """Pseudo-arclength continuation of the periodic branch born at ``bif``.
 
     The first predictor leaves the trivial solution along the kernel vector
     of the singular block m_k(nu).  Correction and all subsequent steps run
     in the Z~_n(k) fixed-point subspace, with secant tangents: the corrector
-    is the Newton loop of :func:`newton_orbit` in that subspace (one complex
-    2-vector per mode l = 0..p, mapped by t_(l k mod n)), with the gauge rows
-    at the previous point and the arclength row as its border.  The Fourier
-    order doubles while the tail exceeds 1e-12, and every accepted point is
-    re-checked against the full-space residual.  The branch stops on the step
-    count, on five consecutive step halvings, or when the amplitude bound is
-    hit.
+    is the Newton loop of :func:`newton_orbit` on oscillator n alone (one
+    complex 2-vector per mode l = 0..p), with the gauge rows at the previous
+    point and the arclength row as its border.  The Fourier order doubles
+    while the tail exceeds 1e-12, and every accepted point is re-checked
+    against the full-space residual.  The branch stops on the step count, on
+    five consecutive step halvings, or when the amplitude bound is hit.
 
     Raises
     ------
+    ValueError
+        When ``steps`` < 1 or ``ds`` <= 0.
     NoConvergence
         Only when not a single point could be corrected.
     """
+    if steps < 1 or not ds > 0:
+        raise ValueError(f"steps must be >= 1 and ds > 0, got steps = {steps}, ds = {ds}")
     n, k = ring.n, bif.k
     space = _FourierSpace(n, p, k)
     V0 = np.zeros((p + 1, 2), dtype=complex)
@@ -530,7 +523,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         try:
             z_new, _ = _newton(ring, space, z_prev + ds * tangent,
                                lambda z: (border, border @ (z - z_prev) - target),
-                               tol, 10 * tol, 24, num)
+                               _NEWTON_TOL, 10 * _NEWTON_TOL, 24, num)
         except NoConvergence:
             halvings += 1
             if halvings > 5:
@@ -553,12 +546,11 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                 return branch
             space, (z_prev, tangent) = space.grown(z_prev, tangent)
             continue
-        F = _residual_modes(ring, coeffs, nu, num)
-        full_res = orbit_residual_norm(F)
-        if full_res > 10 * tol:
-            raise NoConvergence(
-                f"full-space residual {full_res:.2e} leaves the symmetry subspace")
-        orbit = FourierOrbit(nu=nu, coeffs=coeffs, residual_norm=full_res)
+        orbit = FourierOrbit(nu=nu, coeffs=coeffs)
+        orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
+        if orbit.residual_norm > 10 * _NEWTON_TOL:   # the certificate of the point
+            raise NoConvergence(f"full-space residual {orbit.residual_norm:.2e} "
+                                "leaves the symmetry subspace")
         branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(V),
                                          nu=nu))
         branch.steps_taken += 1
@@ -598,15 +590,13 @@ def extrapolate_nu_to_zero(branch: ContinuationBranch, max_points: int = 12) -> 
 # conservative time integration
 
 
-def integrate(ring: RingSystem, x0, T: float, dt: float, *,
-              newton_tol: float = 1e-12,
-              max_newton: int = 25) -> tuple[np.ndarray, np.ndarray]:
+def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Advance du/dt = -JJ grad_V(u) with the implicit midpoint rule.
 
     The scheme is second order and time symmetric; quadratic invariants
     (in particular the total power sum |u_j|^2) are conserved up to the
     inner solve tolerance per step.  Each step is polished by one extra
-    Newton iteration after reaching ``newton_tol``.
+    Newton iteration after reaching 1e-12.
 
     Returns (times, states) with states of shape (steps+1, 2n).
 
@@ -627,14 +617,14 @@ def integrate(ring: RingSystem, x0, T: float, dt: float, *,
     u = x0.copy()
     for step in range(steps):
         unew = u + dt * vector_field(ring, u)
-        for _ in range(max_newton):
+        for _ in range(_MIDPOINT_ITER):
             mid = 0.5 * (u + unew)
             G = unew - u - dt * vector_field(ring, mid)
             Df = -JJ @ hessian_V(ring, mid)
             unew = unew - np.linalg.solve(eye - 0.5 * dt * Df, G)
             # the update after the tolerance is met polishes the step to
             # machine precision, keeping quadratic invariants tight
-            if np.linalg.norm(G) <= newton_tol:
+            if np.linalg.norm(G) <= _MIDPOINT_TOL:
                 break
         else:
             raise NoConvergence(

@@ -169,7 +169,7 @@ class SymmetryResidual(NamedTuple):
     norms: float
 
 
-def _orbit_modes(orbit, default_p: int = 0) -> np.ndarray:
+def _orbit_modes(orbit) -> np.ndarray:
     """Fourier modes (2p+1, 2n) from a FourierOrbit-like object or samples."""
     coeffs = getattr(orbit, "coeffs", None)
     if coeffs is not None:
@@ -178,7 +178,7 @@ def _orbit_modes(orbit, default_p: int = 0) -> np.ndarray:
     if samples.ndim != 2:
         raise ValueError("expected an orbit with .coeffs or an array of time samples")
     N = samples.shape[0]
-    p = (N - 1) // 2 if default_p == 0 else default_p
+    p = (N - 1) // 2
     F = np.fft.fft(samples, axis=0) / N
     ls = np.arange(-p, p + 1)
     return F[ls % N]

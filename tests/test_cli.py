@@ -39,6 +39,12 @@ def test_equilibrium_invalid_inputs(capsys):
     code, _, _ = run_cli(capsys, "equilibrium", "--n", "6", "--potential",
                          "cubic", "--mu", "0")
     assert code == 2
+    # h and h' are nan at mu^2 = 2.25, where the ring is set up
+    with np.errstate(invalid="ignore"):
+        code, _, err = run_cli(capsys, "stability", "--n", "8", "--potential", "custom",
+                               "--h-expr", "sqrt(1-s)", "--h-prime-expr=-0.5/sqrt(1-s)",
+                               "--mu", "1.5")
+    assert code == 2 and "mu^2 = 2.25" in err
 
 
 def test_blocks_n4_delta_markers(capsys):
@@ -357,6 +363,11 @@ _UNREAD_OPTIONS = [
     ("sweep", "--nu-max", "6", "unrecognized"),
     ("verify", "--nu-min", "5", "unrecognized"),
     ("verify", "--nu-max", "6", "unrecognized"),
+    ("verify", "--ds", "0", "ds > 0"),
+    ("verify", "--ds", "-0.03", "ds > 0"),
+    ("verify", "--steps", "0", "steps >= 1"),
+    ("equilibrium", "--config", "n = 2.5", "run.cfg:1: n must be int, got '2.5'"),
+    ("equilibrium", "--config", "mu = abc", "run.cfg:1: mu must be float, got 'abc'"),
 ] + [(command, flag, value, message)
      for command in ("equilibrium", "blocks", "stability", "verify")
      for flag, value, message in (("--mu-range", "0.1:1.5:5", "unrecognized"),
@@ -365,12 +376,14 @@ _UNREAD_OPTIONS = [
 
 @pytest.mark.parametrize(
     "command, flag, value, message", _UNREAD_OPTIONS,
-    ids=[f"{c} {f} {v.split()[0]}" if f == "--config" else f"{c} {f}"
+    ids=[f"{c} {f} {v.split()[0]}" if f in ("--config", "--ds", "--steps") else f"{c} {f}"
          for c, f, v, _ in _UNREAD_OPTIONS])
 def test_stability_has_no_integration_options(capsys, tmp_path, command, flag, value,
                                               message):
-    """An option a subcommand does not read, as a flag or a config-file key,
-    is an error (exit 2), not silently ignored."""
+    """An option a subcommand does not read, or a value it cannot use (a
+    non-positive verify step or step count, a config-file number that does
+    not parse), as a flag or a config-file key, is an error (exit 2) with a
+    reason, not silently ignored or a traceback."""
     base = [command, "--n", "8", "--potential", "cubic", *_BASE_ARGS[command]]
     if flag == "--config":
         cfg = tmp_path / "run.cfg"

@@ -69,6 +69,11 @@ def test_ring_system_rejects_small_n_and_bad_mu():
         RingSystem(n=5, mu=0.0)
     with pytest.raises(ValueError):
         RingSystem(n=5, mu=-0.3)
+    # a potential that is not finite at mu^2 gives no ring
+    root = custom_potential(lambda s: np.sqrt(1 - s), lambda s: -0.5 / np.sqrt(1 - s))
+    RingSystem(n=8, mu=0.9, potential=root)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"mu\^2 = 2.25"):
+        RingSystem(n=8, mu=1.5, potential=root)
 
 
 def test_standing_wave_n4_components():

@@ -135,26 +135,54 @@ def test_orthogonality_at_equilibrium():
 
 # --- closed-form Jacobian ----------------------------------------------------
 
+def space_maps(space):
+    """The maps T_l with x_l = T_l V_l: the identity on the full space,
+    t_(k_l), k_l = l k mod n, on the Z~_n(k) space."""
+    n, p, k = space.n, space.p, space.k
+    if k is None:
+        return np.broadcast_to(np.eye(2 * n), (p + 1, 2 * n, 2 * n))
+    return np.array([t_k_matrix(n, (l * k - 1) % n + 1) for l in range(p + 1)])
+
+
+def map_expand(maps, V):
+    X = (maps @ V[:, :, None])[:, :, 0]
+    coeffs = np.concatenate([X[:0:-1].conj(), X])
+    coeffs[len(V) - 1] = coeffs[len(V) - 1].real
+    return coeffs
+
+
+def map_project(maps, F):
+    """Modes l = 0..p of a (2p+1, 2n) array, mapped by T_l^*."""
+    return np.einsum("lia,li->la", maps.conj(), F[len(maps) - 1:])
+
+
 def column_jacobian(ring, space, z, num):
     """Reference for the packed Jacobian: one linearized_residual call per
-    packed unknown, projected and packed like the residual."""
+    packed unknown on the full orbit x_l = T_l V_l, projected by T_l^* and
+    packed like the residual."""
+    maps = space_maps(space)
     V, nu = space.unpack(z)
-    orbit = FourierOrbit(nu=nu, coeffs=space.expand(V))
+    orbit = FourierOrbit(nu=nu, coeffs=map_expand(maps, V))
     cols = []
     for e in np.eye(space.dim):
         dV, dnu = space.unpack(e)
-        dF = linearized_residual(ring, orbit, space.expand(dV), dnu, num)
-        cols.append(space.pack(space.project(dF)))
+        dF = linearized_residual(ring, orbit, map_expand(maps, dV), dnu, num)
+        cols.append(space.pack(map_project(maps, dF)))
     return np.column_stack(cols)
 
 
 def test_closed_form_jacobian_matches_column_assembly():
     # full space (k = None) and isotropy spaces over n, p and potentials; the
-    # nu column is compared too, and fixing nu only drops that column
+    # nu column is compared too, and fixing nu only drops that column.  The
+    # space residual is T_l^* of the full residual of the expanded orbit.
+    # 1024 samples: for a non-polynomial h the one-oscillator transform
+    # aliases differently from the projected n-oscillator one.
     rng = np.random.default_rng(11)
     pots = [cubic_potential(), SAT, CUSTOM]
     cases = [(n, k) for n in (3, 4, 5, 6, 7, 8, 24)
              for k in (None, int(rng.integers(1, n)))]
+    cases += [(n, int(rng.integers(1, n))) for n in (96, 97, 1024)]
+    num = 1024
     for i, (n, k) in enumerate(cases):
         p = (1, 2, 5, 8)[i % 4]
         ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
@@ -163,7 +191,13 @@ def test_closed_form_jacobian_matches_column_assembly():
         V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
         V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
         z = space.pack(V, rng.uniform(0.5, 2.0))
-        num = _default_samples(p)
+        maps = space_maps(space)
+        coeffs = map_expand(maps, V)
+        assert np.abs(space.expand(V) - coeffs).max() <= 1e-12, (n, k, p)
+        res = space.residual(ring, V, z[-1], num)
+        ref_res = space.pack(map_project(maps, residual(ring, FourierOrbit(z[-1], coeffs),
+                                                        num)))
+        assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
         border = rng.normal(size=(3, space.dim))
         A = space.jacobian(ring, V, z[-1], num, border)
         rows = A.shape[0] - 3
@@ -245,19 +279,25 @@ def branch_point(ring, k, root):
     return next(p for p in pts if p.k == k and p.root == root)
 
 
-def test_continue_branch_n6_k3():
-    ring = RingSystem(n=6, mu=0.5)
-    bif = branch_point(ring, 3, "plus")
-    branch = continue_branch(ring, bif, steps=12, ds=0.04)
+@pytest.mark.parametrize("n, mu, steps, ds", [(6, 0.5, 12, 0.04), (1024, 0.1, 6, 0.03)],
+                         ids=["n6", "n1024"])
+def test_continue_branch_n6_k3(n, mu, steps, ds):
+    # k = n/2: gamma_k = 0, so the plus root is sqrt(alpha (alpha - 2 mu^2)),
+    # alpha = 4 cos(zeta); sqrt(3) at n = 6, mu = 0.5
+    ring, k = RingSystem(n=n, mu=mu), n // 2
+    alpha = 4.0 * np.cos(2.0 * np.pi / n)
+    bif = branch_point(ring, k, "plus")
+    branch = continue_branch(ring, bif, steps=steps, ds=ds)
     assert branch.termination == "steps"
-    assert len(branch.points) == 12
+    assert len(branch.points) == steps
     for bp in branch.points:
         assert bp.orbit.residual_norm <= 1e-10
-        sym = symmetry_residual(bp.orbit, 3)
+        sym = symmetry_residual(bp.orbit, k)
         assert max(sym) <= 1e-8
     amps = [bp.amplitude for bp in branch.points]
     assert all(a2 > a1 for a1, a2 in zip(amps, amps[1:]))
-    assert abs(extrapolate_nu_to_zero(branch) - np.sqrt(3.0)) <= 1e-4
+    expected = np.sqrt(alpha * (alpha - 2.0 * mu ** 2))
+    assert abs(extrapolate_nu_to_zero(branch) - expected) <= 1e-4
 
 
 def test_continue_branch_traveling_wave_pattern():
@@ -275,6 +315,10 @@ def test_continue_branch_amplitude_bound():
     branch = continue_branch(ring, bif, steps=40, ds=0.05, amplitude_max=0.3)
     assert branch.termination == "amplitude-bound"
     assert branch.points[-1].amplitude > 0.3
+    # a branch that cannot leave the trivial orbit is an input error
+    for steps, ds in ((0, 0.05), (4, 0.0), (4, -0.03)):
+        with pytest.raises(ValueError, match="ds > 0"):
+            continue_branch(ring, bif, steps=steps, ds=ds)
 
 
 def test_extrapolate_empty_branch_raises():
