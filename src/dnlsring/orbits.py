@@ -16,7 +16,13 @@ l = 0..p of the oscillators they keep, with one coupling matrix K_l per mode
 subspace of mode k, at a cost that does not grow with n).  There the
 residual and its closed-form Jacobian are written once, and one Newton loop
 solves the residual bordered by the caller's constraint rows (gauge
-conditions plus an amplitude or arclength condition) by least squares.
+conditions plus an amplitude or arclength condition).  The residual of every
+trial orbit is L2-orthogonal to the two group tangents (time shift and
+rotation), so the bordered system has two more equations than unknowns;
+one unfolding multiplier per tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0,
+makes it square and regular (Munoz-Almaraz, Freire, Galan, Doedel &
+Vanderbauwhede, Physica D 181, 2003), and lambda = 0 at every solution.
+Each Newton iteration is one LU factorization with a condition estimate.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import blocks
 from .model import (J2, RingSystem, _gradient_sites, _hessian_apply_sites,
@@ -53,6 +60,7 @@ _MAX_ITER = 50          # Newton iterations of newton_orbit
 _P_MAX = 256            # Fourier order at which p-doubling gives up
 _MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
 _MIDPOINT_ITER = 25
+_RCOND_MIN = 1e-10      # condition estimate below which newton_orbit reports a singularity
 
 
 class NoConvergence(RuntimeError):
@@ -302,11 +310,15 @@ class _FourierSpace:
         the L2 pairing of the orbits whose coordinates are dV and t."""
         return self.pack(np.vstack([t[:1], 2.0 * t[1:]]), 0.0)
 
-    def gauge_rows(self, V: np.ndarray) -> list[np.ndarray]:
-        """L2 rows of the time-shift tangent i l V_l and the rotation tangent
+    def tangents(self, V: np.ndarray) -> list[np.ndarray]:
+        """The group tangents at V: the time shift i l V_l and the rotation
         -J2 V_l (the rotation commutes with the symmetry pattern)."""
         rotation = -(V.reshape(self.p + 1, -1, 2) @ J2.T).reshape(V.shape)
-        return [self.row(1j * np.arange(self.p + 1)[:, None] * V), self.row(rotation)]
+        return [1j * np.arange(self.p + 1)[:, None] * V, rotation]
+
+    def gauge_rows(self, V: np.ndarray) -> list[np.ndarray]:
+        """L2 rows of the group tangents at V, in the order of :meth:`tangents`."""
+        return [self.row(t) for t in self.tangents(V)]
 
     def amplitude(self, V: np.ndarray) -> float:
         """l2 norm of the oscillating modes, as :attr:`FourierOrbit.amplitude`."""
@@ -319,8 +331,13 @@ class _FourierSpace:
         return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
 
     def jacobian(self, ring: RingSystem, V: np.ndarray, nu: float, num: int,
-                 border: np.ndarray) -> np.ndarray:
-        """Packed Jacobian of :meth:`residual`, with ``border`` rows below.
+                 border: np.ndarray, unfold: list[np.ndarray]) -> np.ndarray:
+        """Packed Jacobian of :meth:`residual`, with ``border`` rows below and
+        the packed residual vectors ``unfold`` as leading columns.
+
+        The columns are [unfold | coordinates | nu] and the array is in
+        Fortran order, so dropping the nu column leaves a contiguous matrix
+        that LAPACK factors in place.
 
         Closed form of the sampled linearization: with S_m the discrete
         Fourier modes of the on-site Hessian blocks along the orbit,
@@ -336,9 +353,11 @@ class _FourierSpace:
         S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
                       np.eye(w // 2)).reshape(-1, w, w)    # block-diagonal
         ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
-        rows = w * (2 * p + 1)
-        A = np.zeros((rows + len(border), self.dim))
-        A[rows:] = border
+        rows, m = w * (2 * p + 1), len(unfold)
+        A = np.zeros((rows + len(border), m + self.dim), order="F")
+        A[rows:, m:] = border
+        for j, t in enumerate(unfold):
+            A[:rows, j] = t
         A[:rows, -1] = self.pack(-ls[:, None] * _apply_iJJ(V))
         for l in range(p + 1):
             # dV_l' = a + i b enters as plus (a + i b) + minus (a - i b), l' > 0
@@ -347,9 +366,9 @@ class _FourierSpace:
             pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
             row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
             r = w * max(2 * l - 1, 0)
-            A[r:r + w, :-1] = row.real
+            A[r:r + w, m:-1] = row.real
             if l:   # mode 0 of a real signal is real
-                A[r + w:r + 2 * w, :-1] = row.imag
+                A[r + w:r + 2 * w, m:-1] = row.imag
         return A
 
 
@@ -357,33 +376,58 @@ def _newton(ring, space, z, constraints, tol, ctol, max_iter, num, *,
             free_nu=True, guard=False):
     """Newton iteration on [residual; constraints] = 0 in packed coordinates.
 
-    ``constraints(z)`` gives the border rows and their values at z.  Each
-    iteration solves the bordered system by least squares; with ``guard`` the
-    singular values of that solve are tested before convergence, so a
-    singular system raises even at a solution.  Without ``free_nu`` the
-    frequency column is dropped.  Returns the solution and the iteration
-    count.
+    ``constraints(z)`` gives the border rows and their values at z; its first
+    two rows are the gauge rows of the time-shift and rotation tangents.
+    Each iteration solves the square system [J t; B 0] [dz; lambda] =
+    -[F; c], with one unfolding column t per group tangent at the iterate;
+    a tangent that is exactly zero (the time shift of a constant orbit)
+    drops out with its gauge row.  The system is factored once by LU, and
+    with ``guard`` its condition estimate is tested before convergence, so
+    a singular system raises even at a solution.  Without ``free_nu`` the
+    frequency column is dropped.  A non-finite residual, constraint value or
+    Jacobian raises :class:`NoConvergence`.  Returns the solution and the
+    iteration count.
     """
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
         res = space.residual(ring, V, nu, num)
         rows, values = constraints(z)
+        if not (np.isfinite(res).all() and np.isfinite(values).all()):
+            raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
         done = np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol
         if done and not guard:
             return z, iteration
-        A = space.jacobian(ring, V, nu, num, rows)[:, cols]
-        step, _, _, svals = np.linalg.lstsq(A, -np.concatenate([res, values]), rcond=None)
-        if guard and svals[-1] < 1e-10 * max(svals[0], 1.0):
+        # a zero tangent drops with its gauge row; every border row and every
+        # unfolding column has unit length, so that the condition estimate
+        # does not scale with the amplitude of the orbit
+        tangents = [space.pack(t) for t in space.tangents(V)]
+        live = [i for i, t in enumerate(tangents) if t.any()]
+        keep = live + list(range(len(tangents), len(rows)))
+        size = np.linalg.norm(rows[keep], axis=1)
+        size[size == 0] = 1.0
+        rows, values = rows[keep] / size[:, None], values[keep] / size
+        unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
+        A = space.jacobian(ring, V, nu, num, rows, unfold)[:, cols]
+        anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
+        if not np.isfinite(anorm):
+            raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}")
+        lu, piv, _ = lapack.dgetrf(A, overwrite_a=True)
+        del A   # factored in place: lu holds the only reference
+        rcond = lapack.dgecon(lu, anorm, norm="1")[0]   # 0 for an exactly singular A
+        if guard and rcond < _RCOND_MIN:
+            del lu
+            A = space.jacobian(ring, V, nu, num, rows, unfold)[:, cols]
             raise SingularJacobian(
-                f"gauged Jacobian is singular (smallest singular value "
-                f"{svals[-1]:.2e}); expected exactly at a bifurcation point",
-                direction=np.linalg.svd(A)[2][-1])
+                f"gauged Jacobian is singular (condition estimate rcond {rcond:.2e}); "
+                f"expected exactly at a bifurcation point",
+                direction=np.linalg.svd(A)[2][-1][len(unfold):])
         if done:
             return z, iteration
-        del A   # the next Jacobian is built without this one alive
+        step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
+        del lu   # the next Jacobian is built without this one alive
         z = z.copy()
-        z[cols] += step
+        z[cols] += step[len(unfold):]
     raise NoConvergence(f"no convergence after {max_iter} Newton iterations; "
                         f"residual {np.linalg.norm(res):.3e}")
 
@@ -420,18 +464,19 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
     oscillating-mode amplitude, which selects a nontrivial orbit near a
     bifurcation.  Each iteration builds the Jacobian in closed form from the
     Fourier modes of the sampled Hessian (the same operator as
-    :func:`linearized_residual`) and solves the gauged system by least
-    squares; the singular values of that solve are tested before
-    convergence.  The Fourier order doubles while the tail exceeds 1e-12.
+    :func:`linearized_residual`), adds one unfolding multiplier per nonzero
+    group tangent to make the gauged system square, and solves it by one LU
+    factorization; its condition estimate is tested before convergence.
+    The Fourier order doubles while the tail exceeds 1e-12.
 
     Raises
     ------
     SingularJacobian
-        When the gauged Jacobian is rank deficient, as happens exactly at a
-        critical frequency of the trivial solution.
+        When the condition estimate of the gauged Jacobian is below 1e-10,
+        as happens exactly at a critical frequency of the trivial solution.
     NoConvergence
-        After 50 iterations above 1e-10, or when the Fourier tail still
-        exceeds 1e-12 at p = 256.
+        After 50 iterations above 1e-10, on a non-finite residual or
+        Jacobian, or when the Fourier tail still exceeds 1e-12 at p = 256.
     """
     if amplitude is not None and fix_nu:
         raise ValueError("an amplitude constraint requires a free frequency")
@@ -487,9 +532,11 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     The first predictor leaves the trivial solution along the kernel vector
     of the singular block m_k(nu).  Correction and all subsequent steps run
     in the Z~_n(k) fixed-point subspace, with secant tangents: the corrector
-    is the Newton loop of :func:`newton_orbit` on oscillator n alone (one
-    complex 2-vector per mode l = 0..p), with the gauge rows at the previous
-    point and the arclength row as its border.  The Fourier order doubles
+    is the square Newton loop of :func:`newton_orbit` on oscillator n alone
+    (one complex 2-vector per mode l = 0..p), with the gauge rows at the
+    previous point and the arclength row as its border.  The trivial point
+    has no time-shift tangent, so the first corrector takes its gauge rows
+    at the iterate instead.  The Fourier order doubles
     while the tail exceeds 1e-12, and every accepted point is re-checked
     against the full-space residual.  The branch stops on the step count, on
     five consecutive step halvings, or when the amplitude bound is hit.
@@ -518,11 +565,17 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     halvings = 0
     while len(branch.points) < steps:
         num = _default_samples(space.p)
-        border = np.vstack(space.gauge_rows(space.unpack(z_prev)[0]) + [tangent])
         target = np.array([0.0, 0.0, ds])
+        # the trivial point has no time-shift tangent: until a point is
+        # accepted, the gauge rows are taken at the iterate
+        anchor = z_prev if branch.points else None
+
+        def arclength(z):
+            V = space.unpack(z if anchor is None else anchor)[0]
+            border = np.vstack(space.gauge_rows(V) + [tangent])
+            return border, border @ (z - z_prev) - target
         try:
-            z_new, _ = _newton(ring, space, z_prev + ds * tangent,
-                               lambda z: (border, border @ (z - z_prev) - target),
+            z_new, _ = _newton(ring, space, z_prev + ds * tangent, arclength,
                                _NEWTON_TOL, 10 * _NEWTON_TOL, 24, num)
         except NoConvergence:
             halvings += 1

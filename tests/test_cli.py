@@ -161,6 +161,18 @@ def test_verify_solver_failure_exit_4(capsys, monkeypatch):
     assert "synthetic failure" in doc["payload"]["failure"]
 
 
+def test_verify_non_finite_branch_exit_4(capsys):
+    # h = sqrt(1 - s) is finite at mu^2 but nan further along the branch
+    code, out, _ = run_cli(capsys, "verify", "--n", "6", "--potential", "custom",
+                           "--h-expr", "sqrt(1-s)", "--h-prime-expr=-0.5/sqrt(1-s)",
+                           "--mu", "0.95", "--k", "3", "--branch", "plus",
+                           "--steps", "30", "--ds", "0.1")
+    assert code == 4
+    payload = json.loads(out)["payload"]
+    assert payload["failure"] and payload["passed"] is False
+    assert payload["termination"] in ("step-failure", "solver-error")
+
+
 def test_verify_small_run(capsys):
     doc = run_json(capsys, "verify", "--n", "6", "--potential", "cubic",
                    "--mu", "0.5", "--k", "3", "--branch", "plus",

@@ -5,10 +5,10 @@ from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
                             potential_V, saturable_potential, standing_wave)
-from dnlsring.orbits import (ContinuationBranch, FourierOrbit, NoConvergence,
-                             SingularJacobian, _default_samples, _FourierSpace,
-                             continue_branch, extrapolate_nu_to_zero, integrate,
-                             linearized_residual, newton_orbit,
+from dnlsring.orbits import (_NEWTON_TOL, ContinuationBranch, FourierOrbit, NoConvergence,
+                             SingularJacobian, _default_samples, _FourierSpace, _newton,
+                             _orbit_constraints, continue_branch, extrapolate_nu_to_zero,
+                             integrate, linearized_residual, newton_orbit,
                              orbit_residual_norm, orthogonality_check, residual)
 from dnlsring.symmetry import symmetry_residual, t_k_matrix, traveling_wave_residual
 
@@ -174,6 +174,7 @@ def column_jacobian(ring, space, z, num):
 def test_closed_form_jacobian_matches_column_assembly():
     # full space (k = None) and isotropy spaces over n, p and potentials; the
     # nu column is compared too, and fixing nu only drops that column.  The
+    # unfolding columns lead and the border rows are zero under them.  The
     # space residual is T_l^* of the full residual of the expanded orbit.
     # 1024 samples: for a non-polynomial h the one-oscillator transform
     # aliases differently from the projected n-oscillator one.
@@ -199,12 +200,117 @@ def test_closed_form_jacobian_matches_column_assembly():
                                                         num)))
         assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
         border = rng.normal(size=(3, space.dim))
-        A = space.jacobian(ring, V, z[-1], num, border)
+        unfold = [space.pack(t) for t in space.tangents(V)]
+        A = space.jacobian(ring, V, z[-1], num, border, unfold)
         rows = A.shape[0] - 3
-        assert np.array_equal(A[rows:], border)
+        assert np.array_equal(A[rows:, 2:], border) and not A[rows:, :2].any()
+        assert np.array_equal(A[:rows, :2], np.transpose(unfold))
         ref = column_jacobian(ring, space, z, num)
-        J = A[:rows]
+        J = A[:rows, 2:]
         assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
+
+
+# --- the square Newton solve -------------------------------------------------
+
+def lstsq_newton(ring, space, z, constraints, tol, ctol, max_iter, num, *, free_nu=True):
+    """Reference for the square solve: the Newton loop it replaced, which
+    solves the bordered system (two more rows than unknowns, no unfolding
+    columns) by least squares."""
+    cols = slice(None) if free_nu else slice(-1)
+    for iteration in range(max_iter + 1):
+        V, nu = space.unpack(z)
+        res = space.residual(ring, V, nu, num)
+        rows, values = constraints(z)
+        if np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol:
+            return z, iteration
+        A = space.jacobian(ring, V, nu, num, rows, [])[:, cols]
+        z = z.copy()
+        z[cols] += np.linalg.lstsq(A, -np.concatenate([res, values]), rcond=None)[0]
+    raise NoConvergence(f"no convergence after {max_iter} iterations")
+
+
+def unfolding_multipliers(ring, space, z, constraints, num, free_nu):
+    """lambda of the square system at z by a dense solve, for unit unfolding
+    columns along the nonzero group tangents, each paired with its gauge row."""
+    cols = slice(None) if free_nu else slice(-1)
+    V, nu = space.unpack(z)
+    rows, values = constraints(z)
+    tangents = [space.pack(t) for t in space.tangents(V)]
+    live = [i for i, t in enumerate(tangents) if t.any()]
+    keep = live + list(range(2, len(rows)))
+    unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
+    A = space.jacobian(ring, V, nu, num, rows[keep], unfold)[:, cols]
+    rhs = -np.concatenate([space.residual(ring, V, nu, num), values[keep]])
+    return np.linalg.solve(A, rhs)[:len(unfold)]
+
+
+def newton_cases(rng, n, iso, p, potential):
+    """The borders of the Newton loop on one ring, as (name, start, constraints,
+    free_nu, guard, ctol): starts built from the kernel mode of a bifurcation
+    point in the Z~_n(k) space, lifted to the full space unless ``iso``."""
+    ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.0), potential=potential)
+    points = [pt for pt in enumerate_bifurcations(ring) if pt.k != n]
+    # n = 4 has no bifurcation point (alpha_k = 0), and its full space a
+    # singular static mode (k = 2): there only the trivial case, in Z~_4(1)
+    bif = points[int(rng.integers(len(points)))] if points else None
+    k, nu0 = (bif.k, bif.nu) if bif else (1, 1.3)
+    kspace = _FourierSpace(n, p, k)
+    space = kspace if iso else _FourierSpace(n, p)
+
+    def point(scale, nu):   # trivial point + scale * kernel mode, packed in space
+        V = np.zeros((p + 1, 2), dtype=complex)
+        V[0, 0] = np.sqrt(n)
+        V[1] = scale * kernel_vector(ring, k, nu0)
+        return space.pack((V if iso else kspace.expand(V)[p:]), nu)
+
+    num, tol = _default_samples(p), _NEWTON_TOL
+    fixed = lambda z: _orbit_constraints(space, z, None)
+    # fixed nu, off the critical frequency, from a small kernel mode back to the trivial orbit
+    cases = [("fix_nu-trivial", point(5e-3, nu0 + 0.1), fixed, False, True, tol)]
+    if bif is None:
+        return ring, space, num, cases if iso else []
+    # newton_orbit with an amplitude border and free nu
+    amplitude = lambda z: _orbit_constraints(space, z, 0.05)
+    cases.append(("amplitude", point(0.05, nu0), amplitude, True, True, tol))
+    z_amp, _ = _newton(ring, space, point(0.05, nu0), amplitude, tol, tol, 50, num, guard=True)
+    # fixed nu, from a larger kernel mode to that branch orbit
+    cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, True, tol))
+    # the first corrector of continue_branch: gauge rows at the iterate
+    ds, trivial = 0.02, point(0.0, nu0)
+    tangent = point(1.0, nu0) - trivial
+    tangent /= np.linalg.norm(tangent)
+
+    def first(z):
+        rows = np.vstack(space.gauge_rows(space.unpack(z)[0]) + [tangent])
+        return rows, rows @ (z - trivial) - [0.0, 0.0, ds]
+    cases.append(("first-corrector", trivial + ds * tangent, first, True, False, 10 * tol))
+    # a later corrector: gauge rows at the previous point, secant tangent
+    secant = (z_amp - trivial) / np.linalg.norm(z_amp - trivial)
+    border = np.vstack(space.gauge_rows(space.unpack(z_amp)[0]) + [secant])
+    later = lambda z: (border, border @ (z - z_amp) - [0.0, 0.0, ds])
+    cases.append(("corrector", z_amp + ds * secant, later, True, False, 10 * tol))
+    return ring, space, num, cases
+
+
+def test_square_newton_matches_lstsq_loop():
+    # the unfolded square system reaches the solution of the least-squares
+    # loop it replaced, in the same number of iterations, with multipliers 0
+    rng = np.random.default_rng(12)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    for i, (n, iso) in enumerate((n, iso) for n in (3, 4, 5, 6, 7, 8, 24, 96)
+                                 for iso in (False, True)):
+        p = 1 if (n, iso) == (96, False) else (1, 2, 5, 8)[i % 4]
+        ring, space, num, cases = newton_cases(rng, n, iso, p, pots[i % 3])
+        for name, z0, constraints, free_nu, guard, ctol in cases:
+            label = (n, iso, p, i % 3, name)
+            z, iters = _newton(ring, space, z0, constraints, _NEWTON_TOL, ctol, 50, num,
+                               free_nu=free_nu, guard=guard)
+            ref, ref_iters = lstsq_newton(ring, space, z0, constraints, _NEWTON_TOL, ctol,
+                                          50, num, free_nu=free_nu)
+            assert np.abs(z - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), label
+            assert abs(iters - ref_iters) <= 1, label
+            lam = unfolding_multipliers(ring, space, z, constraints, num, free_nu)
+            assert np.abs(lam).max() <= 1e-12, label
 
 
 # --- newton_orbit ------------------------------------------------------------
@@ -225,6 +331,51 @@ def test_newton_singular_at_critical_frequency():
         with pytest.raises(SingularJacobian) as err:
             newton_orbit(ring, FourierOrbit.from_state(a, nu=nu, p=6))
         assert err.value.direction is not None
+
+
+def test_newton_regular_just_off_critical_frequency():
+    # the other side of the singularity guard: 1e-6 off the root is regular
+    ring = RingSystem(n=6, mu=0.5)
+    a, _ = standing_wave(ring)
+    sol = newton_orbit(ring, FourierOrbit.from_state(a, nu=np.sqrt(3.0) + 1e-6, p=6))
+    assert sol.residual_norm <= 1e-12
+    with pytest.raises(SingularJacobian, match="rcond"):
+        newton_orbit(ring, FourierOrbit.from_state(a, nu=np.sqrt(3.0), p=6))
+
+
+def test_newton_fixed_nu_returns_to_trivial_orbit():
+    # near the trivial orbit the time-shift tangent is small but not zero;
+    # its unfolding column and gauge row must not make the system singular
+    rng = np.random.default_rng(6)
+    for n, nu, p in [(6, 1.0, 4), (5, 0.7, 3), (8, 1.3, 6), (3, 2.2, 2)]:
+        ring = RingSystem(n=n, mu=0.5)
+        a, _ = standing_wave(ring)
+        noise = 1e-3 * (rng.normal(size=(2 * p + 1, 2 * n))
+                        + 1j * rng.normal(size=(2 * p + 1, 2 * n)))
+        coeffs = FourierOrbit.from_state(a, nu=nu, p=p).coeffs + noise + noise[::-1].conj()
+        sol = newton_orbit(ring, FourierOrbit(nu=nu, coeffs=coeffs), adapt_p=False)
+        assert sol.nu == nu and sol.residual_norm <= 1e-10
+        assert sol.amplitude <= 1e-10
+
+
+def test_newton_non_finite_stops_with_no_convergence():
+    # residual: h = sqrt(1 - s) is nan beyond s = 1
+    root = custom_potential(lambda s: np.sqrt(1.0 - s), lambda s: -0.5 / np.sqrt(1.0 - s))
+    ring = RingSystem(n=6, mu=0.95, potential=root)
+    big = mode_perturbed_orbit(ring, 3, 1.0, 1.0, w=np.array([1.0, 0.0]), p=2)
+    with pytest.warns(RuntimeWarning), pytest.raises(NoConvergence, match="non-finite residual"):
+        newton_orbit(ring, big)
+    # Jacobian: h is finite everywhere, h' only below s = 1.1
+    kink = custom_potential(lambda s: s, lambda s: np.where(s < 1.1, 1.0, np.nan))
+    ring = RingSystem(n=6, mu=1.0, potential=kink)
+    big = mode_perturbed_orbit(ring, 3, 1.0, 1.0, w=np.array([1.0, 0.0]), p=2)
+    with pytest.raises(NoConvergence, match="non-finite Jacobian"):
+        newton_orbit(ring, big)
+    # constraint value
+    ring = RingSystem(n=6, mu=0.5)
+    small = mode_perturbed_orbit(ring, 3, 0.01, np.sqrt(3.0))
+    with pytest.raises(NoConvergence, match="non-finite residual"):
+        newton_orbit(ring, small, fix_nu=False, amplitude=float("nan"))
 
 
 def test_newton_gauge_config_validation():
