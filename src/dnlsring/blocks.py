@@ -14,6 +14,7 @@ by integer rules on (n, k).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,22 +207,56 @@ def eta(ring: RingSystem, k: int, nu0: float) -> int:
     return sigma(ring) * int(np.sign(mu_h_prime(ring) - c.alpha)) * side
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_grid(potential, s_range: tuple[float, float], samples: int):
+    """The union of ``samples`` points evenly in s over ``s_range`` and 2001
+    evenly in mu = sqrt(s) over [1e-6, 10], and x(s) = s h'(s) on it from one
+    array call of h' (a scalar h' broadcasts); both read-only."""
+    lo, hi = max(s_range[0], 0.0), s_range[1]
+    s_mu = np.linspace(1e-6, 10.0, 2001) ** 2
+    s = np.union1d(np.linspace(lo, hi, samples), s_mu[(s_mu >= lo) & (s_mu <= hi)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = s * np.asarray(potential.h_prime(s), dtype=float)
+    s.flags.writeable = x.flags.writeable = False
+    return s, x
+
+
+def _level_set(potential, level: float, s_range=(0.0, 100.0), samples: int = 4096):
+    """``(s, f, edge)``: the scan grid, f = s h'(s) - level on it (nan where
+    not finite) and ``edge(i)``, where x meets the level in [s_i, s_{i+1}]:
+    brentq to 1e-12 when both samples are finite, else s_{i+1}."""
+    s, x = _scan_grid(potential, tuple(s_range), samples)
+    f = np.where(np.isfinite(x), x - level, np.nan)
+
+    def edge(i):
+        if np.isnan(f[i]) or np.isnan(f[i + 1]):
+            return float(s[i + 1])
+        return brentq(lambda t: t * float(potential.h_prime(t)) - level, s[i], s[i + 1],
+                      xtol=1e-12, rtol=8.9e-16)
+
+    return s, f, edge
+
+
 def degenerate_amplitudes(n: int, k: int, potential,
                           s_range: tuple[float, float] = (0.0, 100.0),
                           samples: int = 4096) -> tuple[float, ...]:
     """Amplitudes mu > 0 at which B_k is singular, i.e. mu^2 h'(mu^2) = delta_k.
 
-    Cubic and saturable potentials are solved in closed form; other
-    potentials are handled by a sign-change scan of s -> s h'(s) - delta_k
-    over ``s_range`` followed by bracketed root refinement to 1e-12.
+    Cubic and saturable potentials are solved in closed form.  Others are
+    scanned on one grid per (potential, ``s_range``, ``samples``), shared
+    with ``classify.stability_interval``, and each sign change of s h'(s) -
+    delta_k is refined by brentq to 1e-12.  A maximal run of samples exactly
+    at delta_k is one root, at its last sample, unless it reaches the end of
+    the grid (there the level is met only by underflow).  Samples where
+    s h'(s) is nan or infinite are never roots and bracket none.
 
     Raises
     ------
     SearchRangeExhausted
-        For custom potentials, when no root was bracketed but the scan is
-        still approaching zero at the right end of the range (the answer
-        may lie beyond it).  An empty result means no root in the range
-        with the function bounded away from zero.
+        For custom potentials, when no root was found but |s h'(s) -
+        delta_k| is smallest at the right end of the range (the answer may
+        lie beyond it).  An empty result means no root in the range with
+        the function bounded away from zero.
     """
     c = coefficients(n, k)
     if c.delta is None:
@@ -241,25 +276,13 @@ def degenerate_amplitudes(n: int, k: int, potential,
         s_hi = (-(2.0 * delta + 1.0) - disc) / (2.0 * delta)
         return tuple(sorted(float(np.sqrt(s)) for s in (s_lo, s_hi)))
 
-    def f(s):
-        return float(s * potential.h_prime(s) - delta)
-
-    lo, hi = s_range
-    grid = np.linspace(max(lo, 0.0), hi, samples)
-    vals = np.array([f(s) for s in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0 and grid[i] > 0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16))
-    if not roots:
-        closest = int(np.argmin(np.abs(vals)))
-        if closest == len(grid) - 1:
-            raise SearchRangeExhausted(
-                f"no root of s*h'(s) = delta_{k} bracketed in {s_range}; "
-                "|s*h'(s) - delta| is still shrinking at the range end")
-        return ()
+    s, f, edge = _level_set(potential, delta, s_range, samples)
+    roots = [edge(i) for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
+    roots += list(s[:-1][(f[:-1] == 0.0) & (f[1:] != 0.0)])  # one per run at the level
+    if not roots and np.argmin(np.abs(np.nan_to_num(f, nan=np.inf))) == len(s) - 1:
+        raise SearchRangeExhausted(
+            f"no root of s*h'(s) = delta_{k} bracketed in {s_range}; "
+            "|s*h'(s) - delta| is still shrinking at the range end")
     return tuple(sorted(float(np.sqrt(s)) for s in roots if s > 0))
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import blocks
 from .model import RingSystem, cubic_potential, saturable_potential
@@ -267,7 +266,15 @@ def saturable_regimes(n: int) -> RegimeReport:
 
 
 def stability_interval(n: int, potential) -> tuple[tuple[float, float], ...]:
-    """Amplitude intervals on which the rotating wave is linearly stable."""
+    """Amplitude intervals on which the rotating wave is linearly stable.
+
+    Custom potentials compare s h'(s) with alpha_1/2 on the default scan grid
+    of ``blocks.degenerate_amplitudes`` (one array call of h' serves both),
+    with endpoints refined by brentq to 1e-12.  An interval starts at 0 when
+    the first sample with s > 0 is stable and ends at inf when the last one
+    is.  Samples where s h'(s) is nan or infinite are unstable; an endpoint
+    next to one stays at the grid point.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
     kind = getattr(potential, "kind", "custom")
@@ -279,29 +286,12 @@ def stability_interval(n: int, potential) -> tuple[tuple[float, float], ...]:
         return ((0.0, math.inf),)
     if kind == "cubic":
         return ((0.0, math.sqrt(half_alpha1)),)
-    return _scan_intervals(potential, half_alpha1, above=n == 3)
-
-
-def _scan_intervals(potential, threshold: float, above: bool, mu_max: float = 10.0,
-                    samples: int = 2001) -> tuple[tuple[float, float], ...]:
-    """Amplitudes where f(mu) = mu^2 h'(mu^2) - threshold is positive
-    (``above``) or negative: a dense scan in mu brackets each finite endpoint
-    and brentq refines it to 1e-12, as in ``blocks.degenerate_amplitudes``."""
-    def f(m):
-        return m * m * float(potential.h_prime(m * m)) - threshold
-
-    mus = np.linspace(1e-6, mu_max, samples)
-    vals = np.array([f(m) for m in mus])
-    flags = vals > 0.0 if above else vals < 0.0
-    edges = []
-    for i in np.flatnonzero(flags[1:] != flags[:-1]):
-        # without a sign change (h' is nan on one side) the grid point stays
-        bracketed = vals[i] * vals[i + 1] <= 0.0
-        edges.append(brentq(f, mus[i], mus[i + 1], xtol=1e-12, rtol=8.9e-16)
-                     if bracketed else float(mus[i + 1]))
-    # stability from the first sample on starts at 0; past the last, at inf
-    if flags[0]:
+    _, f, edge = blocks._level_set(potential, half_alpha1)
+    stable = f > 0.0 if n == 3 else f < 0.0
+    stable[0] = stable[1]  # s = 0 is mu = 0; the first sample with s > 0 decides
+    edges = [edge(i) for i in np.flatnonzero(stable[1:] != stable[:-1])]
+    if stable[0]:
         edges.insert(0, 0.0)
-    if flags[-1]:
+    if stable[-1]:
         edges.append(math.inf)
-    return tuple(zip(edges[0::2], edges[1::2]))
+    return tuple((math.sqrt(lo), math.sqrt(hi)) for lo, hi in zip(edges[0::2], edges[1::2]))

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from dnlsring import blocks
 from dnlsring.blocks import (SearchRangeExhausted, SingularBlock, block_B,
                              block_m, coefficients, critical_frequencies,
                              degenerate_amplitudes, det_trace, eta,
                              full_spectrum_oracle, kernel_vector,
                              linear_stability, morse_index, mu_h_prime, sigma,
                              spectral_summary, spectrum_max_real)
+from dnlsring.classify import _degenerate_table, stability_interval
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
                             saturable_potential)
 
@@ -369,12 +374,13 @@ def test_degenerate_amplitudes_saturable_threshold():
 
 
 def test_degenerate_amplitudes_custom_matches_cubic():
-    pot = custom_potential(h=lambda s: np.asarray(s, float),
-                           h_prime=lambda s: np.ones_like(np.asarray(s, float)),
-                           G=lambda s: np.asarray(s, float) ** 2 / 2)
-    roots = degenerate_amplitudes(6, 3, pot)
-    assert len(roots) == 1
-    assert abs(roots[0] - 1.0) < 1e-10
+    # h' may return an array or, for an array input, a plain float
+    for hp in (lambda s: np.ones_like(np.asarray(s, float)), lambda s: 1.0):
+        pot = custom_potential(h=lambda s: np.asarray(s, float), h_prime=hp,
+                               G=lambda s: np.asarray(s, float) ** 2 / 2)
+        roots = degenerate_amplitudes(6, 3, pot)
+        assert len(roots) == 1
+        assert abs(roots[0] - 1.0) < 1e-10
 
 
 def test_degenerate_amplitudes_custom_range_exhaustion():
@@ -391,6 +397,137 @@ def test_degenerate_amplitudes_custom_range_exhaustion():
 def test_degenerate_amplitudes_requires_delta():
     with pytest.raises(ValueError):
         degenerate_amplitudes(4, 2, CUBIC)
+
+
+def scan_degenerate_amplitudes(n, k, potential, s_range=(0.0, 100.0), samples=4096):
+    """Reference: a per-sample scalar scan of s h'(s) - delta_k on one
+    evenly spaced grid in s, each sign change refined by brentq."""
+    delta = coefficients(n, k).delta
+
+    def f(s):
+        return float(s * potential.h_prime(s) - delta)
+
+    lo, hi = s_range
+    grid = np.linspace(max(lo, 0.0), hi, samples)
+    vals = np.array([f(s) for s in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0 and grid[i] > 0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16))
+    if not roots:
+        closest = int(np.argmin(np.abs(vals)))
+        if closest == len(grid) - 1:
+            raise SearchRangeExhausted(
+                f"no root of s*h'(s) = delta_{k} bracketed in {s_range}; "
+                "|s*h'(s) - delta| is still shrinking at the range end")
+        return ()
+    return tuple(sorted(float(np.sqrt(s)) for s in roots if s > 0))
+
+
+def scan_intervals(potential, threshold, above, mu_max=10.0, samples=2001):
+    """Reference: amplitudes where mu^2 h'(mu^2) - threshold is positive
+    (``above``) or negative, from a per-sample scalar scan on an evenly
+    spaced grid in mu, each sign change refined by brentq."""
+    def f(m):
+        return m * m * float(potential.h_prime(m * m)) - threshold
+
+    mus = np.linspace(1e-6, mu_max, samples)
+    vals = np.array([f(m) for m in mus])
+    flags = vals > 0.0 if above else vals < 0.0
+    edges = []
+    for i in np.flatnonzero(flags[1:] != flags[:-1]):
+        # without a sign change (h' is nan on one side) the grid point stays
+        bracketed = vals[i] * vals[i + 1] <= 0.0
+        edges.append(brentq(f, mus[i], mus[i + 1], xtol=1e-12, rtol=8.9e-16)
+                     if bracketed else float(mus[i + 1]))
+    # stability from the first sample on starts at 0; past the last, at inf
+    if flags[0]:
+        edges.insert(0, 0.0)
+    if flags[-1]:
+        edges.append(math.inf)
+    return tuple(zip(edges[0::2], edges[1::2]))
+
+
+def sweep_potentials(rng):
+    """(name, potential) for the level-set sweep; coefficients drawn from rng."""
+    b, c, a = rng.uniform(0.05, 0.15), rng.uniform(0.05, 0.15), rng.uniform(0.2, 0.4)
+    laws = [("1/(1+s)", lambda s: 1 / (1 + s), lambda s: -1 / (1 + s) ** 2),
+            ("s+b*s**2", lambda s: s + b * s * s, lambda s: 1 + 2 * b * s),
+            ("1/(1+s)+c*s", lambda s: 1 / (1 + s) + c * s, lambda s: c - 1 / (1 + s) ** 2),
+            ("-cos(s)", lambda s: -np.cos(s), np.sin),
+            ("s-a*s**2", lambda s: s - a * s * s, lambda s: 1 - 2 * a * s),
+            ("log1p(s)", np.log1p, lambda s: 1 / (1 + s)),
+            ("tanh(s)", np.tanh, lambda s: 1 - np.tanh(s) ** 2)]
+    return [(name, custom_potential(h, hp)) for name, h, hp in laws]
+
+
+def test_level_set_scan_matches_scalar_scans():
+    """Degenerate amplitudes and stability intervals of custom potentials
+    agree with the scalar reference scans; tanh's level run at delta = 0
+    (k in {2, n-2}, h' = 0.0 past s ~ 19) is one grid-end run, so no root."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for name, pot in sweep_potentials(rng):
+        sizes = (5, 8, 32, 96) if name in ("1/(1+s)", "s+b*s**2") else (5, 8, 32)
+        for n in sizes:
+            for k in range(1, n):
+                try:
+                    want = scan_degenerate_amplitudes(n, k, pot)
+                except SearchRangeExhausted:
+                    with pytest.raises(SearchRangeExhausted):
+                        degenerate_amplitudes(n, k, pot)
+                    continue
+                got = degenerate_amplitudes(n, k, pot)
+                if name == "tanh(s)" and k in (2, n - 2):
+                    assert len(want) > 1000 and got == (), (n, k)
+                    continue
+                assert len(got) == len(want), (name, n, k)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12 * (1 + w), (name, n, k, g, w)
+                checked += len(got)
+            half_alpha1 = coefficients(n, 1).alpha / 2.0
+            want = scan_intervals(pot, half_alpha1, above=n == 3)
+            got = stability_interval(n, pot)
+            assert len(got) == len(want), (name, n)
+            assert all(g == w or abs(g - w) <= 1e-12 * (1 + w)
+                       for gw in zip(got, want) for g, w in zip(*gw)), (name, n, got, want)
+    assert checked > 100
+
+
+def test_level_set_calls_h_prime_once_per_grid():
+    """The whole degenerate table and the stability interval of one
+    potential take one array evaluation of h' (n - 1 scalar scans before)."""
+    calls = []
+
+    def hp(s):
+        calls.append(np.ndim(s))
+        return -1 / (1 + np.asarray(s)) ** 2
+
+    pot = custom_potential(lambda s: 1 / (1 + s), hp)
+    n = 32
+    table = _degenerate_table.__wrapped__(n, pot)
+    stability_interval(n, pot)
+    assert table and calls.count(1) == 1
+
+
+def test_level_set_run_at_level():
+    """A run of samples exactly at the level counts once, and not at all when
+    it reaches the end of the grid; an isolated interior zero is one root."""
+    tanh = custom_potential(np.tanh, lambda s: 1 - np.tanh(s) ** 2)
+    assert degenerate_amplitudes(8, 2, tanh) == ()
+    assert all(k not in (2, 6) for k, _ in _degenerate_table.__wrapped__(8, tanh))
+    # x(s) = s (s0 - s)^2 touches delta_2 = 0 at the grid point s0
+    s0 = np.linspace(0.0, 100.0, 4096)[123]
+    touch = custom_potential(lambda s: s, lambda s: (s0 - np.asarray(s)) ** 2)
+    assert degenerate_amplitudes(8, 2, touch) == (math.sqrt(s0),)
+    # x crosses delta_2 = 0 through a run on [2, 3]: one root, at its last sample
+    flat = custom_potential(lambda s: s, lambda s: (np.maximum(np.asarray(s) - 3, 0)
+                                                    + np.minimum(np.asarray(s) - 2, 0)))
+    s_grid, _ = blocks._scan_grid(flat, (0.0, 100.0), 4096)
+    (root,) = degenerate_amplitudes(8, 2, flat)
+    assert root == math.sqrt(s_grid[s_grid <= 3.0][-1])
 
 
 # --- spectral oracle ---------------------------------------------------------

@@ -222,6 +222,21 @@ def test_stability_interval_custom_scan():
         assert iv[0][0] == 0.0 and abs(iv[0][1] - math.sqrt(s_star)) < 1e-10
 
 
+def test_stability_interval_scalar_h_prime():
+    pot = custom_potential(h=lambda s: s, h_prime=lambda s: 1.0, G=lambda s: s * s / 2)
+    (iv,) = stability_interval(6, pot)
+    assert iv[0] == 0.0 and abs(iv[1] - 0.5) < 1e-10
+
+
+def test_stability_interval_nan_past_a_point():
+    # h = sqrt(1 - s) is nan for s > 1 (and h' is -inf at s = 1): stable
+    # below, where mu^2 h' < 0 < alpha_1/2, and unstable where not finite
+    pot = custom_potential(h=lambda s: np.sqrt(1 - s), h_prime=lambda s: -0.5 / np.sqrt(1 - s))
+    (iv,) = stability_interval(5, pot)
+    cell = math.sqrt(1.0 + 100.0 / 4095) - 1.0   # widest grid cell next to mu = 1
+    assert iv[0] == 0.0 and 1.0 <= iv[1] <= 1.0 + cell
+
+
 def test_stability_interval_verified_by_oracle():
     from dnlsring.blocks import full_spectrum_oracle, spectrum_max_real
     lo, hi = stability_interval(6, CUBIC)[0]

@@ -340,6 +340,15 @@ def test_degenerate_table_computed_once_per_command(capsys, monkeypatch):
     assert fresh == cached
 
 
+def test_bifurcations_h_prime_underflow_is_not_degenerate(capsys):
+    # h' = 1 - tanh(s)^2 rounds to 0.0 past s ~ 19, where mu^2 h' meets
+    # delta_2 = 0 only by underflow: no degenerate amplitude there
+    payload = run_json(capsys, "bifurcations", "--n", "8", "--potential", "custom",
+                       "--h-expr", "tanh(s)", "--h-prime-expr", "1-tanh(s)**2",
+                       "--mu", "4.358758882844863")["payload"]
+    assert payload["excluded"] == []
+
+
 @pytest.mark.parametrize("command", ["bifurcations", "sweep"])
 def test_csv_rows_built_only_for_csv(capsys, monkeypatch, command):
     import dnlsring.cli as cli
