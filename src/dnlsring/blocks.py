@@ -97,6 +97,32 @@ def coefficients(n: int, k: int) -> BlockCoefficients:
     return BlockCoefficients(k=k, alpha=alpha, gamma=gamma, delta=delta)
 
 
+class _CoefficientTable(NamedTuple):
+    """``coefficients(n, k)`` of the modes k = 1..n-1, entry k - 1; delta is
+    nan where ``has_delta`` is False (alpha_k = 0)."""
+
+    alpha: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    has_delta: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _coefficient_table(n: int) -> _CoefficientTable:
+    """Read-only per-n table built from one ``coefficients`` call per mode.
+    The scalar calls are kept on purpose: an array evaluation of
+    sin(k zeta/2)**2 rounds differently from the scalar one in the last bit
+    for a few hundred modes with n < 600."""
+    cs = [coefficients(n, k) for k in range(1, n)]
+    table = _CoefficientTable(
+        alpha=np.array([c.alpha for c in cs]), gamma=np.array([c.gamma for c in cs]),
+        delta=np.array([np.nan if c.delta is None else c.delta for c in cs]),
+        has_delta=np.array([c.delta is not None for c in cs]))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def mu_h_prime(ring: RingSystem) -> float:
     """The combination mu^2 h'(mu^2) that all regime conditions compare."""
     return ring.mu ** 2 * float(ring.potential.h_prime(ring.mu ** 2))

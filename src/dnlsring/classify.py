@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,32 +89,96 @@ class RegimeReport:
 def _degenerate_table(n: int, potential) -> tuple[tuple[int, float], ...]:
     """Degenerate amplitudes (k, mu_k) of every mode; they depend on (n,
     potential) only, so a sweep over mu computes them once."""
-    out = []
-    for k in range(1, n):
-        c = blocks.coefficients(n, k)
-        if c.delta is None:
-            continue
-        for mu_k in blocks.degenerate_amplitudes(n, k, potential):
-            out.append((k, mu_k))
-    return tuple(out)
+    has_delta = blocks._coefficient_table(n).has_delta
+    return tuple((k, mu_k) for k in range(1, n) if has_delta[k - 1]
+                 for mu_k in blocks.degenerate_amplitudes(n, k, potential))
 
 
-def _regime_tag(n: int, k: int, x: float) -> str | None:
-    """Active condition for mode k at x = mu^2 h'(mu^2), or None."""
-    c = blocks.coefficients(n, k)
-    if c.delta is None:
-        return None
+# regime tags and the admissibility note of each, indexed by _Classification.regime
+_REGIMES = ("", "generic-a", "generic-b", "n3-a", "n3-b")
+_NOTES = ("", ADMISSIBILITY_NOTE, "", ADMISSIBILITY_NOTE, "")
+_ROOTS = ("minus", "plus")
+
+
+class _Classification(NamedTuple):
+    """The classification of an amplitude grid mu_1..mu_m at one (n, potential).
+
+    Per mu: ``stable`` (the ``blocks.linear_stability`` verdict) and
+    ``degenerate_k``, the first mode in ``_degenerate_table`` order whose
+    degenerate amplitude lies within 1e-10 of mu, or 0.  Per (mu, k - 1,
+    root), root 0 = minus and 1 = plus: ``nu``, ``period`` and ``eta``,
+    where eta is the nonzero index jump of a forced bifurcation point at
+    nu > 0 and 0 where there is none (period is nan there).  In C order the
+    points of one mu come in (k, nu) order.  Per (mu, k - 1): ``regime``,
+    an index into ``_REGIMES`` and ``_NOTES``.
+    """
+
+    stable: np.ndarray
+    degenerate_k: np.ndarray
+    nu: np.ndarray
+    period: np.ndarray
+    eta: np.ndarray
+    regime: np.ndarray
+
+    def points(self, keep) -> tuple[list, ...]:
+        """Columns i, k, root, nu, period, eta, regime, note (lists of Python
+        values) of the points of the mus that are not degenerate which the
+        (mu, k - 1, root) mask ``keep`` selects, in C order."""
+        keep = keep & (self.eta != 0) & (self.degenerate_k == 0)[:, None, None]
+        i, k, root = np.nonzero(keep)
+        tags = self.regime[i, k].tolist()
+        return (i.tolist(), (k + 1).tolist(), [_ROOTS[r] for r in root.tolist()],
+                self.nu[keep].tolist(), self.period[keep].tolist(), self.eta[keep].tolist(),
+                [_REGIMES[t] for t in tags], [_NOTES[t] for t in tags])
+
+
+def _classify(n: int, potential, mus) -> _Classification:
+    """One array pass over the (mu, k) pairs of an amplitude grid.
+
+    x = mu^2 h'(mu^2) is formed per mu exactly as ``blocks.mu_h_prime`` forms
+    it: s = mu ** 2 element by element and one scalar call of h' per mu.  An
+    array ``mus ** 2`` rounds differently from ``mu ** 2`` for some mu, and
+    so does an array call of h' (numpy squares an array where it calls pow
+    on a scalar); either would change printed frequencies.  Everything after
+    x is elementwise float arithmetic, so every value has the bits of the
+    per-mode ``blocks.critical_frequencies`` and ``blocks.eta``.
+    """
+    table = blocks._coefficient_table(n)
+    alpha, gamma, delta = table.alpha, table.gamma, table.delta
+    s = [mu ** 2 for mu in mus]
+    h_prime = np.array([float(potential.h_prime(si)) for si in s])
+    x = np.array(s, dtype=float) * h_prime
+    X = x[:, None]
+
+    rad = alpha * (alpha - 2.0 * X)
+    simple = rad > blocks._DEGENERATE_TOL
+    root = np.sqrt(np.where(simple, rad, 0.0))
+    nu = np.stack([gamma - root, gamma + root], axis=-1)
+    side = np.where(nu < gamma[:, None], 1, -1)
+    jump = (np.sign(h_prime)[:, None] * np.sign(X - alpha))[..., None] * side
+    eta = np.where(simple[..., None] & (nu > 0.0), jump, 0.0).astype(int)
+    period = np.divide(2.0 * np.pi, nu, out=np.full_like(nu, np.nan), where=eta != 0)
+
     if n == 3:
-        if x > 0.0:
-            return "n3-a"
-        if c.alpha / 2.0 < x < 0.0:
-            return "n3-b"
-        return None
-    if x < c.delta:
-        return "generic-a"
-    if c.delta < x < c.alpha / 2.0:
-        return "generic-b"
-    return None
+        regime = np.where(X > 0.0, 3, np.where((alpha / 2.0 < X) & (X < 0.0), 4, 0))
+    else:
+        regime = np.where(X < delta, 1, np.where((delta < X) & (X < alpha / 2.0), 2, 0))
+    regime = np.where(table.has_delta, regime, 0)
+
+    half_alpha1 = alpha[0] / 2.0   # the thresholds of blocks.linear_stability
+    if n == 4:
+        stable = np.full(len(x), True)
+    else:
+        stable = x > half_alpha1 if n == 3 else x < half_alpha1
+
+    degenerate = _degenerate_table(n, potential)
+    degenerate_k = np.zeros(len(x), dtype=int)
+    if degenerate:
+        ks, mu_ks = np.array(degenerate).T
+        hit = np.abs(np.array(mus, dtype=float)[:, None] - mu_ks) <= _DEGENERATE_MU_TOL
+        degenerate_k = np.where(hit.any(axis=1), ks[hit.argmax(axis=1)], 0).astype(int)
+    return _Classification(stable=stable, degenerate_k=degenerate_k, nu=nu, period=period,
+                           eta=eta, regime=regime)
 
 
 def enumerate_bifurcations(ring: RingSystem) -> list[BifurcationPoint]:
@@ -129,29 +194,13 @@ def enumerate_bifurcations(ring: RingSystem) -> list[BifurcationPoint]:
         When mu is within 1e-10 of a degenerate amplitude mu_k.
     """
     n = ring.n
-    for k, mu_k in _degenerate_table(n, ring.potential):
-        if abs(ring.mu - mu_k) <= _DEGENERATE_MU_TOL:
-            raise DegenerateAmplitude(ring.mu, k)
-    points: list[BifurcationPoint] = []
-    x = blocks.mu_h_prime(ring)
-    for k in range(1, n):
-        cf = blocks.critical_frequencies(ring, k)
-        if cf.degenerate:
-            continue
-        tag = _regime_tag(n, k, x)
-        for nu, root in zip(cf.nus, ("minus", "plus")):
-            if nu <= 0.0:
-                continue
-            jump = blocks.eta(ring, k, nu)
-            if jump == 0:
-                continue
-            note = ADMISSIBILITY_NOTE if tag in ("generic-a", "n3-a") else ""
-            points.append(BifurcationPoint(
-                k=k, nu=float(nu), period=float(2.0 * np.pi / nu), eta=jump,
-                isotropy=IsotropyLabel(n=n, k=k), regime=tag or "",
-                admissibility_note=note, root=root))
-    points.sort(key=lambda pt: (pt.k, pt.nu))
-    return points
+    c = _classify(n, ring.potential, [ring.mu])
+    if c.degenerate_k[0]:
+        raise DegenerateAmplitude(ring.mu, int(c.degenerate_k[0]))
+    return [BifurcationPoint(k=k, nu=nu, period=period, eta=eta,
+                             isotropy=IsotropyLabel(n=n, k=k), regime=regime,
+                             admissibility_note=note, root=root)
+            for k, root, nu, period, eta, regime, note in zip(*c.points(True)[1:])]
 
 
 def _interval(lo: float, hi: float) -> tuple[float, float] | None:

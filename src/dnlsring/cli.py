@@ -9,8 +9,10 @@ Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
 --mu, --format, --out and --config.  Only bifurcations and sweep take a
 --mu-range (sweep requires one); equilibrium, blocks, stability and verify
 report on one amplitude and reject a mu range, from a flag or a config file.
-bifurcations filters its points with --k, --nu-min and --nu-max; verify
-takes --k, --branch, --steps, --ds and --p-max.
+bifurcations filters its points with --k (1..n-1), --nu-min and --nu-max;
+its CSV then has the row of mode k alone, and the roots that --nu-min and
+--nu-max remove are blank in their rows.  verify takes --k, --branch,
+--steps, --ds and --p-max.
 
 Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
 3 every requested amplitude is degenerate, 4 numerical failure.
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from . import blocks, classify, orbits
 from .model import (RingSystem, cubic_potential, custom_potential,
                     gradient_V, hessian_V, saturable_potential, standing_wave)
-from .symmetry import assemble_P, block_extract, symmetry_residual
+from .symmetry import IsotropyLabel, assemble_P, block_extract, symmetry_residual
 
 SCHEMA_VERSION = "1"
 
@@ -73,34 +76,119 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _json_float(x) -> str:
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return _fmt(x)
+
+
+@functools.lru_cache(maxsize=256)
+def _json_str(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+class _PointRecords:
+    """Bifurcation point records held as columns, one list per JSON key in
+    key order; the writer renders every record from one template."""
+
+    KEYS = ("admissibility_note", "eta", "isotropy", "k", "mu", "nu", "period",
+            "regime", "root")
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[list, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice) -> _PointRecords:
+        return _PointRecords(tuple(column[rows] for column in self.columns))
+
+    def dicts(self) -> list[dict]:
+        return [dict(zip(self.KEYS, row)) for row in zip(*self.columns)]
+
+
+@functools.lru_cache(maxsize=8)
+def _point_template(pad: str) -> str:
+    inner = pad + "  "
+    spec = {"eta": "%d", "k": "%d", "mu": "%.17g", "nu": "%.17g", "period": "%.17g"}
+    return ("{\n" + ",\n".join(f'{inner}"{key}": {spec.get(key, "%s")}'
+                                for key in _PointRecords.KEYS) + "\n" + pad + "}")
+
+
+def _json_points(points: _PointRecords, pad: str, out: list) -> None:
+    """``_json_list`` of ``points.dicts()`` in fewer steps: %.17g is ``_fmt``
+    for every float but +-inf, which takes the long way."""
+    note, eta, isotropy, k, mu, nu, period, regime, root = points.columns
+    if not k or any(map(math.isinf, mu + nu + period)):
+        _json_list(points.dicts(), pad, out)
+        return
+    inner = pad + "  "
+    template = _point_template(inner)
+    quoted = [list(map(_json_str, column)) for column in (note, isotropy, regime, root)]
+    rows = zip(quoted[0], eta, quoted[1], k, mu, nu, period, quoted[2], quoted[3])
+    out.append("[\n" + inner + (",\n" + inner).join([template % row for row in rows])
+               + "\n" + pad + "]")
+
+
+def _json_dict(obj: dict, pad: str, out: list) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = "{\n"
+    for key in sorted(obj):
+        out.append(f'{sep}{inner}"{key}": ')
+        _json_write(obj[key], inner, out)
+        sep = ",\n"
+    out.append("\n" + pad + "}")
+
+
+def _json_list(obj, pad: str, out: list) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n"
+    for item in obj:
+        out.append(sep + inner)
+        _json_write(item, inner, out)
+        sep = ",\n"
+    out.append("\n" + pad + "]")
+
+
+# (types, writer) in the order a value is matched
+_JSON_KINDS = (
+    (_PointRecords, _json_points),
+    (dict, _json_dict),
+    ((list, tuple), _json_list),
+    ((bool, np.bool_), lambda obj, pad, out: out.append("true" if obj else "false")),
+    (type(None), lambda obj, pad, out: out.append("null")),
+    ((int, np.integer), lambda obj, pad, out: out.append(str(int(obj)))),
+    ((float, np.floating), lambda obj, pad, out: out.append(_json_float(obj))),
+    (str, lambda obj, pad, out: out.append(_json_str(obj))),
+)
+
+
+@functools.cache
+def _json_writer(kind: type):
+    for types, write in _JSON_KINDS:
+        if issubclass(kind, types):
+            return write
+    raise TypeError(f"cannot serialize {kind}")
+
+
+def _json_write(obj, pad: str, out: list) -> None:
+    _json_writer(type(obj))(obj, pad, out)
+
+
 def _to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  "{key}": {_to_json(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)}")
+    """Deterministic JSON: sorted keys, floats at 17 significant digits,
+    +-inf as the strings "inf" and "-inf", two spaces per level.  One walk
+    dispatches on each value's type; point records render from one template."""
+    out: list[str] = []
+    _json_write(obj, "  " * indent, out)
+    return "".join(out)
 
 
 def _csv_cell(v) -> str:
@@ -219,6 +307,8 @@ def _mu_values(cfg: RunConfig) -> list[float]:
             a, b, count = float(a), float(b), int(count)
         except ValueError as exc:
             raise ConfigError("--mu-range must be start:stop:count") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"--mu-range endpoints must be finite, got {cfg.mu_range}")
         if count < 1 or not (0 < a <= b):
             raise ConfigError("empty or invalid mu range")
         return [float(m) for m in np.linspace(a, b, count)]
@@ -238,29 +328,31 @@ def _report(cfg: RunConfig, payload) -> dict:
             "payload": payload}
 
 
-def _point_record(mu: float, pt: classify.BifurcationPoint) -> dict:
-    return {
-        "mu": mu, "k": pt.k, "nu": pt.nu, "period": pt.period, "eta": pt.eta,
-        "root": pt.root, "isotropy": pt.isotropy.label, "regime": pt.regime,
-        "admissibility_note": pt.admissibility_note,
-    }
+def _point_records(n: int, mus: list[float], result, keep) -> tuple[list[int], _PointRecords]:
+    """The points of a ``classify._classify`` result that its ``points(keep)``
+    selects: the index of each one's mu, in non-decreasing order, and their
+    records."""
+    i, k, root, nu, period, eta, regime, note = result.points(keep)
+    label = [IsotropyLabel(n=n, k=kk).label for kk in range(n)]
+    return i, _PointRecords((note, eta, [label[kk] for kk in k], k, [mus[ii] for ii in i],
+                             nu, period, regime, root))
 
 
-def _bifurcation_rows(ring: RingSystem, points: list[classify.BifurcationPoint],
-                      stable: bool) -> list[list]:
-    """One CSV row per mode k = 1..n-1 with both roots side by side."""
+def _bifurcation_rows(n: int, cells: list[list[str]], mu: float, stable: bool, nu, eta,
+                      regime, modes) -> list[list]:
+    """CSV rows of one mu, one per mode k in ``modes`` with both roots side
+    by side, from the (n - 1, 2) ``nu`` and ``eta`` of a ``classify._classify``
+    result (eta 0 where no point is kept), the per-mode ``regime`` and the
+    alpha, gamma and delta cells of each mode."""
+    nus, etas, tags = nu.tolist(), eta.tolist(), regime.tolist()
     rows = []
-    by_root = {(pt.k, pt.root): pt for pt in points}
-    for k in range(1, ring.n):
-        c = blocks.coefficients(ring.n, k)
-        minus, plus = by_root.get((k, "minus")), by_root.get((k, "plus"))
-        some = plus or minus
+    for k in modes:
+        (nu_minus, nu_plus), (eta_minus, eta_plus) = nus[k - 1], etas[k - 1]
         rows.append([
-            ring.n, k, ring.mu, c.alpha, c.gamma,
-            "-" if c.delta is None else _fmt(c.delta),
-            minus.nu if minus else None, plus.nu if plus else None,
-            minus.eta if minus else None, plus.eta if plus else None,
-            f"Z~_{ring.n}({k})", some.regime if some else "", stable,
+            n, k, mu, *cells[k - 1],
+            nu_minus if eta_minus else None, nu_plus if eta_plus else None,
+            eta_minus or None, eta_plus or None, f"Z~_{n}({k})",
+            classify._REGIMES[tags[k - 1]] if eta_minus or eta_plus else "", stable,
         ])
     return rows
 
@@ -310,42 +402,51 @@ def cmd_blocks(cfg: RunConfig):
 
 
 def _classify_mus(cfg: RunConfig):
-    """(ring, stable, points) of every requested mu that is not degenerate,
-    the {"mu", "k"} records of those that are, and the exit code: 3 when
-    every mu is degenerate.  The one per-mu loop of bifurcations and sweep."""
-    classified, excluded = [], []
-    for ring in _rings(cfg):
-        stable = blocks.linear_stability(ring).stable
-        try:
-            points = classify.enumerate_bifurcations(ring)
-        except classify.DegenerateAmplitude as exc:
-            excluded.append({"mu": ring.mu, "k": exc.k})
-            continue
-        classified.append((ring, stable, points))
-    return classified, excluded, _EXIT_OK if classified else _EXIT_ALL_DEGENERATE
+    """The requested mus, their ``classify._classify`` result (one array pass
+    over the grid), the {"mu", "k"} records of the degenerate ones and the
+    exit code: 3 when every mu is degenerate.  The one amplitude pass of
+    bifurcations and sweep."""
+    rings = _rings(cfg)
+    mus = [ring.mu for ring in rings]
+    result = classify._classify(cfg.n, rings[0].potential, mus)
+    excluded = [{"mu": mu, "k": k}
+                for mu, k in zip(mus, result.degenerate_k.tolist()) if k]
+    return mus, result, excluded, _EXIT_OK if len(excluded) < len(mus) \
+        else _EXIT_ALL_DEGENERATE
 
 
-def _csv_rows(cfg: RunConfig, classified) -> list[list]:
-    """The CSV rows of classified amplitudes; none for JSON output."""
+def _csv_rows(cfg: RunConfig, mus, result, keep, modes) -> list[list]:
+    """The CSV rows of the amplitudes that are not degenerate, for the modes
+    in ``modes``, with the points that the (mu, k - 1, root) mask ``keep``
+    selects; none for JSON output."""
     if cfg.format != "csv":
         return []
-    return [row for ring, stable, points in classified
-            for row in _bifurcation_rows(ring, points, stable)]
+    table = blocks._coefficient_table(cfg.n)
+    cells = [[_fmt(alpha), _fmt(gamma), _fmt(delta) if has_delta else "-"]
+             for alpha, gamma, delta, has_delta in zip(*table)]
+    eta = np.where(keep, result.eta, 0)
+    return [row for i, (mu, stable) in enumerate(zip(mus, result.stable.tolist()))
+            if not result.degenerate_k[i]
+            for row in _bifurcation_rows(cfg.n, cells, mu, stable, result.nu[i], eta[i],
+                                         result.regime[i], modes)]
 
 
 def cmd_bifurcations(cfg: RunConfig):
-    classified, excluded, code = _classify_mus(cfg)
-
-    def keep(pt):
-        return ((cfg.k is None or pt.k == cfg.k)
-                and (cfg.nu_min is None or pt.nu >= cfg.nu_min)
-                and (cfg.nu_max is None or pt.nu <= cfg.nu_max))
-
-    classified = [(ring, stable, [pt for pt in points if keep(pt)])
-                  for ring, stable, points in classified]
-    records = [_point_record(ring.mu, pt) for ring, _, points in classified for pt in points]
+    mus, result, excluded, code = _classify_mus(cfg)
+    n = cfg.n
+    if cfg.k is not None and not 1 <= cfg.k <= n - 1:
+        raise ConfigError(f"--k must be in 1..{n - 1}, got {cfg.k}")
+    keep = True
+    if cfg.k is not None:
+        keep = (np.arange(1, n) == cfg.k)[:, None]
+    if cfg.nu_min is not None:
+        keep = keep & (result.nu >= cfg.nu_min)
+    if cfg.nu_max is not None:
+        keep = keep & (result.nu <= cfg.nu_max)
+    _, records = _point_records(n, mus, result, keep)
     payload = {"points": records, "excluded": excluded}
-    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, classified), code
+    modes = range(1, n) if cfg.k is None else [cfg.k]
+    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, mus, result, keep, modes), code
 
 
 def cmd_stability(cfg: RunConfig):
@@ -442,15 +543,20 @@ def _regimes_json(report: classify.RegimeReport) -> dict:
 def cmd_sweep(cfg: RunConfig):
     if not cfg.mu_range:
         raise ConfigError("sweep needs --mu-range")
-    classified, excluded, code = _classify_mus(cfg)
+    mus, result, excluded, code = _classify_mus(cfg)
     regimes = {"cubic": classify.schrodinger_regimes,
                "saturable": classify.saturable_regimes}.get(cfg.potential)
-    samples = [{"mu": ring.mu, "stable": stable, "count": len(points),
-                "points": [_point_record(ring.mu, pt) for pt in points]}
-               for ring, stable, points in classified]
+    i, records = _point_records(cfg.n, mus, result, True)
+    bounds = np.searchsorted(i, np.arange(len(mus) + 1)).tolist()
+    samples = [{"mu": mu, "stable": stable, "count": hi - lo, "points": records[lo:hi]}
+               for mu, stable, degenerate, lo, hi
+               in zip(mus, result.stable.tolist(), result.degenerate_k.tolist(), bounds,
+                      bounds[1:])
+               if not degenerate]
     payload = {"regimes": _regimes_json(regimes(cfg.n)) if regimes else None,
                "samples": samples, "excluded": excluded}
-    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, classified), code
+    modes = range(1, cfg.n)
+    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, mus, result, True, modes), code
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ with periodic indices.  The rotating wave ``a_j = (cos(j*zeta), sin(j*zeta))``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -152,9 +153,12 @@ class RingSystem:
             raise ValueError(
                 "n must be an integer >= 3 (the lattice is integrable for n=1 and n=2)")
         object.__setattr__(self, "n", int(self.n))
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        s = self.mu ** 2
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        try:
+            s = float(self.mu) ** 2
+        except OverflowError:
+            raise ValueError(f"mu = {self.mu!r} is too large: mu^2 overflows") from None
         if not np.isfinite([self.potential.h(s), self.potential.h_prime(s)]).all():
             raise ValueError(f"h or h' is not finite at mu^2 = {s!r}")
 

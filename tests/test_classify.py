@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dnlsring.blocks import coefficients, det_trace, eta, mu_h_prime
-from dnlsring.classify import (ADMISSIBILITY_NOTE, DegenerateAmplitude,
-                               enumerate_bifurcations, saturable_regimes,
-                               schrodinger_regimes, stability_interval)
+from dnlsring.blocks import (coefficients, critical_frequencies, det_trace, eta,
+                             linear_stability, mu_h_prime)
+from dnlsring.classify import (ADMISSIBILITY_NOTE, BifurcationPoint, DegenerateAmplitude,
+                               _classify, _degenerate_table, enumerate_bifurcations,
+                               saturable_regimes, schrodinger_regimes, stability_interval)
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
                             saturable_potential)
+from dnlsring.symmetry import IsotropyLabel
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()
@@ -244,3 +246,126 @@ def test_stability_interval_verified_by_oracle():
     outside = spectrum_max_real(full_spectrum_oracle(RingSystem(n=6, mu=hi + 1e-3)))
     assert inside <= 1e-8
     assert outside > 1e-8
+
+
+# --- the array pass against the per-mode loop it replaced ---------------------
+
+def reference_regime_tag(n, k, x):
+    """Active condition for mode k at x = mu^2 h'(mu^2), or None."""
+    c = coefficients(n, k)
+    if c.delta is None:
+        return None
+    if n == 3:
+        if x > 0.0:
+            return "n3-a"
+        if c.alpha / 2.0 < x < 0.0:
+            return "n3-b"
+        return None
+    if x < c.delta:
+        return "generic-a"
+    if c.delta < x < c.alpha / 2.0:
+        return "generic-b"
+    return None
+
+
+def reference_enumerate(ring):
+    """Reference: the per-mode loop of critical_frequencies, eta and the
+    regime tag that enumerate_bifurcations ran before the array pass."""
+    n = ring.n
+    for k, mu_k in _degenerate_table(n, ring.potential):
+        if abs(ring.mu - mu_k) <= 1e-10:
+            raise DegenerateAmplitude(ring.mu, k)
+    points = []
+    x = mu_h_prime(ring)
+    for k in range(1, n):
+        cf = critical_frequencies(ring, k)
+        if cf.degenerate:
+            continue
+        tag = reference_regime_tag(n, k, x)
+        for nu, root in zip(cf.nus, ("minus", "plus")):
+            if nu <= 0.0:
+                continue
+            jump = eta(ring, k, nu)
+            if jump == 0:
+                continue
+            note = ADMISSIBILITY_NOTE if tag in ("generic-a", "n3-a") else ""
+            points.append(BifurcationPoint(
+                k=k, nu=float(nu), period=float(2.0 * np.pi / nu), eta=jump,
+                isotropy=IsotropyLabel(n=n, k=k), regime=tag or "",
+                admissibility_note=note, root=root))
+    points.sort(key=lambda pt: (pt.k, pt.nu))
+    return points
+
+
+def _fields(pt):
+    return (pt.k, pt.nu, pt.period, pt.eta, pt.root, pt.regime, pt.admissibility_note)
+
+
+def _grid_results(n, potential, mus):
+    """Per mu of one _classify pass: (stable, degenerate k or 0, the fields
+    of the points of a mu that is not degenerate)."""
+    c = _classify(n, potential, mus)
+    points = [[] for _ in mus]
+    for i, k, root, nu, period, jump, regime, note in zip(*c.points(True)):
+        points[i].append((k, nu, period, jump, root, regime, note))
+    return list(zip(c.stable.tolist(), c.degenerate_k.tolist(), points))
+
+
+def _reference_results(n, potential, mus):
+    out = []
+    for mu in mus:
+        ring = RingSystem(n=n, mu=mu, potential=potential)
+        try:
+            fields = [_fields(pt) for pt in reference_enumerate(ring)]
+            k = 0
+        except DegenerateAmplitude as exc:
+            fields, k = [], exc.k
+        out.append((linear_stability(ring).stable, k, fields))
+    return out
+
+
+def test_array_pass_matches_per_mode_loop():
+    """One _classify pass over a seeded grid per (n, potential) gives the
+    per-mode loop's points (every field bit for bit), stable verdicts and
+    degenerate-amplitude exclusions, for n = 3..40; so does
+    enumerate_bifurcations at each mu."""
+    b = 0.1
+    potentials = {
+        "cubic": CUBIC, "saturable": SAT,
+        "quintic": custom_potential(lambda s: s + b * s * s, lambda s: 1.0 + 2.0 * b * s),
+        "negative": custom_potential(lambda s: -s - b * s * s,
+                                     lambda s: -1.0 - 2.0 * b * np.asarray(s)),
+        "scalar-h'": custom_potential(lambda s: s, lambda s: 1.0),
+    }
+    rng = np.random.default_rng(8)
+    # amplitudes where an array call of the saturable h' rounds differently
+    # from the scalar call (numpy squares an array, pow()s a scalar)
+    trial = rng.uniform(0.02, 2.5, size=20000)
+    s = np.array([mu ** 2 for mu in trial.tolist()])
+    scalar = np.array([float(SAT.h_prime(si)) for si in s.tolist()])
+    traps = trial[SAT.h_prime(s) != scalar].tolist()
+    seen = {"points": 0, "excluded": 0, "first-of-two": 0}
+    for n in range(3, 41):
+        for name, pot in potentials.items():
+            mus = [float(m) for m in rng.uniform(0.02, 2.5, size=6)]
+            mus.append(0.83513513513513515)   # mu ** 2 and the array mus ** 2 differ here
+            mus += traps[n % len(traps)::len(traps) // 4 + 1] if traps else []
+            table = _degenerate_table(n, pot)
+            if table:   # a degenerate amplitude, and one just inside the tolerance
+                mu_k = table[int(rng.integers(len(table)))][1]
+                mus += [mu_k, mu_k + 5e-11]
+            got = _grid_results(n, pot, mus)
+            want = _reference_results(n, pot, mus)
+            assert got == want, (n, name)
+            for mu, (_, k, fields) in zip(mus, want):
+                ring = RingSystem(n=n, mu=mu, potential=pot)
+                if k:
+                    with pytest.raises(DegenerateAmplitude) as err:
+                        enumerate_bifurcations(ring)
+                    assert err.value.k == k and err.value.mu == mu
+                    seen["excluded"] += 1
+                    seen["first-of-two"] += sum(abs(mu - m) <= 1e-10 for _, m in table) > 1
+                else:
+                    assert enumerate_bifurcations(ring) == reference_enumerate(ring)
+                    seen["points"] += len(fields)
+    assert seen["points"] > 10000 and seen["excluded"] > 100 and seen["first-of-two"] > 50

@@ -1,9 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dnlsring import blocks, classify
+from dnlsring import blocks, classify, cli
 from dnlsring.cli import CSV_COLUMNS, main
 from dnlsring.model import RingSystem, saturable_potential
 
@@ -331,12 +333,13 @@ def test_degenerate_table_computed_once_per_command(capsys, monkeypatch):
         assert code == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
-    # the same bytes as with the table recomputed for every mu
+    # the same bytes with the cache off, where the one array pass over the
+    # grid still computes the table once
     monkeypatch.setattr(cli.classify, "_degenerate_table",
                         cli.classify._degenerate_table.__wrapped__)
     calls.clear()
     _, fresh, _ = run_cli(capsys, *argv, "--mu-range", "0.1:2:5")
-    assert len(calls) == 5 * counts[0]
+    assert len(calls) == counts[0]
     assert fresh == cached
 
 
@@ -347,6 +350,31 @@ def test_bifurcations_h_prime_underflow_is_not_degenerate(capsys):
                        "--h-expr", "tanh(s)", "--h-prime-expr", "1-tanh(s)**2",
                        "--mu", "4.358758882844863")["payload"]
     assert payload["excluded"] == []
+
+
+def test_classification_is_one_pass_per_grid(capsys, monkeypatch):
+    """bifurcations and sweep classify a whole mu grid in one array pass:
+    they call critical_frequencies, eta, mu_h_prime and linear_stability
+    for no mu, and coefficients as often for 7 mus as for 1 (the regime
+    report and the degenerate-amplitude table are per (n, potential))."""
+    blocks._coefficient_table(12)   # built once per n, from coefficients
+    calls = []
+    for name in ("coefficients", "critical_frequencies", "eta", "mu_h_prime",
+                 "linear_stability"):
+        def counted(*args, _name=name, _original=getattr(blocks, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(blocks, name, counted)
+    for command in ("bifurcations", "sweep"):
+        for fmt in ("json", "csv"):
+            counts = []
+            for spec in ("0.3:0.3:1", "0.1:1.2:7"):
+                calls.clear()
+                code, _, _ = run_cli(capsys, command, "--n", "12", "--mu-range", spec,
+                                     "--format", fmt)
+                assert code == 0
+                counts.append(sorted(calls))
+            assert counts[0] == counts[1] and set(counts[0]) <= {"coefficients"}
 
 
 @pytest.mark.parametrize("command", ["bifurcations", "sweep"])
@@ -414,3 +442,194 @@ def test_stability_has_no_integration_options(capsys, tmp_path, command, flag, v
     assert code == 2 and message in err
     doc = run_json(capsys, *base)
     assert "dt" not in doc["config"] and "t_final" not in doc["config"]
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "blocks", "stability", "bifurcations",
+                                     "verify"])
+def test_overflowing_mu_exit_2(capsys, command):
+    # mu^2 of a Python float overflows above ~1.34e154
+    extra = ["--k", "1", "--branch", "plus"] if command == "verify" else []
+    code, out, err = run_cli(capsys, command, "--n", "5", "--mu", "1e200", *extra)
+    assert code == 2 and out == "" and "mu^2 overflows" in err
+    code, out, err = run_cli(capsys, command, "--n", "5", "--potential", "saturable",
+                             "--mu", "inf", *extra)
+    assert code == 2 and out == "" and "positive and finite" in err
+
+
+@pytest.mark.parametrize("spec", ["0.1:inf:3", "-inf:1:3", "nan:1:3", "0.1:nan:3"])
+def test_mu_range_non_finite_endpoint_exit_2(capsys, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", "--n", "6", f"--mu-range={spec}")
+    assert code == 2 and out == ""
+    assert f"--mu-range endpoints must be finite, got {spec}" in err
+
+
+def test_bifurcations_csv_k_keeps_one_mode(capsys):
+    base = ["bifurcations", "--n", "8", "--mu-range", "0.2:1.2:9", "--format", "csv"]
+    _, every, _ = run_cli(capsys, *base)
+    code, one, _ = run_cli(capsys, *base, "--k", "3")
+    assert code == 0
+    header, *rows = one.splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert rows == [row for row in every.splitlines()[1:] if row.split(",")[1] == "3"]
+    assert len(rows) == 9
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "8", "40"])
+def test_bifurcations_k_out_of_range_exit_2(capsys, k):
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "bifurcations", "--n", "8", "--mu", "0.3",
+                                 "--k", k, "--format", fmt)
+        assert code == 2 and out == "" and f"--k must be in 1..7, got {k}" in err
+
+
+def test_bifurcations_csv_nu_filter_blanks_roots(capsys):
+    base = ["bifurcations", "--n", "8", "--mu-range", "0.2:0.6:3", "--format", "csv"]
+    _, every, _ = run_cli(capsys, *base)
+    _, cut, _ = run_cli(capsys, *base, "--nu-min", "1", "--nu-max", "3")
+    every, cut = every.splitlines(), cut.splitlines()
+    assert len(cut) == len(every) == 1 + 3 * 7
+    blanked = 0
+    for full, row in zip(every[1:], cut[1:]):
+        full, row = full.split(","), row.split(",")
+        for nu_col in (6, 7):   # nu_minus, nu_plus; their eta two columns on
+            if full[nu_col] and not 1 <= float(full[nu_col]) <= 3:
+                assert row[nu_col] == row[nu_col + 2] == ""
+                full[nu_col] = full[nu_col + 2] = ""
+                blanked += 1
+        if not (full[6] or full[7]):
+            full[11] = ""   # no root left: no regime
+        assert row == full
+    assert blanked > 5
+
+
+# --- the writer against the recursive writer it replaced ----------------------
+
+def old_to_json(obj, indent: int = 0) -> str:
+    """Reference: the recursive writer the one-walk ``cli._to_json`` replaced."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            items.append(f'{pad}  "{key}": {old_to_json(obj[key], indent + 1)}')
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {old_to_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def plain(obj):
+    """The report as the recursive writer saw it: point records as dicts."""
+    if isinstance(obj, cli._PointRecords):
+        return obj.dicts()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    return obj
+
+
+_SAT_EXPR = ["--potential", "custom", "--h-expr", "1/(1+s)",
+             "--h-prime-expr=-1/(1+s)**2", "--g-expr", "log1p(s)"]
+_WRITER_RUNS = [
+    ["equilibrium", "--n", "5", "--mu", "0.4"],
+    ["blocks", "--n", "4", "--mu", "0.7"],                 # delta null
+    ["blocks", "--n", "6", "--potential", "saturable", "--mu", "1.3"],
+    ["stability", "--n", "4", "--mu", "0.7"],              # inf margin
+    ["stability", "--n", "8", *_SAT_EXPR, "--mu", "0.9"],
+    ["bifurcations", "--n", "4", "--mu", "0.8"],           # no points
+    ["bifurcations", "--n", "6", "--mu", "1.0"],           # every mu excluded
+    ["bifurcations", "--n", "6", "--mu-range", "0.5:1.0:6"],
+    ["bifurcations", "--n", "9", "--potential", "saturable", "--mu-range", "0.3:1.5:5",
+     "--k", "2"],
+    ["bifurcations", "--n", "8", *_SAT_EXPR, "--mu-range", "0.2:1.9:4", "--nu-min", "0.5",
+     "--nu-max", "2"],
+    ["sweep", "--n", "3", "--mu-range", "0.2:2:4"],        # inf intervals
+    ["sweep", "--n", "16", "--potential", "saturable", "--mu-range", "0.5:1.5:5"],
+    ["sweep", "--n", "8", *_SAT_EXPR, "--mu-range", "0.25:1.5:3"],   # regimes null
+    ["sweep", "--n", "6", "--mu-range", "0.5:1.0:6"],
+    ["verify", "--n", "6", "--mu", "0.5", "--k", "3", "--branch", "plus", "--steps", "2"],
+]
+
+
+def test_writer_matches_recursive_writer():
+    """Every subcommand's JSON report renders to the same bytes as with the
+    recursive writer, and so do values of every kind it accepts."""
+    for argv in _WRITER_RUNS:
+        cfg = cli._merge_config(cli._build_parser().parse_args(argv))
+        report = cli._COMMANDS[cfg.command](cfg)[0]
+        assert cli._to_json(report) == old_to_json(plain(report)), argv
+    columns = (["", "q\"uote", "back\\slash"], [1, -1, 1], ["Z~_5(1)"] * 3, [1, 2, 3],
+               [0.5, 0.5, 1e-300], [1.25, 2.0, 3.0], [5.0, 3.1, 2.0], ["generic-a"] * 3,
+               ["minus", "plus", "plus"])
+    values = {"floats": [np.float32(0.1), np.float64(-2.5), 1e300, math.nan, -math.inf],
+              "ints": [np.int64(3), np.int32(-4), 7, True, np.bool_(False)],
+              "empty": [[], {}, (), [[]], ""], "none": None, "keys": {10: "ints", 2: "sort"},
+              "points": cli._PointRecords(columns),
+              "inf points": cli._PointRecords(tuple(c[:2] for c in columns[:5])
+                                              + ([math.inf, 2.0], [0.0, 3.1])
+                                              + tuple(c[:2] for c in columns[7:])),
+              "no points": cli._PointRecords(tuple([] for _ in columns))}
+    for indent in (0, 2):
+        assert cli._to_json(values, indent) == old_to_json(plain(values), indent)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._to_json({"x": object()})
+
+
+def old_bifurcation_rows(ring, points, stable):
+    """Reference: the CSV rows of one ring, built per mode from its points."""
+    rows = []
+    by_root = {(pt.k, pt.root): pt for pt in points}
+    for k in range(1, ring.n):
+        c = blocks.coefficients(ring.n, k)
+        minus, plus = by_root.get((k, "minus")), by_root.get((k, "plus"))
+        some = plus or minus
+        rows.append([
+            ring.n, k, ring.mu, c.alpha, c.gamma,
+            "-" if c.delta is None else cli._fmt(c.delta),
+            minus.nu if minus else None, plus.nu if plus else None,
+            minus.eta if minus else None, plus.eta if plus else None,
+            f"Z~_{ring.n}({k})", some.regime if some else "", stable,
+        ])
+    return rows
+
+
+def test_csv_rows_match_per_mode_rows():
+    """The CSV of bifurcations and sweep, built from one array pass, equals
+    rows built per mu from enumerate_bifurcations and per mode from
+    blocks.coefficients, with the --nu-min/--nu-max filter applied to the
+    points."""
+    for argv in _WRITER_RUNS:
+        if argv[0] not in ("bifurcations", "sweep") or "--k" in argv:
+            continue
+        cfg = cli._merge_config(cli._build_parser().parse_args([*argv, "--format", "csv"]))
+        _, header, rows, _ = cli._COMMANDS[cfg.command](cfg)
+        want = []
+        for ring in cli._rings(cfg):
+            try:
+                points = classify.enumerate_bifurcations(ring)
+            except classify.DegenerateAmplitude:
+                continue
+            points = [pt for pt in points
+                      if (cfg.nu_min is None or pt.nu >= cfg.nu_min)
+                      and (cfg.nu_max is None or pt.nu <= cfg.nu_max)]
+            want += old_bifurcation_rows(ring, points, blocks.linear_stability(ring).stable)
+        assert cli._to_csv(header, rows) == cli._to_csv(CSV_COLUMNS, want), argv

@@ -76,6 +76,18 @@ def test_ring_system_rejects_small_n_and_bad_mu():
         RingSystem(n=8, mu=1.5, potential=root)
 
 
+def test_ring_system_rejects_overflowing_and_non_finite_mu():
+    # mu ** 2 of a Python float raises OverflowError above ~1.34e154
+    for mu in (1e200, np.float64(1e200), 10 ** 200):
+        with pytest.raises(ValueError, match="mu\\^2 overflows"):
+            RingSystem(n=5, mu=mu)
+    # h and h' of the saturable law are finite at s = inf
+    for mu in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RingSystem(n=5, mu=mu, potential=saturable_potential())
+    assert RingSystem(n=5, mu=1e150).mu == 1e150
+
+
 def test_standing_wave_n4_components():
     ring = RingSystem(n=4, mu=0.7)
     a, omega = standing_wave(ring)
