@@ -8,11 +8,16 @@ byte-identical output.
 Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
 --mu, --format, --out and --config.  Only bifurcations and sweep take a
 --mu-range (sweep requires one); equilibrium, blocks, stability and verify
-report on one amplitude and reject a mu range, from a flag or a config file.
-bifurcations filters its points with --k (1..n-1), --nu-min and --nu-max;
-its CSV then has the row of mode k alone, and the roots that --nu-min and
---nu-max remove are blank in their rows.  verify takes --k, --branch,
---steps, --ds and --p-max.
+report on one amplitude.  bifurcations filters its points with --k (1..n-1),
+--nu-min and --nu-max; its CSV then has the row of mode k alone, and the
+roots that --nu-min and --nu-max remove are blank in their rows.  verify
+takes --k, --branch, --steps, --ds and --p-max.  ``_OPTIONS`` declares every
+option once: its type, default, subcommands and choices.
+
+A config file (--config, a flag only) holds one ``KEY = VALUE`` per line,
+with ``#`` comments and ``-`` or ``_`` in keys.  It takes the subcommand's own
+options only, each checked as its flag is; a flag overrides the file, and
+the file overrides the default.
 
 Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
 3 every requested amplitude is degenerate, 4 numerical failure.
@@ -25,7 +30,6 @@ import ast
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,28 +52,6 @@ _EXIT_NUMERICAL = 4
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str = ""
-    n: int | None = None
-    potential: str = "cubic"
-    h_expr: str | None = None
-    h_prime_expr: str | None = None
-    g_expr: str | None = None
-    mu: float | None = None
-    mu_range: str | None = None
-    k: int | None = None
-    branch: str | None = None
-    steps: int = 24
-    ds: float = 0.03
-    p_max: int = 256
-    nu_min: float | None = None
-    nu_max: float | None = None
-    format: str = "json"
-    out: str | None = None
-    config: str | None = None
 
 
 def _fmt(x) -> str:
@@ -208,24 +190,22 @@ def _to_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_potential(cfg: RunConfig):
+def _build_potential(cfg: SimpleNamespace):
     if cfg.potential == "cubic":
         return cubic_potential()
     if cfg.potential == "saturable":
         return saturable_potential()
-    if cfg.potential == "custom":
-        if not cfg.h_expr or not cfg.h_prime_expr:
-            raise ConfigError("custom potential needs --h-expr and --h-prime-expr")
-        h = _expr_fn(cfg.h_expr)
-        hp = _expr_fn(cfg.h_prime_expr)
-        G = _expr_fn(cfg.g_expr) if cfg.g_expr else None
-        pot = custom_potential(h, hp, G)
-        try:
-            pot.validate()
-        except ArithmeticError as exc:
-            raise ConfigError(f"potential expression cannot be evaluated: {exc}") from exc
-        return pot
-    raise ConfigError(f"unknown potential kind: {cfg.potential}")
+    if not cfg.h_expr or not cfg.h_prime_expr:
+        raise ConfigError("custom potential needs --h-expr and --h-prime-expr")
+    h = _expr_fn(cfg.h_expr)
+    hp = _expr_fn(cfg.h_prime_expr)
+    G = _expr_fn(cfg.g_expr) if cfg.g_expr else None
+    pot = custom_potential(h, hp, G)
+    try:
+        pot.validate()
+    except ArithmeticError as exc:
+        raise ConfigError(f"potential expression cannot be evaluated: {exc}") from exc
+    return pot
 
 
 _EXPR_FUNCS = {name: getattr(np, name) for name in
@@ -281,26 +261,33 @@ def _expr_fn(expr: str):
     return fn
 
 
-def _ring(cfg: RunConfig) -> RingSystem:
-    """The one ring of the single-amplitude commands."""
-    if cfg.mu_range:
-        raise ConfigError(f"{cfg.command} takes one amplitude (--mu), not a mu range")
-    return _rings(cfg)[0]
-
-
-def _rings(cfg: RunConfig) -> list[RingSystem]:
-    """One ring per requested mu, all sharing one potential."""
-    mus = _mu_values(cfg)
+def _ring(cfg: SimpleNamespace, mus: list[float] | None = None) -> RingSystem:
+    """The ring at the one --mu, or at the first of a grid's ``mus`` that
+    ``RingSystem`` rejects (mu^2 overflows, or h or h' is not finite there),
+    else at the first: one array call of h and h' checks the whole grid as a
+    ring checks its one mu."""
+    mus = mus or _mu_values(cfg)
     if cfg.n is None:
         raise ConfigError("--n is required")
     try:
         potential = _build_potential(cfg)
-        return [RingSystem(n=cfg.n, mu=mu, potential=potential) for mu in mus]
+        s = []
+        for mu in mus:   # a Python float, so that an overflow raises
+            try:
+                s.append(mu ** 2)
+            except OverflowError:
+                break
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(potential.h(np.array(s))) \
+                & np.isfinite(potential.h_prime(np.array(s)))
+        i = next((i for i, ok in enumerate(np.broadcast_to(finite, len(s))) if not ok), len(s))
+        # RingSystem raises at mus[i], unless no mu overflows (i = len(mus)) either
+        return RingSystem(n=cfg.n, mu=mus[i if i < len(mus) else 0], potential=potential)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _mu_values(cfg: RunConfig) -> list[float]:
+def _mu_values(cfg: SimpleNamespace) -> list[float]:
     if cfg.mu_range:
         try:
             a, b, count = cfg.mu_range.split(":")
@@ -314,17 +301,11 @@ def _mu_values(cfg: RunConfig) -> list[float]:
         return [float(m) for m in np.linspace(a, b, count)]
     if cfg.mu is None:
         raise ConfigError("either --mu or --mu-range is required")
-    if cfg.mu <= 0:
-        raise ConfigError("mu must be positive")
     return [cfg.mu]
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-
-
-def _report(cfg: RunConfig, payload) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": _config_echo(cfg),
+def _report(cfg: SimpleNamespace, payload) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "config": vars(cfg),
             "payload": payload}
 
 
@@ -361,7 +342,7 @@ def _bifurcation_rows(n: int, cells: list[list[str]], mu: float, stable: bool, n
 # subcommands
 
 
-def cmd_equilibrium(cfg: RunConfig):
+def cmd_equilibrium(cfg: SimpleNamespace):
     ring = _ring(cfg)
     a_bar, omega = standing_wave(ring)
     res = float(np.abs(gradient_V(ring, a_bar)).max())
@@ -374,7 +355,7 @@ def cmd_equilibrium(cfg: RunConfig):
     return _report(cfg, payload), ["j", "re", "im"], rows, _EXIT_OK
 
 
-def cmd_blocks(cfg: RunConfig):
+def cmd_blocks(cfg: SimpleNamespace):
     ring = _ring(cfg)
     P = assemble_P(ring.n)
     decomp = block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
@@ -401,21 +382,20 @@ def cmd_blocks(cfg: RunConfig):
     return _report(cfg, payload), header, rows, _EXIT_OK
 
 
-def _classify_mus(cfg: RunConfig):
+def _classify_mus(cfg: SimpleNamespace):
     """The requested mus, their ``classify._classify`` result (one array pass
     over the grid), the {"mu", "k"} records of the degenerate ones and the
     exit code: 3 when every mu is degenerate.  The one amplitude pass of
     bifurcations and sweep."""
-    rings = _rings(cfg)
-    mus = [ring.mu for ring in rings]
-    result = classify._classify(cfg.n, rings[0].potential, mus)
+    mus = _mu_values(cfg)
+    result = classify._classify(cfg.n, _ring(cfg, mus).potential, mus)
     excluded = [{"mu": mu, "k": k}
                 for mu, k in zip(mus, result.degenerate_k.tolist()) if k]
     return mus, result, excluded, _EXIT_OK if len(excluded) < len(mus) \
         else _EXIT_ALL_DEGENERATE
 
 
-def _csv_rows(cfg: RunConfig, mus, result, keep, modes) -> list[list]:
+def _csv_rows(cfg: SimpleNamespace, mus, result, keep, modes) -> list[list]:
     """The CSV rows of the amplitudes that are not degenerate, for the modes
     in ``modes``, with the points that the (mu, k - 1, root) mask ``keep``
     selects; none for JSON output."""
@@ -431,7 +411,7 @@ def _csv_rows(cfg: RunConfig, mus, result, keep, modes) -> list[list]:
                                          result.regime[i], modes)]
 
 
-def cmd_bifurcations(cfg: RunConfig):
+def cmd_bifurcations(cfg: SimpleNamespace):
     mus, result, excluded, code = _classify_mus(cfg)
     n = cfg.n
     if cfg.k is not None and not 1 <= cfg.k <= n - 1:
@@ -449,7 +429,7 @@ def cmd_bifurcations(cfg: RunConfig):
     return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, mus, result, keep, modes), code
 
 
-def cmd_stability(cfg: RunConfig):
+def cmd_stability(cfg: SimpleNamespace):
     ring = _ring(cfg)
     verdict = blocks.linear_stability(ring)
     spectrum = blocks.full_spectrum_oracle(ring)
@@ -466,14 +446,16 @@ def cmd_stability(cfg: RunConfig):
     return _report(cfg, payload), header, rows, _EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig):
+def cmd_verify(cfg: SimpleNamespace):
     ring = _ring(cfg)
-    if cfg.k is None or cfg.branch not in ("plus", "minus"):
-        raise ConfigError("verify needs --k and --branch {plus,minus}")
+    if cfg.k is None or cfg.branch is None:
+        raise ConfigError("verify needs --k and --branch")
     if cfg.k == ring.n:
         raise ConfigError("k = n carries no bifurcation with full symmetry")
-    if cfg.steps < 1 or not cfg.ds > 0:
-        raise ConfigError(f"verify needs steps >= 1 and ds > 0, got {cfg.steps}, {cfg.ds}")
+    # continue_branch starts at Fourier order 8
+    if cfg.steps < 1 or not cfg.ds > 0 or cfg.p_max < 8:
+        raise ConfigError("verify needs steps >= 1, ds > 0 and p_max >= 8, got "
+                          f"{cfg.steps}, {cfg.ds}, {cfg.p_max}")
     points = classify.enumerate_bifurcations(ring)
     matches = [pt for pt in points if pt.k == cfg.k and pt.root == cfg.branch]
     if not matches:
@@ -540,7 +522,7 @@ def _regimes_json(report: classify.RegimeReport) -> dict:
     }
 
 
-def cmd_sweep(cfg: RunConfig):
+def cmd_sweep(cfg: SimpleNamespace):
     if not cfg.mu_range:
         raise ConfigError("sweep needs --mu-range")
     mus, result, excluded, code = _classify_mus(cfg)
@@ -563,50 +545,53 @@ def cmd_sweep(cfg: RunConfig):
 # argument handling
 
 
+_COMMANDS = {
+    "equilibrium": ("rotating-wave equilibrium and residual", cmd_equilibrium),
+    "blocks": ("mode-block coefficients and matrices", cmd_blocks),
+    "bifurcations": ("forced bifurcation points", cmd_bifurcations),
+    "stability": ("linear stability verdict with spectral cross-check", cmd_stability),
+    "verify": ("continue a branch and verify the predicted frequency", cmd_verify),
+    "sweep": ("regime report and bifurcation counts over a mu range", cmd_sweep),
+}
+_ALL = tuple(_COMMANDS)
+
+# every option once, in --help order: (type, default, subcommands, choices)
+_OPTIONS = {
+    "n": (int, None, _ALL, None),
+    "potential": (str, "cubic", _ALL, ("cubic", "saturable", "custom")),
+    "h_expr": (str, None, _ALL, None),
+    "h_prime_expr": (str, None, _ALL, None),
+    "g_expr": (str, None, _ALL, None),
+    "mu": (float, None, _ALL, None),
+    "format": (str, "json", _ALL, ("json", "csv")),
+    "out": (str, None, _ALL, None),
+    "config": (str, None, _ALL, None),
+    "mu_range": (str, None, ("bifurcations", "sweep"), None),
+    "k": (int, None, ("bifurcations", "verify"), None),
+    "nu_min": (float, None, ("bifurcations",), None),
+    "nu_max": (float, None, ("bifurcations",), None),
+    "branch": (str, None, ("verify",), ("plus", "minus")),
+    "steps": (int, 24, ("verify",), None),
+    "ds": (float, 0.03, ("verify",), None),
+    "p_max": (int, 256, ("verify",), None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnlsring",
         description="Bifurcation analysis of a ring of coupled dNLS oscillators")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("equilibrium", "rotating-wave equilibrium and residual"),
-            ("blocks", "mode-block coefficients and matrices"),
-            ("bifurcations", "forced bifurcation points"),
-            ("stability", "linear stability verdict with spectral cross-check"),
-            ("verify", "continue a branch and verify the predicted frequency"),
-            ("sweep", "regime report and bifurcation counts over a mu range")]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--potential", choices=["cubic", "saturable", "custom"])
-        sp.add_argument("--h-expr", dest="h_expr")
-        sp.add_argument("--h-prime-expr", dest="h_prime_expr")
-        sp.add_argument("--g-expr", dest="g_expr")
-        sp.add_argument("--mu", type=float)
-        sp.add_argument("--format", choices=["json", "csv"])
-        sp.add_argument("--out")
-        sp.add_argument("--config")
-        if name in ("bifurcations", "sweep"):
-            sp.add_argument("--mu-range", dest="mu_range")
-        if name in ("bifurcations", "verify"):
-            sp.add_argument("--k", type=int)
-        if name == "bifurcations":
-            sp.add_argument("--nu-min", dest="nu_min", type=float)
-            sp.add_argument("--nu-max", dest="nu_max", type=float)
-        if name == "verify":
-            sp.add_argument("--branch", choices=["plus", "minus"])
-            sp.add_argument("--steps", type=int)
-            sp.add_argument("--ds", type=float)
-            sp.add_argument("--p-max", dest="p_max", type=int)
+    for command, (help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for key, (kind, _, commands, choices) in _OPTIONS.items():
+            if command in commands:
+                sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices)
     return parser
 
 
-_CONFIG_TYPES = {
-    "n": int, "k": int, "steps": int, "p_max": int,
-    "mu": float, "ds": float, "nu_min": float, "nu_max": float,
-}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
+    """A config file's options, each parsed and checked as its flag is."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -614,47 +599,38 @@ def _load_config_file(path: str) -> dict:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}:{line_no}"
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected KEY=VALUE")
+                    raise ConfigError(f"{where}: expected KEY=VALUE")
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in {f.name for f in fields(RunConfig)}:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                caster = _CONFIG_TYPES.get(key, str)
+                if key not in _OPTIONS:
+                    raise ConfigError(f"{where}: unknown key {key!r}")
+                kind, _, commands, choices = _OPTIONS[key]
+                if key == "config":
+                    raise ConfigError(f"{where}: config is given as the --config flag only")
+                if command not in commands:
+                    raise ConfigError(f"{where}: {command} does not take {key}")
                 try:
-                    values[key] = caster(value)
+                    values[key] = kind(value)
                 except ValueError:
-                    raise ConfigError(f"{path}:{line_no}: {key} must be "
-                                      f"{caster.__name__}, got {value!r}") from None
+                    raise ConfigError(f"{where}: {key} must be {kind.__name__}, "
+                                      f"got {value!r}") from None
+                if choices and values[key] not in choices:
+                    raise ConfigError(f"{where}: {key} must be one of "
+                                      f"{', '.join(choices)}, got {value!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
 
-def _merge_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    file_values = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        flag = getattr(ns, f.name, None)
-        if flag is not None:
-            setattr(cfg, f.name, flag)
-        elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
-    if cfg.format not in ("json", "csv"):
-        raise ConfigError("format must be json or csv")
-    return cfg
-
-
-_COMMANDS = {
-    "equilibrium": cmd_equilibrium,
-    "blocks": cmd_blocks,
-    "bifurcations": cmd_bifurcations,
-    "stability": cmd_stability,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
+def _merge_config(ns: argparse.Namespace) -> SimpleNamespace:
+    """Each option from its flag, else the config file, else its default."""
+    file_values = _load_config_file(ns.config, ns.command) if ns.config else {}
+    flags = {key: getattr(ns, key, None) for key in _OPTIONS}
+    return SimpleNamespace(command=ns.command, **{
+        key: file_values.get(key, default) if flags[key] is None else flags[key]
+        for key, (_, default, _, _) in _OPTIONS.items()})
 
 
 def main(argv=None) -> int:
@@ -665,7 +641,19 @@ def main(argv=None) -> int:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(ns)
-        report, header, rows, code = _COMMANDS[ns.command](cfg)
+        report, header, rows, code = _COMMANDS[ns.command][1](cfg)
+        if cfg.format == "json":
+            text = _to_json(report) + "\n"
+        else:
+            text = _to_csv(header, rows)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -676,15 +664,6 @@ def main(argv=None) -> int:
             blocks.SearchRangeExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    if cfg.format == "json":
-        text = _to_json(report) + "\n"
-    else:
-        text = _to_csv(header, rows)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -544,12 +544,14 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     Raises
     ------
     ValueError
-        When ``steps`` < 1 or ``ds`` <= 0.
+        When ``steps`` < 1, ``ds`` <= 0 or ``p_max`` < ``p``.
     NoConvergence
         Only when not a single point could be corrected.
     """
     if steps < 1 or not ds > 0:
         raise ValueError(f"steps must be >= 1 and ds > 0, got steps = {steps}, ds = {ds}")
+    if p_max < p:
+        raise ValueError(f"p_max must be >= the starting order p = {p}, got {p_max}")
     n, k = ring.n, bif.k
     space = _FourierSpace(n, p, k)
     V0 = np.zeros((p + 1, 2), dtype=complex)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -417,22 +418,38 @@ _UNREAD_OPTIONS = [
     ("verify", "--steps", "0", "steps >= 1"),
     ("equilibrium", "--config", "n = 2.5", "run.cfg:1: n must be int, got '2.5'"),
     ("equilibrium", "--config", "mu = abc", "run.cfg:1: mu must be float, got 'abc'"),
+    ("sweep", "--config", "k = 3", "run.cfg:1: sweep does not take k"),
+    ("sweep", "--config", "nu_min = 5", "run.cfg:1: sweep does not take nu_min"),
+    ("stability", "--config", "steps = 3", "run.cfg:1: stability does not take steps"),
+    ("stability", "--config", "branch = plus", "run.cfg:1: stability does not take branch"),
+    ("equilibrium", "--config", "format = xml",
+     "run.cfg:1: format must be one of json, csv, got 'xml'"),
+    ("equilibrium", "--config", "potential = quartic",
+     "run.cfg:1: potential must be one of cubic, saturable, custom, got 'quartic'"),
+    ("verify", "--config", "branch = sideways",
+     "run.cfg:1: branch must be one of plus, minus, got 'sideways'"),
+    ("stability", "--config", "config = other.cfg", "run.cfg:1: config is given as the"),
+    ("verify", "--p-max", "-5", "p_max >= 8"),
+    ("verify", "--p-max", "0", "p_max >= 8"),
+    ("verify", "--p-max", "7", "p_max >= 8"),
 ] + [(command, flag, value, message)
      for command in ("equilibrium", "blocks", "stability", "verify")
      for flag, value, message in (("--mu-range", "0.1:1.5:5", "unrecognized"),
-                                  ("--config", "mu_range = 0.1:1.5:5", "not a mu range"))]
+                                  ("--config", "mu_range = 0.1:1.5:5",
+                                   f"run.cfg:1: {command} does not take mu_range"))]
 
 
 @pytest.mark.parametrize(
     "command, flag, value, message", _UNREAD_OPTIONS,
-    ids=[f"{c} {f} {v.split()[0]}" if f in ("--config", "--ds", "--steps") else f"{c} {f}"
-         for c, f, v, _ in _UNREAD_OPTIONS])
+    ids=[f"{c} {f} {v.split()[0]}" if f in ("--config", "--ds", "--steps", "--p-max")
+         else f"{c} {f}" for c, f, v, _ in _UNREAD_OPTIONS])
 def test_stability_has_no_integration_options(capsys, tmp_path, command, flag, value,
                                               message):
     """An option a subcommand does not read, or a value it cannot use (a
-    non-positive verify step or step count, a config-file number that does
-    not parse), as a flag or a config-file key, is an error (exit 2) with a
-    reason, not silently ignored or a traceback."""
+    non-positive verify step or step count, a Fourier cap below the starting
+    order, a config-file number that does not parse or a value outside the
+    flag's choices), as a flag or a config-file key, is an error (exit 2)
+    with a reason, not silently ignored or a traceback."""
     base = [command, "--n", "8", "--potential", "cubic", *_BASE_ARGS[command]]
     if flag == "--config":
         cfg = tmp_path / "run.cfg"
@@ -575,7 +592,7 @@ def test_writer_matches_recursive_writer():
     recursive writer, and so do values of every kind it accepts."""
     for argv in _WRITER_RUNS:
         cfg = cli._merge_config(cli._build_parser().parse_args(argv))
-        report = cli._COMMANDS[cfg.command](cfg)[0]
+        report = cli._COMMANDS[cfg.command][1](cfg)[0]
         assert cli._to_json(report) == old_to_json(plain(report)), argv
     columns = (["", "q\"uote", "back\\slash"], [1, -1, 1], ["Z~_5(1)"] * 3, [1, 2, 3],
                [0.5, 0.5, 1e-300], [1.25, 2.0, 3.0], [5.0, 3.1, 2.0], ["generic-a"] * 3,
@@ -621,9 +638,11 @@ def test_csv_rows_match_per_mode_rows():
         if argv[0] not in ("bifurcations", "sweep") or "--k" in argv:
             continue
         cfg = cli._merge_config(cli._build_parser().parse_args([*argv, "--format", "csv"]))
-        _, header, rows, _ = cli._COMMANDS[cfg.command](cfg)
+        _, header, rows, _ = cli._COMMANDS[cfg.command][1](cfg)
         want = []
-        for ring in cli._rings(cfg):
+        potential = cli._build_potential(cfg)
+        for ring in [RingSystem(n=cfg.n, mu=mu, potential=potential)
+                     for mu in cli._mu_values(cfg)]:
             try:
                 points = classify.enumerate_bifurcations(ring)
             except classify.DegenerateAmplitude:
@@ -633,3 +652,109 @@ def test_csv_rows_match_per_mode_rows():
                       and (cfg.nu_max is None or pt.nu <= cfg.nu_max)]
             want += old_bifurcation_rows(ring, points, blocks.linear_stability(ring).stable)
         assert cli._to_csv(header, rows) == cli._to_csv(CSV_COLUMNS, want), argv
+
+
+# --- one option table: flags, config-file keys and the report echo ------------
+
+def test_range_potential_not_finite_exit_2(capsys):
+    """A range is checked at every mu, as a ring checks its one mu: the first
+    mu whose h or h' is not finite, or whose square overflows, is named."""
+    base = ["bifurcations", "--n", "8", "--potential", "custom", "--h-expr", "sqrt(1-s)",
+            "--h-prime-expr=-0.5/sqrt(1-s)", "--g-expr", "(2/3)*(1-(1-s)**1.5)"]
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, *base, "--mu-range", "0.5:1.5:2")
+        assert code == 2 and out == "" and "h or h' is not finite at mu^2 = 2.25" in err
+        code, out, err = run_cli(capsys, *base, "--mu-range", "0.5:1.5:3")   # h' = -inf at 1
+        assert code == 2 and out == "" and "h or h' is not finite at mu^2 = 1.0" in err
+    code, out, err = run_cli(capsys, "sweep", "--n", "8", "--potential", "saturable",
+                             "--mu-range", "1:1e200:3")
+    assert code == 2 and out == "" and "mu = 5e+199 is too large: mu^2 overflows" in err
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    base = ["stability", "--n", "6", "--mu", "0.4"]
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run_cli(capsys, *base, "--out", str(target))
+    assert code == 2 and out == ""
+    assert f"error: cannot write {target}: No such file or directory" in err
+    code, out, err = run_cli(capsys, *base, "--out", str(tmp_path))
+    assert code == 2 and out == "" and f"error: cannot write {tmp_path}: " in err
+
+
+# a complete run of each subcommand, as option -> value
+_RUNS = {
+    "equilibrium": {"n": "6", "mu": "0.5"},
+    "blocks": {"n": "6", "mu": "0.5"},
+    "bifurcations": {"n": "6", "mu_range": "0.2:0.5:3"},
+    "stability": {"n": "6", "mu": "0.5"},
+    "verify": {"n": "6", "mu": "0.5", "k": "3", "branch": "plus", "steps": "1"},
+    "sweep": {"n": "6", "mu_range": "0.2:0.5:3"},
+}
+# per option: two values that a subcommand taking it accepts, then values it
+# rejects ("out" values are file names in a scratch directory)
+_VALUES = {
+    "n": ("8", "6", "2.5", "2"),
+    "potential": ("saturable", "cubic", "quartic"),
+    "h_expr": ("s", "s*1.0"),
+    "h_prime_expr": ("1+0*s", "1.0"),
+    "g_expr": ("s**2/2", "s*s/2"),
+    "mu": ("0.4", "0.5", "abc", "0"),
+    "format": ("csv", "json", "xml"),
+    "out": ("a.out", "b.out"),
+    "config": ("other.cfg", "run.cfg"),
+    "mu_range": ("0.3:0.6:2", "0.2:0.5:3", "0.1", "0.5:0.2:3"),
+    "k": ("3", "2", "x"),
+    "nu_min": ("1", "0.5", "x"),
+    "nu_max": ("3", "2", "x"),
+    "branch": ("minus", "plus", "sideways"),
+    "steps": ("2", "1", "0", "1.5"),
+    "ds": ("0.05", "0.03", "0", "x"),
+    "p_max": ("32", "64", "7", "x"),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_flags_and_config_keys_agree(capsys, tmp_path, command):
+    """Every option of the table, for every subcommand: a flag and a config
+    line are accepted or rejected (exit 2) alike, an accepted file value
+    gives the same report as the flag (its config echo included), and a flag
+    overrides the file.  ``config`` itself is a flag only."""
+    assert list(_VALUES) == list(cli._OPTIONS)
+    cfg = tmp_path / "run.cfg"
+
+    def outcome(argv, lines=()):
+        cfg.write_text("".join(line + "\n" for line in lines))
+        for path in tmp_path.glob("*.out"):
+            path.unlink()
+        code, out, _ = run_cli(capsys, command, *argv, "--config", str(cfg))
+        return code, out, {p.name: p.read_text() for p in tmp_path.glob("*.out")}
+
+    for key, values in _VALUES.items():
+        flag = "--" + key.replace("_", "-")
+        base = [arg for option, value in _RUNS[command].items() if option != key
+                for arg in ("--" + option.replace("_", "-"), value)]
+        if key == "out":
+            values = [str(tmp_path / value) for value in values]
+        if key == "config":
+            code, _, _ = outcome(base, [f"config = {values[0]}"])
+            assert code == 2
+            continue
+        for value in values:
+            by_flag = outcome([*base, flag, value])
+            by_file = outcome(base, [f"{key} = {value}"])
+            assert (by_flag[0] == 2) == (by_file[0] == 2), (key, value)
+            if by_flag[0] != 2:
+                assert by_file == by_flag, (key, value)
+        if command in cli._OPTIONS[key][2]:
+            by_flag = outcome([*base, flag, values[1]])
+            assert by_flag[0] != 2, key
+            assert outcome([*base, flag, values[1]], [f"{key} = {values[0]}"]) == by_flag
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_table_options(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    want = {"--" + key.replace("_", "-") for key, (_, _, commands, _) in cli._OPTIONS.items()
+            if command in commands}
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == want | {"--help"}

@@ -470,6 +470,9 @@ def test_continue_branch_amplitude_bound():
     for steps, ds in ((0, 0.05), (4, 0.0), (4, -0.03)):
         with pytest.raises(ValueError, match="ds > 0"):
             continue_branch(ring, bif, steps=steps, ds=ds)
+    for p_max in (-5, 0, 7):
+        with pytest.raises(ValueError, match="p_max must be >="):
+            continue_branch(ring, bif, steps=4, ds=0.05, p_max=p_max)
 
 
 def test_extrapolate_empty_branch_raises():
