@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import RingSystem, block_symplectic, hessian_V, standing_wave
+from .model import RingSystem, hessian_V, standing_wave
 
 __all__ = [
     "SingularBlock",
@@ -327,7 +327,12 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
     the multiset {i nu : det m_k(nu) = 0, k = 1..n}.
     """
     a_bar, _ = standing_wave(ring)
-    A = -block_symplectic(ring.n) @ hessian_V(ring, a_bar)
+    H = hessian_V(ring, a_bar)
+    # -JJ H row by row, -J2 (v0, v1) = (v1, -v0), each entry as the dense
+    # product gives it (its zeros +0)
+    A = np.empty_like(H)
+    A[0::2] = 0.0 + H[1::2]
+    A[1::2] = 0.0 - H[0::2]
     return np.linalg.eigvals(A)
 
 
@@ -341,19 +346,15 @@ def spectrum_max_real(eigenvalues: np.ndarray, cluster_radius: float = 1e-6) -> 
     numerically sound.
     """
     ev = np.asarray(eigenvalues, dtype=complex)
-    remaining = list(range(len(ev)))
+    remaining = np.arange(len(ev))
     worst = 0.0
-    while remaining:
-        i = remaining.pop(0)
-        cluster = [ev[i]]
-        rest = []
-        for j in remaining:
-            if abs(ev[j] - ev[i]) < cluster_radius:
-                cluster.append(ev[j])
-            else:
-                rest.append(j)
-        remaining = rest
-        worst = max(worst, abs(np.mean(cluster).real))
+    while remaining.size:
+        # greedy: the first remaining eigenvalue and all within the radius
+        # of it, in index order
+        near = np.abs(ev[remaining] - ev[remaining[0]]) < cluster_radius
+        near[0] = True
+        worst = max(worst, abs(np.mean(ev[remaining[near]]).real))
+        remaining = remaining[~near]
     return float(worst)
 
 

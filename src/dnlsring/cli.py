@@ -300,7 +300,9 @@ def _mu_values(cfg: SimpleNamespace) -> list[float]:
             raise ConfigError("empty or invalid mu range")
         return [float(m) for m in np.linspace(a, b, count)]
     if cfg.mu is None:
-        raise ConfigError("either --mu or --mu-range is required")
+        takes_range = cfg.command in _OPTIONS["mu_range"][2]
+        raise ConfigError("either --mu or --mu-range is required" if takes_range
+                          else "--mu is required")
     return [cfg.mu]
 
 

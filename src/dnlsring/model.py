@@ -44,6 +44,7 @@ __all__ = [
 
 # planar realization of multiplication by i
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_EYE2 = np.eye(2)
 
 
 def block_symplectic(n: int) -> np.ndarray:
@@ -246,6 +247,12 @@ def _hessian_apply_sites(ring: RingSystem, X: np.ndarray, dX: np.ndarray) -> np.
         + (2.0 * mu2 * hp * dot)[..., None] * X + lap
 
 
+def _onsite_blocks(X: np.ndarray, diag: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """2x2 blocks diag I + outer x x^T for site views X of shape (..., n, 2)."""
+    return diag[..., None, None] * _EYE2 \
+        + outer[..., None, None] * (X[..., :, None] * X[..., None, :])
+
+
 def _onsite_hessian(ring: RingSystem, X: np.ndarray) -> np.ndarray:
     """On-site 2x2 Hessian blocks (omega + h - 2) I + 2 mu^2 h' x x^T, with h
     and h' at mu^2 |x|^2, for site views X of shape (..., n, 2)."""
@@ -253,8 +260,7 @@ def _onsite_hessian(ring: RingSystem, X: np.ndarray) -> np.ndarray:
     s = mu2 * (X ** 2).sum(axis=-1)
     hval = np.asarray(ring.potential.h(s))
     hp = np.asarray(ring.potential.h_prime(s))
-    return (ring.omega + hval - 2.0)[..., None, None] * np.eye(2) \
-        + (2.0 * mu2 * hp)[..., None, None] * (X[..., :, None] * X[..., None, :])
+    return _onsite_blocks(X, ring.omega + hval - 2.0, 2.0 * mu2 * hp)
 
 
 def hessian_V(ring: RingSystem, x) -> np.ndarray:

@@ -27,14 +27,15 @@ Each Newton iteration is one LU factorization with a condition estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import blocks
-from .model import (J2, RingSystem, _gradient_sites, _hessian_apply_sites,
-                    _onsite_hessian, block_symplectic, hessian_V, vector_field)
+from .model import (_EYE2, J2, RingSystem, _as_state, _gradient_sites,
+                    _hessian_apply_sites, _onsite_blocks, _onsite_hessian, block_symplectic)
 from .symmetry import t_k_matrix
 
 __all__ = [
@@ -61,6 +62,7 @@ _P_MAX = 256            # Fourier order at which p-doubling gives up
 _MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
 _MIDPOINT_ITER = 25
 _RCOND_MIN = 1e-10      # condition estimate below which newton_orbit reports a singularity
+_SWAP_SIGN = np.array([1.0, -1.0])              # -J2 v = (v_1, -v_0): swap, then this
 
 
 class NoConvergence(RuntimeError):
@@ -650,41 +652,86 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
 
     The scheme is second order and time symmetric; quadratic invariants
     (in particular the total power sum |u_j|^2) are conserved up to the
-    inner solve tolerance per step.  Each step is polished by one extra
-    Newton iteration after reaching 1e-12.
+    inner solve tolerance per step.  Each step starts from an Euler
+    predictor and runs full Newton on the midpoint equation; the update
+    after the residual reaches 1e-12 polishes the step.
+
+    ``x0`` is validated once, here; the step loop works on site views with
+    omega, mu^2 and the neighbour indices hoisted.  The Newton matrix
+    I - dt/2 Df, Df = -JJ D2V, keeps its constant neighbour blocks
+    (dt/2) J2 and gets new on-site blocks per iteration, built from the same
+    h(mu^2 |x_j|^2) as the residual at that midpoint.
 
     Returns (times, states) with states of shape (steps+1, 2n).
 
     Raises
     ------
+    ValueError
+        When T or dt is not positive, or x0 is not a finite state of shape
+        (2n,).
     NoConvergence
-        When the inner Newton solve stalls; the message names the failing
-        step and suggests a smaller dt.
+        When the inner Newton solve stalls, its residual at a midpoint is
+        not finite, or the midpoint matrix is singular (or its solution not
+        finite); the message names the failing step and its time t.
     """
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_state(ring, x0)
     steps = int(round(T / dt))
-    JJ = block_symplectic(ring.n)
-    eye = np.eye(2 * ring.n)
-    out = np.empty((steps + 1, x0.size))
+    n, h, h_prime = ring.n, ring.potential.h, ring.potential.h_prime
+    omega, mu2 = ring.omega, ring.mu ** 2
+    hp_scale, half = 2.0 * mu2, 0.5 * dt
+    sites = np.arange(n)
+    nxt, prv = np.roll(sites, -1), np.roll(sites, 1)
+    M = np.eye(2 * n)
+    M4 = M.reshape(n, 2, n, 2)
+    M4[sites, :, nxt, :] = half * J2
+    M4[nxt, :, sites, :] = half * J2
+    onsite_at = np.arange(M.size).reshape(n, 2, n, 2)[sites, :, sites, :].ravel()
+    # dt/2 times the sign of -J2 = swap rows, negate the second
+    half_sign = half * _SWAP_SIGN[:, None]
+
+    def rhs(X, w):
+        """-JJ grad_V at site views X, given w = omega + h(mu^2 |X|^2)."""
+        grad = w[:, None] * X + (X[nxt] - 2.0 * X + X[prv])
+        return (grad[:, ::-1] * _SWAP_SIGN).reshape(-1)
+
+    def fail(step, what):
+        return NoConvergence(f"implicit midpoint {what} at step {step} "
+                             f"(t = {step * dt:.3f}); try a smaller dt")
+
+    out = np.empty((steps + 1, 2 * n))
     out[0] = x0
-    u = x0.copy()
-    for step in range(steps):
-        unew = u + dt * vector_field(ring, u)
-        for _ in range(_MIDPOINT_ITER):
-            mid = 0.5 * (u + unew)
-            G = unew - u - dt * vector_field(ring, mid)
-            Df = -JJ @ hessian_V(ring, mid)
-            unew = unew - np.linalg.solve(eye - 0.5 * dt * Df, G)
-            # the update after the tolerance is met polishes the step to
-            # machine precision, keeping quadratic invariants tight
-            if np.linalg.norm(G) <= _MIDPOINT_TOL:
-                break
-        else:
-            raise NoConvergence(
-                f"implicit midpoint solve did not converge at step {step} "
-                f"(t = {step * dt:.3f}); try a smaller dt")
-        u = unew
-        out[step + 1] = u
+    u = x0
+    with np.errstate(all="ignore"):   # non-finite values end in NoConvergence
+        for step in range(steps):
+            X = u.reshape(n, 2)
+            unew = u + dt * rhs(X, omega + np.asarray(h(mu2 * (X ** 2).sum(axis=-1))))
+            for _ in range(_MIDPOINT_ITER):
+                mid = 0.5 * (u + unew)
+                X = mid.reshape(n, 2)
+                s = mu2 * (X ** 2).sum(axis=-1)
+                w = omega + np.asarray(h(s))
+                G = unew - u - dt * rhs(X, w)
+                norm = math.sqrt(G @ G)   # np.linalg.norm's value, without its overhead
+                # an overflowing square of a finite G is no failure
+                if not math.isfinite(norm) and not np.isfinite(G).all():
+                    raise fail(step, "residual is not finite")
+                # on-site blocks of D2V, then of -JJ D2V by a row swap and sign
+                onsite = _onsite_blocks(X, w - 2.0, hp_scale * np.asarray(h_prime(s)))
+                M.put(onsite_at, _EYE2 - onsite[:, ::-1, :] * half_sign)
+                _, _, delta, info = lapack.dgesv(M, G)
+                if info > 0:
+                    raise fail(step, "matrix is singular")
+                unew = unew - delta
+                # the update after the tolerance is met polishes the step to
+                # machine precision, keeping quadratic invariants tight
+                if norm <= _MIDPOINT_TOL:
+                    break
+            else:
+                raise fail(step, "solve did not converge")
+            if not np.isfinite(delta).all():
+                raise fail(step, "update is not finite")
+            u = unew
+            out[step + 1] = u
     return dt * np.arange(steps + 1), out

@@ -1,10 +1,12 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dnlsring import blocks
+from dnlsring import blocks, cli
 from dnlsring.blocks import (SearchRangeExhausted, SingularBlock, block_B,
                              block_m, coefficients, critical_frequencies,
                              degenerate_amplitudes, det_trace, eta,
@@ -12,8 +14,9 @@ from dnlsring.blocks import (SearchRangeExhausted, SingularBlock, block_B,
                              linear_stability, morse_index, mu_h_prime, sigma,
                              spectral_summary, spectrum_max_real)
 from dnlsring.classify import _degenerate_table, stability_interval
-from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
-                            saturable_potential)
+from dnlsring.model import (RingSystem, block_symplectic, cubic_potential,
+                            custom_potential, hessian_V, saturable_potential,
+                            standing_wave)
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()
@@ -553,6 +556,82 @@ def test_full_spectrum_n4_doubled():
     gammas = sorted([coefficients(4, k).gamma for k in range(1, 5)] * 2)
     for z, g in zip(ev, gammas):
         assert abs(z - 1j * g) < 1e-6
+
+
+def reference_spectrum_oracle(ring):
+    """Eigenvalues of the dense product -JJ D2V(a)."""
+    a_bar, _ = standing_wave(ring)
+    return np.linalg.eigvals(-block_symplectic(ring.n) @ hessian_V(ring, a_bar))
+
+
+def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
+    """Greedy clusters by a pairwise loop: each cluster is the first
+    remaining eigenvalue and every later one within the radius of it."""
+    ev = np.asarray(eigenvalues, dtype=complex)
+    remaining = list(range(len(ev)))
+    worst = 0.0
+    while remaining:
+        i = remaining.pop(0)
+        cluster = [ev[i]]
+        rest = []
+        for j in remaining:
+            if abs(ev[j] - ev[i]) < cluster_radius:
+                cluster.append(ev[j])
+            else:
+                rest.append(j)
+        remaining = rest
+        worst = max(worst, abs(np.mean(cluster).real))
+    return float(worst)
+
+
+def test_spectrum_oracle_matches_reference():
+    """Row-swap build and array clustering give the dense product's
+    eigenvalues and the loop's verdict bit for bit; n = 4 has only defective
+    double roots."""
+    rng = np.random.default_rng(12)
+    for n in (3, 4, 5, 6, 8, 16, 64):
+        for pot in (CUBIC, SAT):
+            for mu in rng.uniform(0.05, 2.0, size=3):
+                ring = RingSystem(n=n, mu=float(mu), potential=pot)
+                ev = full_spectrum_oracle(ring)
+                assert ev.tobytes() == reference_spectrum_oracle(ring).tobytes()
+                assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
+                assert spectrum_max_real(ev, 1e-3) == reference_spectrum_max_real(ev, 1e-3)
+
+
+def test_spectrum_max_real_edge_cases():
+    """A nan is a cluster of its own (and does not stall the loop); a zero
+    radius makes every eigenvalue its own cluster."""
+    ev = np.array([1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8])
+    for radius in (1e-6, 0.0):
+        got, want = spectrum_max_real(ev, radius), reference_spectrum_max_real(ev, radius)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    assert spectrum_max_real(np.array([])) == 0.0
+
+
+def test_spectrum_max_real_builds_no_square_temporary():
+    """Clustering 4096 eigenvalues allocates O(n), not an n x n table."""
+    ev = np.exp(1j * np.linspace(0.0, 6.0, 4096)) + 1e-3 * np.arange(4096)
+    tracemalloc.start()
+    try:
+        spectrum_max_real(ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("potential, mu, stable", [("saturable", "0.8", True),
+                                                   ("cubic", "0.3", False)])
+def test_stability_report_n256_matches_reference(capsys, monkeypatch, potential, mu, stable):
+    argv = ["stability", "--n", "256", "--potential", potential, "--mu", mu]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["payload"]["stable"] is stable
+    monkeypatch.setattr(blocks, "full_spectrum_oracle", reference_spectrum_oracle)
+    monkeypatch.setattr(blocks, "spectrum_max_real", reference_spectrum_max_real)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_kernel_vector_is_in_kernel():

@@ -225,6 +225,20 @@ def test_sweep_requires_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "blocks", "stability", "verify"])
+def test_single_amplitude_command_requires_mu(capsys, command):
+    """Commands without --mu-range ask for --mu alone."""
+    code, out, err = run_cli(capsys, command, "--n", "6")
+    assert code == 2 and out == ""
+    assert err == "error: --mu is required\n"
+
+
+def test_range_command_requires_mu_or_range(capsys):
+    code, out, err = run_cli(capsys, "bifurcations", "--n", "6")
+    assert code == 2 and out == ""
+    assert err == "error: either --mu or --mu-range is required\n"
+
+
 def test_report_determinism(capsys, tmp_path):
     args = ["bifurcations", "--n", "9", "--potential", "saturable", "--mu", "0.8"]
     _, out1, _ = run_cli(capsys, *args)

@@ -1,13 +1,20 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from dnlsring import orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
-from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
-                            potential_V, saturable_potential, standing_wave)
-from dnlsring.orbits import (_NEWTON_TOL, ContinuationBranch, FourierOrbit, NoConvergence,
-                             SingularJacobian, _default_samples, _FourierSpace, _newton,
-                             _orbit_constraints, continue_branch, extrapolate_nu_to_zero,
+from dnlsring.cli import _expr_fn
+from dnlsring.model import (RingSystem, block_symplectic, cubic_potential, custom_potential,
+                            hessian_V, potential_V, saturable_potential, standing_wave,
+                            vector_field)
+from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
+                             FourierOrbit, NoConvergence, SingularJacobian, _default_samples,
+                             _FourierSpace, _newton, _orbit_constraints, continue_branch,
+                             extrapolate_nu_to_zero,
                              integrate, linearized_residual, newton_orbit,
                              orbit_residual_norm, orthogonality_check, residual)
 from dnlsring.symmetry import symmetry_residual, t_k_matrix, traveling_wave_residual
@@ -496,6 +503,99 @@ def test_integrate_validates_arguments():
         integrate(ring, a, T=1.0, dt=0.0)
     with pytest.raises(ValueError):
         integrate(ring, a, T=-1.0, dt=0.1)
+    with pytest.raises(ValueError, match="shape"):
+        integrate(ring, a[:-2], T=1.0, dt=0.1)
+    with pytest.raises(ValueError, match="shape"):
+        integrate(ring, np.stack([a, a]), T=1.0, dt=0.1)
+    for bad in (np.nan, np.inf):
+        x0 = a.copy()
+        x0[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(ring, x0, T=1.0, dt=0.1)
+
+
+def reference_integrate(ring, x0, T, dt):
+    """The implicit midpoint loop on the public kernels: per step
+    vector_field for the predictor, then per Newton iteration vector_field
+    and the dense hessian_V at the midpoint and np.linalg.solve."""
+    x0 = np.asarray(x0, dtype=float)
+    steps = int(round(T / dt))
+    JJ = block_symplectic(ring.n)
+    eye = np.eye(2 * ring.n)
+    out = np.empty((steps + 1, x0.size))
+    out[0] = x0
+    u = x0.copy()
+    for step in range(steps):
+        unew = u + dt * vector_field(ring, u)
+        for _ in range(_MIDPOINT_ITER):
+            mid = 0.5 * (u + unew)
+            G = unew - u - dt * vector_field(ring, mid)
+            Df = -JJ @ hessian_V(ring, mid)
+            unew = unew - np.linalg.solve(eye - 0.5 * dt * Df, G)
+            if np.linalg.norm(G) <= _MIDPOINT_TOL:
+                break
+        else:
+            raise NoConvergence(f"step {step}")
+        u = unew
+        out[step + 1] = u
+    return dt * np.arange(steps + 1), out
+
+
+def test_integrate_matches_reference_loop():
+    """The hoisted kernel gives the reference loop's trajectory bit for bit."""
+    expr = custom_potential(_expr_fn("s / (1 + s**2)"), _expr_fn("(1 - s**2) / (1 + s**2)**2"))
+    rng = np.random.default_rng(10)
+    for n in (3, 4, 5, 6, 9):
+        for pot in (cubic_potential(), SAT, expr):
+            for dt in (0.01, 0.05):
+                ring = RingSystem(n=n, mu=float(rng.uniform(0.2, 1.2)), potential=pot)
+                a, _ = standing_wave(ring)
+                x0 = a + 0.05 * rng.normal(size=2 * n)
+                times, X = integrate(ring, x0, T=0.5, dt=dt)
+                ref_times, ref_X = reference_integrate(ring, x0, T=0.5, dt=dt)
+                assert np.array_equal(times, ref_times)
+                assert np.array_equal(X, ref_X), (n, pot.kind, dt)
+
+
+def test_integrate_non_finite_residual_no_convergence():
+    """h = inf beyond s = 4 puts inf into the first midpoint residual: the
+    run ends there with NoConvergence naming step and t, and no warning."""
+    pot = custom_potential(lambda s: np.where(s < 4, s, np.inf), lambda s: np.ones_like(s))
+    ring = RingSystem(n=6, mu=0.5, potential=pot)
+    x0, _ = standing_wave(ring)
+    x0[0] = 7.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=r"residual is not finite at step 0 \(t = 0.000\)"):
+            integrate(ring, x0, T=1.0, dt=0.01)
+
+
+def test_integrate_non_finite_update_no_convergence():
+    """At the zero state the residual is 0, but h' is nan there, so the one
+    (polishing) update is not finite."""
+    pot = custom_potential(lambda s: s, lambda s: np.where(s > 0, 1.0, np.nan))
+    ring = RingSystem(n=5, mu=0.5, potential=pot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=r"update is not finite at step 0 \(t = 0.000\)"):
+            integrate(ring, np.zeros(10), T=1.0, dt=0.01)
+
+
+def test_integrate_singular_matrix_no_convergence(monkeypatch):
+    """dgesv reporting an exactly singular midpoint matrix (info > 0) ends
+    the run at once."""
+    ring = RingSystem(n=6, mu=0.5)
+    a, _ = standing_wave(ring)
+    calls = []
+
+    def dgesv(A, b):
+        calls.append(1)
+        return A, None, b, 3 if len(calls) > 4 else 0
+
+    monkeypatch.setattr(orbits, "lapack", SimpleNamespace(dgesv=dgesv))
+    with pytest.raises(NoConvergence, match=r"matrix is singular at step \d+ \(t = "):
+        integrate(ring, a + 0.01, T=1.0, dt=0.01)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("pot", [cubic_potential(), SAT])
