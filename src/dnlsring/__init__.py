@@ -8,9 +8,9 @@ potentials, and numerically verifies predicted branches with a Fourier
 collocation Newton solver and pseudo-arclength continuation.
 """
 
-from .blocks import (BlockCoefficients, CriticalFrequencies, SearchRangeExhausted,
-                     SingularBlock, SpectralSummary, StabilityVerdict, block_B,
-                     block_m, coefficients, critical_frequencies,
+from .blocks import (BlockCoefficients, BrokenReflection, CriticalFrequencies,
+                     SearchRangeExhausted, SingularBlock, SpectralSummary,
+                     StabilityVerdict, block_B, block_m, coefficients, critical_frequencies,
                      degenerate_amplitudes, det_trace, eta, full_spectrum_oracle,
                      kernel_vector, linear_stability, morse_index, mu_h_prime,
                      sigma, spectral_summary, spectrum_max_real)

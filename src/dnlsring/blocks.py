@@ -15,10 +15,12 @@ by integer rules on (n, k).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from .model import RingSystem, hessian_V, standing_wave
@@ -26,6 +28,7 @@ from .model import RingSystem, hessian_V, standing_wave
 __all__ = [
     "SingularBlock",
     "SearchRangeExhausted",
+    "BrokenReflection",
     "BlockCoefficients",
     "SpectralSummary",
     "CriticalFrequencies",
@@ -49,6 +52,9 @@ __all__ = [
 
 _SINGULAR_TOL = 1e-12   # |det| below this counts as a singular block
 _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
+# the blocks of -JJ D2V(a) that the ring reflection forces to zero may reach
+# this many ulps of the largest entry
+_REFLECTION_TOL = 64.0 * np.finfo(float).eps
 
 # Hermitian realization of the rotation generator
 IJ = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -60,6 +66,11 @@ class SingularBlock(ArithmeticError):
 
 class SearchRangeExhausted(RuntimeError):
     """Root search for a custom potential hit the end of its bracket range."""
+
+
+class BrokenReflection(RuntimeError):
+    """The Hessian at the rotating wave is not invariant under the ring
+    reflection that the stability oracle's square reduction relies on."""
 
 
 @dataclass(frozen=True)
@@ -320,20 +331,103 @@ def kernel_vector(ring: RingSystem, k: int, nu: float) -> np.ndarray:
     return vec[:, i]
 
 
+class _ReflectionBasis(NamedTuple):
+    """Orthonormal bases P, M of the +1 and -1 eigenspaces of the ring
+    reflection R, as index arithmetic: column c of Q = [P M] is
+    ``weights[0, c] e_{index[0, c]} + weights[1, c] e_{index[1, c]}``
+    (shape (2, 2n, 1) weights).  ``h_index`` and ``h_weights`` give the rows
+    of Q' A for A = -JJ H as rows of H: row 2i of A is row 2i+1 of H and
+    row 2i+1 is minus row 2i."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    h_index: np.ndarray
+    h_weights: np.ndarray
+    lwork: int
+
+
+@functools.lru_cache(maxsize=16)
+def _reflection_basis(n: int) -> _ReflectionBasis:
+    """Read-only per-n basis of R: coordinate c (site c // 2, counted from 0)
+    goes to the same component of site (n - 2 - c // 2) mod n, negated for y,
+    so R e_c = sign_c e_r.  A coordinate paired with its mirror r gives
+    (e_c + sign_c e_r) / sqrt(2) in P and (e_c - sign_c e_r) / sqrt(2) in M;
+    a coordinate that R fixes (x of a fixed site) or negates (its y) is e_c,
+    written as (e_c + e_c) / 2.  Also the optimal LAPACK workspace of an
+    n x n eigensolve."""
+    c = np.arange(2 * n)
+    mirror = 2 * ((n - 2 - c // 2) % n) + c % 2
+    sign = 1 - 2 * (c % 2)
+    fixed = c == mirror
+    plus = np.flatnonzero((c < mirror) | (fixed & (sign > 0)))
+    minus = np.flatnonzero((c < mirror) | (fixed & (sign < 0)))
+    first = np.concatenate([plus, minus])
+    index = np.stack([first, mirror[first]])
+    w = np.where(fixed[first], 0.5, math.sqrt(0.5))
+    weights = np.stack([w, np.concatenate([sign[plus], -sign[minus]]) * w])[:, :, None]
+    basis = _ReflectionBasis(
+        index=index, weights=weights, h_index=index ^ 1,
+        h_weights=weights * (1 - 2 * (index % 2))[:, :, None],
+        lwork=int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0]))
+    for array in basis[:4]:
+        array.flags.writeable = False
+    return basis
+
+
+def _basis_rows(M: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Q' M for the basis Q that ``index`` and ``weights`` describe."""
+    X = M[index]
+    X *= weights
+    return X[0] + X[1]
+
+
 def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of the 2n x 2n linearization -JJ D2V(a).
+    """Eigenvalues (with multiplicity) of the 2n x 2n linearization
+    A = -JJ D2V(a), by one n x n eigensolve.
 
     Independent cross-check for the block analysis: the spectrum should be
-    the multiset {i nu : det m_k(nu) = 0, k = 1..n}.
+    the multiset {i nu : det m_k(nu) = 0, k = 1..n}.  It uses no Fourier
+    reduction and no block coefficient, only the dense ``hessian_V`` and a
+    symmetry that V has for every potential: the reflection
+    kappa: q_j -> conj(q_{n-j}).  As the real map R (sites j -> n - j mod n,
+    y -> -y) it fixes the rotating wave and commutes with D2V(a), while
+    R JJ R = -JJ; so R A R = -A.  Sites n and, for even n, n/2 are fixed by
+    it; every other site is paired with its mirror, and each eigenspace of
+    R has dimension n.  In orthonormal bases P (+1) and M (-1), built by
+    gathers and signed sums with weights 1/sqrt(2), A is [[0, B], [C, 0]]
+    with B = P'AM and C = M'AP, so its characteristic polynomial is
+    det(lambda^2 - B C): the spectrum is the multiset +-sqrt(eig(B C)),
+    square roots taken in complex arithmetic.
+
+    The premise is checked on every call: the discarded blocks P'AP and
+    M'AM must stay within 64 eps of the largest entry of B and C (or of 1).
+    Otherwise ``BrokenReflection`` is raised with the residual.  B and C are
+    scaled by a power of two before their product, which is exact and keeps
+    B C finite for any finite A.
     """
     a_bar, _ = standing_wave(ring)
     H = hessian_V(ring, a_bar)
-    # -JJ H row by row, -J2 (v0, v1) = (v1, -v0), each entry as the dense
-    # product gives it (its zeros +0)
-    A = np.empty_like(H)
-    A[0::2] = 0.0 + H[1::2]
-    A[1::2] = 0.0 - H[0::2]
-    return np.linalg.eigvals(A)
+    n = ring.n
+    basis = _reflection_basis(n)
+    # [[P'AP, P'AM], [M'AP, M'AM]], the row swap of -JJ inside the row gather
+    Y = _basis_rows(_basis_rows(H, basis.h_index, basis.h_weights).T,
+                    basis.index, basis.weights).T
+    (pp, pm), (mp, mm) = np.abs(Y).reshape(2, n, 2, n).max(axis=(1, 3)).tolist()
+    residual = max(pp, mm) if math.isfinite(pp + pm + mp + mm) else math.nan
+    bound = _REFLECTION_TOL * max(1.0, pm, mp)
+    if not residual <= bound:
+        raise BrokenReflection(
+            f"D2V(a) is not invariant under the ring reflection: the blocks "
+            f"P'AP and M'AM reach {residual:.3g} against a bound of {bound:.3g}")
+    e = math.frexp(max(pm, mp))[1]
+    Y = np.ldexp(Y, -e)
+    wr, wi, _, _, info = lapack.dgeev(Y[:n, n:] @ Y[n:, :n], compute_vl=0, compute_vr=0,
+                                      lwork=basis.lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    lam = np.sqrt(wr + 1j * wi)
+    lam *= math.ldexp(1.0, e)
+    return np.concatenate((lam, -lam))
 
 
 def spectrum_max_real(eigenvalues: np.ndarray, cluster_radius: float = 1e-6) -> float:

@@ -7,12 +7,13 @@ byte-identical output.
 
 Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
 --mu, --format, --out and --config.  Only bifurcations and sweep take a
---mu-range (sweep requires one); equilibrium, blocks, stability and verify
-report on one amplitude.  bifurcations filters its points with --k (1..n-1),
---nu-min and --nu-max; its CSV then has the row of mode k alone, and the
-roots that --nu-min and --nu-max remove are blank in their rows.  verify
-takes --k, --branch, --steps, --ds and --p-max.  ``_OPTIONS`` declares every
-option once: its type, default, subcommands and choices.
+--mu-range (sweep requires one), which excludes --mu; equilibrium, blocks,
+stability and verify report on one amplitude.  bifurcations filters its
+points with --k (1..n-1), --nu-min and --nu-max; its CSV then has the row of
+mode k alone, and the roots that --nu-min and --nu-max remove are blank in
+their rows.  verify takes --k, --branch, --steps, --ds and --p-max.
+``_OPTIONS`` declares every option once: its type, default, subcommands and
+choices.
 
 A config file (--config, a flag only) holds one ``KEY = VALUE`` per line,
 with ``#`` comments and ``-`` or ``_`` in keys.  It takes the subcommand's own
@@ -288,6 +289,8 @@ def _ring(cfg: SimpleNamespace, mus: list[float] | None = None) -> RingSystem:
 
 
 def _mu_values(cfg: SimpleNamespace) -> list[float]:
+    if cfg.mu is not None and cfg.mu_range:
+        raise ConfigError("--mu and --mu-range are mutually exclusive")
     if cfg.mu_range:
         try:
             a, b, count = cfg.mu_range.split(":")
@@ -663,7 +666,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ALL_DEGENERATE
     except (orbits.NoConvergence, orbits.SingularJacobian, blocks.SingularBlock,
-            blocks.SearchRangeExhausted) as exc:
+            blocks.SearchRangeExhausted, blocks.BrokenReflection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     return code

@@ -86,7 +86,8 @@ class PotentialModel:
 
         Raises ValueError when the supplied derivatives are inconsistent.
         Intended for user-supplied potentials; cubic and saturable pass by
-        construction.
+        construction, and so does a G that ``custom_potential`` integrates
+        from h, which is not checked.
         """
         s = np.linspace(0.05, s_max, num)
         step = 1e-6 * np.maximum(1.0, s)
@@ -94,6 +95,8 @@ class PotentialModel:
         scale = np.maximum(1.0, np.abs(self.h_prime(s)))
         if np.max(np.abs(hp_fd - self.h_prime(s)) / scale) > tol:
             raise ValueError("h_prime is inconsistent with finite differences of h")
+        if isinstance(self.G, _QuadratureG):
+            return  # G' = h by construction
         g_fd = (self.G(s + step) - self.G(s - step)) / (2 * step)
         scale = np.maximum(1.0, np.abs(self.h(s)))
         if np.max(np.abs(g_fd - self.h(s)) / scale) > tol:
@@ -128,13 +131,24 @@ def custom_potential(h, h_prime, G=None, quad_tol: float = 1e-10) -> PotentialMo
     tests but slower than a closed form.
     """
     if G is None:
-        def G(s, _h=h):  # noqa: E306
-            s = np.asarray(s, dtype=float)
-            flat = np.atleast_1d(s).ravel()
-            vals = np.array([quad(_h, 0.0, si, epsabs=quad_tol, epsrel=quad_tol)[0]
-                             for si in flat])
-            return vals.reshape(np.shape(s)) if np.shape(s) else float(vals[0])
+        G = _QuadratureG(h, quad_tol)
     return PotentialModel(kind="custom", h=h, h_prime=h_prime, G=G)
+
+
+class _QuadratureG:
+    """G(s), the integral of h from 0 to s by adaptive quadrature, element
+    by element."""
+
+    def __init__(self, h, tol: float):
+        self.h = h
+        self.tol = tol
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s).ravel()
+        vals = np.array([quad(self.h, 0.0, si, epsabs=self.tol, epsrel=self.tol)[0]
+                         for si in flat])
+        return vals.reshape(np.shape(s)) if np.shape(s) else float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -269,9 +283,10 @@ def hessian_V(ring: RingSystem, x) -> np.ndarray:
     n = ring.n
     H = np.zeros((n, 2, n, 2))
     j = np.arange(n)
+    right = (j + 1) % n
     H[j, :, j, :] = _onsite_hessian(ring, _site_view(x))
-    H[j, :, (j + 1) % n, :] = np.eye(2)
-    H[(j + 1) % n, :, j, :] = np.eye(2)
+    H[j, :, right, :] = _EYE2
+    H[right, :, j, :] = _EYE2
     return H.reshape(2 * n, 2 * n)
 
 

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from dnlsring import blocks, cli
-from dnlsring.blocks import (SearchRangeExhausted, SingularBlock, block_B,
-                             block_m, coefficients, critical_frequencies,
+from dnlsring.blocks import (BrokenReflection, SearchRangeExhausted, SingularBlock,
+                             block_B, block_m, coefficients, critical_frequencies,
                              degenerate_amplitudes, det_trace, eta,
                              full_spectrum_oracle, kernel_vector,
                              linear_stability, morse_index, mu_h_prime, sigma,
@@ -585,18 +585,73 @@ def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
 
 
 def test_spectrum_oracle_matches_reference():
-    """Row-swap build and array clustering give the dense product's
-    eigenvalues and the loop's verdict bit for bit; n = 4 has only defective
-    double roots."""
+    """The reduced eigensolve gives the dense product's eigenvalues as a
+    multiset, to within 1e-10 on cluster means, and array clustering gives
+    the loop's verdict bit for bit; n = 4 has only defective double roots."""
     rng = np.random.default_rng(12)
     for n in (3, 4, 5, 6, 8, 16, 64):
         for pot in (CUBIC, SAT):
             for mu in rng.uniform(0.05, 2.0, size=3):
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
                 ev = full_spectrum_oracle(ring)
-                assert ev.tobytes() == reference_spectrum_oracle(ring).tobytes()
+                assert cluster_match_error(reference_spectrum_oracle(ring), ev) <= 1e-10
                 assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
                 assert spectrum_max_real(ev, 1e-3) == reference_spectrum_max_real(ev, 1e-3)
+
+
+# x = s h'(s) = s - s^2/2 rises to 1/2 at s = 1, then falls without bound, so
+# mu^2 h'(mu^2) crosses alpha_1/2 for n = 3 (alpha_1 < 0) and every n >= 5
+QUINTIC = custom_potential(lambda s: s - np.asarray(s) ** 2 / 4,
+                           lambda s: 1 - np.asarray(s) / 2)
+
+
+def test_spectrum_oracle_random_sweep():
+    """Seeded amplitudes, odd and even n (n = 3 and n = 4 with defective
+    roots), three potentials and, where mu^2 h'(mu^2) crosses the stability
+    threshold alpha_1/2, mu just either side of it: the reduced oracle gives
+    the 2n x 2n reference's multiset, its max real part and its verdict."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for n in (3, 4, 5, 6, 7, 10, 33, 48):
+        alpha1 = coefficients(n, 1).alpha
+        # roots of x(mu^2) = alpha_1/2 (none for n = 4, where alpha_1 = 0)
+        s_star = {CUBIC: alpha1 / 2 if alpha1 > 0 else None,
+                  QUINTIC: 1 - math.copysign(math.sqrt(1 - alpha1), alpha1) if alpha1
+                  else None,
+                  SAT: None}
+        for pot, s in s_star.items():
+            mus = list(rng.uniform(0.05, 2.0, size=2))
+            if s is not None:
+                mus += [math.sqrt(s) * (1 - 1e-3), math.sqrt(s) * (1 + 1e-3)]
+            for mu in mus:
+                ring = RingSystem(n=n, mu=float(mu), potential=pot)
+                ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
+                assert cluster_match_error(ref, ev) <= 1e-10, (n, pot.kind, mu)
+                got, want = spectrum_max_real(ev), spectrum_max_real(ref)
+                assert abs(got - want) <= 1e-11, (n, pot.kind, mu)
+                assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
+                verdicts.add(got <= 1e-8)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("skew", [1e-6, np.nan])
+def test_broken_reflection_is_a_numerical_failure(capsys, monkeypatch, skew):
+    """A Hessian that the ring reflection does not fix (site 1 changed, its
+    mirror n - 1 not) fails the premise check: BrokenReflection with the
+    residual, and exit 4 with the reason from the stability command."""
+    def skewed(ring, x):
+        H = hessian_V(ring, x)
+        H[0, 0] += skew
+        return H
+
+    monkeypatch.setattr(blocks, "hessian_V", skewed)
+    with pytest.raises(BrokenReflection, match="ring reflection"):
+        full_spectrum_oracle(RingSystem(n=6, mu=0.5))
+    assert cli.main(["stability", "--n", "6", "--mu", "0.5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: D2V(a) is not invariant under the ring reflection")
+    assert ("reach 5e-07" if skew == 1e-6 else "reach nan") in captured.err
 
 
 def test_spectrum_max_real_edge_cases():
@@ -624,14 +679,20 @@ def test_spectrum_max_real_builds_no_square_temporary():
 @pytest.mark.parametrize("potential, mu, stable", [("saturable", "0.8", True),
                                                    ("cubic", "0.3", False)])
 def test_stability_report_n256_matches_reference(capsys, monkeypatch, potential, mu, stable):
+    """Every field of the report is the dense reference's, byte for byte,
+    but the residual-type oracle_max_real_part, which agrees within 1e-11."""
     argv = ["stability", "--n", "256", "--potential", potential, "--mu", mu]
     assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["payload"]["stable"] is stable
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["stable"] is stable
     monkeypatch.setattr(blocks, "full_spectrum_oracle", reference_spectrum_oracle)
     monkeypatch.setattr(blocks, "spectrum_max_real", reference_spectrum_max_real)
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == out
+    reference = json.loads(capsys.readouterr().out)
+    got = report["payload"].pop("oracle_max_real_part")
+    want = reference["payload"].pop("oracle_max_real_part")
+    assert abs(got - want) <= 1e-11
+    assert report == reference
 
 
 def test_kernel_vector_is_in_kernel():

@@ -239,6 +239,19 @@ def test_range_command_requires_mu_or_range(capsys):
     assert err == "error: either --mu or --mu-range is required\n"
 
 
+@pytest.mark.parametrize("command", ["bifurcations", "sweep"])
+def test_mu_and_mu_range_are_exclusive(capsys, monkeypatch, command):
+    """Both amplitudes at once is an error before any classification."""
+    def no_pass(*args, **kwargs):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(classify, "_classify", no_pass)
+    code, out, err = run_cli(capsys, command, "--n", "6", "--mu", "0.5",
+                             "--mu-range", "0.2:0.4:2")
+    assert code == 2 and out == ""
+    assert err == "error: --mu and --mu-range are mutually exclusive\n"
+
+
 def test_report_determinism(capsys, tmp_path):
     args = ["bifurcations", "--n", "9", "--potential", "saturable", "--mu", "0.8"]
     _, out1, _ = run_cli(capsys, *args)
@@ -727,12 +740,16 @@ _VALUES = {
 }
 
 
+_EXCLUDES = {"mu": "mu_range", "mu_range": "mu"}
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_flags_and_config_keys_agree(capsys, tmp_path, command):
     """Every option of the table, for every subcommand: a flag and a config
     line are accepted or rejected (exit 2) alike, an accepted file value
     gives the same report as the flag (its config echo included), and a flag
-    overrides the file.  ``config`` itself is a flag only."""
+    overrides the file.  ``config`` itself is a flag only; --mu and
+    --mu-range exclude each other, so each is tried without the other."""
     assert list(_VALUES) == list(cli._OPTIONS)
     cfg = tmp_path / "run.cfg"
 
@@ -745,7 +762,8 @@ def test_flags_and_config_keys_agree(capsys, tmp_path, command):
 
     for key, values in _VALUES.items():
         flag = "--" + key.replace("_", "-")
-        base = [arg for option, value in _RUNS[command].items() if option != key
+        base = [arg for option, value in _RUNS[command].items()
+                if option not in (key, _EXCLUDES.get(key))
                 for arg in ("--" + option.replace("_", "-"), value)]
         if key == "out":
             values = [str(tmp_path / value) for value in values]
@@ -759,7 +777,9 @@ def test_flags_and_config_keys_agree(capsys, tmp_path, command):
             assert (by_flag[0] == 2) == (by_file[0] == 2), (key, value)
             if by_flag[0] != 2:
                 assert by_file == by_flag, (key, value)
-        if command in cli._OPTIONS[key][2]:
+        # sweep reads its amplitudes from --mu-range alone: its --mu is
+        # echoed in the report and rejected with a reason, never used
+        if command in cli._OPTIONS[key][2] and (command, key) != ("sweep", "mu"):
             by_flag = outcome([*base, flag, values[1]])
             assert by_flag[0] != 2, key
             assert outcome([*base, flag, values[1]], [f"{key} = {values[0]}"]) == by_flag

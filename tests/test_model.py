@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dnlsring import model
 from dnlsring.model import (RingSystem, block_symplectic, complex_view,
                             cubic_potential, custom_potential, gradient_V,
                             hessian_V, potential_V, real_view,
@@ -59,6 +60,28 @@ def test_custom_potential_validate_rejects_bad_derivative():
                            G=lambda s: np.asarray(s, float) ** 2 / 2)
     with pytest.raises(ValueError):
         pot.validate()
+
+
+def test_custom_potential_validate_checks_supplied_g_only(monkeypatch):
+    """A G that custom_potential integrates from h is G' = h by construction
+    and costs no quadrature to validate; a supplied G is checked."""
+    bad_g = custom_potential(h=lambda s: np.asarray(s, float),
+                             h_prime=lambda s: np.ones_like(np.asarray(s, float)),
+                             G=lambda s: np.asarray(s, float) ** 2)
+    with pytest.raises(ValueError, match="G is inconsistent"):
+        bad_g.validate()
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("validate integrated h")
+
+    monkeypatch.setattr(model, "quad", no_quad)
+    integrated = custom_potential(h=lambda s: np.asarray(s, float),
+                                  h_prime=lambda s: np.ones_like(np.asarray(s, float)))
+    integrated.validate()
+    bad_hp = custom_potential(h=lambda s: np.asarray(s, float),
+                              h_prime=lambda s: 2 * np.ones_like(np.asarray(s, float)))
+    with pytest.raises(ValueError, match="h_prime"):
+        bad_hp.validate()
 
 
 def test_ring_system_rejects_small_n_and_bad_mu():
