@@ -69,8 +69,9 @@ class SearchRangeExhausted(RuntimeError):
 
 
 class BrokenReflection(RuntimeError):
-    """The Hessian at the rotating wave is not invariant under the ring
-    reflection that the stability oracle's square reduction relies on."""
+    """The stability oracle's premise check failed: the Hessian at the
+    rotating wave is not finite, or not invariant under the ring reflection
+    that the square reduction relies on."""
 
 
 @dataclass(frozen=True)
@@ -331,30 +332,18 @@ def kernel_vector(ring: RingSystem, k: int, nu: float) -> np.ndarray:
     return vec[:, i]
 
 
-class _ReflectionBasis(NamedTuple):
-    """Orthonormal bases P, M of the +1 and -1 eigenspaces of the ring
-    reflection R, as index arithmetic: column c of Q = [P M] is
-    ``weights[0, c] e_{index[0, c]} + weights[1, c] e_{index[1, c]}``
-    (shape (2, 2n, 1) weights).  ``h_index`` and ``h_weights`` give the rows
-    of Q' A for A = -JJ H as rows of H: row 2i of A is row 2i+1 of H and
-    row 2i+1 is minus row 2i."""
-
-    index: np.ndarray
-    weights: np.ndarray
-    h_index: np.ndarray
-    h_weights: np.ndarray
-    lwork: int
-
-
 @functools.lru_cache(maxsize=16)
-def _reflection_basis(n: int) -> _ReflectionBasis:
-    """Read-only per-n basis of R: coordinate c (site c // 2, counted from 0)
-    goes to the same component of site (n - 2 - c // 2) mod n, negated for y,
-    so R e_c = sign_c e_r.  A coordinate paired with its mirror r gives
+def _reflection_basis(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Orthonormal bases P, M of the +1 and -1 eigenspaces of the ring
+    reflection R, as read-only index arithmetic: column c of Q = [P M] is
+    ``weights[0, c] e_{index[0, c]} + weights[1, c] e_{index[1, c]}``
+    (shape (2, 2n, 1) weights).  R takes coordinate c (site c // 2, counted
+    from 0) to the same component of site (n - 2 - c // 2) mod n, negated for
+    y, so R e_c = sign_c e_r.  A coordinate paired with its mirror r gives
     (e_c + sign_c e_r) / sqrt(2) in P and (e_c - sign_c e_r) / sqrt(2) in M;
     a coordinate that R fixes (x of a fixed site) or negates (its y) is e_c,
     written as (e_c + e_c) / 2.  Also the optimal LAPACK workspace of an
-    n x n eigensolve."""
+    n x n eigensolve (the minimal one costs 15 % at n = 256)."""
     c = np.arange(2 * n)
     mirror = 2 * ((n - 2 - c // 2) % n) + c % 2
     sign = 1 - 2 * (c % 2)
@@ -365,13 +354,8 @@ def _reflection_basis(n: int) -> _ReflectionBasis:
     index = np.stack([first, mirror[first]])
     w = np.where(fixed[first], 0.5, math.sqrt(0.5))
     weights = np.stack([w, np.concatenate([sign[plus], -sign[minus]]) * w])[:, :, None]
-    basis = _ReflectionBasis(
-        index=index, weights=weights, h_index=index ^ 1,
-        h_weights=weights * (1 - 2 * (index % 2))[:, :, None],
-        lwork=int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0]))
-    for array in basis[:4]:
-        array.flags.writeable = False
-    return basis
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights, int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
 
 def _basis_rows(M: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -401,28 +385,34 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
 
     The premise is checked on every call: the discarded blocks P'AP and
     M'AM must stay within 64 eps of the largest entry of B and C (or of 1).
-    Otherwise ``BrokenReflection`` is raised with the residual.  B and C are
-    scaled by a power of two before their product, which is exact and keeps
-    B C finite for any finite A.
+    Otherwise, or when the Hessian is not finite, ``BrokenReflection`` is
+    raised with the reason.  B and C are scaled by a power of two before
+    their product, which is exact and keeps B C finite for any finite A.
     """
     a_bar, _ = standing_wave(ring)
     H = hessian_V(ring, a_bar)
+    # -JJ H row by row, -J2 (v0, v1) = (v1, -v0)
+    A = np.empty_like(H)
+    A[0::2] = H[1::2]
+    A[1::2] = -H[0::2]
     n = ring.n
-    basis = _reflection_basis(n)
-    # [[P'AP, P'AM], [M'AP, M'AM]], the row swap of -JJ inside the row gather
-    Y = _basis_rows(_basis_rows(H, basis.h_index, basis.h_weights).T,
-                    basis.index, basis.weights).T
+    index, weights, lwork = _reflection_basis(n)
+    # [[P'AP, P'AM], [M'AP, M'AM]]
+    Y = _basis_rows(_basis_rows(A, index, weights).T, index, weights).T
     (pp, pm), (mp, mm) = np.abs(Y).reshape(2, n, 2, n).max(axis=(1, 3)).tolist()
-    residual = max(pp, mm) if math.isfinite(pp + pm + mp + mm) else math.nan
+    if not math.isfinite(pp + pm + mp + mm):
+        raise BrokenReflection("the Hessian at the rotating wave is not finite")
     bound = _REFLECTION_TOL * max(1.0, pm, mp)
-    if not residual <= bound:
+    if max(pp, mm) > bound:
         raise BrokenReflection(
             f"D2V(a) is not invariant under the ring reflection: the blocks "
-            f"P'AP and M'AM reach {residual:.3g} against a bound of {bound:.3g}")
+            f"P'AP and M'AM reach {max(pp, mm):.3g} against a bound of {bound:.3g}")
     e = math.frexp(max(pm, mp))[1]
     Y = np.ldexp(Y, -e)
+    # LAPACK directly: np.linalg.eigvals costs 15 us more a call, which at
+    # n <= 8 is more than the halved eigensolve saves
     wr, wi, _, _, info = lapack.dgeev(Y[:n, n:] @ Y[n:, :n], compute_vl=0, compute_vr=0,
-                                      lwork=basis.lwork)
+                                      lwork=lwork)
     if info > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     lam = np.sqrt(wr + 1j * wi)

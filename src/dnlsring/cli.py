@@ -6,9 +6,10 @@ Reports are emitted as JSON (default) or CSV, with sorted keys and fixed
 byte-identical output.
 
 Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
---mu, --format, --out and --config.  Only bifurcations and sweep take a
---mu-range (sweep requires one), which excludes --mu; equilibrium, blocks,
-stability and verify report on one amplitude.  bifurcations filters its
+--format, --out and --config, and every one but sweep takes --mu.  Only
+bifurcations and sweep take a --mu-range (sweep requires one), which
+excludes --mu; equilibrium, blocks, stability and verify report on one
+amplitude.  bifurcations filters its
 points with --k (1..n-1), --nu-min and --nu-max; its CSV then has the row of
 mode k alone, and the roots that --nu-min and --nu-max remove are blank in
 their rows.  verify takes --k, --branch, --steps, --ds and --p-max.
@@ -18,7 +19,7 @@ choices.
 A config file (--config, a flag only) holds one ``KEY = VALUE`` per line,
 with ``#`` comments and ``-`` or ``_`` in keys.  It takes the subcommand's own
 options only, each checked as its flag is; a flag overrides the file, and
-the file overrides the default.
+the file overrides the default.  Flags are never abbreviated.
 
 Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
 3 every requested amplitude is degenerate, 4 numerical failure.
@@ -567,7 +568,7 @@ _OPTIONS = {
     "h_expr": (str, None, _ALL, None),
     "h_prime_expr": (str, None, _ALL, None),
     "g_expr": (str, None, _ALL, None),
-    "mu": (float, None, _ALL, None),
+    "mu": (float, None, tuple(c for c in _ALL if c != "sweep"), None),
     "format": (str, "json", _ALL, ("json", "csv")),
     "out": (str, None, _ALL, None),
     "config": (str, None, _ALL, None),
@@ -588,7 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bifurcation analysis of a ring of coupled dNLS oscillators")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+        # no prefix matching: sweep's --mu would otherwise be its --mu-range
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for key, (kind, _, commands, choices) in _OPTIONS.items():
             if command in commands:
                 sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices)

@@ -239,8 +239,11 @@ def test_range_command_requires_mu_or_range(capsys):
     assert err == "error: either --mu or --mu-range is required\n"
 
 
-@pytest.mark.parametrize("command", ["bifurcations", "sweep"])
-def test_mu_and_mu_range_are_exclusive(capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, reason", [
+    ("bifurcations", "error: --mu and --mu-range are mutually exclusive\n"),
+    ("sweep", "unrecognized arguments: --mu 0.5\n"),   # sweep takes no --mu
+], ids=["bifurcations", "sweep"])
+def test_mu_and_mu_range_are_exclusive(capsys, monkeypatch, command, reason):
     """Both amplitudes at once is an error before any classification."""
     def no_pass(*args, **kwargs):
         raise AssertionError("classified")
@@ -249,7 +252,7 @@ def test_mu_and_mu_range_are_exclusive(capsys, monkeypatch, command):
     code, out, err = run_cli(capsys, command, "--n", "6", "--mu", "0.5",
                              "--mu-range", "0.2:0.4:2")
     assert code == 2 and out == ""
-    assert err == "error: --mu and --mu-range are mutually exclusive\n"
+    assert err.endswith(reason)
 
 
 def test_report_determinism(capsys, tmp_path):
@@ -447,6 +450,9 @@ _UNREAD_OPTIONS = [
     ("equilibrium", "--config", "mu = abc", "run.cfg:1: mu must be float, got 'abc'"),
     ("sweep", "--config", "k = 3", "run.cfg:1: sweep does not take k"),
     ("sweep", "--config", "nu_min = 5", "run.cfg:1: sweep does not take nu_min"),
+    ("sweep", "--mu", "0.5", "unrecognized"),
+    ("sweep", "--config", "mu = 0.5", "run.cfg:1: sweep does not take mu"),
+    ("stability", "--pot", "saturable", "unrecognized"),   # no abbreviations
     ("stability", "--config", "steps = 3", "run.cfg:1: stability does not take steps"),
     ("stability", "--config", "branch = plus", "run.cfg:1: stability does not take branch"),
     ("equilibrium", "--config", "format = xml",
@@ -777,9 +783,7 @@ def test_flags_and_config_keys_agree(capsys, tmp_path, command):
             assert (by_flag[0] == 2) == (by_file[0] == 2), (key, value)
             if by_flag[0] != 2:
                 assert by_file == by_flag, (key, value)
-        # sweep reads its amplitudes from --mu-range alone: its --mu is
-        # echoed in the report and rejected with a reason, never used
-        if command in cli._OPTIONS[key][2] and (command, key) != ("sweep", "mu"):
+        if command in cli._OPTIONS[key][2]:
             by_flag = outcome([*base, flag, values[1]])
             assert by_flag[0] != 2, key
             assert outcome([*base, flag, values[1]], [f"{key} = {values[0]}"]) == by_flag
