@@ -258,7 +258,10 @@ def _expr_fn(expr: str):
         raise ConfigError(f"invalid potential expression {expr!r}: {exc}") from exc
 
     def fn(s, _code=code):
-        return eval(_code, _EXPR_NAMESPACE, {"s": np.asarray(s, dtype=float)})
+        # a value outside the expression's domain comes out non-finite, which
+        # the ring's checks and the solvers report; numpy need not warn of it
+        with np.errstate(all="ignore"):
+            return eval(_code, _EXPR_NAMESPACE, {"s": np.asarray(s, dtype=float)})
 
     return fn
 
@@ -363,24 +366,29 @@ def cmd_equilibrium(cfg: SimpleNamespace):
 
 def cmd_blocks(cfg: SimpleNamespace):
     ring = _ring(cfg)
-    P = assemble_P(ring.n)
-    decomp = block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
-    records = []
-    rows = []
-    for k in range(1, ring.n + 1):
-        c = blocks.coefficients(ring.n, k)
-        B = blocks.block_B(ring, k)
-        extract_err = float(np.abs(B - decomp.blocks[k - 1]).max())
+    n = ring.n
+    decomp = block_extract(assemble_P(n), hessian_V(ring, standing_wave(ring)[0]))
+    # alpha, gamma and delta of k = 1..n: the table, then the full mode k = n
+    table, full = blocks._coefficient_table(n), blocks.coefficients(n, n)
+    alpha = table.alpha.tolist() + [full.alpha]
+    gamma = table.gamma.tolist() + [full.gamma]
+    delta = [d if has else None for d, has
+             in zip(table.delta.tolist(), table.has_delta.tolist())] + [full.delta]
+    # block_B of every mode, by its formula and with mu^2 h'(mu^2) evaluated once
+    B = -np.array(alpha)[:, None, None] * np.eye(2, dtype=complex) \
+        + np.array(gamma)[:, None, None] * blocks.IJ
+    B[:, 0, 0] += 2.0 * blocks.mu_h_prime(ring)
+    extract_err = np.abs(B - decomp.blocks).max(axis=(1, 2)).tolist()
+    records, rows = [], []
+    for k, a, g, d, b_re, b_im, err in zip(range(1, n + 1), alpha, gamma, delta,
+                                           B.real.tolist(), B.imag.tolist(), extract_err):
         records.append({
-            "k": k, "alpha": c.alpha, "gamma": c.gamma,
-            "delta": c.delta,
-            "B": [[[float(B[i, j].real), float(B[i, j].imag)] for j in range(2)]
-                  for i in range(2)],
-            "extract_residual": extract_err,
+            "k": k, "alpha": a, "gamma": g, "delta": d,
+            "B": [[[b_re[i][j], b_im[i][j]] for j in range(2)] for i in range(2)],
+            "extract_residual": err,
         })
-        rows.append([k, c.alpha, c.gamma, "-" if c.delta is None else _fmt(c.delta),
-                     _fmt(B[0, 0].real), _fmt(B[0, 1].imag), _fmt(B[1, 1].real),
-                     extract_err])
+        rows.append([k, a, g, "-" if d is None else _fmt(d),
+                     _fmt(b_re[0][0]), _fmt(b_im[0][1]), _fmt(b_re[1][1]), err])
     payload = {"mu": ring.mu, "blocks": records,
                "off_block_residual": decomp.off_block_residual}
     header = ["k", "alpha", "gamma", "delta", "B00_re", "B01_im", "B11_re",

@@ -4,17 +4,25 @@ The cyclic shift together with a simultaneous planar rotation by ``zeta``
 fixes the rotating-wave equilibrium.  Its irreducible representation spaces
 ``W_k`` (k = 1..n) are two complex dimensional; each is the image of an
 isometry ``t_k`` from C^2 into C^{2n}.  Stacking all the ``t_k`` columns
-gives a unitary change of variables that block-diagonalizes every matrix
+gives a unitary change of variables P that block-diagonalizes every matrix
 commuting with the group action, in particular the Hessian at the
 equilibrium.
+
+P factors as P = D_R (F ⊗ I_2): D_R is block diagonal with the site
+rotations R(j zeta), and F_{jk} = n^{-1/2} e^{i k j zeta} is a discrete
+Fourier matrix (sites j and modes k both run 1..n).  ``block_extract``
+forms the full P^* M P through that factorisation, by a rotation of each
+2x2 block of M and two FFTs, without building P.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "ChangeOfVariables",
@@ -62,42 +70,66 @@ def t_k_apply(n: int, k: int, w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChangeOfVariables:
-    """Unitary 2n x 2n matrix assembled column-blockwise from t_1..t_n."""
+    """The unitary 2n x 2n change of variables P = D_R (F ⊗ I_2), whose
+    column block k (columns 2(k-1), 2(k-1)+1) is t_k.  ``block_extract``
+    applies it by FFT; the dense ``P`` is built only when it is read."""
 
     n: int
-    P: np.ndarray
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        return np.hstack([t_k_matrix(self.n, k) for k in range(1, self.n + 1)])
 
 
 def assemble_P(n: int) -> ChangeOfVariables:
-    """Unitary change of variables; block k occupies columns 2(k-1), 2(k-1)+1."""
+    """Unitary change of variables of the n-ring; builds no matrix."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    P = np.hstack([t_k_matrix(n, k) for k in range(1, n + 1)])
-    return ChangeOfVariables(n=n, P=P)
+    return ChangeOfVariables(n=n)
 
 
 class BlockDecomposition(NamedTuple):
-    blocks: list[np.ndarray]
+    blocks: np.ndarray
     off_block_residual: float
 
 
-def block_extract(P, M) -> BlockDecomposition:
-    """Diagonal 2x2 blocks of P^* M P, in mode order k = 1..n.
+def block_extract(P: ChangeOfVariables, M) -> BlockDecomposition:
+    """Diagonal 2x2 blocks of P^* M P as an (n, 2, 2) array, mode k = 1..n
+    at index k - 1, and the Frobenius norm of everything off those blocks;
+    a large norm signals that M does not commute with the group action.
 
-    The Frobenius norm of the discarded off-block part is returned alongside;
-    a large value signals that M does not commute with the group action.
+    The full P^* M P is formed through P = D_R (F ⊗ I_2), in O(n^2 log n):
+    each 2x2 block becomes X_{jj'} = R_j^T M_{jj'} R_{j'}, and then
+    (P^* M P)_{kk'} = n^{-1} sum_{j,j'} e^{-i k j zeta} X_{jj'} e^{i k' j' zeta},
+    a forward FFT over the row sites and an inverse one over the column
+    sites, with mode k at FFT index k mod n.  The FFTs hold site j at index
+    j - 1; that offset multiplies entry (k, k') by e^{i (k - k') zeta},
+    which changes neither the diagonal blocks nor any modulus, so the
+    blocks and the off-block norm are those of P^* M P.  The dense P is not
+    built.
     """
-    P = P.P if isinstance(P, ChangeOfVariables) else np.asarray(P)
+    if not isinstance(P, ChangeOfVariables):
+        raise TypeError(f"P must be the ChangeOfVariables of assemble_P, "
+                        f"got {type(P).__name__}")
+    n = P.n
     M = np.asarray(M)
-    if M.shape != P.shape:
-        raise ValueError(f"M must be {P.shape}, got {M.shape}")
-    C = P.conj().T @ M @ P
-    n = P.shape[0] // 2
-    blocks = [C[2 * k:2 * k + 2, 2 * k:2 * k + 2].copy() for k in range(n)]
-    off = C.copy()
-    for k in range(n):
-        off[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
-    return BlockDecomposition(blocks, float(np.linalg.norm(off)))
+    if M.shape != (2 * n, 2 * n):
+        raise ValueError(f"M must be {(2 * n, 2 * n)}, got {M.shape}")
+    theta = np.arange(1, n + 1) * (2.0 * np.pi / n)
+    c, s = np.cos(theta), np.sin(theta)
+    M = M.reshape(n, 2, n, 2)
+    # columns: Y = M R_{j'}, with R = [[c, -s], [s, c]]
+    x, y = M[..., 0], M[..., 1]
+    Y = np.stack([x * c + y * s, y * c - x * s], axis=-1)
+    # rows: X = R_j^T Y
+    cr, sr = c[:, None, None], s[:, None, None]
+    x, y = Y[:, 0], Y[:, 1]
+    X = np.stack([cr * x + sr * y, cr * y - sr * x], axis=1)
+    C = scipy.fft.fft(scipy.fft.ifft(X, axis=2), axis=0, overwrite_x=True)
+    k = np.arange(1, n + 1) % n                 # mode k = n at FFT index 0
+    blocks = C[k, :, k, :]
+    C[k, :, k, :] = 0.0
+    return BlockDecomposition(blocks, float(np.linalg.norm(C)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -164,12 +165,29 @@ def test_verify_solver_failure_exit_4(capsys, monkeypatch):
     assert "synthetic failure" in doc["payload"]["failure"]
 
 
+def test_blocks_large_ring_within_budget(capsys):
+    """The mode blocks at n = 1024 come from FFTs, not from a dense P^* H P."""
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "blocks", "--n", "1024", "--mu", "0.4")
+    elapsed = time.perf_counter() - t0
+    payload = doc["payload"]
+    assert len(payload["blocks"]) == 1024
+    assert payload["off_block_residual"] <= 1e-10
+    assert all(rec["extract_residual"] <= 1e-10 for rec in payload["blocks"])
+    assert elapsed <= 1.5, f"blocks --n 1024 took {elapsed:.2f} s"
+
+
 def test_verify_non_finite_branch_exit_4(capsys):
-    # h = sqrt(1 - s) is finite at mu^2 but nan further along the branch
-    code, out, _ = run_cli(capsys, "verify", "--n", "6", "--potential", "custom",
-                           "--h-expr", "sqrt(1-s)", "--h-prime-expr=-0.5/sqrt(1-s)",
-                           "--mu", "0.95", "--k", "3", "--branch", "plus",
-                           "--steps", "30", "--ds", "0.1")
+    # h = sqrt(1 - s) is finite at mu^2 but nan further along the branch;
+    # the nan ends the run with exit 4, and numpy does not warn of it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--n", "6", "--potential", "custom",
+                                 "--h-expr", "sqrt(1-s)", "--h-prime-expr=-0.5/sqrt(1-s)",
+                                 "--mu", "0.95", "--k", "3", "--branch", "plus",
+                                 "--steps", "30", "--ds", "0.1")
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 4
     payload = json.loads(out)["payload"]
     assert payload["failure"] and payload["passed"] is False

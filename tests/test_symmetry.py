@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dnlsring import symmetry
 from dnlsring.blocks import block_B
-from dnlsring.model import (RingSystem, cubic_potential, hessian_V,
+from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
                             saturable_potential, standing_wave)
 from dnlsring.orbits import FourierOrbit
 from dnlsring.symmetry import (IsotropyLabel, assemble_P, block_extract,
@@ -98,6 +99,59 @@ def test_block_extract_reports_nonequivariant_matrix():
     M = rng.normal(size=(8, 8))
     _, off = block_extract(assemble_P(4), M)
     assert off > 0.1
+
+
+def dense_block_extract(P, M):
+    """The mode blocks and off-block norm of the dense product P^* M P: the
+    reference of the FFT path."""
+    n = P.n
+    C = P.P.conj().T @ M @ P.P
+    blocks = np.array([C[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)])
+    for k in range(n):
+        C[2 * k:2 * k + 2, 2 * k:2 * k + 2] = 0.0
+    return blocks, float(np.linalg.norm(C))
+
+
+def test_block_extract_matches_dense_product():
+    rng = np.random.default_rng(12)
+    potentials = [cubic_potential(), saturable_potential(),
+                  custom_potential(lambda s: s - s * s / 4.0, lambda s: 1.0 - s / 2.0,
+                                   lambda s: s * s / 2.0 - s ** 3 / 12.0)]
+    for n in list(range(3, 65)) + [96, 97, 256]:
+        P = assemble_P(n)
+        for pot in potentials:
+            ring = RingSystem(n=n, mu=rng.uniform(0.1, 1.9), potential=pot)
+            H = hessian_V(ring, standing_wave(ring)[0])
+            blocks, off = block_extract(P, H)
+            want, want_off = dense_block_extract(P, H)
+            assert blocks.shape == (n, 2, 2)
+            assert np.abs(blocks - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+            assert abs(off - want_off) <= 1e-12
+        M = rng.normal(size=(2 * n, 2 * n))
+        blocks, off = block_extract(P, M)
+        want, want_off = dense_block_extract(P, M)
+        assert np.abs(blocks - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+        assert abs(off - want_off) <= 1e-12 * want_off
+
+
+def test_block_extract_needs_no_dense_P(monkeypatch):
+    """block_extract builds no dense P, which is built from the t_k on first
+    read, and takes no matrix in place of the ChangeOfVariables."""
+    calls = []
+    original = symmetry.t_k_matrix
+
+    def counted(n, k):
+        calls.append(k)
+        return original(n, k)
+
+    monkeypatch.setattr(symmetry, "t_k_matrix", counted)
+    P = assemble_P(7)
+    ring = RingSystem(n=7, mu=0.6)
+    block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
+    assert calls == []
+    assert P.P.shape == (14, 14) and len(calls) == 7
+    with pytest.raises(TypeError):
+        block_extract(P.P, np.eye(14))
 
 
 @pytest.mark.parametrize("n", range(3, 13))
