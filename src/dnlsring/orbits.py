@@ -35,7 +35,7 @@ from scipy.linalg import lapack
 
 from . import blocks
 from .model import (_EYE2, J2, RingSystem, _as_state, _gradient_sites,
-                    _hessian_apply_sites, _onsite_blocks, _onsite_hessian, block_symplectic)
+                    _hessian_apply_sites, _onsite_blocks, _onsite_hessian)
 from .symmetry import t_k_matrix
 
 __all__ = [
@@ -63,6 +63,7 @@ _MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
 _MIDPOINT_ITER = 25
 _RCOND_MIN = 1e-10      # condition estimate below which newton_orbit reports a singularity
 _SWAP_SIGN = np.array([1.0, -1.0])              # -J2 v = (v_1, -v_0): swap, then this
+_IJ2 = 1j * J2                                  # the 2x2 block of i JJ on each oscillator
 
 
 class NoConvergence(RuntimeError):
@@ -261,12 +262,21 @@ class _FourierSpace:
             self.coupling = np.broadcast_to(np.roll(eye, 2, 0) + np.roll(eye, -2, 0),
                                             (p + 1, 2 * n, 2 * n))
             self.scale = 1.0
+            # the adjacency has zero blocks on the site diagonal, and the
+            # identity between sites j and j +- 1
+            self._onsite_coupling = np.zeros((1, 1, 2, 2))
+            sites = np.arange(n)
+            self._neighbours = (np.tile(sites, 2),
+                                np.concatenate([np.roll(sites, -1), np.roll(sites, 1)]))
         else:   # k_l in 1..n
             self.kl = [(l * k - 1) % n + 1 for l in range(p + 1)]
             cs = [blocks.coefficients(n, kl) for kl in self.kl]
             self.coupling = np.array([(2.0 * np.cos(2.0 * np.pi / n) - c.alpha) * np.eye(2)
                                       + c.gamma * blocks.IJ for c in cs])
             self.scale = np.sqrt(n)
+            self._onsite_coupling = self.coupling[:, None]
+            self._neighbours = None
+            self.maps = np.array([t_k_matrix(n, kl) for kl in self.kl])   # x_l = t_(k_l) V_l
         self.width = self.coupling.shape[2]
 
     @property
@@ -285,8 +295,7 @@ class _FourierSpace:
     def expand(self, V: np.ndarray) -> np.ndarray:
         """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n): all n
         oscillators, built once per corrected point, never inside Newton."""
-        X = V if self.k is None else np.array(
-            [t_k_matrix(self.n, kl) @ v for kl, v in zip(self.kl, V)])
+        X = V if self.k is None else np.array([T @ v for T, v in zip(self.maps, V)])
         coeffs = np.concatenate([X[:0:-1].conj(), X])
         coeffs[self.p] = coeffs[self.p].real
         return coeffs
@@ -342,35 +351,49 @@ class _FourierSpace:
         that LAPACK factors in place.
 
         Closed form of the sampled linearization: with S_m the discrete
-        Fourier modes of the on-site Hessian blocks along the orbit,
-        block-diagonal over the kept oscillators, block (l, l') is S_(l-l');
-        the conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'), the
-        diagonal block adds K_l - l nu iJJ and the nu column is -l iJJ V_l.
-        This is the operator of :func:`linearized_residual`, not an
-        approximation.  One row mode is built at a time, straight into A.
+        Fourier modes of the on-site Hessian blocks along the orbit, one 2x2
+        block per kept oscillator, mode block (l, l') is S_(l-l') on the site
+        diagonal; the conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'),
+        the diagonal mode block adds K_l - l nu iJJ and the nu column is
+        -l iJJ V_l.  This is the operator of :func:`linearized_residual`, not
+        an approximation.  S stays compact, (4p+1, sites, 2, 2): two index
+        arrays gather every mode pair from it, the real rows of every mode
+        and the imaginary rows of modes l >= 1 are written through one
+        site-diagonal fancy index into a (parts, site, 2, parts, site, 2)
+        view of A, and in the full space one more indexed add puts the ring
+        adjacency on the diagonal mode blocks.
         """
         p, w = self.p, self.width
-        # modes m = -2p..2p (row m + 2p), taken mod num as the sampled transform takes them
+        parts, sites = 2 * p + 1, w // 2
+        # modes m = -2p..2p (row m + 2p), taken mod num as the sampled transform
+        # takes them; adding 0.0 stores a zero mode as +0.0, never -0.0
         S = np.fft.fft(_onsite_hessian(ring, self._samples(V, num)), axis=0)
-        S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
-                      np.eye(w // 2)).reshape(-1, w, w)    # block-diagonal
-        ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
-        rows, m = w * (2 * p + 1), len(unfold)
+        S = S[np.arange(-2 * p, 2 * p + 1) % num] / num + 0.0
+        ls = np.arange(p + 1)
+        # row mode l, column mode l': dV_l' = a + i b enters as
+        # plus (a + i b) + minus (a - i b), l' > 0
+        plus, minus = S[2 * p + ls[:, None] - ls], S[2 * p + ls[:, None] + ls[1:]]
+        plus[ls, ls] += self._onsite_coupling - (ls * nu)[:, None, None, None] * _IJ2
+        C = np.empty((p + 1, parts, sites, 2, 2), dtype=complex)  # row mode, column part
+        C[:, 0] = plus[:, 0]
+        C[:, 1::2] = plus[:, 1:] + minus
+        C[:, 2::2] = 1j * (plus[:, 1:] - minus)
+        rows, m = w * parts, len(unfold)
         A = np.zeros((rows + len(border), m + self.dim), order="F")
         A[rows:, m:] = border
         for j, t in enumerate(unfold):
             A[:rows, j] = t
         A[:rows, -1] = self.pack(-ls[:, None] * _apply_iJJ(V))
-        for l in range(p + 1):
-            # dV_l' = a + i b enters as plus (a + i b) + minus (a - i b), l' > 0
-            plus, minus = S[2 * p + l - ls], S[2 * p + l + ls[1:]]
-            plus[l] += self.coupling[l] - l * nu * iJJ
-            pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
-            row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
-            r = w * max(2 * l - 1, 0)
-            A[r:r + w, m:-1] = row.real
-            if l:   # mode 0 of a real signal is real
-                A[r + w:r + 2 * w, m:-1] = row.imag
+        A6 = A[:rows, m:-1].reshape(parts, sites, 2, parts, sites, 2)   # a view of A
+        site = np.arange(sites)
+        C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
+        A6[0, site, :, :, site, :] = C[:, 0].real   # mode 0 of a real signal is real
+        A6[1::2, site, :, :, site, :] = C[:, 1:].real
+        A6[2::2, site, :, :, site, :] = C[:, 1:].imag
+        if self._neighbours is not None:
+            at, nb = self._neighbours
+            diag = np.arange(parts)[:, None]
+            A6[diag, at, :, diag, nb, :] += _EYE2
         return A
 
 
@@ -523,7 +546,6 @@ class ContinuationBranch:
     origin: object                    # the BifurcationPoint this started from
     points: list[BranchPoint]
     termination: str = ""
-    steps_taken: int = 0
 
 
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
@@ -570,13 +592,15 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     while len(branch.points) < steps:
         num = _default_samples(space.p)
         target = np.array([0.0, 0.0, ds])
+
+        def border_at(z):
+            return np.vstack(space.gauge_rows(space.unpack(z)[0]) + [tangent])
         # the trivial point has no time-shift tangent: until a point is
         # accepted, the gauge rows are taken at the iterate
-        anchor = z_prev if branch.points else None
+        anchored = border_at(z_prev) if branch.points else None
 
         def arclength(z):
-            V = space.unpack(z if anchor is None else anchor)[0]
-            border = np.vstack(space.gauge_rows(V) + [tangent])
+            border = border_at(z) if anchored is None else anchored
             return border, border @ (z - z_prev) - target
         try:
             z_new, _ = _newton(ring, space, z_prev + ds * tangent, arclength,
@@ -610,7 +634,6 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                                 "leaves the symmetry subspace")
         branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(V),
                                          nu=nu))
-        branch.steps_taken += 1
         new_tangent = z_new - z_prev
         norm = np.linalg.norm(new_tangent)
         if norm > 0:

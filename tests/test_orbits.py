@@ -1,23 +1,29 @@
+import contextlib
+import io
+import json
+import time
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dnlsring import orbits
+from dnlsring import cli, orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.cli import _expr_fn
-from dnlsring.model import (RingSystem, block_symplectic, cubic_potential, custom_potential,
-                            hessian_V, potential_V, saturable_potential, standing_wave,
-                            vector_field)
+from dnlsring.model import (RingSystem, _onsite_hessian, block_symplectic, cubic_potential,
+                            custom_potential, hessian_V, potential_V, saturable_potential,
+                            standing_wave, vector_field)
 from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
-                             FourierOrbit, NoConvergence, SingularJacobian, _default_samples,
-                             _FourierSpace, _newton, _orbit_constraints, continue_branch,
+                             FourierOrbit, NoConvergence, SingularJacobian, _apply_iJJ,
+                             _default_samples, _FourierSpace, _newton, _orbit_constraints,
+                             continue_branch,
                              extrapolate_nu_to_zero,
                              integrate, linearized_residual, newton_orbit,
                              orbit_residual_norm, orthogonality_check, residual)
-from dnlsring.symmetry import symmetry_residual, t_k_matrix, traveling_wave_residual
+from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
+                               traveling_wave_residual)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -215,6 +221,155 @@ def test_closed_form_jacobian_matches_column_assembly():
         ref = column_jacobian(ring, space, z, num)
         J = A[:rows, 2:]
         assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
+
+
+def mode_loop_jacobian(space, ring, V, nu, num, border, unfold):
+    """Reference for _FourierSpace.jacobian: the on-site spectrum expanded to
+    block-diagonal w x w matrices, and one row mode l built at a time."""
+    p, w = space.p, space.width
+    S = np.fft.fft(_onsite_hessian(ring, space._samples(V, num)), axis=0)
+    S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
+                  np.eye(w // 2)).reshape(-1, w, w)
+    ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
+    rows, m = w * (2 * p + 1), len(unfold)
+    A = np.zeros((rows + len(border), m + space.dim), order="F")
+    A[rows:, m:] = border
+    for j, t in enumerate(unfold):
+        A[:rows, j] = t
+    A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
+    for l in range(p + 1):
+        plus, minus = S[2 * p + l - ls], S[2 * p + l + ls[1:]]
+        plus[l] += space.coupling[l] - l * nu * iJJ
+        pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
+        row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
+        r = w * max(2 * l - 1, 0)
+        A[r:r + w, m:-1] = row.real
+        if l:
+            A[r + w:r + 2 * w, m:-1] = row.imag
+    return A
+
+
+def test_jacobian_matches_mode_loop():
+    # bit for bit, full and isotropy spaces over n, p and the three potential
+    # kinds, with random orbits, frequencies, border rows and unfolding
+    # columns; the trivial orbit and orbits with a zero component too
+    rng = np.random.default_rng(13)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    cases = [(n, k, p) for n in (3, 4, 5, 6, 7, 8, 24, 96)
+             for k in (None, int(rng.integers(1, n)))
+             for p in (0, 1, 2, 8, 16, 32)
+             if (2 if k else 2 * n) * (2 * p + 1) <= 1100]   # A stays below 10 MB
+    assert {p for _, k, p in cases if k is None} == {0, 1, 2, 8, 16, 32}
+    for i, (n, k, p) in enumerate(cases):
+        ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
+        space = _FourierSpace(n, p, k)
+        w = space.width
+        V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
+        if i % 5 == 0:
+            V[1:] = 0.0                 # a constant orbit
+        elif i % 5 == 1:
+            V[:, 1::2] = 0.0            # every oscillator on its real axis
+        V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
+        nu = rng.uniform(0.5, 2.0)
+        num = _default_samples(p) + int(rng.integers(2)) * 64
+        border = rng.normal(size=(int(rng.integers(4)), space.dim))
+        unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1)))
+        A = space.jacobian(ring, V, nu, num, border, unfold)
+        ref = mode_loop_jacobian(space, ring, V, nu, num, border, unfold)
+        assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
+        assert A.tobytes() == ref.tobytes(), (n, k, p)
+
+
+def site_loop_symmetry_residual(orbit, k, num_samples=256):
+    """Reference for symmetry_residual: one site j + 1 = 2..n at a time."""
+    coeffs = np.asarray(orbit.coeffs)
+    n, p = coeffs.shape[1] // 2, (coeffs.shape[0] - 1) // 2
+    zeta = 2.0 * np.pi / n
+    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
+    ls = np.arange(-p, p + 1)
+    c_modes = coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
+    base = np.exp(1j * np.outer(t, ls))
+    pattern = norms = 0.0
+    for j in range(1, n):
+        shifted = (base * np.exp(1j * ls * (j * k * zeta))) @ c_modes[:, 0]
+        actual = base @ c_modes[:, j]
+        pattern = max(pattern, float(np.max(np.abs(actual - np.exp(1j * j * zeta) * shifted))))
+        norms = max(norms, float(np.max(np.abs(np.abs(actual) - np.abs(shifted)))))
+    return SymmetryResidual(pattern, norms)
+
+
+def test_symmetry_residual_matches_site_loop():
+    # branch orbits, where both parts are rounding noise, and random orbits
+    # off the pattern, where they are O(1)
+    rng = np.random.default_rng(14)
+    branches = []
+    for n in (*range(3, 13), 96, 1023):
+        ring = RingSystem(n=n, mu=rng.uniform(0.1, 0.6))
+        points = [pt for pt in enumerate_bifurcations(ring) if pt.k != n]
+        bif = points[int(rng.integers(len(points)))] if points else None
+        orbits_k = [(random_trig_orbit(rng, n, int(rng.integers(0, 9))),
+                     int(rng.integers(1, n + 1))) for _ in range(2)]
+        if bif is not None:
+            branch = continue_branch(ring, bif, steps=3, ds=0.03)
+            orbits_k += [(bp.orbit, bif.k) for bp in branch.points]
+            branches.append((n, len(branch.points)))
+        for orbit, k in orbits_k:
+            got, ref = symmetry_residual(orbit, k), site_loop_symmetry_residual(orbit, k)
+            for a, b in zip(got, ref):
+                assert abs(a - b) <= max(1e-14, 1e-12 * b), (n, k, orbit.p, a, b)
+    assert (96, 3) in branches and (1023, 3) in branches
+
+
+def test_symmetry_residual_large_ring_within_budget():
+    # every site in one product: 6 points at n = 4096 within 0.5 s
+    ring, k = RingSystem(n=4096, mu=0.1), 2048
+    branch = continue_branch(ring, branch_point(ring, k, "plus"), steps=6, ds=0.03)
+    assert len(branch.points) == 6
+    t0 = time.perf_counter()
+    sym = [symmetry_residual(bp.orbit, k) for bp in branch.points]
+    elapsed = time.perf_counter() - t0
+    assert max(bp.orbit.residual_norm for bp in branch.points) <= 1e-10
+    assert max(max(s) for s in sym) <= 1e-8
+    assert elapsed <= 0.5, f"{elapsed:.2f} s"
+
+
+def test_verify_matches_reference_paths(monkeypatch):
+    # the CLI report of a seeded run is byte-identical with the mode-loop
+    # Jacobian; the site-loop symmetry residual is patched into both runs,
+    # since symmetry_residual may differ from it in the last digits
+    rng = np.random.default_rng(15)
+    argv = ["verify", "--n", "7", "--k", "2", "--branch", "minus", "--steps", "8",
+            "--mu", f"{rng.uniform(0.1, 0.4):.6f}"]
+
+    def run(fmt):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv + ["--format", fmt]) == 0
+        return buf.getvalue()
+    plain = run("json")
+    monkeypatch.setattr(cli, "symmetry_residual", site_loop_symmetry_residual)
+    outputs = [run(fmt) for fmt in ("json", "csv")]
+    monkeypatch.setattr(_FourierSpace, "jacobian", mode_loop_jacobian)
+    assert [run(fmt) for fmt in ("json", "csv")] == outputs
+    points = [json.loads(out)["payload"]["points"] for out in (plain, outputs[0])]
+    assert len(points[0]) == 8
+    for got, ref in zip(*points):
+        assert abs(got.pop("symmetry_residual") - ref.pop("symmetry_residual")) <= 1e-14
+        assert got == ref
+
+
+def test_isotropy_maps_built_once_per_space(monkeypatch):
+    # expand reads the t_(k_l) of its space: p + 1 calls, not p + 1 per point
+    calls = []
+
+    def counted(n, k):
+        calls.append(k)
+        return t_k_matrix(n, k)
+    monkeypatch.setattr(orbits, "t_k_matrix", counted)
+    ring = RingSystem(n=6, mu=0.5)
+    branch = continue_branch(ring, branch_point(ring, 3, "plus"), steps=6, ds=0.04)
+    assert [bp.orbit.p for bp in branch.points] == [8] * 6
+    assert len(calls) == 9
 
 
 # --- the square Newton solve -------------------------------------------------
@@ -480,6 +635,22 @@ def test_continue_branch_amplitude_bound():
     for p_max in (-5, 0, 7):
         with pytest.raises(ValueError, match="p_max must be >="):
             continue_branch(ring, bif, steps=4, ds=0.05, p_max=p_max)
+
+
+def test_continue_branch_builds_border_once_per_step(monkeypatch):
+    # after the first point the border (gauge rows at the previous point and
+    # the tangent) is one array for every Newton iteration of a step; the
+    # first corrector takes its gauge rows at the iterate
+    borders = []
+    newton = orbits._newton
+
+    def spy(ring, space, z, constraints, *args, **kwargs):
+        borders.append(constraints(z)[0] is constraints(z + 1e-3)[0])
+        return newton(ring, space, z, constraints, *args, **kwargs)
+    monkeypatch.setattr(orbits, "_newton", spy)
+    ring = RingSystem(n=6, mu=0.5)
+    continue_branch(ring, branch_point(ring, 3, "plus"), steps=4, ds=0.04)
+    assert borders == [False, True, True, True]
 
 
 def test_extrapolate_empty_branch_raises():
