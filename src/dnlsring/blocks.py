@@ -55,6 +55,8 @@ _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
 # the blocks of -JJ D2V(a) that the ring reflection forces to zero may reach
 # this many ulps of the largest entry
 _REFLECTION_TOL = 64.0 * np.finfo(float).eps
+_S_RANGE = (0.0, 100.0)  # the range of s = mu^2 that custom potentials are scanned over
+_CLUSTER_RADIUS = 1e-6   # eigenvalues this close form one cluster of spectrum_max_real
 
 # Hermitian realization of the rotation generator
 IJ = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -246,11 +248,11 @@ def eta(ring: RingSystem, k: int, nu0: float) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _scan_grid(potential, s_range: tuple[float, float], samples: int):
-    """The union of ``samples`` points evenly in s over ``s_range`` and 2001
+def _scan_grid(potential, samples: int):
+    """The union of ``samples`` points evenly in s over [0, 100] and 2001
     evenly in mu = sqrt(s) over [1e-6, 10], and x(s) = s h'(s) on it from one
     array call of h' (a scalar h' broadcasts); both read-only."""
-    lo, hi = max(s_range[0], 0.0), s_range[1]
+    lo, hi = _S_RANGE
     s_mu = np.linspace(1e-6, 10.0, 2001) ** 2
     s = np.union1d(np.linspace(lo, hi, samples), s_mu[(s_mu >= lo) & (s_mu <= hi)])
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -259,11 +261,11 @@ def _scan_grid(potential, s_range: tuple[float, float], samples: int):
     return s, x
 
 
-def _level_set(potential, level: float, s_range=(0.0, 100.0), samples: int = 4096):
+def _level_set(potential, level: float, samples: int = 4096):
     """``(s, f, edge)``: the scan grid, f = s h'(s) - level on it (nan where
     not finite) and ``edge(i)``, where x meets the level in [s_i, s_{i+1}]:
     brentq to 1e-12 when both samples are finite, else s_{i+1}."""
-    s, x = _scan_grid(potential, tuple(s_range), samples)
+    s, x = _scan_grid(potential, samples)
     f = np.where(np.isfinite(x), x - level, np.nan)
 
     def edge(i):
@@ -276,17 +278,17 @@ def _level_set(potential, level: float, s_range=(0.0, 100.0), samples: int = 409
 
 
 def degenerate_amplitudes(n: int, k: int, potential,
-                          s_range: tuple[float, float] = (0.0, 100.0),
                           samples: int = 4096) -> tuple[float, ...]:
     """Amplitudes mu > 0 at which B_k is singular, i.e. mu^2 h'(mu^2) = delta_k.
 
     Cubic and saturable potentials are solved in closed form.  Others are
-    scanned on one grid per (potential, ``s_range``, ``samples``), shared
-    with ``classify.stability_interval``, and each sign change of s h'(s) -
-    delta_k is refined by brentq to 1e-12.  A maximal run of samples exactly
-    at delta_k is one root, at its last sample, unless it reaches the end of
-    the grid (there the level is met only by underflow).  Samples where
-    s h'(s) is nan or infinite are never roots and bracket none.
+    scanned over s in [0, 100] on one grid per (potential, ``samples``),
+    shared with ``classify.stability_interval``, and each sign change of
+    s h'(s) - delta_k is refined by brentq to 1e-12.  A maximal run of
+    samples exactly at delta_k is one root, at its last sample, unless it
+    reaches the end of the grid (there the level is met only by underflow).
+    Samples where s h'(s) is nan or infinite are never roots and bracket
+    none.
 
     Raises
     ------
@@ -314,12 +316,12 @@ def degenerate_amplitudes(n: int, k: int, potential,
         s_hi = (-(2.0 * delta + 1.0) - disc) / (2.0 * delta)
         return tuple(sorted(float(np.sqrt(s)) for s in (s_lo, s_hi)))
 
-    s, f, edge = _level_set(potential, delta, s_range, samples)
+    s, f, edge = _level_set(potential, delta, samples)
     roots = [edge(i) for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
     roots += list(s[:-1][(f[:-1] == 0.0) & (f[1:] != 0.0)])  # one per run at the level
     if not roots and np.argmin(np.abs(np.nan_to_num(f, nan=np.inf))) == len(s) - 1:
         raise SearchRangeExhausted(
-            f"no root of s*h'(s) = delta_{k} bracketed in {s_range}; "
+            f"no root of s*h'(s) = delta_{k} bracketed in {_S_RANGE}; "
             "|s*h'(s) - delta| is still shrinking at the range end")
     return tuple(sorted(float(np.sqrt(s)) for s in roots if s > 0))
 
@@ -385,29 +387,33 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
 
     The premise is checked on every call: the discarded blocks P'AP and
     M'AM must stay within 64 eps of the largest entry of B and C (or of 1).
-    Otherwise, or when the Hessian is not finite, ``BrokenReflection`` is
-    raised with the reason.  B and C are scaled by a power of two before
-    their product, which is exact and keeps B C finite for any finite A.
+    Otherwise, or when the Hessian or those blocks are not finite,
+    ``BrokenReflection`` is raised with the reason.  B and C are scaled by a
+    power of two (at most 2^-1023) before their product, which is exact and
+    keeps B C finite for any finite A.
     """
     a_bar, _ = standing_wave(ring)
     H = hessian_V(ring, a_bar)
+    if not np.isfinite(H).all():
+        raise BrokenReflection("the Hessian at the rotating wave is not finite")
     # -JJ H row by row, -J2 (v0, v1) = (v1, -v0)
     A = np.empty_like(H)
     A[0::2] = H[1::2]
     A[1::2] = -H[0::2]
     n = ring.n
     index, weights, lwork = _reflection_basis(n)
-    # [[P'AP, P'AM], [M'AP, M'AM]]
-    Y = _basis_rows(_basis_rows(A, index, weights).T, index, weights).T
+    # [[P'AP, P'AM], [M'AP, M'AM]]; entries near the float limit may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = _basis_rows(_basis_rows(A, index, weights).T, index, weights).T
     (pp, pm), (mp, mm) = np.abs(Y).reshape(2, n, 2, n).max(axis=(1, 3)).tolist()
-    if not math.isfinite(pp + pm + mp + mm):
-        raise BrokenReflection("the Hessian at the rotating wave is not finite")
+    if not all(map(math.isfinite, (pp, pm, mp, mm))):
+        raise BrokenReflection("the blocks of -JJ D2V(a) in the reflection basis overflow")
     bound = _REFLECTION_TOL * max(1.0, pm, mp)
     if max(pp, mm) > bound:
         raise BrokenReflection(
             f"D2V(a) is not invariant under the ring reflection: the blocks "
             f"P'AP and M'AM reach {max(pp, mm):.3g} against a bound of {bound:.3g}")
-    e = math.frexp(max(pm, mp))[1]
+    e = min(math.frexp(max(pm, mp))[1], 1023)   # 2^1024 is not a float
     Y = np.ldexp(Y, -e)
     # LAPACK directly: np.linalg.eigvals costs 15 us more a call, which at
     # n <= 8 is more than the halved eigensolve saves
@@ -420,8 +426,9 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
     return np.concatenate((lam, -lam))
 
 
-def spectrum_max_real(eigenvalues: np.ndarray, cluster_radius: float = 1e-6) -> float:
-    """Largest |real part| of the spectrum, measured on cluster means.
+def spectrum_max_real(eigenvalues: np.ndarray) -> float:
+    """Largest |real part| of the spectrum, measured on the means of clusters
+    of radius 1e-6.
 
     Defective double eigenvalues (the rotation zero; every root when n = 4)
     split by O(sqrt(eps)) under rounding, so raw real parts of a stable
@@ -435,7 +442,7 @@ def spectrum_max_real(eigenvalues: np.ndarray, cluster_radius: float = 1e-6) -> 
     while remaining.size:
         # greedy: the first remaining eigenvalue and all within the radius
         # of it, in index order
-        near = np.abs(ev[remaining] - ev[remaining[0]]) < cluster_radius
+        near = np.abs(ev[remaining] - ev[remaining[0]]) < _CLUSTER_RADIUS
         near[0] = True
         worst = max(worst, abs(np.mean(ev[remaining[near]]).real))
         remaining = remaining[~near]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -218,17 +218,17 @@ def schrodinger_regimes(n: int) -> RegimeReport:
     if n < 3:
         raise ValueError("n must be >= 3")
     potential = cubic_potential()
+    stability = stability_interval(n, potential)
     entries: list[RegimeEntry] = []
     if n == 3:
         for k in (1, 2):
             entries.append(RegimeEntry(k=k, condition="a", mu_interval=(0.0, math.inf),
                                        two_sided=False))
-        stability = ((0.0, math.inf),)
         return RegimeReport(n=3, potential_kind="cubic", entries=tuple(entries),
                             excluded=(), stability=stability)
     if n == 4:
         return RegimeReport(n=4, potential_kind="cubic", entries=(), excluded=(),
-                            stability=((0.0, math.inf),),
+                            stability=stability,
                             notes=("every block has a degenerate double root; "
                                    "no Morse-index jump for n = 4",))
     for k in range(1, n):
@@ -247,11 +247,8 @@ def schrodinger_regimes(n: int) -> RegimeReport:
             entries.append(RegimeEntry(k=k, condition="b",
                                        mu_interval=(0.0, math.sqrt(c.alpha / 2.0)),
                                        two_sided=gamma_pos, mirror_of=mirror))
-    excluded = _degenerate_table(n, potential)
-    half_alpha1 = blocks.coefficients(n, 1).alpha / 2.0
     return RegimeReport(n=n, potential_kind="cubic", entries=tuple(entries),
-                        excluded=excluded,
-                        stability=((0.0, math.sqrt(half_alpha1)),))
+                        excluded=_degenerate_table(n, potential), stability=stability)
 
 
 def saturable_regimes(n: int) -> RegimeReport:
@@ -267,6 +264,7 @@ def saturable_regimes(n: int) -> RegimeReport:
     if n < 3:
         raise ValueError("n must be >= 3")
     potential = saturable_potential()
+    stability = stability_interval(n, potential)
     if n == 3:
         entries = (
             RegimeEntry(k=1, condition="b", mu_interval=(0.0, math.inf), two_sided=True),
@@ -274,10 +272,10 @@ def saturable_regimes(n: int) -> RegimeReport:
                         two_sided=False, mirror_of=1),
         )
         return RegimeReport(n=3, potential_kind="saturable", entries=entries,
-                            excluded=(), stability=((0.0, math.inf),))
+                            excluded=(), stability=stability)
     if n == 4:
         return RegimeReport(n=4, potential_kind="saturable", entries=(), excluded=(),
-                            stability=((0.0, math.inf),),
+                            stability=stability,
                             notes=("every block has a degenerate double root; "
                                    "no Morse-index jump for n = 4",))
     entries = []
@@ -308,9 +306,8 @@ def saturable_regimes(n: int) -> RegimeReport:
     else:
         notes.append("delta_1 <= -1/4 for this n, so with the convention "
                      "mu_- = mu_+ = 0 condition (b) holds for every amplitude of mode 1")
-    excluded = _degenerate_table(n, potential)
     return RegimeReport(n=n, potential_kind="saturable", entries=tuple(entries),
-                        excluded=excluded, stability=((0.0, math.inf),),
+                        excluded=_degenerate_table(n, potential), stability=stability,
                         notes=tuple(notes))
 
 

@@ -166,12 +166,12 @@ def _json_write(obj, pad: str, out: list) -> None:
     _json_writer(type(obj))(obj, pad, out)
 
 
-def _to_json(obj, indent: int = 0) -> str:
+def _to_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
     +-inf as the strings "inf" and "-inf", two spaces per level.  One walk
     dispatches on each value's type; point records render from one template."""
     out: list[str] = []
-    _json_write(obj, "  " * indent, out)
+    _json_write(obj, "", out)
     return "".join(out)
 
 
@@ -367,18 +367,26 @@ def cmd_equilibrium(cfg: SimpleNamespace):
 def cmd_blocks(cfg: SimpleNamespace):
     ring = _ring(cfg)
     n = ring.n
-    decomp = block_extract(assemble_P(n), hessian_V(ring, standing_wave(ring)[0]))
     # alpha, gamma and delta of k = 1..n: the table, then the full mode k = n
     table, full = blocks._coefficient_table(n), blocks.coefficients(n, n)
     alpha = table.alpha.tolist() + [full.alpha]
     gamma = table.gamma.tolist() + [full.gamma]
     delta = [d if has else None for d, has
              in zip(table.delta.tolist(), table.has_delta.tolist())] + [full.delta]
-    # block_B of every mode, by its formula and with mu^2 h'(mu^2) evaluated once
-    B = -np.array(alpha)[:, None, None] * np.eye(2, dtype=complex) \
-        + np.array(gamma)[:, None, None] * blocks.IJ
-    B[:, 0, 0] += 2.0 * blocks.mu_h_prime(ring)
-    extract_err = np.abs(B - decomp.blocks).max(axis=(1, 2)).tolist()
+    # near the float limit the Hessian, its blocks or their check overflow;
+    # that is reported as one numerical failure, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        decomp = block_extract(assemble_P(n), hessian_V(ring, standing_wave(ring)[0]))
+        # block_B of every mode, by its formula and with mu^2 h'(mu^2) evaluated once
+        B = -np.array(alpha)[:, None, None] * np.eye(2, dtype=complex) \
+            + np.array(gamma)[:, None, None] * blocks.IJ
+        B[:, 0, 0] += 2.0 * blocks.mu_h_prime(ring)
+        extract_err = np.abs(B - decomp.blocks).max(axis=(1, 2))
+    if not (np.isfinite(B).all() and np.isfinite(extract_err).all()
+            and math.isfinite(decomp.off_block_residual)):
+        raise FloatingPointError(f"the mode blocks at mu = {ring.mu!r} or their extraction "
+                                 "from the Hessian overflow")
+    extract_err = extract_err.tolist()
     records, rows = [], []
     for k, a, g, d, b_re, b_im, err in zip(range(1, n + 1), alpha, gamma, delta,
                                            B.real.tolist(), B.imag.tolist(), extract_err):
@@ -517,21 +525,17 @@ def cmd_verify(cfg: SimpleNamespace):
     return _report(cfg, payload), header, rows, exit_code
 
 
-def _interval_json(iv) -> list:
-    return [iv[0], "inf" if math.isinf(iv[1]) else iv[1]]
-
-
 def _regimes_json(report: classify.RegimeReport) -> dict:
     return {
         "n": report.n,
         "potential": report.potential_kind,
         "entries": [{
             "k": e.k, "condition": e.condition,
-            "mu_interval": _interval_json(e.mu_interval),
+            "mu_interval": e.mu_interval,
             "two_sided": e.two_sided, "mirror_of": e.mirror_of,
         } for e in report.entries],
         "excluded": [{"k": k, "mu": mu} for k, mu in report.excluded],
-        "stability": [_interval_json(iv) for iv in report.stability],
+        "stability": report.stability,
         "notes": list(report.notes),
     }
 
@@ -676,7 +680,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ALL_DEGENERATE
     except (orbits.NoConvergence, orbits.SingularJacobian, blocks.SingularBlock,
-            blocks.SearchRangeExhausted, blocks.BrokenReflection) as exc:
+            blocks.SearchRangeExhausted, blocks.BrokenReflection, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     return code

@@ -45,6 +45,11 @@ __all__ = [
 # planar realization of multiplication by i
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _EYE2 = np.eye(2)
+# PotentialModel.validate: grid 0.05..4 of 25 points in s, relative tolerance
+_VALIDATE_S_MAX = 4.0
+_VALIDATE_NUM = 25
+_VALIDATE_TOL = 1e-6
+_QUAD_TOL = 1e-10       # absolute and relative tolerance of a quadrature G
 
 
 def block_symplectic(n: int) -> np.ndarray:
@@ -81,25 +86,26 @@ class PotentialModel:
     h_prime: Callable[[np.ndarray], np.ndarray]
     G: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, s_max: float = 4.0, num: int = 25, tol: float = 1e-6) -> None:
-        """Check h' and G against finite differences of h / G on a grid.
+    def validate(self) -> None:
+        """Check h' and G against finite differences of h / G on 25 points of
+        s in [0.05, 4], to a relative 1e-6.
 
         Raises ValueError when the supplied derivatives are inconsistent.
         Intended for user-supplied potentials; cubic and saturable pass by
         construction, and so does a G that ``custom_potential`` integrates
         from h, which is not checked.
         """
-        s = np.linspace(0.05, s_max, num)
+        s = np.linspace(0.05, _VALIDATE_S_MAX, _VALIDATE_NUM)
         step = 1e-6 * np.maximum(1.0, s)
         hp_fd = (self.h(s + step) - self.h(s - step)) / (2 * step)
         scale = np.maximum(1.0, np.abs(self.h_prime(s)))
-        if np.max(np.abs(hp_fd - self.h_prime(s)) / scale) > tol:
+        if np.max(np.abs(hp_fd - self.h_prime(s)) / scale) > _VALIDATE_TOL:
             raise ValueError("h_prime is inconsistent with finite differences of h")
         if isinstance(self.G, _QuadratureG):
             return  # G' = h by construction
         g_fd = (self.G(s + step) - self.G(s - step)) / (2 * step)
         scale = np.maximum(1.0, np.abs(self.h(s)))
-        if np.max(np.abs(g_fd - self.h(s)) / scale) > tol:
+        if np.max(np.abs(g_fd - self.h(s)) / scale) > _VALIDATE_TOL:
             raise ValueError("G is inconsistent with h (G' != h)")
 
 
@@ -123,15 +129,15 @@ def saturable_potential() -> PotentialModel:
     )
 
 
-def custom_potential(h, h_prime, G=None, quad_tol: float = 1e-10) -> PotentialModel:
+def custom_potential(h, h_prime, G=None) -> PotentialModel:
     """User-supplied nonlinearity.
 
     When ``G`` is omitted it is computed by adaptive quadrature of ``h``
-    from 0, which is accurate enough for diagnostics and finite-difference
-    tests but slower than a closed form.
+    from 0, to an absolute and relative 1e-10, which is accurate enough for
+    diagnostics and finite-difference tests but slower than a closed form.
     """
     if G is None:
-        G = _QuadratureG(h, quad_tol)
+        G = _QuadratureG(h)
     return PotentialModel(kind="custom", h=h, h_prime=h_prime, G=G)
 
 
@@ -139,14 +145,13 @@ class _QuadratureG:
     """G(s), the integral of h from 0 to s by adaptive quadrature, element
     by element."""
 
-    def __init__(self, h, tol: float):
+    def __init__(self, h):
         self.h = h
-        self.tol = tol
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s).ravel()
-        vals = np.array([quad(self.h, 0.0, si, epsabs=self.tol, epsrel=self.tol)[0]
+        vals = np.array([quad(self.h, 0.0, si, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
                          for si in flat])
         return vals.reshape(np.shape(s)) if np.shape(s) else float(vals[0])
 

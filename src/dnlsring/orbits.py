@@ -62,8 +62,9 @@ _P_MAX = 256            # Fourier order at which p-doubling gives up
 _MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
 _MIDPOINT_ITER = 25
 _RCOND_MIN = 1e-10      # condition estimate below which newton_orbit reports a singularity
+_AMPLITUDE_MAX = 10.0   # amplitude at which continue_branch stops
+_EXTRAPOLATION_POINTS = 12   # smallest-amplitude points that extrapolate_nu_to_zero fits
 _SWAP_SIGN = np.array([1.0, -1.0])              # -J2 v = (v_1, -v_0): swap, then this
-_IJ2 = 1j * J2                                  # the 2x2 block of i JJ on each oscillator
 
 
 class NoConvergence(RuntimeError):
@@ -121,13 +122,9 @@ class FourierOrbit:
         mask[self.p] = False
         return float(np.sqrt((np.abs(self.coeffs[mask]) ** 2).sum()))
 
-    def mode(self, l: int) -> np.ndarray:
-        return self.coeffs[self.p + l]
-
-    def sample(self, num: int | None = None) -> np.ndarray:
-        """Real samples on a uniform grid of [0, 2*pi)."""
-        num = num or _default_samples(self.p)
-        return _modes_to_samples(self.coeffs, num)
+    def sample(self) -> np.ndarray:
+        """Real samples on a uniform grid of max(4p + 1, 128) points of [0, 2*pi)."""
+        return _modes_to_samples(self.coeffs, _default_samples(self.p))
 
     def transformed(self, shift: int, theta: float, phi: float) -> "FourierOrbit":
         """Orbit moved by the group action (cyclic shift, rotation, time shift)."""
@@ -246,7 +243,8 @@ class _FourierSpace:
     kept oscillators, with one coupling matrix K_l per mode.
 
     The full space keeps all n oscillators, V_l = x_l (w = 2n), and K_l is
-    the ring adjacency.  The Z~_n(k) fixed-point space keeps oscillator n
+    the ring adjacency, held as the index pairs of neighbouring sites: no
+    2n x 2n matrix is built.  The Z~_n(k) fixed-point space keeps oscillator n
     alone, V_l = sqrt(n) x_(n,l) (w = 2): there x_(j,l) = e^(i k_l j zeta)
     R(j zeta) x_(n,l) with k_l = l k mod n, so mode l couples only to itself,
     through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ; 4p + 3 real
@@ -258,12 +256,9 @@ class _FourierSpace:
     def __init__(self, n: int, p: int, k: int | None = None):
         self.n, self.p, self.k = n, p, k
         if k is None:
-            eye = np.eye(2 * n)   # the ring adjacency, one matrix for every mode
-            self.coupling = np.broadcast_to(np.roll(eye, 2, 0) + np.roll(eye, -2, 0),
-                                            (p + 1, 2 * n, 2 * n))
-            self.scale = 1.0
+            self.width, self.scale = 2 * n, 1.0
             # the adjacency has zero blocks on the site diagonal, and the
-            # identity between sites j and j +- 1
+            # identity between site j and its neighbours j + 1 and j - 1
             self._onsite_coupling = np.zeros((1, 1, 2, 2))
             sites = np.arange(n)
             self._neighbours = (np.tile(sites, 2),
@@ -273,11 +268,10 @@ class _FourierSpace:
             cs = [blocks.coefficients(n, kl) for kl in self.kl]
             self.coupling = np.array([(2.0 * np.cos(2.0 * np.pi / n) - c.alpha) * np.eye(2)
                                       + c.gamma * blocks.IJ for c in cs])
-            self.scale = np.sqrt(n)
+            self.width, self.scale = 2, np.sqrt(n)
             self._onsite_coupling = self.coupling[:, None]
             self._neighbours = None
             self.maps = np.array([t_k_matrix(n, kl) for kl in self.kl])   # x_l = t_(k_l) V_l
-        self.width = self.coupling.shape[2]
 
     @property
     def dim(self) -> int:
@@ -313,7 +307,11 @@ class _FourierSpace:
         G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
         onsite = np.fft.fft(G.reshape(num, -1), axis=0)[:self.p + 1] * (self.scale / num)
         ls = np.arange(self.p + 1)[:, None]
-        coupled = (self.coupling @ V[:, :, None])[:, :, 0]
+        if self._neighbours is None:
+            coupled = (self.coupling @ V[:, :, None])[:, :, 0]
+        else:   # x_(j+1) + x_(j-1) at every site j
+            near = V.reshape(self.p + 1, -1, 2)[:, self._neighbours[1]]
+            coupled = (near[:, :self.n] + near[:, self.n:]).reshape(V.shape)
         return self.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
 
     def row(self, t: np.ndarray) -> np.ndarray:
@@ -373,7 +371,7 @@ class _FourierSpace:
         # row mode l, column mode l': dV_l' = a + i b enters as
         # plus (a + i b) + minus (a - i b), l' > 0
         plus, minus = S[2 * p + ls[:, None] - ls], S[2 * p + ls[:, None] + ls[1:]]
-        plus[ls, ls] += self._onsite_coupling - (ls * nu)[:, None, None, None] * _IJ2
+        plus[ls, ls] += self._onsite_coupling - (ls * nu)[:, None, None, None] * blocks.IJ
         C = np.empty((p + 1, parts, sites, 2, 2), dtype=complex)  # row mode, column part
         C[:, 0] = plus[:, 0]
         C[:, 1::2] = plus[:, 1:] + minus
@@ -549,8 +547,7 @@ class ContinuationBranch:
 
 
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
-                    p: int = 8, p_max: int = _P_MAX,
-                    amplitude_max: float = 10.0) -> ContinuationBranch:
+                    p: int = 8, p_max: int = _P_MAX) -> ContinuationBranch:
     """Pseudo-arclength continuation of the periodic branch born at ``bif``.
 
     The first predictor leaves the trivial solution along the kernel vector
@@ -563,14 +560,15 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     at the iterate instead.  The Fourier order doubles
     while the tail exceeds 1e-12, and every accepted point is re-checked
     against the full-space residual.  The branch stops on the step count, on
-    five consecutive step halvings, or when the amplitude bound is hit.
+    five consecutive step halvings, or when the amplitude exceeds 10.
 
     Raises
     ------
     ValueError
         When ``steps`` < 1, ``ds`` <= 0 or ``p_max`` < ``p``.
     NoConvergence
-        Only when not a single point could be corrected.
+        When not a single point could be corrected, or when the full-space
+        residual of a corrected point exceeds 1e-9 or is nan.
     """
     if steps < 1 or not ds > 0:
         raise ValueError(f"steps must be >= 1 and ds > 0, got steps = {steps}, ds = {ds}")
@@ -629,7 +627,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             continue
         orbit = FourierOrbit(nu=nu, coeffs=coeffs)
         orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
-        if orbit.residual_norm > 10 * _NEWTON_TOL:   # the certificate of the point
+        if not orbit.residual_norm <= 10 * _NEWTON_TOL:   # the certificate of the point
             raise NoConvergence(f"full-space residual {orbit.residual_norm:.2e} "
                                 "leaves the symmetry subspace")
         branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(V),
@@ -640,23 +638,23 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             tangent = new_tangent / norm
         z_prev = z_new
         ds = min(ds * 1.3, ds_target)
-        if branch.points[-1].amplitude > amplitude_max:
+        if branch.points[-1].amplitude > _AMPLITUDE_MAX:
             branch.termination = "amplitude-bound"
             return branch
     branch.termination = "steps"
     return branch
 
 
-def extrapolate_nu_to_zero(branch: ContinuationBranch, max_points: int = 12) -> float:
+def extrapolate_nu_to_zero(branch: ContinuationBranch) -> float:
     """Frequency of the branch extrapolated to zero amplitude.
 
-    Fits nu = c0 + c2 a^2 (+ c4 a^4 with enough points) through the
-    smallest-amplitude points; near a bifurcation the family is an even
+    Fits nu = c0 + c2 a^2 (+ c4 a^4 with five points or more) through the
+    12 smallest-amplitude points; near a bifurcation the family is an even
     function of the amplitude, so c0 estimates the critical frequency.
     """
     if not branch.points:
         raise ValueError("empty branch")
-    pts = sorted(branch.points, key=lambda q: q.amplitude)[:max_points]
+    pts = sorted(branch.points, key=lambda q: q.amplitude)[:_EXTRAPOLATION_POINTS]
     a = np.array([q.amplitude for q in pts])
     nu = np.array([q.nu for q in pts])
     cols = [np.ones_like(a), a ** 2]

@@ -38,6 +38,8 @@ __all__ = [
     "traveling_wave_residual",
 ]
 
+_TIME_SAMPLES = 256   # uniform time grid of the pattern checks
+
 
 def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
@@ -216,7 +218,7 @@ def _orbit_modes(orbit) -> np.ndarray:
     return F[ls % N]
 
 
-def symmetry_residual(orbit, k: int, num_samples: int = 256) -> SymmetryResidual:
+def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> SymmetryResidual:
     """How far an orbit is from the mode-k pattern
     ``u_{j+1}(t) = e^{i j zeta} u_1(t + j k zeta)``.
 
@@ -245,9 +247,10 @@ def symmetry_residual(orbit, k: int, num_samples: int = 256) -> SymmetryResidual
     return SymmetryResidual(float(np.max(np.abs(actual))), norms)
 
 
-def traveling_wave_residual(orbit, k: int, num_samples: int = 256) -> float:
+def traveling_wave_residual(orbit, k: int) -> float:
     """Max mismatch of the full iterated pattern
-    ``u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta)`` over all j, m.
+    ``u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta)`` over all j, m and 256
+    uniform times.
 
     For k dividing n this exhibits the split into k equal traveling waves of
     n/k oscillators each.
@@ -256,7 +259,7 @@ def traveling_wave_residual(orbit, k: int, num_samples: int = 256) -> float:
     n = coeffs.shape[1] // 2
     p = (coeffs.shape[0] - 1) // 2
     zeta = 2.0 * np.pi / n
-    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
+    t = 2.0 * np.pi * np.arange(_TIME_SAMPLES) / _TIME_SAMPLES
     ls = np.arange(-p, p + 1)
     c_modes = coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
     base = np.exp(1j * np.outer(t, ls))

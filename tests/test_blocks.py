@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -388,14 +389,14 @@ def test_degenerate_amplitudes_custom_matches_cubic():
 
 
 def test_degenerate_amplitudes_custom_range_exhaustion():
-    # root of s * 1 = delta_3(6) = 1 lies beyond the tiny range: s in (0, 0.5)
-    pot = custom_potential(h=lambda s: np.asarray(s, float),
-                           h_prime=lambda s: np.ones_like(np.asarray(s, float)),
-                           G=lambda s: np.asarray(s, float) ** 2 / 2)
-    with pytest.raises(SearchRangeExhausted):
-        degenerate_amplitudes(6, 3, pot, s_range=(0.0, 0.5))
+    # root of s / 200 = delta_3(6) = 1 lies beyond the scanned range s in [0, 100]
+    pot = custom_potential(h=lambda s: np.asarray(s, float) / 200,
+                           h_prime=lambda s: np.full_like(np.asarray(s, float), 1 / 200),
+                           G=lambda s: np.asarray(s, float) ** 2 / 400)
+    with pytest.raises(SearchRangeExhausted, match=re.escape("(0.0, 100.0)")):
+        degenerate_amplitudes(6, 3, pot)
     # genuinely rootless: s*h'(s) = delta_1(6) = -2 with h' > 0
-    assert degenerate_amplitudes(6, 1, pot, s_range=(0.0, 0.5)) == ()
+    assert degenerate_amplitudes(6, 1, pot) == ()
 
 
 def test_degenerate_amplitudes_requires_delta():
@@ -529,7 +530,7 @@ def test_level_set_run_at_level():
     # x crosses delta_2 = 0 through a run on [2, 3]: one root, at its last sample
     flat = custom_potential(lambda s: s, lambda s: (np.maximum(np.asarray(s) - 3, 0)
                                                     + np.minimum(np.asarray(s) - 2, 0)))
-    s_grid, _ = blocks._scan_grid(flat, (0.0, 100.0), 4096)
+    s_grid, _ = blocks._scan_grid(flat, 4096)
     (root,) = degenerate_amplitudes(8, 2, flat)
     assert root == math.sqrt(s_grid[s_grid <= 3.0][-1])
 
@@ -585,10 +586,11 @@ def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
     return float(worst)
 
 
-def test_spectrum_oracle_matches_reference():
+def test_spectrum_oracle_matches_reference(monkeypatch):
     """The reduced eigensolve gives the dense product's eigenvalues as a
     multiset, to within 1e-10 on cluster means, and array clustering gives
-    the loop's verdict bit for bit; n = 4 has only defective double roots."""
+    the loop's verdict bit for bit, at the cluster radius and at a wider one;
+    n = 4 has only defective double roots."""
     rng = np.random.default_rng(12)
     for n in (3, 4, 5, 6, 8, 16, 64):
         for pot in (CUBIC, SAT):
@@ -597,7 +599,9 @@ def test_spectrum_oracle_matches_reference():
                 ev = full_spectrum_oracle(ring)
                 assert cluster_match_error(reference_spectrum_oracle(ring), ev) <= 1e-10
                 assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
-                assert spectrum_max_real(ev, 1e-3) == reference_spectrum_max_real(ev, 1e-3)
+                with monkeypatch.context() as patch:
+                    patch.setattr(blocks, "_CLUSTER_RADIUS", 1e-3)
+                    assert spectrum_max_real(ev) == reference_spectrum_max_real(ev, 1e-3)
 
 
 # x = s h'(s) = s - s^2/2 rises to 1/2 at s = 1, then falls without bound, so
@@ -658,12 +662,42 @@ def test_broken_reflection_is_a_numerical_failure(capsys, monkeypatch, skew):
     assert captured.err.startswith("error: " + reason)
 
 
-def test_spectrum_max_real_edge_cases():
+_OVERFLOW = "or their extraction from the Hessian overflow"
+
+
+@pytest.mark.parametrize("command, mu, reason", [
+    # 2 mu^2 h' = 1.62e308 is finite, the off-block norm of the extraction is not
+    ("blocks", "9e153", f"the mode blocks at mu = 9e+153 {_OVERFLOW}"),
+    # 2 mu^2 h' overflows: B_00 and the Hessian are infinite
+    ("blocks", "1e154", f"the mode blocks at mu = 1e+154 {_OVERFLOW}"),
+    ("stability", "1e154", "the Hessian at the rotating wave is not finite"),
+    # the Hessian and its blocks in the reflection basis are finite: a report
+    ("stability", "9e153", None),
+])
+def test_overflowing_amplitude(capsys, command, mu, reason):
+    """Amplitudes near the float limit (cubic, n = 6) end in exit 4 with a
+    one-line reason that names what overflowed, or in a valid report, and
+    never in a warning or a nan in the output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--n", "6", "--mu", mu])
+    captured = capsys.readouterr()
+    if reason is None:
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out, parse_constant=pytest.fail)
+        assert report["payload"]["stable"] is False
+    else:
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+
+
+def test_spectrum_max_real_edge_cases(monkeypatch):
     """A nan is a cluster of its own (and does not stall the loop); a zero
     radius makes every eigenvalue its own cluster."""
     ev = np.array([1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8])
     for radius in (1e-6, 0.0):
-        got, want = spectrum_max_real(ev, radius), reference_spectrum_max_real(ev, radius)
+        monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
+        got, want = spectrum_max_real(ev), reference_spectrum_max_real(ev, radius)
         assert got == want or (math.isnan(got) and math.isnan(want))
     assert spectrum_max_real(np.array([])) == 0.0
 

@@ -656,8 +656,7 @@ def test_writer_matches_recursive_writer():
                                               + ([math.inf, 2.0], [0.0, 3.1])
                                               + tuple(c[:2] for c in columns[7:])),
               "no points": cli._PointRecords(tuple([] for _ in columns))}
-    for indent in (0, 2):
-        assert cli._to_json(values, indent) == old_to_json(plain(values), indent)
+    assert cli._to_json(values) == old_to_json(plain(values))
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._to_json({"x": object()})
 

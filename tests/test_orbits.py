@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -61,7 +62,7 @@ def test_orbit_reality_validation():
 def test_orbit_sample_roundtrip():
     rng = np.random.default_rng(0)
     orbit = random_trig_orbit(rng, n=4, p=5)
-    samples = orbit.sample(64)
+    samples = orbit.sample()
     back = FourierOrbit.from_samples(samples, nu=orbit.nu, p=5)
     assert np.abs(back.coeffs - orbit.coeffs).max() < 1e-12
 
@@ -223,10 +224,21 @@ def test_closed_form_jacobian_matches_column_assembly():
         assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
 
 
+def dense_coupling(space):
+    """The coupling matrices K_l, l = 0..p, as (p+1, w, w): the dense ring
+    adjacency in the full space, the isotropy space's own otherwise."""
+    if space.k is not None:
+        return space.coupling
+    eye = np.eye(space.width)
+    return np.broadcast_to(np.roll(eye, 2, 0) + np.roll(eye, -2, 0),
+                           (space.p + 1,) + eye.shape)
+
+
 def mode_loop_jacobian(space, ring, V, nu, num, border, unfold):
     """Reference for _FourierSpace.jacobian: the on-site spectrum expanded to
     block-diagonal w x w matrices, and one row mode l built at a time."""
     p, w = space.p, space.width
+    coupling = dense_coupling(space)
     S = np.fft.fft(_onsite_hessian(ring, space._samples(V, num)), axis=0)
     S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
                   np.eye(w // 2)).reshape(-1, w, w)
@@ -239,7 +251,7 @@ def mode_loop_jacobian(space, ring, V, nu, num, border, unfold):
     A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
     for l in range(p + 1):
         plus, minus = S[2 * p + l - ls], S[2 * p + l + ls[1:]]
-        plus[l] += space.coupling[l] - l * nu * iJJ
+        plus[l] += coupling[l] - l * nu * iJJ
         pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
         row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
         r = w * max(2 * l - 1, 0)
@@ -278,6 +290,53 @@ def test_jacobian_matches_mode_loop():
         ref = mode_loop_jacobian(space, ring, V, nu, num, border, unfold)
         assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
         assert A.tobytes() == ref.tobytes(), (n, k, p)
+
+
+def dense_residual(space, ring, V, nu, num):
+    """Reference for _FourierSpace.residual: the coupling term as the
+    product with the dense K_l."""
+    X = space._samples(V, num)
+    s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
+    G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
+    onsite = np.fft.fft(G.reshape(num, -1), axis=0)[:space.p + 1] * (space.scale / num)
+    ls = np.arange(space.p + 1)[:, None]
+    coupled = (dense_coupling(space) @ V[:, :, None])[:, :, 0]
+    return space.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
+
+
+def test_full_space_residual_matches_dense_adjacency():
+    """The full-space residual adds the neighbours of each site by index and
+    has the bytes of the product with the dense 2n x 2n adjacency, over n, p,
+    the three potential kinds, constant orbits, orbits on the real axes and
+    signed zeros; one residual at n = 512, p = 4 allocates no adjacency."""
+    rng = np.random.default_rng(17)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    cases = [(n, p) for n in (3, 4, 5, 6, 7, 8, 24, 96) for p in (0, 1, 2, 5, 16)]
+    for i, (n, p) in enumerate(cases):
+        ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
+        space = _FourierSpace(n, p)
+        V = 0.3 * (rng.normal(size=(p + 1, 2 * n)) + 1j * rng.normal(size=(p + 1, 2 * n)))
+        if i % 4 == 1:
+            V[1:] = 0.0
+        elif i % 4 == 2:
+            V[:, 1::2] = 0.0
+        elif i % 4 == 3:
+            V[rng.random(V.shape) < 0.5] = complex(-0.0, -0.0)
+        V[0] = V[0].real + standing_wave(ring)[0]
+        nu, num = rng.uniform(0.5, 2.0), _default_samples(p)
+        got = space.residual(ring, V, nu, num)
+        assert got.tobytes() == dense_residual(space, ring, V, nu, num).tobytes(), (n, p)
+    n, p = 512, 4
+    ring, space = RingSystem(n=n, mu=0.5), _FourierSpace(n, p)
+    V = 0.1 * (rng.normal(size=(p + 1, 2 * n)) + 1j * rng.normal(size=(p + 1, 2 * n)))
+    V[0] = V[0].real + standing_wave(ring)[0]
+    tracemalloc.start()
+    try:
+        space.residual(ring, V, 1.0, _default_samples(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def site_loop_symmetry_residual(orbit, k, num_samples=256):
@@ -622,10 +681,11 @@ def test_continue_branch_traveling_wave_pattern():
         assert traveling_wave_residual(bp.orbit, 3) <= 1e-8
 
 
-def test_continue_branch_amplitude_bound():
+def test_continue_branch_amplitude_bound(monkeypatch):
     ring = RingSystem(n=6, mu=0.5)
     bif = branch_point(ring, 3, "plus")
-    branch = continue_branch(ring, bif, steps=40, ds=0.05, amplitude_max=0.3)
+    monkeypatch.setattr(orbits, "_AMPLITUDE_MAX", 0.3)
+    branch = continue_branch(ring, bif, steps=40, ds=0.05)
     assert branch.termination == "amplitude-bound"
     assert branch.points[-1].amplitude > 0.3
     # a branch that cannot leave the trivial orbit is an input error
@@ -651,6 +711,17 @@ def test_continue_branch_builds_border_once_per_step(monkeypatch):
     ring = RingSystem(n=6, mu=0.5)
     continue_branch(ring, branch_point(ring, 3, "plus"), steps=4, ds=0.04)
     assert borders == [False, True, True, True]
+
+
+def test_continue_branch_rejects_nan_certificate(monkeypatch):
+    """A full-space residual that is nan fails the certificate of a point as
+    one above the bound does: NoConvergence, not a branch of nan residuals."""
+    ring = RingSystem(n=6, mu=0.5)
+    bif = branch_point(ring, 3, "plus")
+    monkeypatch.setattr(orbits, "residual",
+                        lambda ring, orbit, num_samples=None: np.full(orbit.coeffs.shape, np.nan))
+    with pytest.raises(NoConvergence, match="full-space residual nan"):
+        continue_branch(ring, bif, steps=2, ds=0.05)
 
 
 def test_extrapolate_empty_branch_raises():
