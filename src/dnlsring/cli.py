@@ -82,9 +82,6 @@ class _PointRecords:
     def __init__(self, columns: tuple[list, ...]):
         self.columns = columns
 
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
     def __getitem__(self, rows: slice) -> _PointRecords:
         return _PointRecords(tuple(column[rows] for column in self.columns))
 

@@ -36,7 +36,7 @@ from scipy.linalg import lapack
 from . import blocks
 from .model import (_EYE2, J2, RingSystem, _as_state, _gradient_sites,
                     _hessian_apply_sites, _onsite_blocks, _onsite_hessian)
-from .symmetry import t_k_matrix
+from .symmetry import group_action, t_k_matrix
 
 __all__ = [
     "NoConvergence",
@@ -128,7 +128,6 @@ class FourierOrbit:
 
     def transformed(self, shift: int, theta: float, phi: float) -> "FourierOrbit":
         """Orbit moved by the group action (cyclic shift, rotation, time shift)."""
-        from .symmetry import group_action
         moved = group_action(self.n, shift, theta, phi, self.coeffs, fourier=True)
         return replace(self, coeffs=moved)
 
@@ -395,9 +394,10 @@ class _FourierSpace:
         return A
 
 
-def _newton(ring, space, z, constraints, tol, ctol, max_iter, num, *,
+def _newton(ring, space, z, constraints, ctol, max_iter, num, *,
             free_nu=True, guard=False):
-    """Newton iteration on [residual; constraints] = 0 in packed coordinates.
+    """Newton iteration on [residual; constraints] = 0 in packed coordinates,
+    to a residual norm of 1e-10 and constraint values of ``ctol``.
 
     ``constraints(z)`` gives the border rows and their values at z; its first
     two rows are the gauge rows of the time-shift and rotation tangents.
@@ -418,7 +418,7 @@ def _newton(ring, space, z, constraints, tol, ctol, max_iter, num, *,
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
-        done = np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol
+        done = np.linalg.norm(res) <= _NEWTON_TOL and np.abs(values).max() <= ctol
         if done and not guard:
             return z, iteration
         # a zero tangent drops with its gauge row; every border row and every
@@ -512,7 +512,7 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
         num = _default_samples(space.p)
         z, iters = _newton(ring, space, z,
                            lambda z: _orbit_constraints(space, z, amplitude),
-                           _NEWTON_TOL, _NEWTON_TOL, _MAX_ITER, num,
+                           _NEWTON_TOL, _MAX_ITER, num,
                            free_nu=not fix_nu, guard=True)
         total_iters += iters
         coeffs = space.expand(space.unpack(z)[0])
@@ -565,13 +565,15 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     Raises
     ------
     ValueError
-        When ``steps`` < 1, ``ds`` <= 0 or ``p_max`` < ``p``.
+        When ``steps`` < 1, ``ds`` <= 0, ``p`` < 1 or ``p_max`` < ``p``.
     NoConvergence
         When not a single point could be corrected, or when the full-space
         residual of a corrected point exceeds 1e-9 or is nan.
     """
     if steps < 1 or not ds > 0:
         raise ValueError(f"steps must be >= 1 and ds > 0, got steps = {steps}, ds = {ds}")
+    if p < 1:
+        raise ValueError(f"the starting order p must be >= 1, got p = {p}")
     if p_max < p:
         raise ValueError(f"p_max must be >= the starting order p = {p}, got {p_max}")
     n, k = ring.n, bif.k
@@ -602,7 +604,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             return border, border @ (z - z_prev) - target
         try:
             z_new, _ = _newton(ring, space, z_prev + ds * tangent, arclength,
-                               _NEWTON_TOL, 10 * _NEWTON_TOL, 24, num)
+                               10 * _NEWTON_TOL, 24, num)
         except NoConvergence:
             halvings += 1
             if halvings > 5:

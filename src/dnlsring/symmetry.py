@@ -150,9 +150,6 @@ class IsotropyLabel:
     def label(self) -> str:
         return f"Z~_{self.n}({self.k})"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.label
-
 
 def _time_translate_modes(coeffs: np.ndarray, phi: float) -> np.ndarray:
     p = (coeffs.shape[0] - 1) // 2
@@ -164,29 +161,18 @@ def group_action(n: int, shift: int, theta: float, phi: float, x, *,
                  fourier: bool = False) -> np.ndarray:
     """Apply (cyclic shift, rotation by -theta, time translation by phi).
 
-    ``x`` may be a single state of shape (2n,), an array of time samples of
-    shape (N, 2n), or (with ``fourier=True``) a Fourier coefficient array of
-    shape (2p+1, 2n) for modes -p..p.  The time translation only affects
-    orbits; for sampled orbits it is applied by trigonometric interpolation.
+    ``x`` is a single state of shape (2n,) or (with ``fourier=True``) a
+    Fourier coefficient array of shape (2p+1, 2n) for modes -p..p.  The
+    time translation acts on the coefficients only; a state has no time.
     """
-    x = np.asarray(x)
     if fourier:
         coeffs = np.asarray(x, dtype=complex)
-        out = _time_translate_modes(coeffs, phi)
-        return _spatial_action(n, shift, theta, out)
-    if x.ndim == 1:
-        return _spatial_action(n, shift, theta, x[None, :])[0]
-    if x.ndim == 2:
-        if phi != 0.0:
-            N = x.shape[0]
-            F = np.fft.fft(x, axis=0)
-            ls = np.fft.fftfreq(N, d=1.0 / N)
-            x = np.fft.ifft(F * np.exp(1j * ls * phi)[:, None], axis=0)
-            if np.max(np.abs(x.imag)) > 1e-9:
-                raise ValueError("time translation produced a non-real orbit")
-            x = x.real
-        return _spatial_action(n, shift, theta, x)
-    raise ValueError("x must be a state, time samples, or Fourier coefficients")
+        return _spatial_action(n, shift, theta, _time_translate_modes(coeffs, phi))
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError("x must be a state of shape (2n,), or Fourier "
+                         "coefficients with fourier=True")
+    return _spatial_action(n, shift, theta, x[None, :])[0]
 
 
 def _spatial_action(n: int, shift: int, theta: float, rows: np.ndarray) -> np.ndarray:
@@ -203,33 +189,18 @@ class SymmetryResidual(NamedTuple):
     norms: float
 
 
-def _orbit_modes(orbit) -> np.ndarray:
-    """Fourier modes (2p+1, 2n) from a FourierOrbit-like object or samples."""
-    coeffs = getattr(orbit, "coeffs", None)
-    if coeffs is not None:
-        return np.asarray(coeffs, dtype=complex)
-    samples = np.asarray(orbit, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("expected an orbit with .coeffs or an array of time samples")
-    N = samples.shape[0]
-    p = (N - 1) // 2
-    F = np.fft.fft(samples, axis=0) / N
-    ls = np.arange(-p, p + 1)
-    return F[ls % N]
-
-
 def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> SymmetryResidual:
     """How far an orbit is from the mode-k pattern
     ``u_{j+1}(t) = e^{i j zeta} u_1(t + j k zeta)``.
 
     Returns the max pointwise mismatch of the complex pattern and of the
     norm relation ``r_{j+1}(t) = r_1(t + j k zeta)``, over all sites and a
-    uniform time grid.  Accepts a FourierOrbit or an (N, 2n) sample array;
-    time shifts use trigonometric interpolation.  All sites j + 1 = 2..n are
-    checked in one product: the shifted signals u_1(t + j k zeta) are
-    ``base @ (c_1 e^(i l j k zeta))`` and the actual ones ``base @ c_(j+1)``.
+    uniform time grid, from the Fourier modes of a FourierOrbit.  All sites
+    j + 1 = 2..n are checked in one product: the shifted signals
+    u_1(t + j k zeta) are ``base @ (c_1 e^(i l j k zeta))`` and the actual
+    ones ``base @ c_(j+1)``.
     """
-    coeffs = _orbit_modes(orbit)
+    coeffs = np.asarray(orbit.coeffs, dtype=complex)
     n = coeffs.shape[1] // 2
     p = (coeffs.shape[0] - 1) // 2
     zeta = 2.0 * np.pi / n
@@ -250,12 +221,12 @@ def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> Symmet
 def traveling_wave_residual(orbit, k: int) -> float:
     """Max mismatch of the full iterated pattern
     ``u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta)`` over all j, m and 256
-    uniform times.
+    uniform times, from the Fourier modes of a FourierOrbit.
 
     For k dividing n this exhibits the split into k equal traveling waves of
     n/k oscillators each.
     """
-    coeffs = _orbit_modes(orbit)
+    coeffs = np.asarray(orbit.coeffs, dtype=complex)
     n = coeffs.shape[1] // 2
     p = (coeffs.shape[0] - 1) // 2
     zeta = 2.0 * np.pi / n

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from dnlsring import blocks, cli
@@ -637,6 +641,56 @@ def test_spectrum_oracle_random_sweep():
                 assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
                 verdicts.add(got <= 1e-8)
     assert verdicts == {True, False}
+
+
+def random_sweep_rings():
+    """The rings of test_spectrum_oracle_random_sweep, in its order."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 5, 6, 7, 10, 33, 48):
+        alpha1 = coefficients(n, 1).alpha
+        s_star = {CUBIC: alpha1 / 2 if alpha1 > 0 else None,
+                  QUINTIC: 1 - math.copysign(math.sqrt(1 - alpha1), alpha1) if alpha1
+                  else None,
+                  SAT: None}
+        for pot, s in s_star.items():
+            mus = list(rng.uniform(0.05, 2.0, size=2))
+            if s is not None:
+                mus += [math.sqrt(s) * (1 - 1e-3), math.sqrt(s) * (1 + 1e-3)]
+            for mu in mus:
+                yield RingSystem(n=n, mu=float(mu), potential=pot)
+
+
+def dgeev_eigvals(a):
+    """The oracle's former eigensolve: scipy's LAPACK dgeev with the optimal
+    workspace, eigenvalues as wr + i wi."""
+    lwork = int(lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
+    wr, wi, _, _, info = lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork)
+    assert info == 0
+    return wr + 1j * wi
+
+
+def test_spectrum_oracle_eigvals_matches_dgeev(monkeypatch):
+    """np.linalg.eigvals and scipy's dgeev load separate OpenBLAS builds; at
+    one BLAS thread, as the benchmark runs, the oracle's spectrum is the same
+    bytes through either, over the random sweep and at n = 96 and 256.  With
+    more threads the bits from n ~ 160 up depend on the thread count, for
+    dgeev alone too, so the comparison runs in a one-thread interpreter."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        test = f"{__file__}::test_spectrum_oracle_eigvals_matches_dgeev"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              test], env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout[-3000:]
+        return
+    rings = list(random_sweep_rings()) + [
+        RingSystem(n=n, mu=mu, potential=pot)
+        for n, mu in ((96, 0.3), (256, 0.7)) for pot in (CUBIC, SAT, QUINTIC)]
+    for ring in rings:
+        got = full_spectrum_oracle(ring)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", dgeev_eigvals)
+            want = full_spectrum_oracle(ring)
+        assert got.tobytes() == want.tobytes(), (ring.n, ring.potential.kind, ring.mu)
 
 
 @pytest.mark.parametrize("skew", [1e-6, np.nan])

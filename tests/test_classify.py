@@ -144,6 +144,23 @@ def test_schrodinger_regimes_n4_empty():
     assert schrodinger_regimes(4).entries == ()
 
 
+def test_saturable_regimes_n4_empty():
+    # as for the cubic table: no Morse-index jump, stable at every amplitude
+    rep = saturable_regimes(4)
+    assert rep.entries == () and rep.excluded == ()
+    assert rep.stability == ((0.0, math.inf),)
+    assert rep.notes == schrodinger_regimes(4).notes
+
+
+@pytest.mark.parametrize("table", [schrodinger_regimes, saturable_regimes,
+                                   lambda n: stability_interval(n, CUBIC)],
+                         ids=["schrodinger", "saturable", "stability-interval"])
+def test_regime_tables_need_three_sites(table):
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            table(n)
+
+
 def test_saturable_regimes_n16():
     rep = saturable_regimes(16)
     e1a = entry_for(rep, 1, "a")

@@ -483,6 +483,8 @@ _UNREAD_OPTIONS = [
     ("verify", "--p-max", "-5", "p_max >= 8"),
     ("verify", "--p-max", "0", "p_max >= 8"),
     ("verify", "--p-max", "7", "p_max >= 8"),
+    ("blocks", "--config", "mu 0.4", "run.cfg:1: expected KEY=VALUE"),
+    ("stability", "--potential", "custom", "custom potential needs --h-expr and --h-prime-expr"),
 ] + [(command, flag, value, message)
      for command in ("equilibrium", "blocks", "stability", "verify")
      for flag, value, message in (("--mu-range", "0.1:1.5:5", "unrecognized"),
@@ -510,6 +512,23 @@ def test_stability_has_no_integration_options(capsys, tmp_path, command, flag, v
     assert code == 2 and message in err
     doc = run_json(capsys, *base)
     assert "dt" not in doc["config"] and "t_final" not in doc["config"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["equilibrium", "--mu", "0.5"], 2, "--n is required"),
+    (["sweep", "--n", "6"], 2, "sweep needs --mu-range"),
+    (["equilibrium", "--n", "6", "--mu", "0.5", "--config", "{tmp}/missing.cfg"], 2,
+     "cannot read config file"),
+    # cubic n = 6: delta_3 = 1, so mu = 1 is the degenerate amplitude mu_3
+    (["verify", "--n", "6", "--mu", "1.0", "--k", "3", "--branch", "plus"], 3,
+     "degenerate amplitude mu_3"),
+], ids=["no-n", "sweep-no-mu-range", "unreadable-config", "verify-degenerate"])
+def test_failure_exit_codes(capsys, tmp_path, argv, code, message):
+    """A missing required option or an unreadable config file exits 2, and a
+    verify run at a degenerate amplitude exits 3, each with its reason on
+    stderr and no report."""
+    got, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert got == code and out == "" and message in err
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "blocks", "stability", "bifurcations",

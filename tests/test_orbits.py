@@ -52,6 +52,22 @@ def mode_perturbed_orbit(ring, k, eps, nu, w=None, p=8):
 
 # --- FourierOrbit ------------------------------------------------------------
 
+@pytest.mark.parametrize("shape, bad, message", [
+    ((4, 6), None, r"shape \(2p\+1, 2n\)"),
+    ((6,), None, r"shape \(2p\+1, 2n\)"),
+    ((5, 7), None, "even number of columns"),
+    ((5, 6), np.nan, "non-finite"),
+    ((5, 6), np.inf, "non-finite"),
+    ((5, 6), complex(0.0, np.inf), "non-finite"),
+], ids=["even-rows", "one-dim", "odd-columns", "nan", "inf", "imag-inf"])
+def test_orbit_shape_and_finite_validation(shape, bad, message):
+    coeffs = np.zeros(shape, dtype=complex)
+    if bad is not None:
+        coeffs[2, 0] = bad   # the middle row, mode l = 0
+    with pytest.raises(ValueError, match=message):
+        FourierOrbit(nu=1.0, coeffs=coeffs)
+
+
 def test_orbit_reality_validation():
     bad = np.zeros((5, 6), dtype=complex)
     bad[3, 0] = 1.0   # no conjugate partner
@@ -493,7 +509,7 @@ def newton_cases(rng, n, iso, p, potential):
     # newton_orbit with an amplitude border and free nu
     amplitude = lambda z: _orbit_constraints(space, z, 0.05)
     cases.append(("amplitude", point(0.05, nu0), amplitude, True, True, tol))
-    z_amp, _ = _newton(ring, space, point(0.05, nu0), amplitude, tol, tol, 50, num, guard=True)
+    z_amp, _ = _newton(ring, space, point(0.05, nu0), amplitude, tol, 50, num, guard=True)
     # fixed nu, from a larger kernel mode to that branch orbit
     cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, True, tol))
     # the first corrector of continue_branch: gauge rows at the iterate
@@ -524,7 +540,7 @@ def test_square_newton_matches_lstsq_loop():
         ring, space, num, cases = newton_cases(rng, n, iso, p, pots[i % 3])
         for name, z0, constraints, free_nu, guard, ctol in cases:
             label = (n, iso, p, i % 3, name)
-            z, iters = _newton(ring, space, z0, constraints, _NEWTON_TOL, ctol, 50, num,
+            z, iters = _newton(ring, space, z0, constraints, ctol, 50, num,
                                free_nu=free_nu, guard=guard)
             ref, ref_iters = lstsq_newton(ring, space, z0, constraints, _NEWTON_TOL, ctol,
                                           50, num, free_nu=free_nu)
@@ -597,6 +613,25 @@ def test_newton_non_finite_stops_with_no_convergence():
     small = mode_perturbed_orbit(ring, 3, 0.01, np.sqrt(3.0))
     with pytest.raises(NoConvergence, match="non-finite residual"):
         newton_orbit(ring, small, fix_nu=False, amplitude=float("nan"))
+
+
+def test_newton_iteration_and_fourier_order_caps(monkeypatch):
+    """newton_orbit raises NoConvergence when a Newton solve needs more than
+    _MAX_ITER iterations, or when the Fourier tail is still above 1e-12 once
+    doubling p would pass _P_MAX."""
+    ring = RingSystem(n=6, mu=0.5)
+    initial = mode_perturbed_orbit(ring, 3, 0.05, np.sqrt(3.0))
+    iters = newton_orbit(ring, initial, fix_nu=False,
+                         amplitude=initial.amplitude).newton_iterations
+    monkeypatch.setattr(orbits, "_MAX_ITER", iters - 1)
+    with pytest.raises(NoConvergence, match=f"no convergence after {iters - 1} Newton"):
+        newton_orbit(ring, initial, fix_nu=False, amplitude=initial.amplitude)
+    monkeypatch.setattr(orbits, "_MAX_ITER", 50)
+    # the start of test_newton_tail_adaptation needs p = 8
+    initial = mode_perturbed_orbit(ring, 3, 0.5, np.sqrt(3.0), p=2)
+    monkeypatch.setattr(orbits, "_P_MAX", 4)
+    with pytest.raises(NoConvergence, match="still above 1e-12 at p = 4"):
+        newton_orbit(ring, initial, fix_nu=False, amplitude=initial.amplitude)
 
 
 def test_newton_gauge_config_validation():
@@ -695,6 +730,37 @@ def test_continue_branch_amplitude_bound(monkeypatch):
     for p_max in (-5, 0, 7):
         with pytest.raises(ValueError, match="p_max must be >="):
             continue_branch(ring, bif, steps=4, ds=0.05, p_max=p_max)
+    with pytest.raises(ValueError, match="p must be >= 1, got p = 0"):
+        continue_branch(ring, bif, steps=4, ds=0.05, p=0)
+
+
+@pytest.mark.parametrize("fail_from, accepted", [(1, 0), (2, 1)],
+                         ids=["no-point", "one-point"])
+def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, accepted):
+    """A corrector that fails six times in a row, with ds halved after each of
+    the first five failures, ends the branch: NoConvergence before any point
+    is accepted, termination step-failure after one."""
+    starts = []
+    newton = orbits._newton
+
+    def failing(ring, space, z, *args, **kwargs):
+        starts.append(z)
+        if len(starts) >= fail_from:
+            raise NoConvergence("corrector failed")
+        return newton(ring, space, z, *args, **kwargs)
+    monkeypatch.setattr(orbits, "_newton", failing)
+    ring = RingSystem(n=6, mu=0.5)
+    bif = branch_point(ring, 3, "plus")
+    if accepted:
+        branch = continue_branch(ring, bif, steps=4, ds=0.04)
+        assert branch.termination == "step-failure" and len(branch.points) == accepted
+    else:
+        with pytest.raises(NoConvergence, match="corrector failed"):
+            continue_branch(ring, bif, steps=4, ds=0.04)
+    assert len(starts) == accepted + 6
+    # each predictor is z_prev + ds * tangent, with ds = 0.04 / 2^i
+    gaps = [np.linalg.norm(a - b) for a, b in zip(starts[-6:], starts[-5:])]
+    np.testing.assert_allclose(gaps, 0.04 * 0.5 ** np.arange(1, 6), rtol=1e-12)
 
 
 def test_continue_branch_builds_border_once_per_step(monkeypatch):

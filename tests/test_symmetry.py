@@ -203,6 +203,17 @@ def test_group_action_composition_law():
     np.testing.assert_allclose(twice, group_action(5, 2, 0.0, 0.0, x), atol=1e-14)
 
 
+def test_group_action_takes_a_state_or_fourier_coefficients():
+    # a 2-D array is read as Fourier coefficients only when told so; at phi = 0
+    # each row moves as a state does
+    x = np.random.default_rng(4).normal(size=(5, 10))
+    with pytest.raises(ValueError, match="fourier=True"):
+        group_action(5, 1, 0.3, 0.0, x)
+    moved = group_action(5, 1, 0.3, 0.0, x, fourier=True)
+    np.testing.assert_allclose(moved, [group_action(5, 1, 0.3, 0.0, row) for row in x],
+                               atol=1e-15)
+
+
 def test_isotropy_label():
     lab = IsotropyLabel(n=6, k=3)
     assert lab.label == "Z~_6(3)"
