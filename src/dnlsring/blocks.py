@@ -29,14 +29,12 @@ __all__ = [
     "SearchRangeExhausted",
     "BrokenReflection",
     "BlockCoefficients",
-    "SpectralSummary",
     "CriticalFrequencies",
     "StabilityVerdict",
     "coefficients",
     "block_B",
     "block_m",
     "det_trace",
-    "spectral_summary",
     "morse_index",
     "critical_frequencies",
     "sigma",
@@ -164,25 +162,6 @@ def det_trace(ring: RingSystem, k: int, nu: float) -> tuple[float, float]:
     x = mu_h_prime(ring)
     d = -2.0 * c.alpha * x + c.alpha ** 2 - (c.gamma - nu) ** 2
     return d, 2.0 * x - 2.0 * c.alpha
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    det: float
-    trace: float
-    eigenvalues: tuple[float, float]
-    morse_index: int
-
-
-def spectral_summary(m: np.ndarray) -> SpectralSummary:
-    """Determinant, trace, real eigenvalues and Morse index of a Hermitian 2x2."""
-    ev = np.linalg.eigvalsh(m)
-    return SpectralSummary(
-        det=float(ev[0] * ev[1]),
-        trace=float(ev.sum()),
-        eigenvalues=(float(ev[0]), float(ev[1])),
-        morse_index=int((ev < 0).sum()),
-    )
 
 
 def morse_index(ring: RingSystem, k: int, nu: float) -> int:

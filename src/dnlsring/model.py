@@ -29,9 +29,6 @@ __all__ = [
     "J2",
     "PotentialModel",
     "RingSystem",
-    "block_symplectic",
-    "complex_view",
-    "real_view",
     "cubic_potential",
     "saturable_potential",
     "custom_potential",
@@ -50,26 +47,6 @@ _VALIDATE_S_MAX = 4.0
 _VALIDATE_NUM = 25
 _VALIDATE_TOL = 1e-6
 _QUAD_TOL = 1e-10       # absolute and relative tolerance of a quadrature G
-
-
-def block_symplectic(n: int) -> np.ndarray:
-    """Block-diagonal symplectic matrix diag(J2, ..., J2) of size 2n x 2n."""
-    return np.kron(np.eye(n), J2)
-
-
-def complex_view(x: np.ndarray) -> np.ndarray:
-    """Complex values of the n oscillators of a real state (..., 2n)."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def real_view(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complex_view`."""
-    c = np.asarray(c, dtype=complex)
-    out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
-    out[..., 0::2] = c.real
-    out[..., 1::2] = c.imag
-    return out
 
 
 @dataclass(frozen=True)

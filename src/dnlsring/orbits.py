@@ -28,15 +28,15 @@ Each Newton iteration is one LU factorization with a condition estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import blocks
-from .model import (_EYE2, J2, RingSystem, _as_state, _gradient_sites,
-                    _hessian_apply_sites, _onsite_blocks, _onsite_hessian)
-from .symmetry import group_action, t_k_matrix
+from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites,
+                    _onsite_blocks, _onsite_hessian)
+from .symmetry import t_k_matrix
 
 __all__ = [
     "NoConvergence",
@@ -48,7 +48,6 @@ __all__ = [
     "residual",
     "linearized_residual",
     "orbit_residual_norm",
-    "orthogonality_check",
     "newton_orbit",
     "continue_branch",
     "extrapolate_nu_to_zero",
@@ -122,15 +121,6 @@ class FourierOrbit:
         mask[self.p] = False
         return float(np.sqrt((np.abs(self.coeffs[mask]) ** 2).sum()))
 
-    def sample(self) -> np.ndarray:
-        """Real samples on a uniform grid of max(4p + 1, 128) points of [0, 2*pi)."""
-        return _modes_to_samples(self.coeffs, _default_samples(self.p))
-
-    def transformed(self, shift: int, theta: float, phi: float) -> "FourierOrbit":
-        """Orbit moved by the group action (cyclic shift, rotation, time shift)."""
-        moved = group_action(self.n, shift, theta, phi, self.coeffs, fourier=True)
-        return replace(self, coeffs=moved)
-
     @classmethod
     def from_state(cls, state, nu: float, p: int) -> "FourierOrbit":
         """Constant-in-time orbit at the given state."""
@@ -138,11 +128,6 @@ class FourierOrbit:
         coeffs = np.zeros((2 * p + 1, state.size), dtype=complex)
         coeffs[p] = state
         return cls(nu=nu, coeffs=coeffs)
-
-    @classmethod
-    def from_samples(cls, samples, nu: float, p: int) -> "FourierOrbit":
-        samples = np.asarray(samples, dtype=float)
-        return cls(nu=nu, coeffs=_samples_to_modes(samples, p))
 
 
 def _default_samples(p: int) -> int:
@@ -174,19 +159,29 @@ def _apply_iJJ(coeffs: np.ndarray) -> np.ndarray:
     return 1j * (stacked @ J2.T).reshape(coeffs.shape)
 
 
+def _check_sizes(ring: RingSystem, orbit: FourierOrbit) -> None:
+    if orbit.n != ring.n:
+        raise ValueError(f"the orbit has n = {orbit.n} oscillators, the ring n = {ring.n}")
+
+
 def residual(ring: RingSystem, orbit: FourierOrbit,
              num_samples: int | None = None) -> np.ndarray:
-    """Per-mode residual F_l = -l nu (i JJ) x_l + g_l for |l| <= p.
+    """Per-mode residual F_l = -l nu (i JJ) x_l + g_l for |l| <= p, with g_l
+    the Fourier modes of grad_V along the orbit (a dealiased transform of at
+    least 4p+1 time samples): the full-space residual that
+    :func:`newton_orbit` solves, the modes l = 0..p of ``_FourierSpace``,
+    shown over l = -p..p with F_-l = conj(F_l).
 
-    ``g_l`` are the Fourier modes of grad_V along the orbit, computed by a
-    dealiased discrete transform of the time-sampled gradient (at least
-    4p+1 samples).
+    Raises
+    ------
+    ValueError
+        When the orbit and the ring have different numbers of oscillators.
     """
-    num = num_samples or _default_samples(orbit.p)
-    X = _modes_to_samples(orbit.coeffs, num).reshape(num, ring.n, 2)
-    g = _samples_to_modes(_gradient_sites(ring, X).reshape(num, 2 * ring.n), orbit.p)
-    ls = np.arange(-orbit.p, orbit.p + 1)
-    return -orbit.nu * ls[:, None] * _apply_iJJ(orbit.coeffs) + g
+    _check_sizes(ring, orbit)
+    p = orbit.p
+    num = num_samples or _default_samples(p)
+    F = _FourierSpace(orbit.n, p).modes(ring, orbit.coeffs[p:], orbit.nu, num)
+    return np.concatenate([F[:0:-1].conj(), F])
 
 
 def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
@@ -196,7 +191,13 @@ def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
 
     ``dcoeffs`` must describe a real perturbation, i.e. satisfy the same
     reality condition as orbit coefficients.
+
+    Raises
+    ------
+    ValueError
+        When ``dcoeffs`` is not real, or the orbit and the ring sizes differ.
     """
+    _check_sizes(ring, orbit)
     if np.abs(dcoeffs[::-1].conj() - dcoeffs).max() > 1e-12 * (1 + np.abs(dcoeffs).max()):
         raise ValueError("dcoeffs must satisfy the reality condition")
     num = num_samples or _default_samples(orbit.p)
@@ -215,24 +216,6 @@ def orbit_residual_norm(F: np.ndarray) -> float:
     return float(np.sqrt((np.abs(F) ** 2).sum()))
 
 
-def orthogonality_check(ring: RingSystem, orbit: FourierOrbit) -> tuple[float, float]:
-    """Time integrals of <F(x), dx/dt> and <F(x), -JJ x> over one period.
-
-    Both vanish for every 2*pi-periodic trial orbit, solution or not: the
-    first because grad_V is a gradient, the second because V is rotation
-    invariant.  Sampling is oversized so the quadrature error stays below
-    the 1e-10 check level even for non-polynomial potentials.
-    """
-    num = max(8 * orbit.p + 1, 257)
-    F = residual(ring, orbit, num)
-    ls = np.arange(-orbit.p, orbit.p + 1)[:, None]
-    xdot = 1j * ls * orbit.coeffs
-    rot = -_apply_iJJ(orbit.coeffs) / 1j  # -JJ x per mode
-    c1 = 2.0 * np.pi * np.sum(F * xdot.conj()).real
-    c2 = 2.0 * np.pi * np.sum(F * rot.conj()).real
-    return float(c1), float(c2)
-
-
 # ---------------------------------------------------------------------------
 # coordinates on the half spectrum l = 0..p
 
@@ -249,7 +232,9 @@ class _FourierSpace:
     through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ; 4p + 3 real
     unknowns in place of 2n(2p+1) + 1, with the L2 pairing of the whole orbit.
     Points are packed as [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu];
-    residuals the same way without nu.
+    residuals the same way without nu.  The residual is written once, in
+    :meth:`modes`: Newton solves it packed, and the full space's modes are
+    the public :func:`residual`, the certificate of every solved orbit.
     """
 
     def __init__(self, n: int, p: int, k: int | None = None):
@@ -298,9 +283,9 @@ class _FourierSpace:
         coeffs = np.concatenate([V[:0:-1].conj(), V]) / self.scale
         return _modes_to_samples(coeffs, num).reshape(num, -1, 2)
 
-    def residual(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
-        """F_l = (K_l - l nu iJJ) V_l + DFT[(omega + h - 2) x]_l over the kept
-        oscillators, scaled back to V coordinates."""
+    def modes(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
+        """F_l = (K_l - l nu iJJ) V_l + DFT[(omega + h - 2) x]_l, l = 0..p, over
+        the kept oscillators, scaled back to V coordinates: shape (p+1, w)."""
         X = self._samples(V, num)
         s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
         G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
@@ -311,7 +296,11 @@ class _FourierSpace:
         else:   # x_(j+1) + x_(j-1) at every site j
             near = V.reshape(self.p + 1, -1, 2)[:, self._neighbours[1]]
             coupled = (near[:, :self.n] + near[:, self.n:]).reshape(V.shape)
-        return self.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
+        return coupled - nu * ls * _apply_iJJ(V) + onsite
+
+    def residual(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
+        """The packed :meth:`modes`, the residual that Newton solves."""
+        return self.pack(self.modes(ring, V, nu, num))
 
     def row(self, t: np.ndarray) -> np.ndarray:
         """Packed row r with r . dz = Re <dV_0, t_0> + 2 Re sum_{l>0} <dV_l, t_l>,
@@ -494,6 +483,9 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
 
     Raises
     ------
+    ValueError
+        When ``amplitude`` and ``fix_nu`` disagree, or the orbit and the ring
+        have different numbers of oscillators.
     SingularJacobian
         When the condition estimate of the gauged Jacobian is below 1e-10,
         as happens exactly at a critical frequency of the trivial solution.
@@ -505,6 +497,7 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
         raise ValueError("an amplitude constraint requires a free frequency")
     if amplitude is None and not fix_nu:
         raise ValueError("a free frequency requires an amplitude constraint")
+    _check_sizes(ring, initial)
     space = _FourierSpace(initial.n, initial.p)
     z = space.pack(initial.coeffs[initial.p:], float(initial.nu))
     total_iters = 0

@@ -28,7 +28,6 @@ __all__ = [
     "ChangeOfVariables",
     "IsotropyLabel",
     "t_k_matrix",
-    "t_k_apply",
     "assemble_P",
     "block_extract",
     "BlockDecomposition",
@@ -60,14 +59,6 @@ def t_k_matrix(n: int, k: int) -> np.ndarray:
     phase = np.exp(2j * np.pi * (k * j % n) / n)
     R = np.moveaxis(_rotation(j * (2.0 * np.pi / n)), -1, 0)   # (n, 2, 2)
     return (phase[:, None, None] * R).reshape(2 * n, 2) / np.sqrt(n)
-
-
-def t_k_apply(n: int, k: int, w) -> np.ndarray:
-    """Embed a complex 2-vector into C^{2n} along the mode space W_k."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (2,):
-        raise ValueError("w must be a complex 2-vector")
-    return t_k_matrix(n, k) @ w
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ from dnlsring.blocks import (coefficients, degenerate_amplitudes, det_trace,
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.model import (RingSystem, cubic_potential, gradient_V, hessian_V,
                             potential_V, saturable_potential, standing_wave)
-from dnlsring.orbits import (FourierOrbit, continue_branch,
-                             extrapolate_nu_to_zero, integrate,
-                             orthogonality_check)
+from dnlsring.orbits import FourierOrbit, continue_branch, extrapolate_nu_to_zero, integrate
 from dnlsring.symmetry import assemble_P, block_extract, symmetry_residual
+from references import orthogonality_check
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()

@@ -18,11 +18,11 @@ from dnlsring.blocks import (BrokenReflection, SearchRangeExhausted, SingularBlo
                              degenerate_amplitudes, det_trace, eta,
                              full_spectrum_oracle, kernel_vector,
                              linear_stability, morse_index, mu_h_prime, sigma,
-                             spectral_summary, spectrum_max_real)
+                             spectrum_max_real)
 from dnlsring.classify import _degenerate_table, stability_interval
-from dnlsring.model import (RingSystem, block_symplectic, cubic_potential,
-                            custom_potential, hessian_V, saturable_potential,
-                            standing_wave)
+from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
+                            saturable_potential, standing_wave)
+from references import block_symplectic
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()
@@ -794,14 +794,14 @@ def test_kernel_vector_is_in_kernel():
 
 
 def test_spectral_summary_consistency():
+    # the closed-form det, trace and Morse index of m_k against its eigenvalues
     ring = RingSystem(n=5, mu=0.6)
     for k in range(1, 6):
-        m = block_m(ring, k, 0.3)
-        s = spectral_summary(m)
+        ev = np.linalg.eigvalsh(block_m(ring, k, 0.3))
         d, T = det_trace(ring, k, 0.3)
-        assert abs(s.det - d) < 1e-12
-        assert abs(s.trace - T) < 1e-12
-        assert s.morse_index == sum(1 for e in s.eigenvalues if e < 0)
+        assert abs(ev[0] * ev[1] - d) < 1e-12
+        assert abs(ev.sum() - T) < 1e-12
+        assert morse_index(ring, k, 0.3) == (ev < 0).sum()
 
 
 # --- stability ---------------------------------------------------------------

@@ -13,18 +13,19 @@ from dnlsring import cli, orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.cli import _expr_fn
-from dnlsring.model import (RingSystem, _onsite_hessian, block_symplectic, cubic_potential,
-                            custom_potential, hessian_V, potential_V, saturable_potential,
-                            standing_wave, vector_field)
+from dnlsring.model import (RingSystem, _onsite_hessian, cubic_potential, custom_potential,
+                            hessian_V, potential_V, saturable_potential, standing_wave,
+                            vector_field)
 from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
                              FourierOrbit, NoConvergence, SingularJacobian, _apply_iJJ,
-                             _default_samples, _FourierSpace, _newton, _orbit_constraints,
-                             continue_branch,
+                             _default_samples, _FourierSpace, _modes_to_samples, _newton,
+                             _orbit_constraints, _samples_to_modes, continue_branch,
                              extrapolate_nu_to_zero,
                              integrate, linearized_residual, newton_orbit,
-                             orbit_residual_norm, orthogonality_check, residual)
-from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
+                             orbit_residual_norm, residual)
+from dnlsring.symmetry import (SymmetryResidual, group_action, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
+from references import block_symplectic, orthogonality_check, sampled_residual
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -78,9 +79,8 @@ def test_orbit_reality_validation():
 def test_orbit_sample_roundtrip():
     rng = np.random.default_rng(0)
     orbit = random_trig_orbit(rng, n=4, p=5)
-    samples = orbit.sample()
-    back = FourierOrbit.from_samples(samples, nu=orbit.nu, p=5)
-    assert np.abs(back.coeffs - orbit.coeffs).max() < 1e-12
+    samples = _modes_to_samples(orbit.coeffs, _default_samples(5))
+    assert np.abs(_samples_to_modes(samples, 5) - orbit.coeffs).max() < 1e-12
 
 
 def test_orbit_amplitude_excludes_mean():
@@ -90,6 +90,32 @@ def test_orbit_amplitude_excludes_mean():
 
 
 # --- residual ----------------------------------------------------------------
+
+def test_residual_matches_sampled_reference():
+    # the half-spectrum residual of the Newton solver, shown over -p..p,
+    # against the whole-spectrum transform of the np.roll gradient
+    rng = np.random.default_rng(19)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    for i, (n, p) in enumerate([(n, p) for n in (3, 4, 5, 6, 7, 24, 129)
+                                for p in (0, 1, 2, 5, 16)]):
+        ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
+        orbit = random_trig_orbit(rng, n, p, nu=rng.uniform(0.5, 2.0))
+        F = residual(ring, orbit)
+        assert F.shape == (2 * p + 1, 2 * n)
+        ref = sampled_residual(ring, orbit)
+        assert np.abs(F - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), (n, p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ring, orbit: residual(ring, orbit),
+    lambda ring, orbit: linearized_residual(ring, orbit, orbit.coeffs),
+    lambda ring, orbit: newton_orbit(ring, orbit),
+], ids=["residual", "linearized_residual", "newton_orbit"])
+def test_ring_and_orbit_sizes_must_agree(call):
+    orbit = FourierOrbit.from_state(standing_wave(RingSystem(n=5, mu=0.5))[0], nu=1.0, p=2)
+    with pytest.raises(ValueError, match="the orbit has n = 5 oscillators, the ring n = 6"):
+        call(RingSystem(n=6, mu=0.5), orbit)
+
 
 def test_residual_zero_at_equilibrium():
     ring = RingSystem(n=6, mu=0.5)
@@ -226,8 +252,8 @@ def test_closed_form_jacobian_matches_column_assembly():
         coeffs = map_expand(maps, V)
         assert np.abs(space.expand(V) - coeffs).max() <= 1e-12, (n, k, p)
         res = space.residual(ring, V, z[-1], num)
-        ref_res = space.pack(map_project(maps, residual(ring, FourierOrbit(z[-1], coeffs),
-                                                        num)))
+        ref_res = space.pack(map_project(
+            maps, sampled_residual(ring, FourierOrbit(z[-1], coeffs), num)))
         assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
         border = rng.normal(size=(3, space.dim))
         unfold = [space.pack(t) for t in space.tangents(V)]
@@ -673,7 +699,7 @@ def test_gauge_invariance_of_residual():
     ring = RingSystem(n=6, mu=0.5)
     initial = mode_perturbed_orbit(ring, 3, 0.05, np.sqrt(3.0))
     sol = newton_orbit(ring, initial, fix_nu=False, amplitude=initial.amplitude)
-    moved = sol.transformed(shift=2, theta=0.7, phi=1.1)
+    moved = FourierOrbit(sol.nu, group_action(6, 2, 0.7, 1.1, sol.coeffs, fourier=True))
     F0 = residual(ring, sol)
     F1 = residual(ring, moved)
     assert abs(orbit_residual_norm(F0) - orbit_residual_norm(F1)) <= 1e-12

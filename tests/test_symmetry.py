@@ -7,8 +7,8 @@ from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessi
                             saturable_potential, standing_wave)
 from dnlsring.orbits import FourierOrbit
 from dnlsring.symmetry import (IsotropyLabel, assemble_P, block_extract,
-                               group_action, symmetry_residual, t_k_apply,
-                               t_k_matrix, traveling_wave_residual)
+                               group_action, symmetry_residual, t_k_matrix,
+                               traveling_wave_residual)
 
 
 def test_t_k_full_mode_is_pure_rotation_pattern():
@@ -17,7 +17,7 @@ def test_t_k_full_mode_is_pure_rotation_pattern():
     # no phase factor: the embedding is real
     assert np.abs(cols.imag).max() == 0.0
     w = np.array([1.0, 0.0])
-    out = t_k_apply(n, n, w).reshape(n, 2)
+    out = (t_k_matrix(n, n) @ w).reshape(n, 2)
     for j in range(1, n + 1):
         ang = 2 * np.pi * j / n
         np.testing.assert_allclose(out[j - 1],
@@ -48,22 +48,22 @@ def test_t_k_isometry_and_orthogonality():
     n = 7
     for k in range(1, n + 1):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(np.linalg.norm(t_k_apply(n, k, w)) - np.linalg.norm(w)) < 1e-12
+        assert abs(np.linalg.norm(t_k_matrix(n, k) @ w) - np.linalg.norm(w)) < 1e-12
     for k in range(1, n + 1):
         for m in range(1, n + 1):
             if k == m:
                 continue
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            inner = np.vdot(t_k_apply(n, k, w), t_k_apply(n, m, v))
+            inner = np.vdot(t_k_matrix(n, k) @ w, t_k_matrix(n, m) @ v)
             assert abs(inner) < 1e-12
 
 
 def test_t_k_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        t_k_apply(5, 0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        t_k_apply(5, 6, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"mode index k must be in 1\.\.5, got 0"):
+        t_k_matrix(5, 0)
+    with pytest.raises(ValueError, match=r"mode index k must be in 1\.\.5, got 6"):
+        t_k_matrix(5, 6)
 
 
 @pytest.mark.parametrize("n", [3, 12])
@@ -189,7 +189,7 @@ def test_group_action_phase_on_mode_space():
     zeta = 2 * np.pi / n
     rng = np.random.default_rng(2)
     w = rng.normal(size=2) + 1j * rng.normal(size=2)
-    x = t_k_apply(n, k, w)
+    x = t_k_matrix(n, k) @ w
     re = group_action(n, 1, zeta, 0.0, x.real)
     im = group_action(n, 1, zeta, 0.0, x.imag)
     np.testing.assert_allclose(re + 1j * im, np.exp(1j * k * zeta) * x, atol=1e-12)
@@ -240,7 +240,7 @@ def test_symmetry_residual_synthetic_mode_orbit():
     w = rng.normal(size=2) + 1j * rng.normal(size=2)
     coeffs = np.zeros((9, 12), dtype=complex)
     coeffs[4] = a
-    coeffs[5] = eps / 2 * t_k_apply(6, k, w)
+    coeffs[5] = eps / 2 * (t_k_matrix(6, k) @ w)
     coeffs[3] = np.conj(coeffs[5])
     orbit = FourierOrbit(nu=1.0, coeffs=coeffs)
     res = symmetry_residual(orbit, k)
@@ -256,7 +256,7 @@ def test_symmetry_residual_detects_wrong_mode():
     w /= np.linalg.norm(w)
     coeffs = np.zeros((9, 12), dtype=complex)
     coeffs[4] = a
-    coeffs[5] = eps / 2 * t_k_apply(6, 2, w)   # mode 2 content
+    coeffs[5] = eps / 2 * (t_k_matrix(6, 2) @ w)   # mode 2 content
     coeffs[3] = np.conj(coeffs[5])
     orbit = FourierOrbit(nu=1.0, coeffs=coeffs)
     res = symmetry_residual(orbit, 3)          # checked against mode 3
@@ -269,6 +269,6 @@ def test_traveling_wave_residual_on_mode_orbit():
     w = np.array([0.4 - 0.1j, 0.2 + 0.3j])
     coeffs = np.zeros((9, 12), dtype=complex)
     coeffs[4] = a
-    coeffs[5] = 0.01 * t_k_apply(6, k, w)
+    coeffs[5] = 0.01 * (t_k_matrix(6, k) @ w)
     coeffs[3] = np.conj(coeffs[5])
     assert traveling_wave_residual(FourierOrbit(nu=1.0, coeffs=coeffs), k) <= 1e-12
