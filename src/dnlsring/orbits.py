@@ -135,21 +135,18 @@ def _default_samples(p: int) -> int:
     return max(4 * p + 1, 128)
 
 
-def _modes_to_samples(coeffs: np.ndarray, num: int) -> np.ndarray:
-    p = (coeffs.shape[0] - 1) // 2
-    if num < 2 * p + 1:
-        raise ValueError("need at least 2p+1 samples")
-    ls = np.arange(-p, p + 1)
-    spread = np.zeros((num, coeffs.shape[1]), dtype=complex)
-    spread[ls % num] = coeffs
-    return (num * np.fft.ifft(spread, axis=0)).real
+def _to_samples(modes: np.ndarray, num: int) -> np.ndarray:
+    """``num`` equispaced samples of the real signal with modes 0..m (axis 0)."""
+    if num < 2 * len(modes) - 1:
+        raise ValueError(f"need at least {2 * len(modes) - 1} samples, got {num}")
+    return np.fft.irfft(modes, num, axis=0) * num
 
 
-def _samples_to_modes(samples: np.ndarray, p: int) -> np.ndarray:
-    num = samples.shape[0]
-    F = np.fft.fft(samples, axis=0) / num
-    ls = np.arange(-p, p + 1)
-    return F[ls % num]
+def _to_modes(samples: np.ndarray, m: int) -> np.ndarray:
+    """Modes 0..m of the real signal with these equispaced samples (axis 0)."""
+    if len(samples) < 2 * m + 1:
+        raise ValueError(f"need at least {2 * m + 1} samples, got {len(samples)}")
+    return np.fft.rfft(samples, axis=0)[:m + 1] / len(samples)
 
 
 def _apply_iJJ(coeffs: np.ndarray) -> np.ndarray:
@@ -187,28 +184,30 @@ def residual(ring: RingSystem, orbit: FourierOrbit,
 def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
                         dcoeffs: np.ndarray, dnu: float = 0.0,
                         num_samples: int | None = None) -> np.ndarray:
-    """Exact directional derivative of the residual along (dcoeffs, dnu).
+    """Exact derivative of :func:`residual` along (dcoeffs, dnu), in its layout.
 
-    ``dcoeffs`` must describe a real perturbation, i.e. satisfy the same
-    reality condition as orbit coefficients.
+    ``dcoeffs`` has the shape of ``orbit.coeffs`` and must describe a real
+    perturbation, i.e. satisfy the same reality condition.
 
     Raises
     ------
     ValueError
-        When ``dcoeffs`` is not real, or the orbit and the ring sizes differ.
+        When the orbit and ring sizes differ, or ``dcoeffs`` has another shape
+        or is not real.
     """
     _check_sizes(ring, orbit)
+    if dcoeffs.shape != orbit.coeffs.shape:
+        raise ValueError(f"dcoeffs has shape {dcoeffs.shape}, the orbit {orbit.coeffs.shape}")
     if np.abs(dcoeffs[::-1].conj() - dcoeffs).max() > 1e-12 * (1 + np.abs(dcoeffs).max()):
         raise ValueError("dcoeffs must satisfy the reality condition")
     num = num_samples or _default_samples(orbit.p)
     p = orbit.p
-    X = _modes_to_samples(orbit.coeffs, num).reshape(num, ring.n, 2)
-    dX = _modes_to_samples(dcoeffs, num).reshape(num, ring.n, 2)
-    dG = _hessian_apply_sites(ring, X, dX).reshape(num, 2 * ring.n)
-    dg = _samples_to_modes(dG, p)
+    X = _to_samples(orbit.coeffs[p:], num).reshape(num, ring.n, 2)
+    dX = _to_samples(dcoeffs[p:], num).reshape(num, ring.n, 2)
+    dg = _to_modes(_hessian_apply_sites(ring, X, dX).reshape(num, 2 * ring.n), p)
     ls = np.arange(-p, p + 1)[:, None]
     return (-orbit.nu * ls * _apply_iJJ(dcoeffs)
-            - dnu * ls * _apply_iJJ(orbit.coeffs) + dg)
+            - dnu * ls * _apply_iJJ(orbit.coeffs) + np.concatenate([dg[:0:-1].conj(), dg]))
 
 
 def orbit_residual_norm(F: np.ndarray) -> float:
@@ -234,7 +233,8 @@ class _FourierSpace:
     Points are packed as [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu];
     residuals the same way without nu.  The residual is written once, in
     :meth:`modes`: Newton solves it packed, and the full space's modes are
-    the public :func:`residual`, the certificate of every solved orbit.
+    the public :func:`residual`, the certificate of every solved orbit.  The
+    signals are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
     """
 
     def __init__(self, n: int, p: int, k: int | None = None):
@@ -280,16 +280,15 @@ class _FourierSpace:
 
     def _samples(self, V: np.ndarray, num: int) -> np.ndarray:
         """Time samples (num, w/2, 2) of the kept oscillators."""
-        coeffs = np.concatenate([V[:0:-1].conj(), V]) / self.scale
-        return _modes_to_samples(coeffs, num).reshape(num, -1, 2)
+        return _to_samples(V / self.scale, num).reshape(num, -1, 2)
 
     def modes(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
-        """F_l = (K_l - l nu iJJ) V_l + DFT[(omega + h - 2) x]_l, l = 0..p, over
-        the kept oscillators, scaled back to V coordinates: shape (p+1, w)."""
+        """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples
+        of (omega + h - 2) x, over the kept oscillators in V coordinates: (p+1, w)."""
         X = self._samples(V, num)
         s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
         G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
-        onsite = np.fft.fft(G.reshape(num, -1), axis=0)[:self.p + 1] * (self.scale / num)
+        onsite = _to_modes(G.reshape(num, -1), self.p) * self.scale
         ls = np.arange(self.p + 1)[:, None]
         if self._neighbours is None:
             coupled = (self.coupling @ V[:, :, None])[:, :, 0]
@@ -336,25 +335,25 @@ class _FourierSpace:
         Fortran order, so dropping the nu column leaves a contiguous matrix
         that LAPACK factors in place.
 
-        Closed form of the sampled linearization: with S_m the discrete
-        Fourier modes of the on-site Hessian blocks along the orbit, one 2x2
-        block per kept oscillator, mode block (l, l') is S_(l-l') on the site
-        diagonal; the conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'),
-        the diagonal mode block adds K_l - l nu iJJ and the nu column is
-        -l iJJ V_l.  This is the operator of :func:`linearized_residual`, not
-        an approximation.  S stays compact, (4p+1, sites, 2, 2): two index
-        arrays gather every mode pair from it, the real rows of every mode
-        and the imaginary rows of modes l >= 1 are written through one
-        site-diagonal fancy index into a (parts, site, 2, parts, site, 2)
-        view of A, and in the full space one more indexed add puts the ring
-        adjacency on the diagonal mode blocks.
+        Closed form of the sampled linearization: with S_m the Fourier modes
+        of the on-site Hessian blocks along the orbit, one 2x2 block per kept
+        oscillator, mode block (l, l') is S_(l-l') on the site diagonal; the
+        conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'), the diagonal
+        mode block adds K_l - l nu iJJ and the nu column is -l iJJ V_l.  This
+        is the operator of :func:`linearized_residual`, not an approximation.
+        The blocks are real, so S_-m = conj(S_m): modes -2p..2p do not alias at
+        the ``_default_samples(p)`` >= 4p + 1 samples that every caller takes.
+        S stays compact, (4p+1, sites, 2, 2): two index arrays gather every mode
+        pair from it, the real rows of every mode and the imaginary rows of
+        modes l >= 1 are written through one site-diagonal fancy index into a
+        (parts, site, 2, parts, site, 2) view of A, and in the full space one
+        more indexed add puts the ring adjacency on the diagonal mode blocks.
         """
         p, w = self.p, self.width
         parts, sites = 2 * p + 1, w // 2
-        # modes m = -2p..2p (row m + 2p), taken mod num as the sampled transform
-        # takes them; adding 0.0 stores a zero mode as +0.0, never -0.0
-        S = np.fft.fft(_onsite_hessian(ring, self._samples(V, num)), axis=0)
-        S = S[np.arange(-2 * p, 2 * p + 1) % num] / num + 0.0
+        # mode m = -2p..2p at row m + 2p; adding 0.0 stores a zero as +0.0, never -0.0
+        S = _to_modes(_onsite_hessian(ring, self._samples(V, num)), 2 * p)
+        S = np.concatenate([S[:0:-1].conj(), S]) + 0.0
         ls = np.arange(p + 1)
         # row mode l, column mode l': dV_l' = a + i b enters as
         # plus (a + i b) + minus (a - i b), l' > 0

@@ -16,18 +16,35 @@ def block_symplectic(n):
     return np.kron(np.eye(n), J2)
 
 
+def modes_to_samples(coeffs, num):
+    """The real signal with modes l = -p..p (rows of ``coeffs``) at ``num``
+    equispaced times: the modes spread to their indices l mod num, then a
+    complex inverse FFT."""
+    p = (coeffs.shape[0] - 1) // 2
+    if num < 2 * p + 1:
+        raise ValueError("need at least 2p+1 samples")
+    spread = np.zeros((num, coeffs.shape[1]), dtype=complex)
+    spread[np.arange(-p, p + 1) % num] = coeffs
+    return (num * np.fft.ifft(spread, axis=0)).real
+
+
+def samples_to_modes(samples, p):
+    """Modes l = -p..p of equispaced samples: a complex FFT, gathered at the
+    indices l mod num."""
+    num = samples.shape[0]
+    return (np.fft.fft(samples, axis=0) / num)[np.arange(-p, p + 1) % num]
+
+
 def sampled_residual(ring, orbit, num_samples=None):
     """The collocation residual F_l = -l nu (i JJ) x_l + g_l over all modes
-    l = -p..p: the orbit sampled by a complex inverse FFT of its 2p + 1
+    l = -p..p: the orbit sampled by the complex pair above from its 2p + 1
     modes, the gradient at every sample with its neighbours by ``np.roll``,
-    and g_l the complex FFT of those samples at l = -p..p."""
+    and g_l its modes l = -p..p."""
     p, n = orbit.p, orbit.n
     num = num_samples or _default_samples(p)
     ls = np.arange(-p, p + 1)
-    spread = np.zeros((num, 2 * n), dtype=complex)
-    spread[ls % num] = orbit.coeffs
-    X = (num * np.fft.ifft(spread, axis=0)).real.reshape(num, n, 2)
-    g = np.fft.fft(_gradient_sites(ring, X).reshape(num, 2 * n), axis=0)[ls % num] / num
+    X = modes_to_samples(orbit.coeffs, num).reshape(num, n, 2)
+    g = samples_to_modes(_gradient_sites(ring, X).reshape(num, 2 * n), p)
     return -orbit.nu * ls[:, None] * _apply_iJJ(orbit.coeffs) + g
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 import tracemalloc
 import warnings
@@ -18,14 +19,15 @@ from dnlsring.model import (RingSystem, _onsite_hessian, cubic_potential, custom
                             vector_field)
 from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
                              FourierOrbit, NoConvergence, SingularJacobian, _apply_iJJ,
-                             _default_samples, _FourierSpace, _modes_to_samples, _newton,
-                             _orbit_constraints, _samples_to_modes, continue_branch,
+                             _default_samples, _FourierSpace, _newton,
+                             _orbit_constraints, _to_modes, _to_samples, continue_branch,
                              extrapolate_nu_to_zero,
                              integrate, linearized_residual, newton_orbit,
                              orbit_residual_norm, residual)
 from dnlsring.symmetry import (SymmetryResidual, group_action, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
-from references import block_symplectic, orthogonality_check, sampled_residual
+from references import (block_symplectic, modes_to_samples, orthogonality_check,
+                        sampled_residual, samples_to_modes)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -79,8 +81,33 @@ def test_orbit_reality_validation():
 def test_orbit_sample_roundtrip():
     rng = np.random.default_rng(0)
     orbit = random_trig_orbit(rng, n=4, p=5)
-    samples = _modes_to_samples(orbit.coeffs, _default_samples(5))
-    assert np.abs(_samples_to_modes(samples, 5) - orbit.coeffs).max() < 1e-12
+    samples = _to_samples(orbit.coeffs[5:], _default_samples(5))
+    assert np.abs(_to_modes(samples, 5) - orbit.coeffs[5:]).max() < 1e-12
+
+
+def test_real_transform_pair_matches_complex_pair():
+    # modes 0..p through irfft/rfft against modes -p..p through the complex
+    # pair with its mod-num gathers, down to num = 2p + 1 samples
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 8):
+        for p in (0, 1, 2, 5, 16):
+            coeffs = random_trig_orbit(rng, n, p, scale=rng.uniform(0.1, 10.0)).coeffs
+            for num in (2 * p + 1, 2 * p + 2, _default_samples(p), 4 * p + 7):
+                X = _to_samples(coeffs[p:], num)
+                ref = modes_to_samples(coeffs, num)
+                assert np.abs(X - ref).max() <= 1e-13 * (1 + np.abs(ref).max()), (n, p, num)
+                samples = rng.normal(size=(num, 2 * n))
+                F, ref = _to_modes(samples, p), samples_to_modes(samples, p)[p:]
+                assert np.abs(F - ref).max() <= 1e-13 * (1 + np.abs(ref).max()), (n, p, num)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _to_samples(np.ones((4, 2), dtype=complex), 6),
+    lambda: _to_modes(np.ones((6, 2)), 3),
+], ids=["to_samples", "to_modes"])
+def test_real_transform_pair_needs_2p_plus_1_samples(call):
+    with pytest.raises(ValueError, match="need at least 7 samples, got 6"):
+        call()
 
 
 def test_orbit_amplitude_excludes_mean():
@@ -115,6 +142,18 @@ def test_ring_and_orbit_sizes_must_agree(call):
     orbit = FourierOrbit.from_state(standing_wave(RingSystem(n=5, mu=0.5))[0], nu=1.0, p=2)
     with pytest.raises(ValueError, match="the orbit has n = 5 oscillators, the ring n = 6"):
         call(RingSystem(n=6, mu=0.5), orbit)
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (9, 8), (5, 6)])
+def test_linearized_residual_rejects_other_perturbation_shape(shape):
+    # a (1, 8) perturbation was broadcast against the (5, 8) orbit
+    ring = RingSystem(n=4, mu=0.5)
+    orbit = FourierOrbit.from_state(standing_wave(ring)[0], nu=1.0, p=2)
+    dcoeffs = np.zeros(shape, dtype=complex)
+    dcoeffs[shape[0] // 2] = 0.1
+    message = f"dcoeffs has shape {shape}, the orbit (5, 8)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        linearized_residual(ring, orbit, dcoeffs)
 
 
 def test_residual_zero_at_equilibrium():
@@ -281,8 +320,8 @@ def mode_loop_jacobian(space, ring, V, nu, num, border, unfold):
     block-diagonal w x w matrices, and one row mode l built at a time."""
     p, w = space.p, space.width
     coupling = dense_coupling(space)
-    S = np.fft.fft(_onsite_hessian(ring, space._samples(V, num)), axis=0)
-    S = np.einsum("mjab,jk->mjakb", S[np.arange(-2 * p, 2 * p + 1) % num] / num,
+    S = _to_modes(_onsite_hessian(ring, space._samples(V, num)), 2 * p)
+    S = np.einsum("mjab,jk->mjakb", np.concatenate([S[:0:-1].conj(), S]),
                   np.eye(w // 2)).reshape(-1, w, w)
     ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
     rows, m = w * (2 * p + 1), len(unfold)
@@ -340,7 +379,7 @@ def dense_residual(space, ring, V, nu, num):
     X = space._samples(V, num)
     s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
     G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
-    onsite = np.fft.fft(G.reshape(num, -1), axis=0)[:space.p + 1] * (space.scale / num)
+    onsite = _to_modes(G.reshape(num, -1), space.p) * space.scale
     ls = np.arange(space.p + 1)[:, None]
     coupled = (dense_coupling(space) @ V[:, :, None])[:, :, 0]
     return space.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
