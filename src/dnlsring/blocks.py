@@ -53,7 +53,7 @@ _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
 # this many ulps of the largest entry
 _REFLECTION_TOL = 64.0 * np.finfo(float).eps
 _S_RANGE = (0.0, 100.0)  # the range of s = mu^2 that custom potentials are scanned over
-_CLUSTER_RADIUS = 1e-6   # eigenvalues this close form one cluster of spectrum_max_real
+_CLUSTER_RADIUS = 1e-6   # clusters of spectrum_max_real, relative to max(1, |mu^2 h'|)
 
 # Hermitian realization of the rotation generator
 IJ = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -255,6 +255,22 @@ def _level_set(potential, level: float, samples: int = 4096):
     return s, f, edge
 
 
+def _level_amplitudes(potential, level: float) -> tuple[float, ...]:
+    """The amplitudes mu > 0, ascending, with mu^2 h'(mu^2) = level, in closed
+    form for the cubic (s) and saturable (-s/(1+s)^2) potentials."""
+    if potential.kind == "cubic":
+        return (float(np.sqrt(level)),) if level > 0 else ()
+    # s/(1+s)^2 = -level  <=>  level s^2 + (2 level + 1) s + level = 0
+    if level >= 0 or level < -0.25:
+        return ()
+    if level == -0.25:
+        return (1.0,)
+    disc = np.sqrt(4.0 * level + 1.0)
+    s_lo = (-(2.0 * level + 1.0) + disc) / (2.0 * level)
+    s_hi = (-(2.0 * level + 1.0) - disc) / (2.0 * level)
+    return tuple(sorted(float(np.sqrt(s)) for s in (s_lo, s_hi)))
+
+
 def degenerate_amplitudes(n: int, k: int, potential,
                           samples: int = 4096) -> tuple[float, ...]:
     """Amplitudes mu > 0 at which B_k is singular, i.e. mu^2 h'(mu^2) = delta_k.
@@ -280,19 +296,8 @@ def degenerate_amplitudes(n: int, k: int, potential,
     if c.delta is None:
         raise ValueError(f"delta_{k} is undefined (alpha_{k} = 0); no degenerate amplitude")
     delta = c.delta
-    kind = getattr(potential, "kind", "custom")
-    if kind == "cubic":
-        return (float(np.sqrt(delta)),) if delta > 0 else ()
-    if kind == "saturable":
-        # s/(1+s)^2 = -delta  <=>  delta s^2 + (2 delta + 1) s + delta = 0
-        if delta >= 0 or delta < -0.25:
-            return ()
-        if delta == -0.25:
-            return (1.0,)
-        disc = np.sqrt(4.0 * delta + 1.0)
-        s_lo = (-(2.0 * delta + 1.0) + disc) / (2.0 * delta)
-        s_hi = (-(2.0 * delta + 1.0) - disc) / (2.0 * delta)
-        return tuple(sorted(float(np.sqrt(s)) for s in (s_lo, s_hi)))
+    if getattr(potential, "kind", "custom") in ("cubic", "saturable"):
+        return _level_amplitudes(potential, delta)
 
     s, f, edge = _level_set(potential, delta, samples)
     roots = [edge(i) for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
@@ -399,23 +404,26 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
     return np.concatenate((lam, -lam))
 
 
-def spectrum_max_real(eigenvalues: np.ndarray) -> float:
+def spectrum_max_real(eigenvalues: np.ndarray, scale: float) -> float:
     """Largest |real part| of the spectrum, measured on the means of clusters
-    of radius 1e-6.
+    of radius 1e-6 max(1, scale), where ``scale`` is the size of the on-site
+    term, |mu^2 h'(mu^2)| for the rotating wave.
 
     Defective double eigenvalues (the rotation zero; every root when n = 4)
-    split by O(sqrt(eps)) under rounding, so raw real parts of a stable
-    spectrum can reach ~1e-7.  Averages of eigenvalue clusters perturb
-    linearly, so comparing cluster means against a 1e-8 threshold is
-    numerically sound.
+    split by O(sqrt(eps)) times the norm of the linearization under
+    rounding, and that norm grows with the on-site term, so raw real parts
+    of a stable spectrum can reach ~1e-7 max(1, scale).  Averages of
+    eigenvalue clusters perturb linearly, so comparing cluster means against
+    a 1e-8 threshold is numerically sound.
     """
     ev = np.asarray(eigenvalues, dtype=complex)
+    radius = _CLUSTER_RADIUS * max(1.0, scale)
     remaining = np.arange(len(ev))
     worst = 0.0
     while remaining.size:
         # greedy: the first remaining eigenvalue and all within the radius
         # of it, in index order
-        near = np.abs(ev[remaining] - ev[remaining[0]]) < _CLUSTER_RADIUS
+        near = np.abs(ev[remaining] - ev[remaining[0]]) < radius
         near[0] = True
         worst = max(worst, abs(np.mean(ev[remaining[near]]).real))
         remaining = remaining[~near]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -94,10 +94,24 @@ def _degenerate_table(n: int, potential) -> tuple[tuple[int, float], ...]:
                  for mu_k in blocks.degenerate_amplitudes(n, k, potential))
 
 
-# regime tags and the admissibility note of each, indexed by _Classification.regime
+# regime tags, the admissibility note and the condition of each, indexed by
+# _Classification.regime
 _REGIMES = ("", "generic-a", "generic-b", "n3-a", "n3-b")
+_CONDITIONS = ("", "a", "b", "a", "b")
 _NOTES = ("", ADMISSIBILITY_NOTE, "", ADMISSIBILITY_NOTE, "")
 _ROOTS = ("minus", "plus")
+
+
+def _regime(n: int, x, alpha, delta, has_delta) -> np.ndarray:
+    """The ``_REGIMES`` tag of x = mu^2 h'(mu^2) on a mode with coefficients
+    alpha and delta, elementwise.  n = 3: condition (a) for x > 0 and (b) for
+    alpha/2 < x < 0; n >= 5: (a) for x < delta and (b) for delta < x <
+    alpha/2.  A mode without delta (alpha = 0) has no regime."""
+    if n == 3:
+        regime = np.where(x > 0.0, 3, np.where((alpha / 2.0 < x) & (x < 0.0), 4, 0))
+    else:
+        regime = np.where(x < delta, 1, np.where((delta < x) & (x < alpha / 2.0), 2, 0))
+    return np.where(has_delta, regime, 0)
 
 
 class _Classification(NamedTuple):
@@ -159,11 +173,7 @@ def _classify(n: int, potential, mus) -> _Classification:
     eta = np.where(simple[..., None] & (nu > 0.0), jump, 0.0).astype(int)
     period = np.divide(2.0 * np.pi, nu, out=np.full_like(nu, np.nan), where=eta != 0)
 
-    if n == 3:
-        regime = np.where(X > 0.0, 3, np.where((alpha / 2.0 < X) & (X < 0.0), 4, 0))
-    else:
-        regime = np.where(X < delta, 1, np.where((delta < X) & (X < alpha / 2.0), 2, 0))
-    regime = np.where(table.has_delta, regime, 0)
+    regime = _regime(n, X, alpha, delta, table.has_delta)
 
     half_alpha1 = alpha[0] / 2.0   # the thresholds of blocks.linear_stability
     if n == 4:
@@ -203,8 +213,49 @@ def enumerate_bifurcations(ring: RingSystem) -> list[BifurcationPoint]:
             for k, root, nu, period, eta, regime, note in zip(*c.points(True)[1:])]
 
 
-def _interval(lo: float, hi: float) -> tuple[float, float] | None:
-    return (lo, hi) if hi > lo else None
+def _regime_report(n: int, potential) -> RegimeReport:
+    """The regime table of the cubic or the saturable potential.
+
+    Mode k takes the cuts of its partner j = min(k, n - k), whose
+    coefficients are the more accurate of the mirror pair: [0, inf) is cut
+    where mu^2 h'(mu^2) equals delta_j or alpha_j/2 (delta_j alone when
+    gamma_j = 0, where the two are equal), the ``_regime`` of one amplitude
+    inside each piece tags it, and neighbouring pieces with the same
+    condition join.
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    table = blocks._coefficient_table(n)
+    alpha, gamma, delta = table.alpha, table.gamma, table.delta
+    pieces = []   # (j, lo, hi) in ascending mu per mode j
+    for j in range(1, n // 2 + 1):
+        if not table.has_delta[j - 1]:
+            continue
+        levels = [delta[j - 1]] if gamma[j - 1] == 0.0 else [delta[j - 1], alpha[j - 1] / 2.0]
+        cuts = {mu for level in levels for mu in blocks._level_amplitudes(potential, level)}
+        edges = [0.0, *sorted(cuts), math.inf]
+        pieces += [(j, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    probe = np.array([(lo + hi) / 2.0 if hi < math.inf else lo + 1.0 for _, lo, hi in pieces])
+    row = np.array([j - 1 for j, _, _ in pieces], dtype=int)
+    tags = _regime(n, probe ** 2 * potential.h_prime(probe ** 2), alpha[row], delta[row], True)
+    runs: dict[int, list] = {}   # [condition, lo, hi] per mode j
+    for (j, lo, hi), tag in zip(pieces, tags.tolist()):
+        run = runs.setdefault(j, [])
+        if run and run[-1][0] == _CONDITIONS[tag]:
+            run[-1][2] = hi
+        else:
+            run.append([_CONDITIONS[tag], lo, hi])
+    gamma_pos = (gamma > 0.0).tolist()
+    entries = tuple(RegimeEntry(k=k, condition=condition, mu_interval=(lo, hi),
+                                two_sided=condition == "b" and gamma_pos[k - 1],
+                                mirror_of=n - k if k > n // 2 else None)
+                    for k in range(1, n) for condition, lo, hi in runs.get(min(k, n - k), ())
+                    if condition)
+    notes = (("every block has a degenerate double root; no Morse-index jump for n = 4",)
+             if n == 4 else ())
+    return RegimeReport(n=n, potential_kind=potential.kind, entries=entries,
+                        excluded=_degenerate_table(n, potential),
+                        stability=stability_interval(n, potential), notes=notes)
 
 
 def schrodinger_regimes(n: int) -> RegimeReport:
@@ -215,40 +266,7 @@ def schrodinger_regimes(n: int) -> RegimeReport:
     mirrors are two-sided on (0, sqrt(alpha_k/2)).  For n = 3 condition (a)
     holds for every amplitude.  n = 4 has no bifurcations.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    potential = cubic_potential()
-    stability = stability_interval(n, potential)
-    entries: list[RegimeEntry] = []
-    if n == 3:
-        for k in (1, 2):
-            entries.append(RegimeEntry(k=k, condition="a", mu_interval=(0.0, math.inf),
-                                       two_sided=False))
-        return RegimeReport(n=3, potential_kind="cubic", entries=tuple(entries),
-                            excluded=(), stability=stability)
-    if n == 4:
-        return RegimeReport(n=4, potential_kind="cubic", entries=(), excluded=(),
-                            stability=stability,
-                            notes=("every block has a degenerate double root; "
-                                   "no Morse-index jump for n = 4",))
-    for k in range(1, n):
-        c = blocks.coefficients(n, k)
-        mirror = n - k if k > n // 2 else None
-        gamma_pos = c.gamma > 0.0
-        if c.delta is not None and c.delta > 0.0:
-            entries.append(RegimeEntry(k=k, condition="a",
-                                       mu_interval=(0.0, math.sqrt(c.delta)),
-                                       two_sided=False, mirror_of=mirror))
-            iv = _interval(math.sqrt(c.delta), math.sqrt(c.alpha / 2.0))
-            if iv is not None:
-                entries.append(RegimeEntry(k=k, condition="b", mu_interval=iv,
-                                           two_sided=gamma_pos, mirror_of=mirror))
-        else:
-            entries.append(RegimeEntry(k=k, condition="b",
-                                       mu_interval=(0.0, math.sqrt(c.alpha / 2.0)),
-                                       two_sided=gamma_pos, mirror_of=mirror))
-    return RegimeReport(n=n, potential_kind="cubic", entries=tuple(entries),
-                        excluded=_degenerate_table(n, potential), stability=stability)
+    return _regime_report(n, cubic_potential())
 
 
 def saturable_regimes(n: int) -> RegimeReport:
@@ -261,54 +279,18 @@ def saturable_regimes(n: int) -> RegimeReport:
     convention mu_- = mu_+ = 0, condition (b) holds for every amplitude.
     For n = 3 condition (b) holds for every amplitude on mode 1.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    potential = saturable_potential()
-    stability = stability_interval(n, potential)
-    if n == 3:
-        entries = (
-            RegimeEntry(k=1, condition="b", mu_interval=(0.0, math.inf), two_sided=True),
-            RegimeEntry(k=2, condition="b", mu_interval=(0.0, math.inf),
-                        two_sided=False, mirror_of=1),
-        )
-        return RegimeReport(n=3, potential_kind="saturable", entries=entries,
-                            excluded=(), stability=stability)
-    if n == 4:
-        return RegimeReport(n=4, potential_kind="saturable", entries=(), excluded=(),
-                            stability=stability,
-                            notes=("every block has a degenerate double root; "
-                                   "no Morse-index jump for n = 4",))
-    entries = []
-    notes: list[str] = []
-    delta1 = blocks.coefficients(n, 1).delta
-    boundary = blocks.degenerate_amplitudes(n, 1, potential) if delta1 > -0.25 else ()
-    for k in range(1, n):
-        mirror = n - k if k > n // 2 else None
-        gamma_pos = blocks.coefficients(n, k).gamma > 0.0
-        if k in (1, n - 1):
-            if boundary:
-                mu_lo, mu_hi = boundary
-                entries.append(RegimeEntry(k=k, condition="b", mu_interval=(0.0, mu_lo),
-                                           two_sided=gamma_pos, mirror_of=mirror))
-                entries.append(RegimeEntry(k=k, condition="a", mu_interval=(mu_lo, mu_hi),
-                                           two_sided=False, mirror_of=mirror))
-                entries.append(RegimeEntry(k=k, condition="b", mu_interval=(mu_hi, math.inf),
-                                           two_sided=gamma_pos, mirror_of=mirror))
-            else:
-                entries.append(RegimeEntry(k=k, condition="b", mu_interval=(0.0, math.inf),
-                                           two_sided=gamma_pos, mirror_of=mirror))
-        else:
-            entries.append(RegimeEntry(k=k, condition="a", mu_interval=(0.0, math.inf),
-                                       two_sided=False, mirror_of=mirror))
+    report = _regime_report(n, saturable_potential())
+    if n < 5:
+        return report
+    boundary = [e.mu_interval for e in report.entries if e.k == 1 and e.condition == "a"]
     if boundary:
-        notes.append(f"mu_- = {boundary[0]:.6f}, mu_+ = {boundary[1]:.6f} solve "
-                     "mu^2 h'(mu^2) = delta_1; their product is 1")
+        (mu_lo, mu_hi), = boundary
+        note = (f"mu_- = {mu_lo:.6f}, mu_+ = {mu_hi:.6f} solve "
+                "mu^2 h'(mu^2) = delta_1; their product is 1")
     else:
-        notes.append("delta_1 <= -1/4 for this n, so with the convention "
-                     "mu_- = mu_+ = 0 condition (b) holds for every amplitude of mode 1")
-    return RegimeReport(n=n, potential_kind="saturable", entries=tuple(entries),
-                        excluded=_degenerate_table(n, potential), stability=stability,
-                        notes=tuple(notes))
+        note = ("delta_1 <= -1/4 for this n, so with the convention "
+                "mu_- = mu_+ = 0 condition (b) holds for every amplitude of mode 1")
+    return replace(report, notes=(note,))
 
 
 def stability_interval(n: int, potential) -> tuple[tuple[float, float], ...]:

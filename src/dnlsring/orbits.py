@@ -72,11 +72,7 @@ class NoConvergence(RuntimeError):
 
 class SingularJacobian(RuntimeError):
     """The gauged Jacobian is rank deficient, as happens exactly at a
-    bifurcation point.  ``direction`` holds the near-null direction."""
-
-    def __init__(self, message: str, direction: np.ndarray | None = None):
-        super().__init__(message)
-        self.direction = direction
+    bifurcation point."""
 
 
 @dataclass
@@ -427,12 +423,9 @@ def _newton(ring, space, z, constraints, ctol, max_iter, num, *,
         del A   # factored in place: lu holds the only reference
         rcond = lapack.dgecon(lu, anorm, norm="1")[0]   # 0 for an exactly singular A
         if guard and rcond < _RCOND_MIN:
-            del lu
-            A = space.jacobian(ring, V, nu, num, rows, unfold)[:, cols]
             raise SingularJacobian(
                 f"gauged Jacobian is singular (condition estimate rcond {rcond:.2e}); "
-                f"expected exactly at a bifurcation point",
-                direction=np.linalg.svd(A)[2][-1][len(unfold):])
+                f"expected exactly at a bifurcation point")
         if done:
             return z, iteration
         step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]

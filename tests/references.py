@@ -5,9 +5,13 @@ directory, which has no ``__init__.py``, on ``sys.path``, so the test
 modules import this one as ``references``.
 """
 
+import math
+
 import numpy as np
 
-from dnlsring.model import J2, _gradient_sites
+from dnlsring import blocks
+from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
+from dnlsring.model import J2, _gradient_sites, cubic_potential, saturable_potential
 from dnlsring.orbits import _apply_iJJ, _default_samples, residual
 
 
@@ -65,3 +69,85 @@ def orthogonality_check(ring, orbit):
     c1 = 2.0 * np.pi * np.sum(F * xdot.conj()).real
     c2 = 2.0 * np.pi * np.sum(F * rot.conj()).real
     return float(c1), float(c2)
+
+
+N4_NOTE = "every block has a degenerate double root; no Morse-index jump for n = 4"
+
+
+def schrodinger_regimes(n):
+    """The cubic regime table written out by hand, per range of n, each mode
+    from its own coefficients: (0, sqrt(delta_k)) is condition (a) when
+    delta_k > 0, then (max(0, sqrt(delta_k)), sqrt(alpha_k/2)) is (b) when
+    not empty; n = 3 is (a) everywhere with no mirror noted."""
+    potential = cubic_potential()
+    stability = stability_interval(n, potential)
+    if n == 3:
+        entries = tuple(RegimeEntry(k=k, condition="a", mu_interval=(0.0, math.inf),
+                                    two_sided=False) for k in (1, 2))
+        return RegimeReport(n=3, potential_kind="cubic", entries=entries, excluded=(),
+                            stability=stability)
+    if n == 4:
+        return RegimeReport(n=4, potential_kind="cubic", entries=(), excluded=(),
+                            stability=stability, notes=(N4_NOTE,))
+    entries = []
+    for k in range(1, n):
+        c = blocks.coefficients(n, k)
+        mirror = n - k if k > n // 2 else None
+        lo = 0.0
+        if c.delta > 0.0:
+            lo = math.sqrt(c.delta)
+            entries.append(RegimeEntry(k=k, condition="a", mu_interval=(0.0, lo),
+                                       two_sided=False, mirror_of=mirror))
+        hi = math.sqrt(c.alpha / 2.0)
+        if hi > lo:
+            entries.append(RegimeEntry(k=k, condition="b", mu_interval=(lo, hi),
+                                       two_sided=c.gamma > 0.0, mirror_of=mirror))
+    return RegimeReport(n=n, potential_kind="cubic", entries=tuple(entries),
+                        excluded=_degenerate_table(n, potential), stability=stability)
+
+
+def saturable_regimes(n):
+    """The saturable regime table written out by hand: modes 2..n-2 are (a)
+    everywhere; mode 1 and its mirror are (b) outside (mu_-, mu_+), the
+    degenerate amplitudes of mode 1, and (a) inside, or (b) everywhere when
+    delta_1 <= -1/4."""
+    potential = saturable_potential()
+    stability = stability_interval(n, potential)
+    if n == 3:
+        entries = (
+            RegimeEntry(k=1, condition="b", mu_interval=(0.0, math.inf), two_sided=True),
+            RegimeEntry(k=2, condition="b", mu_interval=(0.0, math.inf),
+                        two_sided=False, mirror_of=1),
+        )
+        return RegimeReport(n=3, potential_kind="saturable", entries=entries,
+                            excluded=(), stability=stability)
+    if n == 4:
+        return RegimeReport(n=4, potential_kind="saturable", entries=(), excluded=(),
+                            stability=stability, notes=(N4_NOTE,))
+    entries = []
+    delta1 = blocks.coefficients(n, 1).delta
+    boundary = blocks.degenerate_amplitudes(n, 1, potential) if delta1 > -0.25 else ()
+    for k in range(1, n):
+        mirror = n - k if k > n // 2 else None
+        gamma_pos = blocks.coefficients(n, k).gamma > 0.0
+        if k not in (1, n - 1):
+            entries.append(RegimeEntry(k=k, condition="a", mu_interval=(0.0, math.inf),
+                                       two_sided=False, mirror_of=mirror))
+        elif boundary:
+            mu_lo, mu_hi = boundary
+            for condition, iv in (("b", (0.0, mu_lo)), ("a", boundary), ("b", (mu_hi, math.inf))):
+                entries.append(RegimeEntry(k=k, condition=condition, mu_interval=iv,
+                                           two_sided=condition == "b" and gamma_pos,
+                                           mirror_of=mirror))
+        else:
+            entries.append(RegimeEntry(k=k, condition="b", mu_interval=(0.0, math.inf),
+                                       two_sided=gamma_pos, mirror_of=mirror))
+    if boundary:
+        note = (f"mu_- = {boundary[0]:.6f}, mu_+ = {boundary[1]:.6f} solve "
+                "mu^2 h'(mu^2) = delta_1; their product is 1")
+    else:
+        note = ("delta_1 <= -1/4 for this n, so with the convention "
+                "mu_- = mu_+ = 0 condition (b) holds for every amplitude of mode 1")
+    return RegimeReport(n=n, potential_kind="saturable", entries=tuple(entries),
+                        excluded=_degenerate_table(n, potential), stability=stability,
+                        notes=(note,))

@@ -570,10 +570,12 @@ def reference_spectrum_oracle(ring):
     return np.linalg.eigvals(-block_symplectic(ring.n) @ hessian_V(ring, a_bar))
 
 
-def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
+def reference_spectrum_max_real(eigenvalues, scale, cluster_radius=1e-6):
     """Greedy clusters by a pairwise loop: each cluster is the first
-    remaining eigenvalue and every later one within the radius of it."""
+    remaining eigenvalue and every later one within cluster_radius *
+    max(1, scale) of it."""
     ev = np.asarray(eigenvalues, dtype=complex)
+    cluster_radius *= max(1.0, scale)
     remaining = list(range(len(ev)))
     worst = 0.0
     while remaining:
@@ -600,12 +602,14 @@ def test_spectrum_oracle_matches_reference(monkeypatch):
         for pot in (CUBIC, SAT):
             for mu in rng.uniform(0.05, 2.0, size=3):
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
-                ev = full_spectrum_oracle(ring)
+                ev, scale = full_spectrum_oracle(ring), abs(mu_h_prime(ring))
                 assert cluster_match_error(reference_spectrum_oracle(ring), ev) <= 1e-10
-                assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
+                assert (spectrum_max_real(ev, scale)
+                        == reference_spectrum_max_real(ev, scale)), (n, mu)
                 with monkeypatch.context() as patch:
                     patch.setattr(blocks, "_CLUSTER_RADIUS", 1e-3)
-                    assert spectrum_max_real(ev) == reference_spectrum_max_real(ev, 1e-3)
+                    assert (spectrum_max_real(ev, scale)
+                            == reference_spectrum_max_real(ev, scale, 1e-3))
 
 
 # x = s h'(s) = s - s^2/2 rises to 1/2 at s = 1, then falls without bound, so
@@ -636,7 +640,8 @@ def test_spectrum_oracle_random_sweep():
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
                 ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
                 assert cluster_match_error(ref, ev) <= 1e-10, (n, pot.kind, mu)
-                got, want = spectrum_max_real(ev), spectrum_max_real(ref)
+                scale = abs(mu_h_prime(ring))
+                got, want = spectrum_max_real(ev, scale), spectrum_max_real(ref, scale)
                 assert abs(got - want) <= 1e-11, (n, pot.kind, mu)
                 assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
                 verdicts.add(got <= 1e-8)
@@ -745,15 +750,38 @@ def test_overflowing_amplitude(capsys, command, mu, reason):
         assert captured.err == f"error: {reason}\n"
 
 
+DEFOCUSING = custom_potential(lambda s: -np.asarray(s, dtype=float),
+                              lambda s: -np.ones_like(np.asarray(s, dtype=float)),
+                              lambda s: -np.asarray(s, dtype=float) ** 2 / 2)
+
+
+@pytest.mark.parametrize("n, potential, mus", [(3, CUBIC, np.linspace(1.0, 9.0, 801)),
+                                               (6, DEFOCUSING, np.linspace(0.5, 40.0, 400))],
+                         ids=["n3-cubic", "n6-defocusing"])
+def test_oracle_verdict_agrees_as_the_on_site_term_grows(n, potential, mus):
+    """The defective zero pair splits by O(sqrt(eps)) times the norm of the
+    linearization, which grows with |mu^2 h'|: with the cluster radius
+    scaled by it the oracle's verdict is the closed form's at every
+    amplitude (an absolute 1e-6 fails from mu = 5.18 at n = 3)."""
+    for mu in mus:
+        ring = RingSystem(n=n, mu=float(mu), potential=potential)
+        oracle = spectrum_max_real(full_spectrum_oracle(ring), abs(mu_h_prime(ring)))
+        assert linear_stability(ring).stable == (oracle <= 1e-8), mu
+
+
 def test_spectrum_max_real_edge_cases(monkeypatch):
     """A nan is a cluster of its own (and does not stall the loop); a zero
     radius makes every eigenvalue its own cluster."""
+    # the radius grows with the scale: a pair 1.4e-6 apart is one cluster
+    # once 1e-6 max(1, scale) exceeds that
+    pair = np.array([7e-7, -7e-7])
+    assert spectrum_max_real(pair, 1.0) == 7e-7 and spectrum_max_real(pair, 2.0) == 0.0
     ev = np.array([1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8])
     for radius in (1e-6, 0.0):
         monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
-        got, want = spectrum_max_real(ev), reference_spectrum_max_real(ev, radius)
+        got, want = spectrum_max_real(ev, 1.0), reference_spectrum_max_real(ev, 1.0, radius)
         assert got == want or (math.isnan(got) and math.isnan(want))
-    assert spectrum_max_real(np.array([])) == 0.0
+    assert spectrum_max_real(np.array([]), 1.0) == 0.0
 
 
 def test_spectrum_max_real_builds_no_square_temporary():
@@ -761,7 +789,7 @@ def test_spectrum_max_real_builds_no_square_temporary():
     ev = np.exp(1j * np.linspace(0.0, 6.0, 4096)) + 1e-3 * np.arange(4096)
     tracemalloc.start()
     try:
-        spectrum_max_real(ev)
+        spectrum_max_real(ev, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -833,5 +861,6 @@ def test_stability_agrees_with_oracle():
         pot = SAT if rng.integers(2) else CUBIC
         ring = RingSystem(n=n, mu=float(rng.uniform(0.05, 2.0)), potential=pot)
         verdict = linear_stability(ring)
-        oracle_stable = spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8
+        oracle_stable = (spectrum_max_real(full_spectrum_oracle(ring), abs(mu_h_prime(ring)))
+                         <= 1e-8)
         assert verdict.stable == oracle_stable

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import references
 
 from dnlsring.blocks import (coefficients, critical_frequencies, det_trace, eta,
                              linear_stability, mu_h_prime)
@@ -137,6 +139,7 @@ def test_schrodinger_regimes_n3():
     for e in rep.entries:
         assert e.condition == "a"
         assert e.mu_interval == (0.0, math.inf)
+    assert [e.mirror_of for e in rep.entries] == [None, 1]
     assert rep.stability == ((0.0, math.inf),)
 
 
@@ -192,6 +195,46 @@ def test_saturable_regimes_n3():
     assert e1.mu_interval == (0.0, math.inf) and e1.two_sided
     e2 = entry_for(rep, 2, "b")
     assert e2.mirror_of == 1 and not e2.two_sided
+
+
+@pytest.mark.parametrize("table, reference",
+                         [(schrodinger_regimes, references.schrodinger_regimes),
+                          (saturable_regimes, references.saturable_regimes)],
+                         ids=["schrodinger", "saturable"])
+def test_regime_tables_match_hand_written_reference(table, reference):
+    """Every field of every report for n = 3..200 is the hand-written
+    table's, but where a cubic mirror mode takes its partner's more accurate
+    endpoints (within 1e-13 relative) and the n = 3 mirror, which the cubic
+    table now names as the saturable one does."""
+    for n in range(3, 201):
+        got, want = table(n), reference(n)
+        assert dataclasses.replace(got, entries=()) == dataclasses.replace(want, entries=())
+        assert len(got.entries) == len(want.entries), n
+        for e, w in zip(got.entries, want.entries):
+            if table is schrodinger_regimes and n == 3 and e.k == 2:
+                w = dataclasses.replace(w, mirror_of=1)
+            if table is schrodinger_regimes and w.mirror_of is not None:
+                np.testing.assert_allclose(e.mu_interval, w.mu_interval, rtol=1e-13, atol=0)
+                w = dataclasses.replace(w, mu_interval=e.mu_interval)
+            assert e == w, n
+
+
+@pytest.mark.parametrize("table", [schrodinger_regimes, saturable_regimes],
+                         ids=["schrodinger", "saturable"])
+def test_regime_mirror_entries_equal_partner(table):
+    """A mirror mode n - k has exactly the conditions and intervals of mode
+    k, bit for bit, and is two-sided nowhere."""
+    for n in (3, *range(5, 65), 100, 101, 256):
+        entries = table(n).entries
+        for e in entries:
+            if e.mirror_of is None:
+                continue
+            assert e.mirror_of == n - e.k and not e.two_sided
+        by_k = {}
+        for e in entries:
+            by_k.setdefault(e.k, []).append((e.condition, e.mu_interval))
+        for k in range(n // 2 + 1, n):
+            assert by_k.get(k) == by_k.get(n - k), (n, k)
 
 
 def test_regime_report_matches_enumeration():
@@ -259,8 +302,9 @@ def test_stability_interval_nan_past_a_point():
 def test_stability_interval_verified_by_oracle():
     from dnlsring.blocks import full_spectrum_oracle, spectrum_max_real
     lo, hi = stability_interval(6, CUBIC)[0]
-    inside = spectrum_max_real(full_spectrum_oracle(RingSystem(n=6, mu=hi - 1e-3)))
-    outside = spectrum_max_real(full_spectrum_oracle(RingSystem(n=6, mu=hi + 1e-3)))
+    inside, outside = (RingSystem(n=6, mu=mu) for mu in (hi - 1e-3, hi + 1e-3))
+    inside = spectrum_max_real(full_spectrum_oracle(inside), abs(mu_h_prime(inside)))
+    outside = spectrum_max_real(full_spectrum_oracle(outside), abs(mu_h_prime(outside)))
     assert inside <= 1e-8
     assert outside > 1e-8
 

@@ -132,6 +132,9 @@ def test_stability_report(capsys):
     doc = run_json(capsys, "stability", "--n", "5", "--potential", "saturable",
                    "--mu", "3.0")
     assert doc["payload"]["stable"] is True
+    # the rotation zero splits to +-7.2e-7 here, wider than an absolute 1e-6
+    doc = run_json(capsys, "stability", "--n", "3", "--potential", "cubic", "--mu", "8.2")
+    assert doc["payload"]["stable"] is True and doc["payload"]["oracle_agrees"] is True
 
 
 def test_verify_rejects_full_symmetry_mode(capsys):
@@ -215,6 +218,14 @@ def test_sweep_counts_drop_across_thresholds(capsys):
     regimes = doc["payload"]["regimes"]
     assert regimes["n"] == 6
     assert any(e["k"] == 3 and e["condition"] == "a" for e in regimes["entries"])
+
+
+def test_sweep_n3_cubic_names_the_mirror(capsys):
+    doc = run_json(capsys, "sweep", "--n", "3", "--potential", "cubic",
+                   "--mu-range", "0.5:1.5:3")
+    entries = doc["payload"]["regimes"]["entries"]
+    assert [(e["k"], e["condition"], e["mirror_of"]) for e in entries] == [(1, "a", None),
+                                                                         (2, "a", 1)]
 
 
 def test_sweep_saturable_convention_difference(capsys):

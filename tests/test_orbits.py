@@ -632,7 +632,6 @@ def test_newton_singular_at_critical_frequency():
     for nu in (np.sqrt(3.0), 1.5 + np.sqrt(1.5)):
         with pytest.raises(SingularJacobian) as err:
             newton_orbit(ring, FourierOrbit.from_state(a, nu=nu, p=6))
-        assert err.value.direction is not None
 
 
 def test_newton_regular_just_off_critical_frequency():
