@@ -53,7 +53,7 @@ _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
 # this many ulps of the largest entry
 _REFLECTION_TOL = 64.0 * np.finfo(float).eps
 _S_RANGE = (0.0, 100.0)  # the range of s = mu^2 that custom potentials are scanned over
-_CLUSTER_RADIUS = 1e-6   # clusters of spectrum_max_real, relative to max(1, |mu^2 h'|)
+_CLUSTER_RADIUS = 1e-6   # clusters of spectrum_max_real, relative to max(1, max |ev|)
 
 # Hermitian realization of the rotation generator
 IJ = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -404,20 +404,23 @@ def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
     return np.concatenate((lam, -lam))
 
 
-def spectrum_max_real(eigenvalues: np.ndarray, scale: float) -> float:
+def spectrum_max_real(eigenvalues: np.ndarray) -> float:
     """Largest |real part| of the spectrum, measured on the means of clusters
-    of radius 1e-6 max(1, scale), where ``scale`` is the size of the on-site
-    term, |mu^2 h'(mu^2)| for the rotating wave.
+    of radius 1e-6 max(1, max |eigenvalue|).
 
     Defective double eigenvalues (the rotation zero; every root when n = 4)
-    split by O(sqrt(eps)) times the norm of the linearization under
-    rounding, and that norm grows with the on-site term, so raw real parts
-    of a stable spectrum can reach ~1e-7 max(1, scale).  Averages of
-    eigenvalue clusters perturb linearly, so comparing cluster means against
-    a 1e-8 threshold is numerically sound.
+    split under rounding by O(sqrt(eps)) times the norm of the
+    linearization, which grows with the on-site term mu^2 h' faster than
+    the spectrum does.  For cubic n = 3 at mu = 1..9 and for h = -s at
+    n = 6 at mu = 0.5..40 the split stays below 3.3e-7 max(1, max
+    |eigenvalue|), but it outgrows the radius from mu = 51 at cubic n = 3.
+    An unstable pair +-lambda lies 2 |Re lambda| apart, far outside it.
+    Averages of eigenvalue clusters perturb linearly, so comparing cluster
+    means against a 1e-8 threshold is numerically sound.
     """
     ev = np.asarray(eigenvalues, dtype=complex)
-    radius = _CLUSTER_RADIUS * max(1.0, scale)
+    # fmax skips a nan eigenvalue, which forms a cluster of its own
+    radius = _CLUSTER_RADIUS * np.fmax.reduce(np.abs(ev), initial=1.0)
     remaining = np.arange(len(ev))
     worst = 0.0
     while remaining.size:

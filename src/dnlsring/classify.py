@@ -173,7 +173,11 @@ def _classify(n: int, potential, mus) -> _Classification:
     eta = np.where(simple[..., None] & (nu > 0.0), jump, 0.0).astype(int)
     period = np.divide(2.0 * np.pi, nu, out=np.full_like(nu, np.nan), where=eta != 0)
 
-    regime = _regime(n, X, alpha, delta, table.has_delta)
+    # a mirror mode n - k is tagged with its partner's more accurate
+    # coefficients, as in the regime tables
+    j = np.arange(n - 1)
+    j = np.minimum(j, j[::-1])
+    regime = _regime(n, X, alpha[j], delta[j], table.has_delta[j])
 
     half_alpha1 = alpha[0] / 2.0   # the thresholds of blocks.linear_stability
     if n == 4:

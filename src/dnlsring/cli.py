@@ -452,7 +452,7 @@ def cmd_stability(cfg: SimpleNamespace):
     ring = _ring(cfg)
     verdict = blocks.linear_stability(ring)
     spectrum = blocks.full_spectrum_oracle(ring)
-    oracle = blocks.spectrum_max_real(spectrum, abs(blocks.mu_h_prime(ring)))
+    oracle = blocks.spectrum_max_real(spectrum)
     payload = {
         "stable": verdict.stable,
         "margin": verdict.margin,

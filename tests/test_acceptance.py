@@ -151,7 +151,7 @@ def test_criterion_5_stability_cross_validation():
         mu = float(rng.uniform(1e-3, 2.0))
         ring = RingSystem(n=n, mu=mu, potential=pot)
         closed = linear_stability(ring).stable
-        oracle = spectrum_max_real(full_spectrum_oracle(ring), abs(mu_h_prime(ring))) <= 1e-8
+        oracle = spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8
         agreements += closed == oracle
     report(5, "stability cross-validation", agreements == 40,
            f"{agreements}/40 samples agree", time.time() - t0, 10.0)

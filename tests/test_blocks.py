@@ -570,12 +570,12 @@ def reference_spectrum_oracle(ring):
     return np.linalg.eigvals(-block_symplectic(ring.n) @ hessian_V(ring, a_bar))
 
 
-def reference_spectrum_max_real(eigenvalues, scale, cluster_radius=1e-6):
+def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
     """Greedy clusters by a pairwise loop: each cluster is the first
-    remaining eigenvalue and every later one within cluster_radius *
-    max(1, scale) of it."""
+    remaining eigenvalue and every later one within cluster_radius times
+    the largest of 1 and the moduli that are not nan of it."""
     ev = np.asarray(eigenvalues, dtype=complex)
-    cluster_radius *= max(1.0, scale)
+    cluster_radius *= max([1.0, *(abs(z) for z in ev if not math.isnan(abs(z)))])
     remaining = list(range(len(ev)))
     worst = 0.0
     while remaining:
@@ -602,14 +602,12 @@ def test_spectrum_oracle_matches_reference(monkeypatch):
         for pot in (CUBIC, SAT):
             for mu in rng.uniform(0.05, 2.0, size=3):
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
-                ev, scale = full_spectrum_oracle(ring), abs(mu_h_prime(ring))
+                ev = full_spectrum_oracle(ring)
                 assert cluster_match_error(reference_spectrum_oracle(ring), ev) <= 1e-10
-                assert (spectrum_max_real(ev, scale)
-                        == reference_spectrum_max_real(ev, scale)), (n, mu)
+                assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
                 with monkeypatch.context() as patch:
                     patch.setattr(blocks, "_CLUSTER_RADIUS", 1e-3)
-                    assert (spectrum_max_real(ev, scale)
-                            == reference_spectrum_max_real(ev, scale, 1e-3))
+                    assert spectrum_max_real(ev) == reference_spectrum_max_real(ev, 1e-3)
 
 
 # x = s h'(s) = s - s^2/2 rises to 1/2 at s = 1, then falls without bound, so
@@ -640,8 +638,7 @@ def test_spectrum_oracle_random_sweep():
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
                 ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
                 assert cluster_match_error(ref, ev) <= 1e-10, (n, pot.kind, mu)
-                scale = abs(mu_h_prime(ring))
-                got, want = spectrum_max_real(ev, scale), spectrum_max_real(ref, scale)
+                got, want = spectrum_max_real(ev), spectrum_max_real(ref)
                 assert abs(got - want) <= 1e-11, (n, pot.kind, mu)
                 assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
                 verdicts.add(got <= 1e-8)
@@ -745,6 +742,7 @@ def test_overflowing_amplitude(capsys, command, mu, reason):
         assert code == 0 and captured.err == ""
         report = json.loads(captured.out, parse_constant=pytest.fail)
         assert report["payload"]["stable"] is False
+        assert report["payload"]["oracle_agrees"] is True
     else:
         assert code == 4 and captured.out == ""
         assert captured.err == f"error: {reason}\n"
@@ -755,33 +753,39 @@ DEFOCUSING = custom_potential(lambda s: -np.asarray(s, dtype=float),
                               lambda s: -np.asarray(s, dtype=float) ** 2 / 2)
 
 
-@pytest.mark.parametrize("n, potential, mus", [(3, CUBIC, np.linspace(1.0, 9.0, 801)),
-                                               (6, DEFOCUSING, np.linspace(0.5, 40.0, 400))],
-                         ids=["n3-cubic", "n6-defocusing"])
-def test_oracle_verdict_agrees_as_the_on_site_term_grows(n, potential, mus):
+@pytest.mark.parametrize("n, potential, mus, stable",
+                         [(3, CUBIC, np.linspace(1.0, 9.0, 801), True),
+                          (6, DEFOCUSING, np.linspace(0.5, 40.0, 400), True),
+                          (6, CUBIC, np.geomspace(1e3, 1e7, 41), False)],
+                         ids=["n3-cubic", "n6-defocusing", "n6-cubic-unstable"])
+def test_oracle_verdict_agrees_as_the_on_site_term_grows(n, potential, mus, stable):
     """The defective zero pair splits by O(sqrt(eps)) times the norm of the
-    linearization, which grows with |mu^2 h'|: with the cluster radius
-    scaled by it the oracle's verdict is the closed form's at every
-    amplitude (an absolute 1e-6 fails from mu = 5.18 at n = 3)."""
+    linearization, which grows with |mu^2 h'|; the spectrum grows too, like
+    mu: with the cluster radius scaled by the largest eigenvalue the oracle's
+    verdict is the closed form's at every stable amplitude (an absolute 1e-6
+    fails from mu = 5.18 at n = 3), and an unstable pair +-lambda, whose
+    real parts grow like mu, never falls into one cluster (a radius scaled
+    by |mu^2 h'| swallows it at mu = 1e7)."""
     for mu in mus:
         ring = RingSystem(n=n, mu=float(mu), potential=potential)
-        oracle = spectrum_max_real(full_spectrum_oracle(ring), abs(mu_h_prime(ring)))
-        assert linear_stability(ring).stable == (oracle <= 1e-8), mu
+        assert linear_stability(ring).stable is stable
+        assert (spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8) is stable, mu
 
 
 def test_spectrum_max_real_edge_cases(monkeypatch):
     """A nan is a cluster of its own (and does not stall the loop); a zero
     radius makes every eigenvalue its own cluster."""
-    # the radius grows with the scale: a pair 1.4e-6 apart is one cluster
-    # once 1e-6 max(1, scale) exceeds that
+    # the radius grows with the largest eigenvalue: a pair 1.4e-6 apart is
+    # one cluster once 1e-6 max(1, max |ev|) exceeds that
     pair = np.array([7e-7, -7e-7])
-    assert spectrum_max_real(pair, 1.0) == 7e-7 and spectrum_max_real(pair, 2.0) == 0.0
+    assert spectrum_max_real(pair) == 7e-7
+    assert spectrum_max_real(np.concatenate((pair, [2j, -2j]))) == 0.0
     ev = np.array([1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8])
     for radius in (1e-6, 0.0):
         monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
-        got, want = spectrum_max_real(ev, 1.0), reference_spectrum_max_real(ev, 1.0, radius)
+        got, want = spectrum_max_real(ev), reference_spectrum_max_real(ev, radius)
         assert got == want or (math.isnan(got) and math.isnan(want))
-    assert spectrum_max_real(np.array([]), 1.0) == 0.0
+    assert spectrum_max_real(np.array([])) == 0.0
 
 
 def test_spectrum_max_real_builds_no_square_temporary():
@@ -789,7 +793,7 @@ def test_spectrum_max_real_builds_no_square_temporary():
     ev = np.exp(1j * np.linspace(0.0, 6.0, 4096)) + 1e-3 * np.arange(4096)
     tracemalloc.start()
     try:
-        spectrum_max_real(ev, 1.0)
+        spectrum_max_real(ev)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -861,6 +865,5 @@ def test_stability_agrees_with_oracle():
         pot = SAT if rng.integers(2) else CUBIC
         ring = RingSystem(n=n, mu=float(rng.uniform(0.05, 2.0)), potential=pot)
         verdict = linear_stability(ring)
-        oracle_stable = (spectrum_max_real(full_spectrum_oracle(ring), abs(mu_h_prime(ring)))
-                         <= 1e-8)
+        oracle_stable = spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8
         assert verdict.stable == oracle_stable

@@ -8,7 +8,7 @@ import references
 from dnlsring.blocks import (coefficients, critical_frequencies, det_trace, eta,
                              linear_stability, mu_h_prime)
 from dnlsring.classify import (ADMISSIBILITY_NOTE, BifurcationPoint, DegenerateAmplitude,
-                               _classify, _degenerate_table, enumerate_bifurcations,
+                               _CONDITIONS, _classify, _degenerate_table, enumerate_bifurcations,
                                saturable_regimes, schrodinger_regimes, stability_interval)
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential,
                             saturable_potential)
@@ -237,6 +237,27 @@ def test_regime_mirror_entries_equal_partner(table):
             assert by_k.get(k) == by_k.get(n - k), (n, k)
 
 
+@pytest.mark.parametrize("table, potential", [(schrodinger_regimes, CUBIC),
+                                              (saturable_regimes, SAT)],
+                         ids=["schrodinger", "saturable"])
+def test_regime_of_a_mirror_mode_is_its_partners(table, potential):
+    """Within 1e-15 relative of every finite table endpoint the amplitude
+    pass tags a mirror mode n - k as mode k, since both use the partner's
+    coefficients, from which the tables take their cuts.  The cubic cuts
+    are exact to that precision, so there each tag is also the condition of
+    the table entry that holds the amplitude."""
+    for n in (3, *range(5, 201)):
+        report = table(n)
+        ends = {mu for e in report.entries for mu in e.mu_interval if 0.0 < mu < math.inf}
+        mus = np.array([mu * (1.0 + side * 1e-15) for mu in ends for side in (-1, 1)])
+        regime = _classify(n, potential, mus.tolist()).regime
+        np.testing.assert_array_equal(regime[:, n // 2:], regime[:, (n - 1) // 2 - 1::-1])
+        for e in report.entries if table is schrodinger_regimes else ():
+            inside = (e.mu_interval[0] < mus) & (mus < e.mu_interval[1])
+            tags = {_CONDITIONS[tag] for tag in regime[inside, e.k - 1].tolist()}
+            assert tags <= {e.condition}, (n, e.k)
+
+
 def test_regime_report_matches_enumeration():
     # inside every declared interval the enumeration produces points of the
     # declared kind for that mode
@@ -302,9 +323,8 @@ def test_stability_interval_nan_past_a_point():
 def test_stability_interval_verified_by_oracle():
     from dnlsring.blocks import full_spectrum_oracle, spectrum_max_real
     lo, hi = stability_interval(6, CUBIC)[0]
-    inside, outside = (RingSystem(n=6, mu=mu) for mu in (hi - 1e-3, hi + 1e-3))
-    inside = spectrum_max_real(full_spectrum_oracle(inside), abs(mu_h_prime(inside)))
-    outside = spectrum_max_real(full_spectrum_oracle(outside), abs(mu_h_prime(outside)))
+    inside = spectrum_max_real(full_spectrum_oracle(RingSystem(n=6, mu=hi - 1e-3)))
+    outside = spectrum_max_real(full_spectrum_oracle(RingSystem(n=6, mu=hi + 1e-3)))
     assert inside <= 1e-8
     assert outside > 1e-8
 
