@@ -265,10 +265,9 @@ def _level_amplitudes(potential, level: float) -> tuple[float, ...]:
         return ()
     if level == -0.25:
         return (1.0,)
-    disc = np.sqrt(4.0 * level + 1.0)
-    s_lo = (-(2.0 * level + 1.0) + disc) / (2.0 * level)
-    s_hi = (-(2.0 * level + 1.0) - disc) / (2.0 * level)
-    return tuple(sorted(float(np.sqrt(s)) for s in (s_lo, s_hi)))
+    # the large root has no cancellation; the roots' product is 1
+    s_hi = (-(2.0 * level + 1.0) - np.sqrt(4.0 * level + 1.0)) / (2.0 * level)
+    return float(np.sqrt(1.0 / s_hi)), float(np.sqrt(s_hi))
 
 
 def degenerate_amplitudes(n: int, k: int, potential,

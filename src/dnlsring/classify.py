@@ -88,10 +88,13 @@ class RegimeReport:
 @functools.lru_cache(maxsize=8)
 def _degenerate_table(n: int, potential) -> tuple[tuple[int, float], ...]:
     """Degenerate amplitudes (k, mu_k) of every mode; they depend on (n,
-    potential) only, so a sweep over mu computes them once."""
+    potential) only, so a sweep over mu computes them once.  A mirror mode
+    n - k takes the amplitudes of its partner k, whose delta is the more
+    accurate, as the regime tables do."""
     has_delta = blocks._coefficient_table(n).has_delta
-    return tuple((k, mu_k) for k in range(1, n) if has_delta[k - 1]
-                 for mu_k in blocks.degenerate_amplitudes(n, k, potential))
+    amplitudes = {j: blocks.degenerate_amplitudes(n, j, potential)
+                  for j in range(1, n // 2 + 1) if has_delta[j - 1]}
+    return tuple((k, mu_k) for k in range(1, n) for mu_k in amplitudes.get(min(k, n - k), ()))
 
 
 # regime tags, the admissibility note and the condition of each, indexed by

@@ -21,7 +21,8 @@ with ``#`` comments and ``-`` or ``_`` in keys.  It takes the subcommand's own
 options only, each checked as its flag is; a flag overrides the file, and
 the file overrides the default.  Flags are never abbreviated.
 
-Exit codes: 0 success (possibly with an empty payload), 2 invalid input,
+Exit codes: 0 success (possibly with an empty payload), 2 invalid input
+(also an input too large to allocate, such as a --mu-range count of 1e11),
 3 every requested amplitude is degenerate, 4 numerical failure.
 """
 
@@ -472,8 +473,8 @@ def cmd_verify(cfg: SimpleNamespace):
     if cfg.k == ring.n:
         raise ConfigError("k = n carries no bifurcation with full symmetry")
     # continue_branch starts at Fourier order 8
-    if cfg.steps < 1 or not cfg.ds > 0 or cfg.p_max < 8:
-        raise ConfigError("verify needs steps >= 1, ds > 0 and p_max >= 8, got "
+    if cfg.steps < 1 or not 0 < cfg.ds < math.inf or cfg.p_max < 8:
+        raise ConfigError("verify needs steps >= 1, a finite ds > 0 and p_max >= 8, got "
                           f"{cfg.steps}, {cfg.ds}, {cfg.p_max}")
     points = classify.enumerate_bifurcations(ring)
     matches = [pt for pt in points if pt.k == cfg.k and pt.root == cfg.branch]
@@ -670,7 +671,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot write {cfg.out}: {exc.strerror}") from exc
         else:
             sys.stdout.write(text)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:   # an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except classify.DegenerateAmplitude as exc:

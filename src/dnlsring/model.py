@@ -67,23 +67,26 @@ class PotentialModel:
         """Check h' and G against finite differences of h / G on 25 points of
         s in [0.05, 4], to a relative 1e-6.
 
-        Raises ValueError when the supplied derivatives are inconsistent.
-        Intended for user-supplied potentials; cubic and saturable pass by
-        construction, and so does a G that ``custom_potential`` integrates
-        from h, which is not checked.
+        Raises ValueError when the supplied derivatives are inconsistent,
+        that is when the error at some point is a number above the tolerance;
+        a point where it is nan (h undefined there, or h' overflowing) is
+        skipped.  Intended for user-supplied potentials; cubic and saturable
+        pass by construction, and so does a G that ``custom_potential``
+        integrates from h, which is not checked.
         """
         s = np.linspace(0.05, _VALIDATE_S_MAX, _VALIDATE_NUM)
         step = 1e-6 * np.maximum(1.0, s)
-        hp_fd = (self.h(s + step) - self.h(s - step)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(self.h_prime(s)))
-        if np.max(np.abs(hp_fd - self.h_prime(s)) / scale) > _VALIDATE_TOL:
-            raise ValueError("h_prime is inconsistent with finite differences of h")
-        if isinstance(self.G, _QuadratureG):
-            return  # G' = h by construction
-        g_fd = (self.G(s + step) - self.G(s - step)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(self.h(s)))
-        if np.max(np.abs(g_fd - self.h(s)) / scale) > _VALIDATE_TOL:
-            raise ValueError("G is inconsistent with h (G' != h)")
+        with np.errstate(all="ignore"):
+            hp_fd = (self.h(s + step) - self.h(s - step)) / (2 * step)
+            scale = np.maximum(1.0, np.abs(self.h_prime(s)))
+            if np.any(np.abs(hp_fd - self.h_prime(s)) / scale > _VALIDATE_TOL):
+                raise ValueError("h_prime is inconsistent with finite differences of h")
+            if isinstance(self.G, _QuadratureG):
+                return  # G' = h by construction
+            g_fd = (self.G(s + step) - self.G(s - step)) / (2 * step)
+            scale = np.maximum(1.0, np.abs(self.h(s)))
+            if np.any(np.abs(g_fd - self.h(s)) / scale > _VALIDATE_TOL):
+                raise ValueError("G is inconsistent with h (G' != h)")
 
 
 def cubic_potential() -> PotentialModel:

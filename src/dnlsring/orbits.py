@@ -550,13 +550,13 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     Raises
     ------
     ValueError
-        When ``steps`` < 1, ``ds`` <= 0, ``p`` < 1 or ``p_max`` < ``p``.
+        When ``steps`` < 1, ``ds`` is not a finite number > 0, ``p`` < 1 or ``p_max`` < ``p``.
     NoConvergence
         When not a single point could be corrected, or when the full-space
         residual of a corrected point exceeds 1e-9 or is nan.
     """
-    if steps < 1 or not ds > 0:
-        raise ValueError(f"steps must be >= 1 and ds > 0, got steps = {steps}, ds = {ds}")
+    if steps < 1 or not 0 < ds < math.inf:
+        raise ValueError(f"steps must be >= 1 and a finite ds > 0, got steps = {steps}, ds = {ds}")
     if p < 1:
         raise ValueError(f"the starting order p must be >= 1, got p = {p}")
     if p_max < p:

@@ -142,42 +142,36 @@ class IsotropyLabel:
         return f"Z~_{self.n}({self.k})"
 
 
-def _time_translate_modes(coeffs: np.ndarray, phi: float) -> np.ndarray:
-    p = (coeffs.shape[0] - 1) // 2
-    ls = np.arange(-p, p + 1)
-    return coeffs * np.exp(1j * ls * phi)[:, None]
-
-
-def group_action(n: int, shift: int, theta: float, phi: float, x, *,
-                 fourier: bool = False) -> np.ndarray:
+def group_action(n: int, shift: int, theta: float, phi: float, x) -> np.ndarray:
     """Apply (cyclic shift, rotation by -theta, time translation by phi).
 
-    ``x`` is a single state of shape (2n,) or (with ``fourier=True``) a
-    Fourier coefficient array of shape (2p+1, 2n) for modes -p..p.  The
-    time translation acts on the coefficients only; a state has no time.
+    The rank of ``x`` decides its form: a state of shape (2n,), or a Fourier
+    coefficient array of shape (2p+1, 2n) for modes -p..p; any other rank
+    raises ValueError.  The time translation acts on the coefficients only;
+    a state has no time.
     """
-    if fourier:
-        coeffs = np.asarray(x, dtype=complex)
-        return _spatial_action(n, shift, theta, _time_translate_modes(coeffs, phi))
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("x must be a state of shape (2n,), or Fourier "
-                         "coefficients with fourier=True")
-    return _spatial_action(n, shift, theta, x[None, :])[0]
-
-
-def _spatial_action(n: int, shift: int, theta: float, rows: np.ndarray) -> np.ndarray:
-    rows = rows.reshape(rows.shape[0], n, 2)
-    # (rho(gamma) x)_j = x_{j+shift}
-    out = np.roll(rows, -int(shift), axis=1)
-    R = _rotation(-theta)
-    out = out @ R.T
-    return out.reshape(out.shape[0], 2 * n)
+    if x.ndim == 2:
+        p = (x.shape[0] - 1) // 2
+        x = x * np.exp(1j * np.arange(-p, p + 1) * phi)[:, None]
+    elif x.ndim != 1:
+        raise ValueError(f"x must be a state (2n,) or Fourier coefficients "
+                         f"(2p+1, 2n), got shape {x.shape}")
+    # (rho(gamma) x)_j = x_{j+shift}, each site rotated by -theta
+    sites = np.roll(x.reshape(*x.shape[:-1], n, 2), -int(shift), axis=-2)
+    return (sites @ _rotation(-theta).T).reshape(x.shape)
 
 
 class SymmetryResidual(NamedTuple):
     pattern: float
     norms: float
+
+
+def _oscillator_modes(orbit) -> np.ndarray:
+    """The complex modes c_lj of the oscillator signals x_j + i y_j of a
+    FourierOrbit, modes l = -p..p in rows and oscillators j in columns."""
+    coeffs = np.asarray(orbit.coeffs, dtype=complex)
+    return coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
 
 
 def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> SymmetryResidual:
@@ -191,15 +185,12 @@ def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> Symmet
     u_1(t + j k zeta) are ``base @ (c_1 e^(i l j k zeta))`` and the actual
     ones ``base @ c_(j+1)``.
     """
-    coeffs = np.asarray(orbit.coeffs, dtype=complex)
-    n = coeffs.shape[1] // 2
-    p = (coeffs.shape[0] - 1) // 2
+    c_modes = _oscillator_modes(orbit)
+    n, p = c_modes.shape[1], (c_modes.shape[0] - 1) // 2
     zeta = 2.0 * np.pi / n
     t = 2.0 * np.pi * np.arange(num_samples) / num_samples
     ls = np.arange(-p, p + 1)
     j = np.arange(1, n)
-    # complex Fourier modes of the oscillator signals, shape (2p+1, n)
-    c_modes = coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
     base = np.exp(1j * np.outer(t, ls))  # evaluates sum_l (.) e^{ilt}
     shifted = base @ (c_modes[:, :1] * np.exp(1j * np.outer(ls, j * k * zeta)))
     actual = base @ c_modes[:, 1:]
@@ -210,26 +201,22 @@ def symmetry_residual(orbit, k: int, num_samples: int = _TIME_SAMPLES) -> Symmet
 
 
 def traveling_wave_residual(orbit, k: int) -> float:
-    """Max mismatch of the full iterated pattern
-    ``u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta)`` over all j, m and 256
-    uniform times, from the Fourier modes of a FourierOrbit.
+    """A bound on the mismatch of the full iterated pattern
+    ``u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta)`` over all j, m and every
+    time t, from the modes c_lj of a FourierOrbit, in O(n p).
+
+    In modes the pattern reads c_{l,j+m} = e^{i m (1 + l k) zeta} c_lj: it
+    holds exactly when D_lj = c_lj e^{-i j (1 + l k) zeta} does not depend
+    on j.  The mismatch at (j, m, t) is the modulus of
+    sum_l e^{i l t} e^{i (j + m)(1 + l k) zeta} (D_{l,j+m} - D_lj), so it is
+    at most the returned 2 sum_l max_j |D_lj - mean_j D_lj|.
 
     For k dividing n this exhibits the split into k equal traveling waves of
     n/k oscillators each.
     """
-    coeffs = np.asarray(orbit.coeffs, dtype=complex)
-    n = coeffs.shape[1] // 2
-    p = (coeffs.shape[0] - 1) // 2
-    zeta = 2.0 * np.pi / n
-    t = 2.0 * np.pi * np.arange(_TIME_SAMPLES) / _TIME_SAMPLES
-    ls = np.arange(-p, p + 1)
-    c_modes = coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
-    base = np.exp(1j * np.outer(t, ls))
-    signals = base @ c_modes  # (N, n)
-    worst = 0.0
-    for m in range(1, n):
-        shift = base * np.exp(1j * ls * (m * k * zeta))
-        predicted = np.exp(1j * m * zeta) * (shift @ c_modes)
-        actual = np.roll(signals, -m, axis=1)
-        worst = max(worst, float(np.max(np.abs(actual - predicted))))
-    return worst
+    c_modes = _oscillator_modes(orbit)
+    n, p = c_modes.shape[1], (c_modes.shape[0] - 1) // 2
+    l, j = np.arange(-p, p + 1)[:, None], np.arange(n)
+    # j (1 + l k) reduced mod n keeps the phases exact at multiples of 2 pi
+    D = c_modes * np.exp(-2j * np.pi * (j * (1 + l * k) % n) / n)
+    return float(2.0 * np.abs(D - D.mean(axis=1, keepdims=True)).max(axis=1).sum())

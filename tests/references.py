@@ -39,6 +39,28 @@ def samples_to_modes(samples, p):
     return (np.fft.fft(samples, axis=0) / num)[np.arange(-p, p + 1) % num]
 
 
+def traveling_wave_loop(orbit, k, num_samples=256):
+    """Max mismatch of the iterated pattern u_{j+m}(t) = e^{i m zeta}
+    u_j(t + m k zeta) over every j and shift m = 1..n-1 and ``num_samples``
+    uniform times: one pass over the shifts, each a product with the time
+    base.  The reference of ``traveling_wave_residual``, which bounds it."""
+    coeffs = np.asarray(orbit.coeffs, dtype=complex)
+    n, p = coeffs.shape[1] // 2, (coeffs.shape[0] - 1) // 2
+    zeta = 2.0 * np.pi / n
+    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
+    ls = np.arange(-p, p + 1)
+    c_modes = coeffs[:, 0::2] + 1j * coeffs[:, 1::2]
+    base = np.exp(1j * np.outer(t, ls))
+    signals = base @ c_modes
+    worst = 0.0
+    for m in range(1, n):
+        shift = base * np.exp(1j * ls * (m * k * zeta))
+        predicted = np.exp(1j * m * zeta) * (shift @ c_modes)
+        actual = np.roll(signals, -m, axis=1)
+        worst = max(worst, float(np.max(np.abs(actual - predicted))))
+    return worst
+
+
 def sampled_residual(ring, orbit, num_samples=None):
     """The collocation residual F_l = -l nu (i JJ) x_l + g_l over all modes
     l = -p..p: the orbit sampled by the complex pair above from its 2p + 1

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -240,19 +241,55 @@ def test_regime_mirror_entries_equal_partner(table):
 @pytest.mark.parametrize("table, potential", [(schrodinger_regimes, CUBIC),
                                               (saturable_regimes, SAT)],
                          ids=["schrodinger", "saturable"])
+def test_excluded_mirror_amplitudes_are_the_partners(table, potential):
+    """A mirror mode n - k is excluded at its partner's degenerate amplitudes,
+    bit for bit; for the cubic potential each is also an endpoint of the
+    mirror's own table entries."""
+    for n in (3, *range(5, 201)):
+        report = table(n)
+        by_k = {}
+        for k, mu_k in report.excluded:
+            by_k.setdefault(k, []).append(mu_k)
+        for k in range(n // 2 + 1, n):
+            assert by_k.get(k) == by_k.get(n - k), (n, k)
+        if potential is CUBIC:
+            ends = {(e.k, mu) for e in report.entries for mu in e.mu_interval}
+            assert all((k, mu_k) in ends for k, mu_k in report.excluded), n
+
+
+def test_saturable_small_root_to_rounding():
+    """mu_- of mode 1, the small root of mu^2 h'(mu^2) = delta_1, is within
+    1e-15 relative of a 50-digit evaluation at the same delta_1 for
+    n = 16..400 (the quadratic formula for it cancels as delta_1 -> 0-), and
+    so is the excluded amplitude of mode 1 there."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for n in range(16, 401):
+            level = decimal.Decimal(coefficients(n, 1).delta)
+            s = (-(2 * level + 1) + (4 * level + 1).sqrt()) / (2 * level)
+            report = saturable_regimes(n)
+            (mu_lo, _), = [e.mu_interval for e in report.entries
+                           if e.k == 1 and e.condition == "a"]
+            assert abs(decimal.Decimal(mu_lo) / s.sqrt() - 1) <= decimal.Decimal("1e-15"), n
+            assert (1, mu_lo) in report.excluded, n
+
+
+@pytest.mark.parametrize("table, potential", [(schrodinger_regimes, CUBIC),
+                                              (saturable_regimes, SAT)],
+                         ids=["schrodinger", "saturable"])
 def test_regime_of_a_mirror_mode_is_its_partners(table, potential):
     """Within 1e-15 relative of every finite table endpoint the amplitude
     pass tags a mirror mode n - k as mode k, since both use the partner's
-    coefficients, from which the tables take their cuts.  The cubic cuts
-    are exact to that precision, so there each tag is also the condition of
-    the table entry that holds the amplitude."""
+    coefficients, from which the tables take their cuts.  The cuts are
+    exact to that precision, so each tag is also the condition of the table
+    entry that holds the amplitude."""
     for n in (3, *range(5, 201)):
         report = table(n)
         ends = {mu for e in report.entries for mu in e.mu_interval if 0.0 < mu < math.inf}
         mus = np.array([mu * (1.0 + side * 1e-15) for mu in ends for side in (-1, 1)])
         regime = _classify(n, potential, mus.tolist()).regime
         np.testing.assert_array_equal(regime[:, n // 2:], regime[:, (n - 1) // 2 - 1::-1])
-        for e in report.entries if table is schrodinger_regimes else ():
+        for e in report.entries:
             inside = (e.mu_interval[0] < mus) & (mus < e.mu_interval[1])
             tags = {_CONDITIONS[tag] for tag in regime[inside, e.k - 1].tolist()}
             assert tags <= {e.condition}, (n, e.k)

@@ -197,6 +197,27 @@ def test_verify_non_finite_branch_exit_4(capsys):
     assert payload["termination"] in ("step-failure", "solver-error")
 
 
+def test_wrong_h_prime_overflowing_on_part_of_the_grid_exit_2(capsys):
+    # h' = 1e308 s overflows above s ~ 1.8, where its error is nan; the
+    # finite points still show it wrong, and numpy does not warn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "stability", "--n", "6", "--potential", "custom",
+                                 "--h-expr", "s", "--h-prime-expr", "1e308*s", "--mu", "0.5")
+    assert code == 2 and out == "" and "h_prime is inconsistent" in err
+    assert "RuntimeWarning" not in err and not caught
+
+
+def test_input_too_large_to_allocate_exit_2(capsys, monkeypatch):
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli.np, "linspace", unable)
+    code, out, err = run_cli(capsys, "sweep", "--n", "5", "--mu-range", "0.1:0.2:100000000000")
+    assert code == 2 and out == "" and "error: Unable to allocate 745. GiB" in err
+
+
 def test_verify_small_run(capsys):
     doc = run_json(capsys, "verify", "--n", "6", "--potential", "cubic",
                    "--mu", "0.5", "--k", "3", "--branch", "plus",
@@ -474,6 +495,7 @@ _UNREAD_OPTIONS = [
     ("verify", "--nu-max", "6", "unrecognized"),
     ("verify", "--ds", "0", "ds > 0"),
     ("verify", "--ds", "-0.03", "ds > 0"),
+    ("verify", "--ds", "inf", "finite ds > 0"),
     ("verify", "--steps", "0", "steps >= 1"),
     ("equilibrium", "--config", "n = 2.5", "run.cfg:1: n must be int, got '2.5'"),
     ("equilibrium", "--config", "mu = abc", "run.cfg:1: mu must be float, got 'abc'"),

@@ -737,7 +737,7 @@ def test_gauge_invariance_of_residual():
     ring = RingSystem(n=6, mu=0.5)
     initial = mode_perturbed_orbit(ring, 3, 0.05, np.sqrt(3.0))
     sol = newton_orbit(ring, initial, fix_nu=False, amplitude=initial.amplitude)
-    moved = FourierOrbit(sol.nu, group_action(6, 2, 0.7, 1.1, sol.coeffs, fourier=True))
+    moved = FourierOrbit(sol.nu, group_action(6, 2, 0.7, 1.1, sol.coeffs))
     F0 = residual(ring, sol)
     F1 = residual(ring, moved)
     assert abs(orbit_residual_norm(F0) - orbit_residual_norm(F1)) <= 1e-12
@@ -788,7 +788,7 @@ def test_continue_branch_amplitude_bound(monkeypatch):
     assert branch.termination == "amplitude-bound"
     assert branch.points[-1].amplitude > 0.3
     # a branch that cannot leave the trivial orbit is an input error
-    for steps, ds in ((0, 0.05), (4, 0.0), (4, -0.03)):
+    for steps, ds in ((0, 0.05), (4, 0.0), (4, -0.03), (4, np.inf)):
         with pytest.raises(ValueError, match="ds > 0"):
             continue_branch(ring, bif, steps=steps, ds=ds)
     for p_max in (-5, 0, 7):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dnlsring.orbits import FourierOrbit
 from dnlsring.symmetry import (IsotropyLabel, assemble_P, block_extract,
                                group_action, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
+from references import traveling_wave_loop
 
 
 def test_t_k_full_mode_is_pure_rotation_pattern():
@@ -204,12 +207,12 @@ def test_group_action_composition_law():
 
 
 def test_group_action_takes_a_state_or_fourier_coefficients():
-    # a 2-D array is read as Fourier coefficients only when told so; at phi = 0
-    # each row moves as a state does
+    # a 2-D array is read as Fourier coefficients, and no other rank but a
+    # state's is; at phi = 0 each row moves as a state does
     x = np.random.default_rng(4).normal(size=(5, 10))
-    with pytest.raises(ValueError, match="fourier=True"):
-        group_action(5, 1, 0.3, 0.0, x)
-    moved = group_action(5, 1, 0.3, 0.0, x, fourier=True)
+    with pytest.raises(ValueError, match="got shape"):
+        group_action(5, 1, 0.3, 0.0, x[None])
+    moved = group_action(5, 1, 0.3, 0.0, x)
     np.testing.assert_allclose(moved, [group_action(5, 1, 0.3, 0.0, row) for row in x],
                                atol=1e-15)
 
@@ -272,3 +275,41 @@ def test_traveling_wave_residual_on_mode_orbit():
     coeffs[5] = 0.01 * (t_k_matrix(6, k) @ w)
     coeffs[3] = np.conj(coeffs[5])
     assert traveling_wave_residual(FourierOrbit(nu=1.0, coeffs=coeffs), k) <= 1e-12
+
+
+def pattern_orbit(n, p, k, rng, eps=0.0):
+    """A real orbit whose complex modes c_lj = D_l e^{i j (1 + l k) zeta}
+    (random D_l) follow the mode-k pattern, each perturbed by eps times a
+    complex normal."""
+    l, j = np.arange(-p, p + 1)[:, None], np.arange(n)
+    D = rng.normal(size=(2 * p + 1, 1)) + 1j * rng.normal(size=(2 * p + 1, 1))
+    c = D * np.exp(2j * np.pi * (j * (1 + l * k) % n) / n)
+    c = c + eps * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
+    # x + i y has the modes c when x_l = (c_l + conj c_-l)/2, y_l = (c_l - conj c_-l)/2i
+    coeffs = np.empty((2 * p + 1, 2 * n), dtype=complex)
+    coeffs[:, 0::2] = (c + c[::-1].conj()) / 2
+    coeffs[:, 1::2] = (c - c[::-1].conj()) / 2j
+    return FourierOrbit(nu=1.0, coeffs=coeffs)
+
+
+def test_traveling_wave_residual_bounds_the_sampled_loop():
+    """The closed form is at least the sampled mismatch of the shift loop,
+    and at most 2 (2p + 1) times it: the sampled mismatch at (j, m) is at
+    least each mode's |D_{l,j+m} - D_lj|, which is at least |D_lj - mean|."""
+    rng = np.random.default_rng(19)
+    for eps in np.logspace(-12, 0, 200):
+        n = int(rng.integers(3, 13))
+        p, k = int(rng.integers(1, 5)), int(rng.integers(1, n))
+        orbit = pattern_orbit(n, p, k, rng, eps)
+        loop = traveling_wave_loop(orbit, k)
+        assert loop <= traveling_wave_residual(orbit, k) <= 2 * (2 * p + 1) * loop, (n, p, k)
+
+
+def test_traveling_wave_residual_large_ring_within_budget():
+    # O(n p): n = 1024, p = 8 within 0.1 s
+    orbit = pattern_orbit(1024, 8, 512, np.random.default_rng(20))
+    t0 = time.perf_counter()
+    res = traveling_wave_residual(orbit, 512)
+    elapsed = time.perf_counter() - t0
+    assert res <= 1e-12
+    assert elapsed <= 0.1, f"{elapsed:.3f} s"
