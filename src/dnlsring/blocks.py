@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import RingSystem, hessian_V, standing_wave
 
@@ -243,6 +242,8 @@ def _level_set(potential, level: float, samples: int = 4096):
     """``(s, f, edge)``: the scan grid, f = s h'(s) - level on it (nan where
     not finite) and ``edge(i)``, where x meets the level in [s_i, s_{i+1}]:
     brentq to 1e-12 when both samples are finite, else s_{i+1}."""
+    from scipy.optimize import brentq   # only custom potentials scan for a level
+
     s, x = _scan_grid(potential, samples)
     f = np.where(np.isfinite(x), x - level, np.nan)
 

@@ -226,9 +226,11 @@ def _regime_report(n: int, potential) -> RegimeReport:
     Mode k takes the cuts of its partner j = min(k, n - k), whose
     coefficients are the more accurate of the mirror pair: [0, inf) is cut
     where mu^2 h'(mu^2) equals delta_j or alpha_j/2 (delta_j alone when
-    gamma_j = 0, where the two are equal), the ``_regime`` of one amplitude
-    inside each piece tags it, and neighbouring pieces with the same
-    condition join.
+    gamma_j = 0, where the two are equal), and the ``_regime`` of one
+    amplitude inside each piece tags it.  Neighbouring pieces of a mode
+    never share a condition: for n >= 5, delta_j - alpha_j/2 =
+    -gamma_j^2/(2 alpha_j) <= 0, so they go (a), (b), none for the cubic and
+    (b), (a), (b) for the saturable mode 1, and n = 3 has one piece per mode.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -245,18 +247,14 @@ def _regime_report(n: int, potential) -> RegimeReport:
     probe = np.array([(lo + hi) / 2.0 if hi < math.inf else lo + 1.0 for _, lo, hi in pieces])
     row = np.array([j - 1 for j, _, _ in pieces], dtype=int)
     tags = _regime(n, probe ** 2 * potential.h_prime(probe ** 2), alpha[row], delta[row], True)
-    runs: dict[int, list] = {}   # [condition, lo, hi] per mode j
+    by_mode: dict[int, list] = {}   # (condition, lo, hi) per mode j
     for (j, lo, hi), tag in zip(pieces, tags.tolist()):
-        run = runs.setdefault(j, [])
-        if run and run[-1][0] == _CONDITIONS[tag]:
-            run[-1][2] = hi
-        else:
-            run.append([_CONDITIONS[tag], lo, hi])
+        by_mode.setdefault(j, []).append((_CONDITIONS[tag], lo, hi))
     gamma_pos = (gamma > 0.0).tolist()
     entries = tuple(RegimeEntry(k=k, condition=condition, mu_interval=(lo, hi),
                                 two_sided=condition == "b" and gamma_pos[k - 1],
                                 mirror_of=n - k if k > n // 2 else None)
-                    for k in range(1, n) for condition, lo, hi in runs.get(min(k, n - k), ())
+                    for k in range(1, n) for condition, lo, hi in by_mode.get(min(k, n - k), ())
                     if condition)
     notes = (("every block has a degenerate double root; no Morse-index jump for n = 4",)
              if n == 4 else ())

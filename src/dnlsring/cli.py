@@ -32,6 +32,7 @@ import argparse
 import ast
 import functools
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -86,9 +87,6 @@ class _PointRecords:
     def __getitem__(self, rows: slice) -> _PointRecords:
         return _PointRecords(tuple(column[rows] for column in self.columns))
 
-    def dicts(self) -> list[dict]:
-        return [dict(zip(self.KEYS, row)) for row in zip(*self.columns)]
-
 
 @functools.lru_cache(maxsize=8)
 def _point_template(pad: str) -> str:
@@ -98,76 +96,61 @@ def _point_template(pad: str) -> str:
                                 for key in _PointRecords.KEYS) + "\n" + pad + "}")
 
 
+# the +-inf that %.17g prints for mu, nu or period, none of them the last key
+_TEMPLATE_INF = re.compile(r'("(?:mu|nu|period)": )(-?inf),')
+
+
 def _json_points(points: _PointRecords, pad: str, out: list) -> None:
-    """``_json_list`` of ``points.dicts()`` in fewer steps: %.17g is ``_fmt``
-    for every float but +-inf, which takes the long way."""
+    """The JSON list of the point records, each rendered from one template."""
     note, eta, isotropy, k, mu, nu, period, regime, root = points.columns
-    if not k or any(map(math.isinf, mu + nu + period)):
-        _json_list(points.dicts(), pad, out)
-        return
     inner = pad + "  "
     template = _point_template(inner)
     quoted = [list(map(_json_str, column)) for column in (note, isotropy, regime, root)]
     rows = zip(quoted[0], eta, quoted[1], k, mu, nu, period, quoted[2], quoted[3])
-    out.append("[\n" + inner + (",\n" + inner).join([template % row for row in rows])
-               + "\n" + pad + "]")
-
-
-def _json_dict(obj: dict, pad: str, out: list) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    sep = "{\n"
-    for key in sorted(obj):
-        out.append(f'{sep}{inner}"{key}": ')
-        _json_write(obj[key], inner, out)
-        sep = ",\n"
-    out.append("\n" + pad + "}")
-
-
-def _json_list(obj, pad: str, out: list) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    inner = pad + "  "
-    sep = "[\n"
-    for item in obj:
-        out.append(sep + inner)
-        _json_write(item, inner, out)
-        sep = ",\n"
-    out.append("\n" + pad + "]")
-
-
-# (types, writer) in the order a value is matched
-_JSON_KINDS = (
-    (_PointRecords, _json_points),
-    (dict, _json_dict),
-    ((list, tuple), _json_list),
-    ((bool, np.bool_), lambda obj, pad, out: out.append("true" if obj else "false")),
-    (type(None), lambda obj, pad, out: out.append("null")),
-    ((int, np.integer), lambda obj, pad, out: out.append(str(int(obj)))),
-    ((float, np.floating), lambda obj, pad, out: out.append(_json_float(obj))),
-    (str, lambda obj, pad, out: out.append(_json_str(obj))),
-)
-
-
-@functools.cache
-def _json_writer(kind: type):
-    for types, write in _JSON_KINDS:
-        if issubclass(kind, types):
-            return write
-    raise TypeError(f"cannot serialize {kind}")
+    text = (",\n" + inner).join([template % row for row in rows])
+    if any(map(math.isinf, mu + nu + period)):
+        text = _TEMPLATE_INF.sub(r'\1"\2",', text)
+    out.append("[\n" + inner + text + "\n" + pad + "]" if k else "[]")
 
 
 def _json_write(obj, pad: str, out: list) -> None:
-    _json_writer(type(obj))(obj, pad, out)
+    """Append the JSON text of ``obj``, indented from ``pad``, to ``out``."""
+    if isinstance(obj, dict):
+        inner = pad + "  "
+        sep = "{\n"
+        for key in sorted(obj):
+            out.append(f'{sep}{inner}"{key}": ')
+            _json_write(obj[key], inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n"
+        for item in obj:
+            out.append(sep + inner)
+            _json_write(item, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + "]" if obj else "[]")
+    elif isinstance(obj, _PointRecords):
+        _json_points(obj, pad, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_json_float(obj))
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _to_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
     +-inf as the strings "inf" and "-inf", two spaces per level.  One walk
-    dispatches on each value's type; point records render from one template."""
+    tests each value's type; point records render from one template."""
     out: list[str] = []
     _json_write(obj, "", out)
     return "".join(out)
@@ -494,7 +477,7 @@ def cmd_verify(cfg: SimpleNamespace):
         exit_code = _EXIT_NUMERICAL
     if branch.termination == "step-failure":
         exit_code = _EXIT_NUMERICAL
-        failure = "continuation stopped early after repeated step halvings"
+        failure = branch.reason
     point_records = []
     rows = []
     for bp in branch.points:

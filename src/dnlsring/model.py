@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "J2",
@@ -129,6 +128,8 @@ class _QuadratureG:
         self.h = h
 
     def __call__(self, s):
+        from scipy.integrate import quad   # only a custom potential without G comes here
+
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s).ravel()
         vals = np.array([quad(self.h, 0.0, si, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]

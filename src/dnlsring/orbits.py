@@ -529,6 +529,7 @@ class ContinuationBranch:
     origin: object                    # the BifurcationPoint this started from
     points: list[BranchPoint]
     termination: str = ""
+    reason: str = ""                  # why a "step-failure" branch stopped
 
 
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
@@ -544,8 +545,17 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     has no time-shift tangent, so the first corrector takes its gauge rows
     at the iterate instead.  The Fourier order doubles
     while the tail exceeds 1e-12, and every accepted point is re-checked
-    against the full-space residual.  The branch stops on the step count, on
-    five consecutive step halvings, or when the amplitude exceeds 10.
+    against the full-space residual.  The branch ends, with its
+    ``termination``, when
+
+    - ``steps`` points are accepted ("steps");
+    - the amplitude of a point exceeds 10 ("amplitude-bound");
+    - the corrector fails again after five consecutive step halvings
+      ("step-failure");
+    - the Fourier tail still exceeds 1e-12 when doubling p would pass
+      ``p_max`` ("step-failure").
+
+    A "step-failure" branch states which of the two in its ``reason``.
 
     Raises
     ------
@@ -596,6 +606,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                 if not branch.points:
                     raise
                 branch.termination = "step-failure"
+                branch.reason = "continuation stopped early after repeated step halvings"
                 return branch
             ds *= 0.5
             continue
@@ -606,9 +617,11 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         tail = np.abs(coeffs[[0, -1]]).max()
         if tail > _TAIL_TOL:
             if 2 * space.p > p_max:
-                branch.termination = "step-failure"
+                reason = (f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {space.p}"
+                          f" (p_max = {p_max})")
                 if not branch.points:
-                    raise NoConvergence(f"tail {tail:.2e} above {_TAIL_TOL} at p_max")
+                    raise NoConvergence(reason)
+                branch.termination, branch.reason = "step-failure", reason
                 return branch
             space, (z_prev, tangent) = space.grown(z_prev, tangent)
             continue

@@ -222,6 +222,18 @@ def test_regime_tables_match_hand_written_reference(table, reference):
 
 @pytest.mark.parametrize("table", [schrodinger_regimes, saturable_regimes],
                          ids=["schrodinger", "saturable"])
+def test_regime_entries_of_a_mode_alternate(table):
+    """No two consecutive entries of a mode share a condition, so the table
+    needs no join of neighbouring pieces: delta_k <= alpha_k/2 for n >= 5
+    orders the cuts, and n = 3 has one piece per mode."""
+    for n in range(3, 401):
+        entries = table(n).entries
+        for e, f in zip(entries, entries[1:]):
+            assert e.k != f.k or e.condition != f.condition, (n, e, f)
+
+
+@pytest.mark.parametrize("table", [schrodinger_regimes, saturable_regimes],
+                         ids=["schrodinger", "saturable"])
 def test_regime_mirror_entries_equal_partner(table):
     """A mirror mode n - k has exactly the conditions and intervals of mode
     k, bit for bit, and is two-sided nowhere."""

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -197,6 +201,18 @@ def test_verify_non_finite_branch_exit_4(capsys):
     assert payload["termination"] in ("step-failure", "solver-error")
 
 
+def test_verify_names_the_fourier_tail_when_p_max_stops_the_branch(capsys):
+    # no corrector fails: the tail still exceeds 1e-12 at p = p_max = 8
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--mu", "1.0", "--potential",
+                           "saturable", "--k", "1", "--branch", "minus", "--steps", "200",
+                           "--ds", "0.05", "--p-max", "8")
+    assert code == 4
+    payload = json.loads(out)["payload"]
+    assert payload["termination"] == "step-failure" and payload["points"]
+    assert "Fourier tail" in payload["failure"] and "p_max = 8" in payload["failure"]
+    assert "halvings" not in payload["failure"]
+
+
 def test_wrong_h_prime_overflowing_on_part_of_the_grid_exit_2(capsys):
     # h' = 1e308 s overflows above s ~ 1.8, where its error is nan; the
     # finite points still show it wrong, and numpy does not warn
@@ -216,6 +232,18 @@ def test_input_too_large_to_allocate_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli.np, "linspace", unable)
     code, out, err = run_cli(capsys, "sweep", "--n", "5", "--mu-range", "0.1:0.2:100000000000")
     assert code == 2 and out == "" and "error: Unable to allocate 745. GiB" in err
+
+
+def test_import_loads_no_custom_potential_solver():
+    """A fresh ``import dnlsring.cli`` leaves out scipy.optimize (brentq) and
+    scipy.integrate (quad): only custom potentials call them."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = ("import sys, dnlsring.cli; print(sorted(name for name in sys.modules"
+            " if name.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_verify_small_run(capsys):
@@ -659,7 +687,7 @@ def old_to_json(obj, indent: int = 0) -> str:
 def plain(obj):
     """The report as the recursive writer saw it: point records as dicts."""
     if isinstance(obj, cli._PointRecords):
-        return obj.dicts()
+        return [dict(zip(cli._PointRecords.KEYS, row)) for row in zip(*obj.columns)]
     if isinstance(obj, dict):
         return {key: plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -707,6 +735,12 @@ def test_writer_matches_recursive_writer():
               "inf points": cli._PointRecords(tuple(c[:2] for c in columns[:5])
                                               + ([math.inf, 2.0], [0.0, 3.1])
                                               + tuple(c[:2] for c in columns[7:])),
+              # +-inf in nu and period (and mu) of the template, finite records between
+              "signed inf points": cli._PointRecords(
+                  tuple(c + c[:2] for c in columns[:4])
+                  + ([0.5, 0.5, 1e-300, 0.75, math.inf], [math.inf, 2.0, 1.5, -math.inf, 0.25],
+                     [0.0, -math.inf, 4.0, math.inf, -2.5])
+                  + tuple(c + c[:2] for c in columns[7:])),
               "no points": cli._PointRecords(tuple([] for _ in columns))}
     assert cli._to_json(values) == old_to_json(plain(values))
     with pytest.raises(TypeError, match="cannot serialize"):

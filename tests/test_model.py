@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
-from dnlsring import model
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, gradient_V,
                             hessian_V, potential_V, saturable_potential, standing_wave,
                             vector_field)
@@ -74,7 +74,7 @@ def test_custom_potential_validate_checks_supplied_g_only(monkeypatch):
     def no_quad(*args, **kwargs):
         raise AssertionError("validate integrated h")
 
-    monkeypatch.setattr(model, "quad", no_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
     integrated = custom_potential(h=lambda s: np.asarray(s, float),
                                   h_prime=lambda s: np.ones_like(np.asarray(s, float)))
     integrated.validate()

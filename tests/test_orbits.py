@@ -818,6 +818,7 @@ def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, 
     if accepted:
         branch = continue_branch(ring, bif, steps=4, ds=0.04)
         assert branch.termination == "step-failure" and len(branch.points) == accepted
+        assert "step halvings" in branch.reason
     else:
         with pytest.raises(NoConvergence, match="corrector failed"):
             continue_branch(ring, bif, steps=4, ds=0.04)
