@@ -8,23 +8,15 @@ potentials, and numerically verifies predicted branches with a Fourier
 collocation Newton solver and pseudo-arclength continuation.
 """
 
-from .blocks import (BlockCoefficients, BrokenReflection, CriticalFrequencies,
-                     SearchRangeExhausted, SingularBlock, StabilityVerdict, block_B,
-                     block_m, coefficients, critical_frequencies, degenerate_amplitudes,
-                     det_trace, eta, full_spectrum_oracle, kernel_vector,
-                     linear_stability, morse_index, mu_h_prime, sigma, spectrum_max_real)
-from .classify import (ADMISSIBILITY_NOTE, BifurcationPoint, DegenerateAmplitude,
-                       RegimeEntry, RegimeReport, enumerate_bifurcations,
-                       saturable_regimes, schrodinger_regimes, stability_interval)
-from .model import (J2, PotentialModel, RingSystem, cubic_potential, custom_potential,
-                    gradient_V, hessian_V, potential_V, saturable_potential,
-                    standing_wave, vector_field)
-from .orbits import (BranchPoint, ContinuationBranch, FourierOrbit, NoConvergence,
-                     SingularJacobian, continue_branch, extrapolate_nu_to_zero,
-                     integrate, linearized_residual, newton_orbit,
-                     orbit_residual_norm, residual)
-from .symmetry import (BlockDecomposition, ChangeOfVariables, IsotropyLabel,
-                       SymmetryResidual, assemble_P, block_extract, group_action,
-                       symmetry_residual, t_k_matrix, traveling_wave_residual)
+from . import blocks, classify, model, orbits, symmetry
+from .blocks import *  # noqa: F401,F403
+from .classify import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .orbits import *  # noqa: F401,F403
+from .symmetry import *  # noqa: F401,F403
+
+# every layer's public names, each declared once in its own __all__
+__all__ = [*model.__all__, *symmetry.__all__, *blocks.__all__, *classify.__all__,
+           *orbits.__all__]
 
 __version__ = "0.1.0"

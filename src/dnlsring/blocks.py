@@ -300,7 +300,9 @@ def degenerate_amplitudes(n: int, k: int, potential,
         return _level_amplitudes(potential, delta)
 
     s, f, edge = _level_set(potential, delta, samples)
-    roots = [edge(i) for i in np.flatnonzero(f[:-1] * f[1:] < 0.0)]
+    with np.errstate(over="ignore"):   # an overflowing product keeps its sign
+        bracketed = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+    roots = [edge(i) for i in bracketed]
     roots += list(s[:-1][(f[:-1] == 0.0) & (f[1:] != 0.0)])  # one per run at the level
     if not roots and np.argmin(np.abs(np.nan_to_num(f, nan=np.inf))) == len(s) - 1:
         raise SearchRangeExhausted(

@@ -12,7 +12,11 @@ excludes --mu; equilibrium, blocks, stability and verify report on one
 amplitude.  bifurcations filters its
 points with --k (1..n-1), --nu-min and --nu-max; its CSV then has the row of
 mode k alone, and the roots that --nu-min and --nu-max remove are blank in
-their rows.  verify takes --k, --branch, --steps, --ds and --p-max.
+their rows.  verify takes --k, --branch, --steps, --ds and --p-max.  The
+``symmetry_residual`` of each verify point is ``traveling_wave_residual``: a
+bound on the mismatch of the mode-k pattern
+u_{j+m}(t) = e^{i m zeta} u_j(t + m k zeta) at every site j, shift m and time
+t, and so also on the mismatch of the moduli |u_{j+m}(t)| = |u_j(t + m k zeta)|.
 ``_OPTIONS`` declares every option once: its type, default, subcommands and
 choices.
 
@@ -34,6 +38,7 @@ import functools
 import math
 import re
 import sys
+from json.encoder import encode_basestring
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +46,7 @@ import numpy as np
 from . import blocks, classify, orbits
 from .model import (RingSystem, cubic_potential, custom_potential,
                     gradient_V, hessian_V, saturable_potential, standing_wave)
-from .symmetry import IsotropyLabel, assemble_P, block_extract, symmetry_residual
+from .symmetry import IsotropyLabel, assemble_P, block_extract, traveling_wave_residual
 
 SCHEMA_VERSION = "1"
 
@@ -68,9 +73,8 @@ def _json_float(x) -> str:
     return _fmt(x)
 
 
-@functools.lru_cache(maxsize=256)
-def _json_str(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+# a JSON string literal: escapes '"', '\\' and every control character below 0x20
+_json_str = encode_basestring
 
 
 class _PointRecords:
@@ -481,14 +485,13 @@ def cmd_verify(cfg: SimpleNamespace):
     point_records = []
     rows = []
     for bp in branch.points:
-        sym = symmetry_residual(bp.orbit, cfg.k)
+        sym = traveling_wave_residual(bp.orbit, cfg.k)
         point_records.append({
             "amplitude": bp.amplitude, "nu": bp.nu,
             "residual": bp.orbit.residual_norm,
-            "symmetry_residual": max(sym.pattern, sym.norms),
+            "symmetry_residual": sym,
         })
-        rows.append([bp.amplitude, bp.nu, bp.orbit.residual_norm,
-                     max(sym.pattern, sym.norms)])
+        rows.append([bp.amplitude, bp.nu, bp.orbit.residual_norm, sym])
     extrapolated = orbits.extrapolate_nu_to_zero(branch) if branch.points else None
     passed = (extrapolated is not None
               and abs(extrapolated - bif.nu) <= 1e-4

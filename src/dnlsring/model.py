@@ -32,7 +32,6 @@ __all__ = [
     "saturable_potential",
     "custom_potential",
     "standing_wave",
-    "potential_V",
     "gradient_V",
     "hessian_V",
     "vector_field",
@@ -45,33 +44,32 @@ _EYE2 = np.eye(2)
 _VALIDATE_S_MAX = 4.0
 _VALIDATE_NUM = 25
 _VALIDATE_TOL = 1e-6
-_QUAD_TOL = 1e-10       # absolute and relative tolerance of a quadrature G
 
 
 @dataclass(frozen=True)
 class PotentialModel:
     """On-site nonlinearity evaluated on the squared modulus s = |q|^2 >= 0.
 
-    ``h`` is the nonlinear response, ``h_prime`` its derivative and ``G`` the
-    antiderivative of ``h`` with ``G(0) = 0``.  All three must accept numpy
-    arrays.
+    ``h`` is the nonlinear response and ``h_prime`` its derivative.  ``G``,
+    the antiderivative of ``h`` with ``G(0) = 0``, is optional: no
+    computation reads it, and ``validate`` checks it only when it is given.
+    All three must accept numpy arrays.
     """
 
     kind: str
     h: Callable[[np.ndarray], np.ndarray]
     h_prime: Callable[[np.ndarray], np.ndarray]
-    G: Callable[[np.ndarray], np.ndarray]
+    G: Callable[[np.ndarray], np.ndarray] | None = None
 
     def validate(self) -> None:
-        """Check h' and G against finite differences of h / G on 25 points of
-        s in [0.05, 4], to a relative 1e-6.
+        """Check h' against finite differences of h, and G' against h when G
+        is given, on 25 points of s in [0.05, 4], to a relative 1e-6.
 
         Raises ValueError when the supplied derivatives are inconsistent,
         that is when the error at some point is a number above the tolerance;
         a point where it is nan (h undefined there, or h' overflowing) is
         skipped.  Intended for user-supplied potentials; cubic and saturable
-        pass by construction, and so does a G that ``custom_potential``
-        integrates from h, which is not checked.
+        pass by construction.
         """
         s = np.linspace(0.05, _VALIDATE_S_MAX, _VALIDATE_NUM)
         step = 1e-6 * np.maximum(1.0, s)
@@ -80,8 +78,8 @@ class PotentialModel:
             scale = np.maximum(1.0, np.abs(self.h_prime(s)))
             if np.any(np.abs(hp_fd - self.h_prime(s)) / scale > _VALIDATE_TOL):
                 raise ValueError("h_prime is inconsistent with finite differences of h")
-            if isinstance(self.G, _QuadratureG):
-                return  # G' = h by construction
+            if self.G is None:
+                return
             g_fd = (self.G(s + step) - self.G(s - step)) / (2 * step)
             scale = np.maximum(1.0, np.abs(self.h(s)))
             if np.any(np.abs(g_fd - self.h(s)) / scale > _VALIDATE_TOL):
@@ -109,32 +107,9 @@ def saturable_potential() -> PotentialModel:
 
 
 def custom_potential(h, h_prime, G=None) -> PotentialModel:
-    """User-supplied nonlinearity.
-
-    When ``G`` is omitted it is computed by adaptive quadrature of ``h``
-    from 0, to an absolute and relative 1e-10, which is accurate enough for
-    diagnostics and finite-difference tests but slower than a closed form.
-    """
-    if G is None:
-        G = _QuadratureG(h)
+    """User-supplied nonlinearity.  ``G`` is optional and stays None when
+    omitted; ``validate`` checks it against h only when it is given."""
     return PotentialModel(kind="custom", h=h, h_prime=h_prime, G=G)
-
-
-class _QuadratureG:
-    """G(s), the integral of h from 0 to s by adaptive quadrature, element
-    by element."""
-
-    def __init__(self, h):
-        self.h = h
-
-    def __call__(self, s):
-        from scipy.integrate import quad   # only a custom potential without G comes here
-
-        s = np.asarray(s, dtype=float)
-        flat = np.atleast_1d(s).ravel()
-        vals = np.array([quad(self.h, 0.0, si, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)[0]
-                         for si in flat])
-        return vals.reshape(np.shape(s)) if np.shape(s) else float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -203,21 +178,6 @@ def _site_view(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (-1, 2))
 
 
-def potential_V(ring: RingSystem, x) -> float:
-    """Invariant potential whose gradient is the right-hand side of the flow.
-
-    V(x) = sum_j [ H(x_j) - |x_{j+1} - x_j|^2 / 2 ] with
-    H(u) = (omega/2)|u|^2 + G(mu^2 |u|^2) / (2 mu^2), indices mod n.
-    """
-    x = _as_state(ring, x)
-    X = _site_view(x)
-    mu2 = ring.mu ** 2
-    r2 = (X ** 2).sum(axis=-1)
-    onsite = 0.5 * ring.omega * r2 + ring.potential.G(mu2 * r2) / (2.0 * mu2)
-    diff = np.roll(X, -1, axis=0) - X
-    return float(onsite.sum() - 0.5 * (diff ** 2).sum())
-
-
 def _gradient_sites(ring: RingSystem, X: np.ndarray) -> np.ndarray:
     """Gradient for stacked site views X of shape (..., n, 2)."""
     mu2 = ring.mu ** 2
@@ -228,8 +188,10 @@ def _gradient_sites(ring: RingSystem, X: np.ndarray) -> np.ndarray:
 
 
 def gradient_V(ring: RingSystem, x) -> np.ndarray:
-    """Gradient of :func:`potential_V`; component j is
-    ``omega x_j + h(mu^2 |x_j|^2) x_j + (x_{j+1} - 2 x_j + x_{j-1})``.
+    """Gradient of the invariant potential
+    V(x) = sum_j [ H(x_j) - |x_{j+1} - x_j|^2 / 2 ], with
+    H(u) = (omega/2)|u|^2 + G(mu^2 |u|^2) / (2 mu^2) and indices mod n;
+    component j is ``omega x_j + h(mu^2 |x_j|^2) x_j + (x_{j+1} - 2 x_j + x_{j-1})``.
     """
     x = _as_state(ring, x)
     return _gradient_sites(ring, _site_view(x)).reshape(x.shape)
@@ -264,7 +226,8 @@ def _onsite_hessian(ring: RingSystem, X: np.ndarray) -> np.ndarray:
 
 
 def hessian_V(ring: RingSystem, x) -> np.ndarray:
-    """Symmetric 2n x 2n second derivative of :func:`potential_V` at x."""
+    """Symmetric 2n x 2n Hessian at x of the potential V whose gradient is
+    :func:`gradient_V`."""
     x = _as_state(ring, x)
     n = ring.n
     H = np.zeros((n, 2, n, 2))

@@ -117,14 +117,6 @@ class FourierOrbit:
         mask[self.p] = False
         return float(np.sqrt((np.abs(self.coeffs[mask]) ** 2).sum()))
 
-    @classmethod
-    def from_state(cls, state, nu: float, p: int) -> "FourierOrbit":
-        """Constant-in-time orbit at the given state."""
-        state = np.asarray(state, dtype=float)
-        coeffs = np.zeros((2 * p + 1, state.size), dtype=complex)
-        coeffs[p] = state
-        return cls(nu=nu, coeffs=coeffs)
-
 
 def _default_samples(p: int) -> int:
     # >= 4p+1 keeps the retained gradient modes alias-free for a cubic h

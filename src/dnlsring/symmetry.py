@@ -13,11 +13,16 @@ rotations R(j zeta), and F_{jk} = n^{-1/2} e^{i k j zeta} is a discrete
 Fourier matrix (sites j and modes k both run 1..n).  ``block_extract``
 forms the full P^* M P through that factorisation, by a rotation of each
 2x2 block of M and two FFTs, without building P.
+
+A branch born at a mode-k bifurcation point keeps the isotropy Z~_n(k).
+``verify`` checks that pattern on every point by
+``traveling_wave_residual``, a bound read off the Fourier modes in O(n p).
+``symmetry_residual`` samples the pattern at every site and time instead;
+it is the reference that the bound is tested against.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +36,6 @@ __all__ = [
     "assemble_P",
     "block_extract",
     "BlockDecomposition",
-    "group_action",
     "symmetry_residual",
     "SymmetryResidual",
     "traveling_wave_residual",
@@ -65,13 +69,9 @@ def t_k_matrix(n: int, k: int) -> np.ndarray:
 class ChangeOfVariables:
     """The unitary 2n x 2n change of variables P = D_R (F ⊗ I_2), whose
     column block k (columns 2(k-1), 2(k-1)+1) is t_k.  ``block_extract``
-    applies it by FFT; the dense ``P`` is built only when it is read."""
+    applies it by FFT; the dense P is never built."""
 
     n: int
-
-    @functools.cached_property
-    def P(self) -> np.ndarray:
-        return np.hstack([t_k_matrix(self.n, k) for k in range(1, self.n + 1)])
 
 
 def assemble_P(n: int) -> ChangeOfVariables:
@@ -133,33 +133,8 @@ class IsotropyLabel:
     k: int
 
     @property
-    def generator(self) -> tuple[float, float, float]:
-        zeta = 2.0 * np.pi / self.n
-        return (zeta, zeta, (-self.k * zeta) % (2.0 * np.pi))
-
-    @property
     def label(self) -> str:
         return f"Z~_{self.n}({self.k})"
-
-
-def group_action(n: int, shift: int, theta: float, phi: float, x) -> np.ndarray:
-    """Apply (cyclic shift, rotation by -theta, time translation by phi).
-
-    The rank of ``x`` decides its form: a state of shape (2n,), or a Fourier
-    coefficient array of shape (2p+1, 2n) for modes -p..p; any other rank
-    raises ValueError.  The time translation acts on the coefficients only;
-    a state has no time.
-    """
-    x = np.asarray(x)
-    if x.ndim == 2:
-        p = (x.shape[0] - 1) // 2
-        x = x * np.exp(1j * np.arange(-p, p + 1) * phi)[:, None]
-    elif x.ndim != 1:
-        raise ValueError(f"x must be a state (2n,) or Fourier coefficients "
-                         f"(2p+1, 2n), got shape {x.shape}")
-    # (rho(gamma) x)_j = x_{j+shift}, each site rotated by -theta
-    sites = np.roll(x.reshape(*x.shape[:-1], n, 2), -int(shift), axis=-2)
-    return (sites @ _rotation(-theta).T).reshape(x.shape)
 
 
 class SymmetryResidual(NamedTuple):

@@ -9,10 +9,59 @@ import math
 
 import numpy as np
 
-from dnlsring import blocks
+from dnlsring import blocks, symmetry
 from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
-from dnlsring.model import J2, _gradient_sites, cubic_potential, saturable_potential
-from dnlsring.orbits import _apply_iJJ, _default_samples, residual
+from dnlsring.model import (J2, _as_state, _gradient_sites, cubic_potential,
+                            saturable_potential)
+from dnlsring.orbits import FourierOrbit, _apply_iJJ, _default_samples, residual
+
+
+def potential_V(ring, x):
+    """Invariant potential whose gradient is the right-hand side of the flow,
+    V(x) = sum_j [ H(x_j) - |x_{j+1} - x_j|^2 / 2 ] with
+    H(u) = (omega/2)|u|^2 + G(mu^2 |u|^2) / (2 mu^2), indices mod n; it reads
+    the antiderivative ``ring.potential.G``."""
+    X = _as_state(ring, x).reshape(-1, 2)
+    mu2 = ring.mu ** 2
+    r2 = (X ** 2).sum(axis=-1)
+    onsite = 0.5 * ring.omega * r2 + ring.potential.G(mu2 * r2) / (2.0 * mu2)
+    diff = np.roll(X, -1, axis=0) - X
+    return float(onsite.sum() - 0.5 * (diff ** 2).sum())
+
+
+def group_action(n, shift, theta, phi, x):
+    """Apply (cyclic shift, rotation by -theta, time translation by phi).
+
+    The rank of ``x`` decides its form: a state of shape (2n,), or a Fourier
+    coefficient array of shape (2p+1, 2n) for modes -p..p; any other rank
+    raises ValueError.  The time translation acts on the coefficients only;
+    a state has no time.
+    """
+    x = np.asarray(x)
+    if x.ndim == 2:
+        p = (x.shape[0] - 1) // 2
+        x = x * np.exp(1j * np.arange(-p, p + 1) * phi)[:, None]
+    elif x.ndim != 1:
+        raise ValueError(f"x must be a state (2n,) or Fourier coefficients "
+                         f"(2p+1, 2n), got shape {x.shape}")
+    # (rho(gamma) x)_j = x_{j+shift}, each site rotated by -theta
+    c, s = np.cos(theta), np.sin(theta)
+    sites = np.roll(x.reshape(*x.shape[:-1], n, 2), -int(shift), axis=-2)
+    return (sites @ np.array([[c, -s], [s, c]])).reshape(x.shape)   # R(-theta) per site
+
+
+def dense_P(n):
+    """The dense unitary change of variables P of the n-ring, whose column
+    block k is ``t_k_matrix(n, k)``."""
+    return np.hstack([symmetry.t_k_matrix(n, k) for k in range(1, n + 1)])
+
+
+def constant_orbit(state, nu, p):
+    """The constant-in-time orbit at ``state``, with modes -p..p."""
+    state = np.asarray(state, dtype=float)
+    coeffs = np.zeros((2 * p + 1, state.size), dtype=complex)
+    coeffs[p] = state
+    return FourierOrbit(nu=nu, coeffs=coeffs)
 
 
 def block_symplectic(n):

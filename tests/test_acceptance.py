@@ -14,10 +14,10 @@ from dnlsring.blocks import (coefficients, degenerate_amplitudes, det_trace,
                              mu_h_prime, sigma, spectrum_max_real)
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.model import (RingSystem, cubic_potential, gradient_V, hessian_V,
-                            potential_V, saturable_potential, standing_wave)
+                            saturable_potential, standing_wave)
 from dnlsring.orbits import FourierOrbit, continue_branch, extrapolate_nu_to_zero, integrate
 from dnlsring.symmetry import assemble_P, block_extract, symmetry_residual
-from references import orthogonality_check
+from references import orthogonality_check, potential_V
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from dnlsring import blocks, cli
-from dnlsring.blocks import (BrokenReflection, SearchRangeExhausted, SingularBlock,
+from dnlsring.blocks import (IJ, BrokenReflection, SearchRangeExhausted, SingularBlock,
                              block_B, block_m, coefficients, critical_frequencies,
                              degenerate_amplitudes, det_trace, eta,
                              full_spectrum_oracle, kernel_vector,
@@ -22,18 +22,25 @@ from dnlsring.blocks import (BrokenReflection, SearchRangeExhausted, SingularBlo
 from dnlsring.classify import _degenerate_table, stability_interval
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
                             saturable_potential, standing_wave)
+from dnlsring.symmetry import assemble_P, block_extract
 from references import block_symplectic
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()
 
 
-def probe_eta(ring, k, nu):
-    """Reference index jump by counting Morse indices at nu -+ rho, with rho
-    small enough never to straddle both roots."""
-    nus = critical_frequencies(ring, k).nus
-    rho = min(1e-4 * max(1.0, abs(nu)), (nus[-1] - nus[0]) / 10.0)
-    return sigma(ring) * (morse_index(ring, k, nu - rho) - morse_index(ring, k, nu + rho))
+def probe_etas(ring, ks, nus, gaps):
+    """Reference index jumps at the roots ``nus`` of the modes ``ks``, whose
+    two roots lie ``gaps`` apart: sigma times the Morse index of
+    m_k(nu) = B_k - nu (iJ) at nu - rho minus that at nu + rho, with rho small
+    enough never to straddle both roots.  The blocks B_k come from one
+    block_extract of the dense Hessian, and one eigvalsh call counts the
+    negative eigenvalues of every stacked 2x2 block."""
+    rho = np.minimum(1e-4 * np.maximum(1.0, np.abs(nus)), gaps / 10.0)
+    B = block_extract(assemble_P(ring.n), hessian_V(ring, standing_wave(ring)[0])).blocks
+    m = B[ks - 1] - np.stack([nus - rho, nus + rho])[..., None, None] * IJ
+    below, above = (np.linalg.eigvalsh(m) < 0.0).sum(axis=-1)
+    return sigma(ring) * (below - above)
 
 
 def closed_form_roots(ring):
@@ -322,13 +329,16 @@ def test_eta_closed_form_matches_morse_probe():
         for mu in rng.uniform(0.02, 3.0, 60):
             for pot in pots:
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
-                for k in range(1, n):
-                    cf = critical_frequencies(ring, k)
-                    if cf.degenerate:
-                        continue
-                    for nu in cf.nus:
-                        assert eta(ring, k, nu) == probe_eta(ring, k, nu), (n, mu, k, nu)
-                        roots += 1
+                cases = [(k, nu, cf.nus[-1] - cf.nus[0]) for k in range(1, n)
+                         for cf in [critical_frequencies(ring, k)] if not cf.degenerate
+                         for nu in cf.nus]
+                if not cases:
+                    continue
+                ks, nus, gaps = (np.array(column) for column in zip(*cases))
+                got = [eta(ring, k, nu) for k, nu, _ in cases]
+                want = probe_etas(ring, ks, nus, gaps).tolist()
+                assert got == want, (n, mu, [c for c, g, w in zip(cases, got, want) if g != w])
+                roots += len(cases)
     assert roots > 50000
 
 
@@ -390,6 +400,17 @@ def test_degenerate_amplitudes_custom_matches_cubic():
         roots = degenerate_amplitudes(6, 3, pot)
         assert len(roots) == 1
         assert abs(roots[0] - 1.0) < 1e-10
+
+
+def test_degenerate_amplitudes_overflowing_level_set_product():
+    # s h'(s) reaches 1e271 on the scan grid, so the sign test's product of
+    # neighbouring samples overflows; it warns of nothing (pytest turns a
+    # RuntimeWarning into an error) and finds the roots of h' = 1
+    steep = custom_potential(lambda s: s, lambda s: 1.0 + (np.asarray(s, float) / 4.5) ** 200)
+    flat = custom_potential(lambda s: s, lambda s: np.ones_like(np.asarray(s, float)))
+    for k in (1, 2, 3, 5, 6, 7):
+        assert degenerate_amplitudes(8, k, steep) == degenerate_amplitudes(8, k, flat), k
+    assert degenerate_amplitudes(8, 3, steep) == (1.0,)
 
 
 def test_degenerate_amplitudes_custom_range_exhaustion():

