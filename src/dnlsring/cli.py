@@ -27,7 +27,9 @@ the file overrides the default.  Flags are never abbreviated.
 
 Exit codes: 0 success (possibly with an empty payload), 2 invalid input
 (also an input too large to allocate, such as a --mu-range count of 1e11),
-3 every requested amplitude is degenerate, 4 numerical failure.
+3 every requested amplitude is degenerate, 4 numerical failure: a verify
+branch that ended with a reason (the report's ``failure``, next to its
+``termination``), or a block computation that failed or overflowed.
 """
 
 from __future__ import annotations
@@ -459,29 +461,18 @@ def cmd_verify(cfg: SimpleNamespace):
         raise ConfigError("verify needs --k and --branch")
     if cfg.k == ring.n:
         raise ConfigError("k = n carries no bifurcation with full symmetry")
-    # continue_branch starts at Fourier order 8
-    if cfg.steps < 1 or not 0 < cfg.ds < math.inf or cfg.p_max < 8:
-        raise ConfigError("verify needs steps >= 1, a finite ds > 0 and p_max >= 8, got "
-                          f"{cfg.steps}, {cfg.ds}, {cfg.p_max}")
     points = classify.enumerate_bifurcations(ring)
     matches = [pt for pt in points if pt.k == cfg.k and pt.root == cfg.branch]
     if not matches:
         raise ConfigError(
             f"no {cfg.branch}-branch bifurcation point for k = {cfg.k} at mu = {ring.mu}")
     bif = matches[0]
-    exit_code = _EXIT_OK
-    try:
+    try:   # only the arguments raise; every numerical end is a termination
         branch = orbits.continue_branch(ring, bif, steps=cfg.steps, ds=cfg.ds,
                                         p_max=cfg.p_max)
-        failure = None
-    except (orbits.NoConvergence, orbits.SingularJacobian) as exc:
-        branch = orbits.ContinuationBranch(origin=bif, points=[],
-                                           termination="solver-error")
-        failure = str(exc)
-        exit_code = _EXIT_NUMERICAL
-    if branch.termination == "step-failure":
-        exit_code = _EXIT_NUMERICAL
-        failure = branch.reason
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    failure = branch.reason or None
     point_records = []
     rows = []
     for bp in branch.points:
@@ -493,9 +484,8 @@ def cmd_verify(cfg: SimpleNamespace):
         })
         rows.append([bp.amplitude, bp.nu, bp.orbit.residual_norm, sym])
     extrapolated = orbits.extrapolate_nu_to_zero(branch) if branch.points else None
-    passed = (extrapolated is not None
-              and abs(extrapolated - bif.nu) <= 1e-4
-              and exit_code == _EXIT_OK)
+    passed = (failure is None and extrapolated is not None
+              and abs(extrapolated - bif.nu) <= 1e-4)
     payload = {
         "k": cfg.k, "branch": cfg.branch, "predicted_nu": bif.nu,
         "points": point_records,
@@ -506,7 +496,7 @@ def cmd_verify(cfg: SimpleNamespace):
         "failure": failure,
     }
     header = ["amplitude", "nu", "residual", "symmetry_residual"]
-    return _report(cfg, payload), header, rows, exit_code
+    return _report(cfg, payload), header, rows, _EXIT_OK if failure is None else _EXIT_NUMERICAL
 
 
 def _regimes_json(report: classify.RegimeReport) -> dict:
@@ -663,8 +653,7 @@ def main(argv=None) -> int:
     except classify.DegenerateAmplitude as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ALL_DEGENERATE
-    except (orbits.NoConvergence, orbits.SingularJacobian, blocks.SingularBlock,
-            blocks.SearchRangeExhausted, blocks.BrokenReflection, FloatingPointError) as exc:
+    except (blocks.SearchRangeExhausted, blocks.BrokenReflection, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     return code

@@ -67,7 +67,9 @@ _SWAP_SIGN = np.array([1.0, -1.0])              # -J2 v = (v_1, -v_0): swap, the
 
 
 class NoConvergence(RuntimeError):
-    """A Newton iteration failed to reach its tolerance."""
+    """A Newton iteration of :func:`newton_orbit` or :func:`integrate`
+    failed to reach its tolerance.  :func:`continue_branch` does not raise
+    it: a corrector that fails ends the branch with a termination."""
 
 
 class SingularJacobian(RuntimeError):
@@ -518,10 +520,13 @@ class BranchPoint:
 
 @dataclass
 class ContinuationBranch:
-    origin: object                    # the BifurcationPoint this started from
+    """The accepted points of a branch and how it ended: ``reason`` is set
+    exactly when the branch failed (every ``termination`` of
+    :func:`continue_branch` but "steps" and "amplitude-bound")."""
+
     points: list[BranchPoint]
     termination: str = ""
-    reason: str = ""                  # why a "step-failure" branch stopped
+    reason: str = ""
 
 
 def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
@@ -538,31 +543,33 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     at the iterate instead.  The Fourier order doubles
     while the tail exceeds 1e-12, and every accepted point is re-checked
     against the full-space residual.  The branch ends, with its
-    ``termination``, when
+    ``termination`` and, for every end but the first two, a ``reason``:
 
     - ``steps`` points are accepted ("steps");
     - the amplitude of a point exceeds 10 ("amplitude-bound");
-    - the corrector fails again after five consecutive step halvings
-      ("step-failure");
-    - the Fourier tail still exceeds 1e-12 when doubling p would pass
-      ``p_max`` ("step-failure").
-
-    A "step-failure" branch states which of the two in its ``reason``.
+    - a point has nu <= 0 ("frequency-zero"; the reason gives nu and the
+      amplitude);
+    - the corrector fails again after five consecutive step halvings, or
+      the Fourier tail still exceeds 1e-12 when doubling p would pass
+      ``p_max`` ("step-failure" once a point is accepted, "solver-error"
+      before; the reason is the corrector's failure or the tail);
+    - the full-space residual of a corrected point exceeds 1e-9 or is nan
+      ("solver-error"; the points accepted before it are kept).
 
     Raises
     ------
     ValueError
-        When ``steps`` < 1, ``ds`` is not a finite number > 0, ``p`` < 1 or ``p_max`` < ``p``.
-    NoConvergence
-        When not a single point could be corrected, or when the full-space
-        residual of a corrected point exceeds 1e-9 or is nan.
+        When ``steps`` < 1, ``ds`` is not a finite number > 0, ``p`` < 1 or
+        ``p_max`` < ``p``, before any numerics; every numerical end is a
+        termination.
     """
     if steps < 1 or not 0 < ds < math.inf:
-        raise ValueError(f"steps must be >= 1 and a finite ds > 0, got steps = {steps}, ds = {ds}")
+        raise ValueError(f"need steps >= 1 and a finite ds > 0, got steps = {steps}, ds = {ds}")
     if p < 1:
         raise ValueError(f"the starting order p must be >= 1, got p = {p}")
     if p_max < p:
-        raise ValueError(f"p_max must be >= the starting order p = {p}, got {p_max}")
+        raise ValueError(f"p_max must be >= the starting order p: need p_max >= {p}, "
+                         f"got p_max = {p_max}")
     n, k = ring.n, bif.k
     space = _FourierSpace(n, p, k)
     V0 = np.zeros((p + 1, 2), dtype=complex)
@@ -573,10 +580,14 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     tangent = space.pack(dV, 0.0)
     tangent /= np.linalg.norm(tangent)
 
-    branch = ContinuationBranch(origin=bif, points=[])
+    points = []
+
+    def failed(reason):
+        return ContinuationBranch(points, "step-failure" if points else "solver-error", reason)
+
     ds_target = ds
     halvings = 0
-    while len(branch.points) < steps:
+    while len(points) < steps:
         num = _default_samples(space.p)
         target = np.array([0.0, 0.0, ds])
 
@@ -584,7 +595,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             return np.vstack(space.gauge_rows(space.unpack(z)[0]) + [tangent])
         # the trivial point has no time-shift tangent: until a point is
         # accepted, the gauge rows are taken at the iterate
-        anchored = border_at(z_prev) if branch.points else None
+        anchored = border_at(z_prev) if points else None
 
         def arclength(z):
             border = border_at(z) if anchored is None else anchored
@@ -592,14 +603,11 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         try:
             z_new, _ = _newton(ring, space, z_prev + ds * tangent, arclength,
                                10 * _NEWTON_TOL, 24, num)
-        except NoConvergence:
+        except NoConvergence as exc:
             halvings += 1
             if halvings > 5:
-                if not branch.points:
-                    raise
-                branch.termination = "step-failure"
-                branch.reason = "continuation stopped early after repeated step halvings"
-                return branch
+                return failed("continuation stopped early after repeated step halvings"
+                              if points else str(exc))
             ds *= 0.5
             continue
         halvings = 0
@@ -609,32 +617,31 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         tail = np.abs(coeffs[[0, -1]]).max()
         if tail > _TAIL_TOL:
             if 2 * space.p > p_max:
-                reason = (f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {space.p}"
-                          f" (p_max = {p_max})")
-                if not branch.points:
-                    raise NoConvergence(reason)
-                branch.termination, branch.reason = "step-failure", reason
-                return branch
+                return failed(f"Fourier tail {tail:.2e} still above {_TAIL_TOL} "
+                              f"at p = {space.p} (p_max = {p_max})")
             space, (z_prev, tangent) = space.grown(z_prev, tangent)
             continue
         orbit = FourierOrbit(nu=nu, coeffs=coeffs)
         orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
         if not orbit.residual_norm <= 10 * _NEWTON_TOL:   # the certificate of the point
-            raise NoConvergence(f"full-space residual {orbit.residual_norm:.2e} "
-                                "leaves the symmetry subspace")
-        branch.points.append(BranchPoint(orbit=orbit, amplitude=space.amplitude(V),
-                                         nu=nu))
+            return ContinuationBranch(points, "solver-error",
+                                      f"full-space residual {orbit.residual_norm:.2e} "
+                                      "leaves the symmetry subspace")
+        amplitude = space.amplitude(V)
+        points.append(BranchPoint(orbit=orbit, amplitude=amplitude, nu=nu))
+        if nu <= 0:
+            return ContinuationBranch(points, "frequency-zero",
+                                      f"nu = {nu:.3g} <= 0 at amplitude {amplitude:.3g}: the "
+                                      "frequency crossed zero, where the period is unbounded")
+        if amplitude > _AMPLITUDE_MAX:
+            return ContinuationBranch(points, "amplitude-bound")
         new_tangent = z_new - z_prev
         norm = np.linalg.norm(new_tangent)
         if norm > 0:
             tangent = new_tangent / norm
         z_prev = z_new
         ds = min(ds * 1.3, ds_target)
-        if branch.points[-1].amplitude > _AMPLITUDE_MAX:
-            branch.termination = "amplitude-bound"
-            return branch
-    branch.termination = "steps"
-    return branch
+    return ContinuationBranch(points, "steps")
 
 
 def extrapolate_nu_to_zero(branch: ContinuationBranch) -> float:

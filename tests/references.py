@@ -12,8 +12,9 @@ import numpy as np
 from dnlsring import blocks, symmetry
 from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
 from dnlsring.model import (J2, _as_state, _gradient_sites, cubic_potential,
-                            saturable_potential)
-from dnlsring.orbits import FourierOrbit, _apply_iJJ, _default_samples, residual
+                            saturable_potential, standing_wave)
+from dnlsring.orbits import (FourierOrbit, _apply_iJJ, _default_samples, _FourierSpace,
+                             residual)
 
 
 def potential_V(ring, x):
@@ -62,6 +63,24 @@ def constant_orbit(state, nu, p):
     coeffs = np.zeros((2 * p + 1, state.size), dtype=complex)
     coeffs[p] = state
     return FourierOrbit(nu=nu, coeffs=coeffs)
+
+
+def collocation_mode1_blocks(ring, nus):
+    """The mode-1 diagonal block of the Newton Jacobian at the rotating wave,
+    at each frequency of ``nus``: ``_FourierSpace(n, 1).jacobian`` at
+    V_0 = a, V_1 = 0, with no border and no unfolding columns, rows and
+    columns 2n:6n (Re V_1, Im V_1).  The Hessian is constant along that
+    orbit, so the block is [[L_r, -L_i], [L_i, L_r]], the real form of the
+    Hermitian L(nu) = D2V(a) - nu iJJ: symmetric, each eigenvalue of L twice.
+    A constant orbit needs no more than the 4p + 1 = 5 samples that keep
+    the Hessian modes -2..2 apart."""
+    n = ring.n
+    space = _FourierSpace(n, 1)
+    V = np.zeros((2, 2 * n), dtype=complex)
+    V[0] = standing_wave(ring)[0]
+    border = np.zeros((0, space.dim))
+    return np.array([space.jacobian(ring, V, nu, 5, border, [])[2 * n:6 * n, 2 * n:6 * n]
+                     for nu in nus])
 
 
 def block_symplectic(n):

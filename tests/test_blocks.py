@@ -19,11 +19,11 @@ from dnlsring.blocks import (IJ, BrokenReflection, SearchRangeExhausted, Singula
                              full_spectrum_oracle, kernel_vector,
                              linear_stability, morse_index, mu_h_prime, sigma,
                              spectrum_max_real)
-from dnlsring.classify import _degenerate_table, stability_interval
+from dnlsring.classify import _degenerate_table, enumerate_bifurcations, stability_interval
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
                             saturable_potential, standing_wave)
-from dnlsring.symmetry import assemble_P, block_extract
-from references import block_symplectic
+from dnlsring.symmetry import assemble_P, block_extract, t_k_matrix
+from references import block_symplectic, collocation_mode1_blocks
 
 CUBIC = cubic_potential()
 SAT = saturable_potential()
@@ -340,6 +340,55 @@ def test_eta_closed_form_matches_morse_probe():
                 assert got == want, (n, mu, [c for c, g, w in zip(cases, got, want) if g != w])
                 roots += len(cases)
     assert roots > 50000
+
+
+def test_eta_matches_the_index_jump_of_the_collocation_jacobian():
+    """At every positive critical frequency nu0 of a seeded sweep, the Morse
+    index of the Newton Jacobian's mode-1 block at the rotating wave jumps by
+    twice eta of the mode k with a root at nu0, as ``eta`` gives it and as the
+    points of enumerate_bifurcations list it (no point where eta is zero).
+    The jump's sign is sgn h'(mu^2) itself.  The block is exactly symmetric,
+    and at a listed nu0 it annihilates the mode-k pattern of the kernel
+    vector that continuation starts along: the spectrum cannot show the sign
+    of the nu term (flipping it conjugates L), the kernel's mode can.  One
+    check of the Jacobian's nu convention, the block theory and the
+    classification."""
+    pots = [CUBIC, SAT,
+            custom_potential(lambda s: s + 0.1 * s * s, lambda s: 1.0 + 0.2 * s),
+            custom_potential(lambda s: -s, lambda s: -np.ones_like(np.asarray(s, float)))]
+    rng = np.random.default_rng(1087)
+    checked = kernels = 0
+    for n in [*range(3, 16), 32]:
+        for pot in pots:
+            for mu in rng.uniform(0.1, 2.0, 3):
+                ring = RingSystem(n=n, mu=float(mu), potential=pot)
+                listed = enumerate_bifurcations(ring)
+                roots = [(k, nu) for k in range(1, n) for nu in critical_frequencies(ring, k).nus]
+                every = np.array([nu for _, nu in roots])
+                cases = [(k, nu, 1e-3 * min(1.0, np.abs(np.delete(every, i) - nu).min(), nu))
+                         for i, (k, nu) in enumerate(roots) if nu > 0]
+                if not cases:
+                    assert listed == []
+                    continue
+                ks, nus, rhos = (np.array(column) for column in zip(*cases))
+                at = [[pt for pt in listed if pt.k == k and abs(pt.nu - nu) < rho]
+                      for k, nu, rho in cases]
+                assert sum(map(len, at)) == len(listed)
+                A = collocation_mode1_blocks(ring, np.concatenate([nus - rhos, nus + rhos, nus]))
+                assert np.array_equal(A, A.transpose(0, 2, 1))
+                sides, at_root = A[:-len(nus)], A[-len(nus):]
+                below, above = (np.linalg.eigvalsh(sides) < 0.0).sum(axis=-1).reshape(2, -1)
+                got = (np.sign(pot.h_prime(mu ** 2)) * (below - above)).astype(int).tolist()
+                assert got == [2 * eta(ring, k, nu) for k, nu in zip(ks, nus)], (n, mu, pot.kind)
+                assert got == [2 * sum(pt.eta for pt in pts) for pts in at], (n, mu, pot.kind)
+                for k, nu, pts, block in zip(ks, nus, at, at_root):
+                    if pts:   # L u = 0 for u = t_k kernel_vector, (Re u, Im u) in real form
+                        u = t_k_matrix(n, k) @ kernel_vector(ring, k, nu)
+                        x = np.concatenate([u.real, u.imag])
+                        assert np.linalg.norm(block @ x) <= 1e-9 * np.abs(block).max(), (n, k)
+                        kernels += 1
+                checked += len(cases)
+    assert checked > 1000 and kernels > 500, (checked, kernels)
 
 
 def test_positivity_cases_n_ge_5():

@@ -162,7 +162,7 @@ def test_verify_solver_failure_exit_4(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NoConvergence("synthetic failure")
 
-    monkeypatch.setattr(cli.orbits, "continue_branch", boom)
+    monkeypatch.setattr(cli.orbits, "_newton", boom)
     code, out, _ = run_cli(capsys, "verify", "--n", "6", "--potential", "cubic",
                            "--mu", "0.5", "--k", "3", "--branch", "plus")
     assert code == 4
@@ -170,6 +170,43 @@ def test_verify_solver_failure_exit_4(capsys, monkeypatch):
     assert doc["payload"]["points"] == []
     assert doc["payload"]["passed"] is False
     assert "synthetic failure" in doc["payload"]["failure"]
+
+
+def test_verify_certificate_failure_keeps_the_accepted_points(capsys, monkeypatch):
+    # the full-space certificate of the 3rd point fails: the branch ends in
+    # solver-error with the two points accepted before it, and the reason
+    residual = cli.orbits.residual
+    calls = []
+
+    def nan_at_third(ring, orbit, num_samples=None):
+        calls.append(orbit)
+        F = residual(ring, orbit, num_samples)
+        return np.full(F.shape, np.nan) if len(calls) == 3 else F
+
+    monkeypatch.setattr(cli.orbits, "residual", nan_at_third)
+    code, out, _ = run_cli(capsys, "verify", "--n", "6", "--potential", "cubic",
+                           "--mu", "0.5", "--k", "3", "--branch", "plus")
+    assert code == 4
+    payload = json.loads(out)["payload"]
+    assert len(calls) == 3 and len(payload["points"]) == 2
+    assert payload["termination"] == "solver-error" and payload["passed"] is False
+    assert "full-space residual nan" in payload["failure"]
+
+
+def test_verify_stops_where_the_frequency_crosses_zero(capsys):
+    # on this minus branch nu falls through 0 at the 11th point; the branch
+    # stops there instead of doubling p up to 256 (about 6 s) for the tail
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--n", "7", "--mu", "1.0657", "--k", "3",
+                           "--branch", "minus")
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    payload = json.loads(out)["payload"]
+    assert payload["termination"] == "frequency-zero" and payload["passed"] is False
+    nus = [q["nu"] for q in payload["points"]]
+    assert min(nus[:-1]) > 0 >= nus[-1]
+    assert "nu = " in payload["failure"]
+    assert elapsed <= 1.0, f"verify took {elapsed:.2f} s"
 
 
 def test_blocks_large_ring_within_budget(capsys):

@@ -14,8 +14,9 @@ from dnlsring import cli, orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
 from dnlsring.classify import enumerate_bifurcations
 from dnlsring.cli import _expr_fn
-from dnlsring.model import (RingSystem, _onsite_hessian, cubic_potential, custom_potential,
-                            hessian_V, saturable_potential, standing_wave, vector_field)
+from dnlsring.model import (RingSystem, _hessian_apply_sites, _onsite_hessian, cubic_potential,
+                            custom_potential, hessian_V, saturable_potential, standing_wave,
+                            vector_field)
 from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, ContinuationBranch,
                              FourierOrbit, NoConvergence, SingularJacobian, _apply_iJJ,
                              _default_samples, _FourierSpace, _newton,
@@ -250,19 +251,44 @@ def map_project(maps, F):
     return np.einsum("lia,li->la", maps.conj(), F[len(maps) - 1:])
 
 
+def stacked_linearized_residual(ring, orbit, dcoeffs, dnus, num, block=16):
+    """Modes l = 0..p of :func:`linearized_residual` for a stack of
+    directions dcoeffs (m, 2p+1, 2n) and dnus (m,), as (p+1, m, 2n).  The
+    samples and their modes come from explicit real DFT matrices, ``block``
+    samples at a time: every direction shares one product per block, and the
+    samples of the whole stack never exist at once."""
+    p, n = orbit.p, orbit.n
+    lt = np.outer(np.arange(num), np.arange(p + 1)) * (2.0 * np.pi / num)
+    cos, sin = np.cos(lt), np.sin(lt)
+    # the real signal with modes c_l, l = -p..p, is c_0 + 2 Re sum_(l>0) c_l e^(ilt)
+    w = np.r_[1.0, np.full(p, 2.0)][:, None]
+    half = w * orbit.coeffs[p:]
+    X = (cos @ half.real - sin @ half.imag).reshape(num, 1, n, 2)
+    D = (w[:, None] * dcoeffs[:, p:].transpose(1, 0, 2)).reshape(p + 1, -1)
+    dg = np.zeros(D.shape, dtype=complex)
+    for start in range(0, num, block):
+        c, s = cos[start:start + block], sin[start:start + block]
+        dX = (c @ D.real - s @ D.imag).reshape(len(c), -1, n, 2)
+        H = _hessian_apply_sites(ring, X[start:start + block], dX).reshape(len(c), -1)
+        dg += c.T @ H - 1j * (s.T @ H)
+    ls = np.arange(p + 1)[:, None, None]
+    return (-orbit.nu * ls * _apply_iJJ(dcoeffs[:, p:].transpose(1, 0, 2))
+            - dnus[:, None] * ls * _apply_iJJ(orbit.coeffs[p:])[:, None]
+            + (dg / num).reshape(p + 1, -1, 2 * n))
+
+
 def column_jacobian(ring, space, z, num):
-    """Reference for the packed Jacobian: one linearized_residual call per
-    packed unknown on the full orbit x_l = T_l V_l, projected by T_l^* and
-    packed like the residual."""
+    """Reference for the packed Jacobian: the linearized residual of every
+    packed unit direction on the full orbit x_l = T_l V_l, as one stack,
+    projected by T_l^* and packed like the residual."""
     maps = space_maps(space)
     V, nu = space.unpack(z)
     orbit = FourierOrbit(nu=nu, coeffs=map_expand(maps, V))
-    cols = []
-    for e in np.eye(space.dim):
-        dV, dnu = space.unpack(e)
-        dF = linearized_residual(ring, orbit, map_expand(maps, dV), dnu, num)
-        cols.append(space.pack(map_project(maps, dF)))
-    return np.column_stack(cols)
+    dVs, dnus = zip(*map(space.unpack, np.eye(space.dim)))
+    dF = stacked_linearized_residual(
+        ring, orbit, np.array([map_expand(maps, dV) for dV in dVs]), np.array(dnus), num)
+    return np.column_stack([space.pack(F) for F in
+                            np.einsum("lia,lmi->mla", maps.conj(), dF)])
 
 
 def test_closed_form_jacobian_matches_column_assembly():
@@ -302,6 +328,13 @@ def test_closed_form_jacobian_matches_column_assembly():
         ref = column_jacobian(ring, space, z, num)
         J = A[:rows, 2:]
         assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
+        # the stacked reference is linearized_residual: one column a case,
+        # the first, a middle one or the nu column in turn
+        j = (0, space.dim // 2, space.dim - 1)[i % 3]
+        dV, dnu = space.unpack(np.eye(space.dim)[j])
+        dF = linearized_residual(ring, FourierOrbit(z[-1], coeffs), map_expand(maps, dV), dnu, num)
+        col = space.pack(map_project(maps, dF))
+        assert np.abs(ref[:, j] - col).max() <= 1e-13 * (1 + np.abs(col).max()), (n, k, j)
 
 
 def dense_coupling(space):
@@ -803,8 +836,9 @@ def test_continue_branch_amplitude_bound(monkeypatch):
                          ids=["no-point", "one-point"])
 def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, accepted):
     """A corrector that fails six times in a row, with ds halved after each of
-    the first five failures, ends the branch: NoConvergence before any point
-    is accepted, termination step-failure after one."""
+    the first five failures, ends the branch: termination solver-error with
+    the corrector's failure as its reason before any point is accepted,
+    step-failure after one."""
     starts = []
     newton = orbits._newton
 
@@ -816,13 +850,14 @@ def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, 
     monkeypatch.setattr(orbits, "_newton", failing)
     ring = RingSystem(n=6, mu=0.5)
     bif = branch_point(ring, 3, "plus")
+    branch = continue_branch(ring, bif, steps=4, ds=0.04)
+    assert len(branch.points) == accepted
     if accepted:
-        branch = continue_branch(ring, bif, steps=4, ds=0.04)
-        assert branch.termination == "step-failure" and len(branch.points) == accepted
+        assert branch.termination == "step-failure"
         assert "step halvings" in branch.reason
     else:
-        with pytest.raises(NoConvergence, match="corrector failed"):
-            continue_branch(ring, bif, steps=4, ds=0.04)
+        assert branch.termination == "solver-error"
+        assert "corrector failed" in branch.reason
     assert len(starts) == accepted + 6
     # each predictor is z_prev + ds * tangent, with ds = 0.04 / 2^i
     gaps = [np.linalg.norm(a - b) for a, b in zip(starts[-6:], starts[-5:])]
@@ -847,18 +882,20 @@ def test_continue_branch_builds_border_once_per_step(monkeypatch):
 
 def test_continue_branch_rejects_nan_certificate(monkeypatch):
     """A full-space residual that is nan fails the certificate of a point as
-    one above the bound does: NoConvergence, not a branch of nan residuals."""
+    one above the bound does: solver-error, not a branch of nan residuals."""
     ring = RingSystem(n=6, mu=0.5)
     bif = branch_point(ring, 3, "plus")
     monkeypatch.setattr(orbits, "residual",
                         lambda ring, orbit, num_samples=None: np.full(orbit.coeffs.shape, np.nan))
-    with pytest.raises(NoConvergence, match="full-space residual nan"):
-        continue_branch(ring, bif, steps=2, ds=0.05)
+    branch = continue_branch(ring, bif, steps=2, ds=0.05)
+    assert branch.termination == "solver-error"
+    assert "full-space residual nan" in branch.reason
+    assert branch.points == []
 
 
 def test_extrapolate_empty_branch_raises():
     with pytest.raises(ValueError):
-        extrapolate_nu_to_zero(ContinuationBranch(origin=None, points=[]))
+        extrapolate_nu_to_zero(ContinuationBranch(points=[]))
 
 
 # --- integration -------------------------------------------------------------
