@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import blocks
 from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites,
@@ -151,11 +150,10 @@ def _check_sizes(ring: RingSystem, orbit: FourierOrbit) -> None:
         raise ValueError(f"the orbit has n = {orbit.n} oscillators, the ring n = {ring.n}")
 
 
-def residual(ring: RingSystem, orbit: FourierOrbit,
-             num_samples: int | None = None) -> np.ndarray:
+def residual(ring: RingSystem, orbit: FourierOrbit) -> np.ndarray:
     """Per-mode residual F_l = -l nu (i JJ) x_l + g_l for |l| <= p, with g_l
-    the Fourier modes of grad_V along the orbit (a dealiased transform of at
-    least 4p+1 time samples): the full-space residual that
+    the Fourier modes of grad_V along the orbit (a dealiased transform of
+    max(4p + 1, 128) time samples): the full-space residual that
     :func:`newton_orbit` solves, the modes l = 0..p of ``_FourierSpace``,
     shown over l = -p..p with F_-l = conj(F_l).
 
@@ -166,15 +164,14 @@ def residual(ring: RingSystem, orbit: FourierOrbit,
     """
     _check_sizes(ring, orbit)
     p = orbit.p
-    num = num_samples or _default_samples(p)
-    F = _FourierSpace(orbit.n, p).modes(ring, orbit.coeffs[p:], orbit.nu, num)
+    F = _FourierSpace(ring, p).modes(orbit.coeffs[p:], orbit.nu)
     return np.concatenate([F[:0:-1].conj(), F])
 
 
 def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
-                        dcoeffs: np.ndarray, dnu: float = 0.0,
-                        num_samples: int | None = None) -> np.ndarray:
-    """Exact derivative of :func:`residual` along (dcoeffs, dnu), in its layout.
+                        dcoeffs: np.ndarray, dnu: float = 0.0) -> np.ndarray:
+    """Exact derivative of :func:`residual` along (dcoeffs, dnu), in its
+    layout and at its samples.
 
     ``dcoeffs`` has the shape of ``orbit.coeffs`` and must describe a real
     perturbation, i.e. satisfy the same reality condition.
@@ -190,8 +187,8 @@ def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
         raise ValueError(f"dcoeffs has shape {dcoeffs.shape}, the orbit {orbit.coeffs.shape}")
     if np.abs(dcoeffs[::-1].conj() - dcoeffs).max() > 1e-12 * (1 + np.abs(dcoeffs).max()):
         raise ValueError("dcoeffs must satisfy the reality condition")
-    num = num_samples or _default_samples(orbit.p)
     p = orbit.p
+    num = _default_samples(p)
     X = _to_samples(orbit.coeffs[p:], num).reshape(num, ring.n, 2)
     dX = _to_samples(dcoeffs[p:], num).reshape(num, ring.n, 2)
     dg = _to_modes(_hessian_apply_sites(ring, X, dX).reshape(num, 2 * ring.n), p)
@@ -210,12 +207,16 @@ def orbit_residual_norm(F: np.ndarray) -> float:
 
 
 class _FourierSpace:
-    """Real coordinates of truncated orbits: the modes V_l, l = 0..p, of the
-    kept oscillators, with one coupling matrix K_l per mode.
+    """The collocation system of one ring at Fourier order p, in the real
+    coordinates of truncated orbits: the modes V_l, l = 0..p, of the kept
+    oscillators, with one coupling matrix K_l per mode.
 
-    The full space keeps all n oscillators, V_l = x_l (w = 2n), and K_l is
-    the ring adjacency, held as the index pairs of neighbouring sites: no
-    2n x 2n matrix is built.  The Z~_n(k) fixed-point space keeps oscillator n
+    The space holds its ``ring`` and its sample count ``num`` =
+    max(4p + 1, 128), so every residual and Jacobian it builds is sampled
+    alias-free for a cubic h; a test that needs another count sets ``num``
+    on its instance.  The full space keeps all n oscillators, V_l = x_l
+    (w = 2n), and K_l is the ring adjacency, applied by shifting the sites:
+    no 2n x 2n matrix is built.  The Z~_n(k) fixed-point space keeps oscillator n
     alone, V_l = sqrt(n) x_(n,l) (w = 2): there x_(j,l) = e^(i k_l j zeta)
     R(j zeta) x_(n,l) with k_l = l k mod n, so mode l couples only to itself,
     through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ; 4p + 3 real
@@ -227,16 +228,14 @@ class _FourierSpace:
     signals are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
     """
 
-    def __init__(self, n: int, p: int, k: int | None = None):
-        self.n, self.p, self.k = n, p, k
+    def __init__(self, ring: RingSystem, p: int, k: int | None = None):
+        n = ring.n
+        self.ring, self.n, self.p, self.k = ring, n, p, k
+        self.num = _default_samples(p)
         if k is None:
             self.width, self.scale = 2 * n, 1.0
-            # the adjacency has zero blocks on the site diagonal, and the
-            # identity between site j and its neighbours j + 1 and j - 1
+            # the adjacency has zero blocks on the site diagonal
             self._onsite_coupling = np.zeros((1, 1, 2, 2))
-            sites = np.arange(n)
-            self._neighbours = (np.tile(sites, 2),
-                                np.concatenate([np.roll(sites, -1), np.roll(sites, 1)]))
         else:   # k_l in 1..n
             self.kl = [(l * k - 1) % n + 1 for l in range(p + 1)]
             cs = [blocks.coefficients(n, kl) for kl in self.kl]
@@ -244,7 +243,6 @@ class _FourierSpace:
                                       + c.gamma * blocks.IJ for c in cs])
             self.width, self.scale = 2, np.sqrt(n)
             self._onsite_coupling = self.coupling[:, None]
-            self._neighbours = None
             self.maps = np.array([t_k_matrix(n, kl) for kl in self.kl])   # x_l = t_(k_l) V_l
 
     @property
@@ -268,28 +266,28 @@ class _FourierSpace:
         coeffs[self.p] = coeffs[self.p].real
         return coeffs
 
-    def _samples(self, V: np.ndarray, num: int) -> np.ndarray:
+    def _samples(self, V: np.ndarray) -> np.ndarray:
         """Time samples (num, w/2, 2) of the kept oscillators."""
-        return _to_samples(V / self.scale, num).reshape(num, -1, 2)
+        return _to_samples(V / self.scale, self.num).reshape(self.num, -1, 2)
 
-    def modes(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
+    def modes(self, V: np.ndarray, nu: float) -> np.ndarray:
         """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples
         of (omega + h - 2) x, over the kept oscillators in V coordinates: (p+1, w)."""
-        X = self._samples(V, num)
+        ring, X = self.ring, self._samples(V)
         s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
         G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
-        onsite = _to_modes(G.reshape(num, -1), self.p) * self.scale
+        onsite = _to_modes(G.reshape(self.num, -1), self.p) * self.scale
         ls = np.arange(self.p + 1)[:, None]
-        if self._neighbours is None:
+        if self.k is None:   # x_(j+1) + x_(j-1) at every site j
+            sites = V.reshape(self.p + 1, -1, 2)
+            coupled = (np.roll(sites, -1, axis=1) + np.roll(sites, 1, axis=1)).reshape(V.shape)
+        else:
             coupled = (self.coupling @ V[:, :, None])[:, :, 0]
-        else:   # x_(j+1) + x_(j-1) at every site j
-            near = V.reshape(self.p + 1, -1, 2)[:, self._neighbours[1]]
-            coupled = (near[:, :self.n] + near[:, self.n:]).reshape(V.shape)
         return coupled - nu * ls * _apply_iJJ(V) + onsite
 
-    def residual(self, ring: RingSystem, V: np.ndarray, nu: float, num: int) -> np.ndarray:
+    def residual(self, V: np.ndarray, nu: float) -> np.ndarray:
         """The packed :meth:`modes`, the residual that Newton solves."""
-        return self.pack(self.modes(ring, V, nu, num))
+        return self.pack(self.modes(V, nu))
 
     def row(self, t: np.ndarray) -> np.ndarray:
         """Packed row r with r . dz = Re <dV_0, t_0> + 2 Re sum_{l>0} <dV_l, t_l>,
@@ -312,12 +310,12 @@ class _FourierSpace:
 
     def grown(self, *zs: np.ndarray) -> tuple["_FourierSpace", list[np.ndarray]]:
         """The space with twice the modes, and ``zs`` padded with zero modes."""
-        space = _FourierSpace(self.n, 2 * self.p, self.k)
+        space = _FourierSpace(self.ring, 2 * self.p, self.k)
         pad = np.zeros(space.dim - self.dim)
         return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
 
-    def jacobian(self, ring: RingSystem, V: np.ndarray, nu: float, num: int,
-                 border: np.ndarray, unfold: list[np.ndarray]) -> np.ndarray:
+    def jacobian(self, V: np.ndarray, nu: float, border: np.ndarray,
+                 unfold: list[np.ndarray]) -> np.ndarray:
         """Packed Jacobian of :meth:`residual`, with ``border`` rows below and
         the packed residual vectors ``unfold`` as leading columns.
 
@@ -331,8 +329,8 @@ class _FourierSpace:
         conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'), the diagonal
         mode block adds K_l - l nu iJJ and the nu column is -l iJJ V_l.  This
         is the operator of :func:`linearized_residual`, not an approximation.
-        The blocks are real, so S_-m = conj(S_m): modes -2p..2p do not alias at
-        the ``_default_samples(p)`` >= 4p + 1 samples that every caller takes.
+        The blocks are real, so S_-m = conj(S_m): modes -2p..2p do not alias,
+        since the space samples at ``num`` >= 4p + 1 by construction.
         S stays compact, (4p+1, sites, 2, 2): two index arrays gather every mode
         pair from it, the real rows of every mode and the imaginary rows of
         modes l >= 1 are written through one site-diagonal fancy index into a
@@ -342,7 +340,7 @@ class _FourierSpace:
         p, w = self.p, self.width
         parts, sites = 2 * p + 1, w // 2
         # mode m = -2p..2p at row m + 2p; adding 0.0 stores a zero as +0.0, never -0.0
-        S = _to_modes(_onsite_hessian(ring, self._samples(V, num)), 2 * p)
+        S = _to_modes(_onsite_hessian(self.ring, self._samples(V)), 2 * p)
         S = np.concatenate([S[:0:-1].conj(), S]) + 0.0
         ls = np.arange(p + 1)
         # row mode l, column mode l': dV_l' = a + i b enters as
@@ -365,17 +363,17 @@ class _FourierSpace:
         A6[0, site, :, :, site, :] = C[:, 0].real   # mode 0 of a real signal is real
         A6[1::2, site, :, :, site, :] = C[:, 1:].real
         A6[2::2, site, :, :, site, :] = C[:, 1:].imag
-        if self._neighbours is not None:
-            at, nb = self._neighbours
+        if self.k is None:   # the identity between site j and its neighbours j +- 1
             diag = np.arange(parts)[:, None]
-            A6[diag, at, :, diag, nb, :] += _EYE2
+            A6[diag, np.tile(site, 2), :, diag,
+               np.concatenate([np.roll(site, -1), np.roll(site, 1)]), :] += _EYE2
         return A
 
 
-def _newton(ring, space, z, constraints, ctol, max_iter, num, *,
-            free_nu=True, guard=False):
-    """Newton iteration on [residual; constraints] = 0 in packed coordinates,
-    to a residual norm of 1e-10 and constraint values of ``ctol``.
+def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False):
+    """Newton iteration on [residual; constraints] = 0 in the packed
+    coordinates of ``space``, whose ring and samples define the residual, to
+    a residual norm of 1e-10 and constraint values of ``ctol``.
 
     ``constraints(z)`` gives the border rows and their values at z; its first
     two rows are the gauge rows of the time-shift and rotation tangents.
@@ -389,10 +387,11 @@ def _newton(ring, space, z, constraints, ctol, max_iter, num, *,
     Jacobian raises :class:`NoConvergence`.  Returns the solution and the
     iteration count.
     """
+    from scipy.linalg import lapack   # scipy loads only when an orbit is solved
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
-        res = space.residual(ring, V, nu, num)
+        res = space.residual(V, nu)
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
@@ -409,7 +408,7 @@ def _newton(ring, space, z, constraints, ctol, max_iter, num, *,
         size[size == 0] = 1.0
         rows, values = rows[keep] / size[:, None], values[keep] / size
         unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
-        A = space.jacobian(ring, V, nu, num, rows, unfold)[:, cols]
+        A = space.jacobian(V, nu, rows, unfold)[:, cols]
         anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
         if not np.isfinite(anorm):
             raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}")
@@ -484,15 +483,12 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
     if amplitude is None and not fix_nu:
         raise ValueError("a free frequency requires an amplitude constraint")
     _check_sizes(ring, initial)
-    space = _FourierSpace(initial.n, initial.p)
+    space = _FourierSpace(ring, initial.p)
     z = space.pack(initial.coeffs[initial.p:], float(initial.nu))
     total_iters = 0
     while True:
-        num = _default_samples(space.p)
-        z, iters = _newton(ring, space, z,
-                           lambda z: _orbit_constraints(space, z, amplitude),
-                           _NEWTON_TOL, _MAX_ITER, num,
-                           free_nu=not fix_nu, guard=True)
+        z, iters = _newton(space, z, lambda z: _orbit_constraints(space, z, amplitude),
+                           _NEWTON_TOL, _MAX_ITER, free_nu=not fix_nu, guard=True)
         total_iters += iters
         coeffs = space.expand(space.unpack(z)[0])
         tail = 0.0 if space.p == 0 else np.abs(coeffs[[0, -1]]).max()
@@ -503,7 +499,7 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
                 f"Fourier tail {tail:.2e} still above {_TAIL_TOL} at p = {space.p}")
         space, (z,) = space.grown(z)
     orbit = FourierOrbit(nu=float(z[-1]), coeffs=coeffs, newton_iterations=total_iters)
-    orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
+    orbit.residual_norm = orbit_residual_norm(residual(ring, orbit))
     return orbit
 
 
@@ -571,7 +567,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
         raise ValueError(f"p_max must be >= the starting order p: need p_max >= {p}, "
                          f"got p_max = {p_max}")
     n, k = ring.n, bif.k
-    space = _FourierSpace(n, p, k)
+    space = _FourierSpace(ring, p, k)
     V0 = np.zeros((p + 1, 2), dtype=complex)
     V0[0] = np.sqrt(n) * np.array([1.0, 0.0])
     z_prev = space.pack(V0, bif.nu)
@@ -588,7 +584,6 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     ds_target = ds
     halvings = 0
     while len(points) < steps:
-        num = _default_samples(space.p)
         target = np.array([0.0, 0.0, ds])
 
         def border_at(z):
@@ -601,13 +596,11 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             border = border_at(z) if anchored is None else anchored
             return border, border @ (z - z_prev) - target
         try:
-            z_new, _ = _newton(ring, space, z_prev + ds * tangent, arclength,
-                               10 * _NEWTON_TOL, 24, num)
+            z_new, _ = _newton(space, z_prev + ds * tangent, arclength, 10 * _NEWTON_TOL, 24)
         except NoConvergence as exc:
             halvings += 1
             if halvings > 5:
-                return failed("continuation stopped early after repeated step halvings"
-                              if points else str(exc))
+                return failed(f"corrector failed after 5 step halvings: {exc}")
             ds *= 0.5
             continue
         halvings = 0
@@ -622,7 +615,7 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
             space, (z_prev, tangent) = space.grown(z_prev, tangent)
             continue
         orbit = FourierOrbit(nu=nu, coeffs=coeffs)
-        orbit.residual_norm = orbit_residual_norm(residual(ring, orbit, num))
+        orbit.residual_norm = orbit_residual_norm(residual(ring, orbit))
         if not orbit.residual_norm <= 10 * _NEWTON_TOL:   # the certificate of the point
             return ContinuationBranch(points, "solver-error",
                                       f"full-space residual {orbit.residual_norm:.2e} "
@@ -694,6 +687,7 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
         not finite, or the midpoint matrix is singular (or its solution not
         finite); the message names the failing step and its time t.
     """
+    from scipy.linalg import lapack   # scipy loads only when an orbit is integrated
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
     x0 = _as_state(ring, x0)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "ChangeOfVariables",
@@ -108,6 +107,7 @@ def block_extract(P: ChangeOfVariables, M) -> BlockDecomposition:
     M = np.asarray(M)
     if M.shape != (2 * n, 2 * n):
         raise ValueError(f"M must be {(2 * n, 2 * n)}, got {M.shape}")
+    import scipy.fft   # scipy loads only when a matrix is decomposed
     theta = np.arange(1, n + 1) * (2.0 * np.pi / n)
     c, s = np.cos(theta), np.sin(theta)
     M = M.reshape(n, 2, n, 2)

@@ -13,8 +13,7 @@ from dnlsring import blocks, symmetry
 from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
 from dnlsring.model import (J2, _as_state, _gradient_sites, cubic_potential,
                             saturable_potential, standing_wave)
-from dnlsring.orbits import (FourierOrbit, _apply_iJJ, _default_samples, _FourierSpace,
-                             residual)
+from dnlsring.orbits import FourierOrbit, _apply_iJJ, _default_samples, _FourierSpace
 
 
 def potential_V(ring, x):
@@ -67,19 +66,20 @@ def constant_orbit(state, nu, p):
 
 def collocation_mode1_blocks(ring, nus):
     """The mode-1 diagonal block of the Newton Jacobian at the rotating wave,
-    at each frequency of ``nus``: ``_FourierSpace(n, 1).jacobian`` at
+    at each frequency of ``nus``: ``_FourierSpace(ring, 1).jacobian`` at
     V_0 = a, V_1 = 0, with no border and no unfolding columns, rows and
     columns 2n:6n (Re V_1, Im V_1).  The Hessian is constant along that
     orbit, so the block is [[L_r, -L_i], [L_i, L_r]], the real form of the
     Hermitian L(nu) = D2V(a) - nu iJJ: symmetric, each eigenvalue of L twice.
     A constant orbit needs no more than the 4p + 1 = 5 samples that keep
-    the Hessian modes -2..2 apart."""
+    the Hessian modes -2..2 apart, and the space takes just those."""
     n = ring.n
-    space = _FourierSpace(n, 1)
+    space = _FourierSpace(ring, 1)
+    space.num = 5
     V = np.zeros((2, 2 * n), dtype=complex)
     V[0] = standing_wave(ring)[0]
     border = np.zeros((0, space.dim))
-    return np.array([space.jacobian(ring, V, nu, 5, border, [])[2 * n:6 * n, 2 * n:6 * n]
+    return np.array([space.jacobian(V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
                      for nu in nus])
 
 
@@ -144,15 +144,18 @@ def sampled_residual(ring, orbit, num_samples=None):
 
 def orthogonality_check(ring, orbit):
     """Time integrals of <F(x), dx/dt> and <F(x), -JJ x> over one period, F
-    the library's :func:`dnlsring.orbits.residual`.
+    the library's full-space residual (``_FourierSpace.modes``, which
+    :func:`dnlsring.orbits.residual` shows over l = -p..p).
 
     Both vanish for every 2*pi-periodic trial orbit, solution or not: the
     first because grad_V is a gradient, the second because V is rotation
     invariant.  Sampling is oversized so the quadrature error stays below
     the 1e-10 check level even for non-polynomial potentials.
     """
-    num = max(8 * orbit.p + 1, 257)
-    F = residual(ring, orbit, num)
+    space = _FourierSpace(ring, orbit.p)
+    space.num = max(8 * orbit.p + 1, 257)
+    F = space.modes(orbit.coeffs[orbit.p:], orbit.nu)
+    F = np.concatenate([F[:0:-1].conj(), F])
     ls = np.arange(-orbit.p, orbit.p + 1)[:, None]
     xdot = 1j * ls * orbit.coeffs
     rot = -_apply_iJJ(orbit.coeffs) / 1j  # -JJ x per mode

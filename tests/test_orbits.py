@@ -5,10 +5,10 @@ import re
 import time
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from dnlsring import cli, orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
@@ -277,16 +277,17 @@ def stacked_linearized_residual(ring, orbit, dcoeffs, dnus, num, block=16):
             + (dg / num).reshape(p + 1, -1, 2 * n))
 
 
-def column_jacobian(ring, space, z, num):
+def column_jacobian(space, z):
     """Reference for the packed Jacobian: the linearized residual of every
-    packed unit direction on the full orbit x_l = T_l V_l, as one stack,
-    projected by T_l^* and packed like the residual."""
+    packed unit direction on the full orbit x_l = T_l V_l, as one stack at
+    the space's samples, projected by T_l^* and packed like the residual."""
     maps = space_maps(space)
     V, nu = space.unpack(z)
     orbit = FourierOrbit(nu=nu, coeffs=map_expand(maps, V))
     dVs, dnus = zip(*map(space.unpack, np.eye(space.dim)))
     dF = stacked_linearized_residual(
-        ring, orbit, np.array([map_expand(maps, dV) for dV in dVs]), np.array(dnus), num)
+        space.ring, orbit, np.array([map_expand(maps, dV) for dV in dVs]), np.array(dnus),
+        space.num)
     return np.column_stack([space.pack(F) for F in
                             np.einsum("lia,lmi->mla", maps.conj(), dF)])
 
@@ -307,7 +308,8 @@ def test_closed_form_jacobian_matches_column_assembly():
     for i, (n, k) in enumerate(cases):
         p = (1, 2, 5, 8)[i % 4]
         ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
-        space = _FourierSpace(n, p, k)
+        space = _FourierSpace(ring, p, k)
+        space.num = num
         w = space.width
         V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
         V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
@@ -315,26 +317,30 @@ def test_closed_form_jacobian_matches_column_assembly():
         maps = space_maps(space)
         coeffs = map_expand(maps, V)
         assert np.abs(space.expand(V) - coeffs).max() <= 1e-12, (n, k, p)
-        res = space.residual(ring, V, z[-1], num)
+        res = space.residual(V, z[-1])
         ref_res = space.pack(map_project(
             maps, sampled_residual(ring, FourierOrbit(z[-1], coeffs), num)))
         assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
         border = rng.normal(size=(3, space.dim))
         unfold = [space.pack(t) for t in space.tangents(V)]
-        A = space.jacobian(ring, V, z[-1], num, border, unfold)
+        A = space.jacobian(V, z[-1], border, unfold)
         rows = A.shape[0] - 3
         assert np.array_equal(A[rows:, 2:], border) and not A[rows:, :2].any()
         assert np.array_equal(A[:rows, :2], np.transpose(unfold))
-        ref = column_jacobian(ring, space, z, num)
+        ref = column_jacobian(space, z)
         J = A[:rows, 2:]
         assert np.abs(J - ref).max() <= 1e-12 * (1 + np.abs(J).max()), (n, k, p)
-        # the stacked reference is linearized_residual: one column a case,
-        # the first, a middle one or the nu column in turn
+        # the stacked reference is linearized_residual, at the library's
+        # samples: one column a case, the first, a middle one or the nu
+        # column in turn
         j = (0, space.dim // 2, space.dim - 1)[i % 3]
         dV, dnu = space.unpack(np.eye(space.dim)[j])
-        dF = linearized_residual(ring, FourierOrbit(z[-1], coeffs), map_expand(maps, dV), dnu, num)
+        orbit, dcoeffs = FourierOrbit(z[-1], coeffs), map_expand(maps, dV)
+        dF = linearized_residual(ring, orbit, dcoeffs, dnu)
         col = space.pack(map_project(maps, dF))
-        assert np.abs(ref[:, j] - col).max() <= 1e-13 * (1 + np.abs(col).max()), (n, k, j)
+        ref_col = space.pack(np.einsum("lia,li->la", maps.conj(), stacked_linearized_residual(
+            ring, orbit, dcoeffs[None], np.array([dnu]), _default_samples(p))[:, 0]))
+        assert np.abs(ref_col - col).max() <= 1e-13 * (1 + np.abs(col).max()), (n, k, j)
 
 
 def dense_coupling(space):
@@ -347,12 +353,12 @@ def dense_coupling(space):
                            (space.p + 1,) + eye.shape)
 
 
-def mode_loop_jacobian(space, ring, V, nu, num, border, unfold):
+def mode_loop_jacobian(space, V, nu, border, unfold):
     """Reference for _FourierSpace.jacobian: the on-site spectrum expanded to
     block-diagonal w x w matrices, and one row mode l built at a time."""
     p, w = space.p, space.width
     coupling = dense_coupling(space)
-    S = _to_modes(_onsite_hessian(ring, space._samples(V, num)), 2 * p)
+    S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
     S = np.einsum("mjab,jk->mjakb", np.concatenate([S[:0:-1].conj(), S]),
                   np.eye(w // 2)).reshape(-1, w, w)
     ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
@@ -387,7 +393,7 @@ def test_jacobian_matches_mode_loop():
     assert {p for _, k, p in cases if k is None} == {0, 1, 2, 8, 16, 32}
     for i, (n, k, p) in enumerate(cases):
         ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
-        space = _FourierSpace(n, p, k)
+        space = _FourierSpace(ring, p, k)
         w = space.width
         V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
         if i % 5 == 0:
@@ -396,38 +402,39 @@ def test_jacobian_matches_mode_loop():
             V[:, 1::2] = 0.0            # every oscillator on its real axis
         V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
         nu = rng.uniform(0.5, 2.0)
-        num = _default_samples(p) + int(rng.integers(2)) * 64
+        space.num += int(rng.integers(2)) * 64
         border = rng.normal(size=(int(rng.integers(4)), space.dim))
         unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1)))
-        A = space.jacobian(ring, V, nu, num, border, unfold)
-        ref = mode_loop_jacobian(space, ring, V, nu, num, border, unfold)
+        A = space.jacobian(V, nu, border, unfold)
+        ref = mode_loop_jacobian(space, V, nu, border, unfold)
         assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
         assert A.tobytes() == ref.tobytes(), (n, k, p)
 
 
-def dense_residual(space, ring, V, nu, num):
+def dense_residual(space, V, nu):
     """Reference for _FourierSpace.residual: the coupling term as the
     product with the dense K_l."""
-    X = space._samples(V, num)
+    ring, X = space.ring, space._samples(V)
     s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
     G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
-    onsite = _to_modes(G.reshape(num, -1), space.p) * space.scale
+    onsite = _to_modes(G.reshape(space.num, -1), space.p) * space.scale
     ls = np.arange(space.p + 1)[:, None]
     coupled = (dense_coupling(space) @ V[:, :, None])[:, :, 0]
     return space.pack(coupled - nu * ls * _apply_iJJ(V) + onsite)
 
 
 def test_full_space_residual_matches_dense_adjacency():
-    """The full-space residual adds the neighbours of each site by index and
-    has the bytes of the product with the dense 2n x 2n adjacency, over n, p,
-    the three potential kinds, constant orbits, orbits on the real axes and
-    signed zeros; one residual at n = 512, p = 4 allocates no adjacency."""
+    """The full-space residual adds the neighbours of each site by shifting
+    the sites and has the bytes of the product with the dense 2n x 2n
+    adjacency, over n, p, the three potential kinds, constant orbits, orbits
+    on the real axes and signed zeros; one residual at n = 512, p = 4
+    allocates no adjacency."""
     rng = np.random.default_rng(17)
     pots = [cubic_potential(), SAT, CUSTOM]
     cases = [(n, p) for n in (3, 4, 5, 6, 7, 8, 24, 96) for p in (0, 1, 2, 5, 16)]
     for i, (n, p) in enumerate(cases):
         ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.2), potential=pots[i % 3])
-        space = _FourierSpace(n, p)
+        space = _FourierSpace(ring, p)
         V = 0.3 * (rng.normal(size=(p + 1, 2 * n)) + 1j * rng.normal(size=(p + 1, 2 * n)))
         if i % 4 == 1:
             V[1:] = 0.0
@@ -436,16 +443,17 @@ def test_full_space_residual_matches_dense_adjacency():
         elif i % 4 == 3:
             V[rng.random(V.shape) < 0.5] = complex(-0.0, -0.0)
         V[0] = V[0].real + standing_wave(ring)[0]
-        nu, num = rng.uniform(0.5, 2.0), _default_samples(p)
-        got = space.residual(ring, V, nu, num)
-        assert got.tobytes() == dense_residual(space, ring, V, nu, num).tobytes(), (n, p)
+        nu = rng.uniform(0.5, 2.0)
+        got = space.residual(V, nu)
+        assert got.tobytes() == dense_residual(space, V, nu).tobytes(), (n, p)
     n, p = 512, 4
-    ring, space = RingSystem(n=n, mu=0.5), _FourierSpace(n, p)
+    ring = RingSystem(n=n, mu=0.5)
+    space = _FourierSpace(ring, p)
     V = 0.1 * (rng.normal(size=(p + 1, 2 * n)) + 1j * rng.normal(size=(p + 1, 2 * n)))
     V[0] = V[0].real + standing_wave(ring)[0]
     tracemalloc.start()
     try:
-        space.residual(ring, V, 1.0, _default_samples(p))
+        space.residual(V, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,24 +556,24 @@ def test_isotropy_maps_built_once_per_space(monkeypatch):
 
 # --- the square Newton solve -------------------------------------------------
 
-def lstsq_newton(ring, space, z, constraints, tol, ctol, max_iter, num, *, free_nu=True):
+def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
     """Reference for the square solve: the Newton loop it replaced, which
     solves the bordered system (two more rows than unknowns, no unfolding
     columns) by least squares."""
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
-        res = space.residual(ring, V, nu, num)
+        res = space.residual(V, nu)
         rows, values = constraints(z)
         if np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol:
             return z, iteration
-        A = space.jacobian(ring, V, nu, num, rows, [])[:, cols]
+        A = space.jacobian(V, nu, rows, [])[:, cols]
         z = z.copy()
         z[cols] += np.linalg.lstsq(A, -np.concatenate([res, values]), rcond=None)[0]
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
-def unfolding_multipliers(ring, space, z, constraints, num, free_nu):
+def unfolding_multipliers(space, z, constraints, free_nu):
     """lambda of the square system at z by a dense solve, for unit unfolding
     columns along the nonzero group tangents, each paired with its gauge row."""
     cols = slice(None) if free_nu else slice(-1)
@@ -575,23 +583,24 @@ def unfolding_multipliers(ring, space, z, constraints, num, free_nu):
     live = [i for i, t in enumerate(tangents) if t.any()]
     keep = live + list(range(2, len(rows)))
     unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
-    A = space.jacobian(ring, V, nu, num, rows[keep], unfold)[:, cols]
-    rhs = -np.concatenate([space.residual(ring, V, nu, num), values[keep]])
+    A = space.jacobian(V, nu, rows[keep], unfold)[:, cols]
+    rhs = -np.concatenate([space.residual(V, nu), values[keep]])
     return np.linalg.solve(A, rhs)[:len(unfold)]
 
 
 def newton_cases(rng, n, iso, p, potential):
-    """The borders of the Newton loop on one ring, as (name, start, constraints,
-    free_nu, guard, ctol): starts built from the kernel mode of a bifurcation
-    point in the Z~_n(k) space, lifted to the full space unless ``iso``."""
+    """The space of the Newton loop on one ring and its borders, as (name,
+    start, constraints, free_nu, guard, ctol): starts built from the kernel
+    mode of a bifurcation point in the Z~_n(k) space, lifted to the full
+    space unless ``iso``."""
     ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.0), potential=potential)
     points = [pt for pt in enumerate_bifurcations(ring) if pt.k != n]
     # n = 4 has no bifurcation point (alpha_k = 0), and its full space a
     # singular static mode (k = 2): there only the trivial case, in Z~_4(1)
     bif = points[int(rng.integers(len(points)))] if points else None
     k, nu0 = (bif.k, bif.nu) if bif else (1, 1.3)
-    kspace = _FourierSpace(n, p, k)
-    space = kspace if iso else _FourierSpace(n, p)
+    kspace = _FourierSpace(ring, p, k)
+    space = kspace if iso else _FourierSpace(ring, p)
 
     def point(scale, nu):   # trivial point + scale * kernel mode, packed in space
         V = np.zeros((p + 1, 2), dtype=complex)
@@ -599,16 +608,16 @@ def newton_cases(rng, n, iso, p, potential):
         V[1] = scale * kernel_vector(ring, k, nu0)
         return space.pack((V if iso else kspace.expand(V)[p:]), nu)
 
-    num, tol = _default_samples(p), _NEWTON_TOL
+    tol = _NEWTON_TOL
     fixed = lambda z: _orbit_constraints(space, z, None)
     # fixed nu, off the critical frequency, from a small kernel mode back to the trivial orbit
     cases = [("fix_nu-trivial", point(5e-3, nu0 + 0.1), fixed, False, True, tol)]
     if bif is None:
-        return ring, space, num, cases if iso else []
+        return space, cases if iso else []
     # newton_orbit with an amplitude border and free nu
     amplitude = lambda z: _orbit_constraints(space, z, 0.05)
     cases.append(("amplitude", point(0.05, nu0), amplitude, True, True, tol))
-    z_amp, _ = _newton(ring, space, point(0.05, nu0), amplitude, tol, 50, num, guard=True)
+    z_amp, _ = _newton(space, point(0.05, nu0), amplitude, tol, 50, guard=True)
     # fixed nu, from a larger kernel mode to that branch orbit
     cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, True, tol))
     # the first corrector of continue_branch: gauge rows at the iterate
@@ -625,7 +634,7 @@ def newton_cases(rng, n, iso, p, potential):
     border = np.vstack(space.gauge_rows(space.unpack(z_amp)[0]) + [secant])
     later = lambda z: (border, border @ (z - z_amp) - [0.0, 0.0, ds])
     cases.append(("corrector", z_amp + ds * secant, later, True, False, 10 * tol))
-    return ring, space, num, cases
+    return space, cases
 
 
 def test_square_newton_matches_lstsq_loop():
@@ -636,16 +645,15 @@ def test_square_newton_matches_lstsq_loop():
     for i, (n, iso) in enumerate((n, iso) for n in (3, 4, 5, 6, 7, 8, 24, 96)
                                  for iso in (False, True)):
         p = 1 if (n, iso) == (96, False) else (1, 2, 5, 8)[i % 4]
-        ring, space, num, cases = newton_cases(rng, n, iso, p, pots[i % 3])
+        space, cases = newton_cases(rng, n, iso, p, pots[i % 3])
         for name, z0, constraints, free_nu, guard, ctol in cases:
             label = (n, iso, p, i % 3, name)
-            z, iters = _newton(ring, space, z0, constraints, ctol, 50, num,
-                               free_nu=free_nu, guard=guard)
-            ref, ref_iters = lstsq_newton(ring, space, z0, constraints, _NEWTON_TOL, ctol,
-                                          50, num, free_nu=free_nu)
+            z, iters = _newton(space, z0, constraints, ctol, 50, free_nu=free_nu, guard=guard)
+            ref, ref_iters = lstsq_newton(space, z0, constraints, _NEWTON_TOL, ctol, 50,
+                                          free_nu=free_nu)
             assert np.abs(z - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), label
             assert abs(iters - ref_iters) <= 1, label
-            lam = unfolding_multipliers(ring, space, z, constraints, num, free_nu)
+            lam = unfolding_multipliers(space, z, constraints, free_nu)
             assert np.abs(lam).max() <= 1e-12, label
 
 
@@ -836,17 +844,17 @@ def test_continue_branch_amplitude_bound(monkeypatch):
                          ids=["no-point", "one-point"])
 def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, accepted):
     """A corrector that fails six times in a row, with ds halved after each of
-    the first five failures, ends the branch: termination solver-error with
-    the corrector's failure as its reason before any point is accepted,
-    step-failure after one."""
+    the first five failures, ends the branch: termination solver-error
+    before any point is accepted, step-failure after one, with the
+    corrector's failure in the reason of both."""
     starts = []
     newton = orbits._newton
 
-    def failing(ring, space, z, *args, **kwargs):
+    def failing(space, z, *args, **kwargs):
         starts.append(z)
         if len(starts) >= fail_from:
             raise NoConvergence("corrector failed")
-        return newton(ring, space, z, *args, **kwargs)
+        return newton(space, z, *args, **kwargs)
     monkeypatch.setattr(orbits, "_newton", failing)
     ring = RingSystem(n=6, mu=0.5)
     bif = branch_point(ring, 3, "plus")
@@ -858,6 +866,7 @@ def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, 
     else:
         assert branch.termination == "solver-error"
         assert "corrector failed" in branch.reason
+    assert branch.reason == "corrector failed after 5 step halvings: corrector failed"
     assert len(starts) == accepted + 6
     # each predictor is z_prev + ds * tangent, with ds = 0.04 / 2^i
     gaps = [np.linalg.norm(a - b) for a, b in zip(starts[-6:], starts[-5:])]
@@ -871,9 +880,9 @@ def test_continue_branch_builds_border_once_per_step(monkeypatch):
     borders = []
     newton = orbits._newton
 
-    def spy(ring, space, z, constraints, *args, **kwargs):
+    def spy(space, z, constraints, *args, **kwargs):
         borders.append(constraints(z)[0] is constraints(z + 1e-3)[0])
-        return newton(ring, space, z, constraints, *args, **kwargs)
+        return newton(space, z, constraints, *args, **kwargs)
     monkeypatch.setattr(orbits, "_newton", spy)
     ring = RingSystem(n=6, mu=0.5)
     continue_branch(ring, branch_point(ring, 3, "plus"), steps=4, ds=0.04)
@@ -886,7 +895,7 @@ def test_continue_branch_rejects_nan_certificate(monkeypatch):
     ring = RingSystem(n=6, mu=0.5)
     bif = branch_point(ring, 3, "plus")
     monkeypatch.setattr(orbits, "residual",
-                        lambda ring, orbit, num_samples=None: np.full(orbit.coeffs.shape, np.nan))
+                        lambda ring, orbit: np.full(orbit.coeffs.shape, np.nan))
     branch = continue_branch(ring, bif, steps=2, ds=0.05)
     assert branch.termination == "solver-error"
     assert "full-space residual nan" in branch.reason
@@ -1003,7 +1012,7 @@ def test_integrate_singular_matrix_no_convergence(monkeypatch):
         calls.append(1)
         return A, None, b, 3 if len(calls) > 4 else 0
 
-    monkeypatch.setattr(orbits, "lapack", SimpleNamespace(dgesv=dgesv))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", dgesv)
     with pytest.raises(NoConvergence, match=r"matrix is singular at step \d+ \(t = "):
         integrate(ring, a + 0.01, T=1.0, dt=0.01)
     assert len(calls) == 5
