@@ -109,12 +109,11 @@ def coefficients(n: int, k: int) -> BlockCoefficients:
 
 class _CoefficientTable(NamedTuple):
     """``coefficients(n, k)`` of the modes k = 1..n-1, entry k - 1; delta is
-    nan where ``has_delta`` is False (alpha_k = 0)."""
+    nan exactly where it is absent (alpha_k = 0)."""
 
     alpha: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
-    has_delta: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -126,8 +125,7 @@ def _coefficient_table(n: int) -> _CoefficientTable:
     cs = [coefficients(n, k) for k in range(1, n)]
     table = _CoefficientTable(
         alpha=np.array([c.alpha for c in cs]), gamma=np.array([c.gamma for c in cs]),
-        delta=np.array([np.nan if c.delta is None else c.delta for c in cs]),
-        has_delta=np.array([c.delta is not None for c in cs]))
+        delta=np.array([np.nan if c.delta is None else c.delta for c in cs]))
     for column in table:
         column.flags.writeable = False
     return table
@@ -135,7 +133,7 @@ def _coefficient_table(n: int) -> _CoefficientTable:
 
 def mu_h_prime(ring: RingSystem) -> float:
     """The combination mu^2 h'(mu^2) that all regime conditions compare."""
-    return ring.mu ** 2 * float(ring.potential.h_prime(ring.mu ** 2))
+    return ring.mu ** 2 * ring.h_prime_mu2
 
 
 def block_B(ring: RingSystem, k: int) -> np.ndarray:
@@ -206,7 +204,7 @@ def critical_frequencies(ring: RingSystem, k: int) -> CriticalFrequencies:
 
 def sigma(ring: RingSystem) -> int:
     """Orientation sign sgn(h'(mu^2)) carried by the fully symmetric block."""
-    return int(np.sign(ring.potential.h_prime(ring.mu ** 2)))
+    return int(np.sign(ring.h_prime_mu2))
 
 
 def eta(ring: RingSystem, k: int, nu0: float) -> int:

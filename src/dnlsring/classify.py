@@ -91,9 +91,9 @@ def _degenerate_table(n: int, potential) -> tuple[tuple[int, float], ...]:
     potential) only, so a sweep over mu computes them once.  A mirror mode
     n - k takes the amplitudes of its partner k, whose delta is the more
     accurate, as the regime tables do."""
-    has_delta = blocks._coefficient_table(n).has_delta
+    delta = blocks._coefficient_table(n).delta
     amplitudes = {j: blocks.degenerate_amplitudes(n, j, potential)
-                  for j in range(1, n // 2 + 1) if has_delta[j - 1]}
+                  for j in range(1, n // 2 + 1) if not math.isnan(delta[j - 1])}
     return tuple((k, mu_k) for k in range(1, n) for mu_k in amplitudes.get(min(k, n - k), ()))
 
 
@@ -105,16 +105,15 @@ _NOTES = ("", ADMISSIBILITY_NOTE, "", ADMISSIBILITY_NOTE, "")
 _ROOTS = ("minus", "plus")
 
 
-def _regime(n: int, x, alpha, delta, has_delta) -> np.ndarray:
+def _regime(n: int, x, alpha, delta) -> np.ndarray:
     """The ``_REGIMES`` tag of x = mu^2 h'(mu^2) on a mode with coefficients
     alpha and delta, elementwise.  n = 3: condition (a) for x > 0 and (b) for
     alpha/2 < x < 0; n >= 5: (a) for x < delta and (b) for delta < x <
-    alpha/2.  A mode without delta (alpha = 0) has no regime."""
+    alpha/2.  A mode without delta (alpha = 0, at n = 4 only; delta is nan
+    there) has no regime: every comparison with nan is false."""
     if n == 3:
-        regime = np.where(x > 0.0, 3, np.where((alpha / 2.0 < x) & (x < 0.0), 4, 0))
-    else:
-        regime = np.where(x < delta, 1, np.where((delta < x) & (x < alpha / 2.0), 2, 0))
-    return np.where(has_delta, regime, 0)
+        return np.where(x > 0.0, 3, np.where((alpha / 2.0 < x) & (x < 0.0), 4, 0))
+    return np.where(x < delta, 1, np.where((delta < x) & (x < alpha / 2.0), 2, 0))
 
 
 class _Classification(NamedTuple):
@@ -180,7 +179,7 @@ def _classify(n: int, potential, mus) -> _Classification:
     # coefficients, as in the regime tables
     j = np.arange(n - 1)
     j = np.minimum(j, j[::-1])
-    regime = _regime(n, X, alpha[j], delta[j], table.has_delta[j])
+    regime = _regime(n, X, alpha[j], delta[j])
 
     half_alpha1 = alpha[0] / 2.0   # the thresholds of blocks.linear_stability
     if n == 4:
@@ -238,7 +237,7 @@ def _regime_report(n: int, potential) -> RegimeReport:
     alpha, gamma, delta = table.alpha, table.gamma, table.delta
     pieces = []   # (j, lo, hi) in ascending mu per mode j
     for j in range(1, n // 2 + 1):
-        if not table.has_delta[j - 1]:
+        if math.isnan(delta[j - 1]):
             continue
         levels = [delta[j - 1]] if gamma[j - 1] == 0.0 else [delta[j - 1], alpha[j - 1] / 2.0]
         cuts = {mu for level in levels for mu in blocks._level_amplitudes(potential, level)}
@@ -246,7 +245,7 @@ def _regime_report(n: int, potential) -> RegimeReport:
         pieces += [(j, lo, hi) for lo, hi in zip(edges, edges[1:])]
     probe = np.array([(lo + hi) / 2.0 if hi < math.inf else lo + 1.0 for _, lo, hi in pieces])
     row = np.array([j - 1 for j, _, _ in pieces], dtype=int)
-    tags = _regime(n, probe ** 2 * potential.h_prime(probe ** 2), alpha[row], delta[row], True)
+    tags = _regime(n, probe ** 2 * potential.h_prime(probe ** 2), alpha[row], delta[row])
     by_mode: dict[int, list] = {}   # (condition, lo, hi) per mode j
     for (j, lo, hi), tag in zip(pieces, tags.tolist()):
         by_mode.setdefault(j, []).append((_CONDITIONS[tag], lo, hi))

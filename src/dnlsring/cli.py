@@ -358,8 +358,7 @@ def cmd_blocks(cfg: SimpleNamespace):
     table, full = blocks._coefficient_table(n), blocks.coefficients(n, n)
     alpha = table.alpha.tolist() + [full.alpha]
     gamma = table.gamma.tolist() + [full.gamma]
-    delta = [d if has else None for d, has
-             in zip(table.delta.tolist(), table.has_delta.tolist())] + [full.delta]
+    delta = [None if math.isnan(d) else d for d in table.delta.tolist()] + [full.delta]
     # near the float limit the Hessian, its blocks or their check overflow;
     # that is reported as one numerical failure, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,8 +410,8 @@ def _csv_rows(cfg: SimpleNamespace, mus, result, keep, modes) -> list[list]:
     if cfg.format != "csv":
         return []
     table = blocks._coefficient_table(cfg.n)
-    cells = [[_fmt(alpha), _fmt(gamma), _fmt(delta) if has_delta else "-"]
-             for alpha, gamma, delta, has_delta in zip(*table)]
+    cells = [[_fmt(alpha), _fmt(gamma), "-" if math.isnan(delta) else _fmt(delta)]
+             for alpha, gamma, delta in zip(*table)]
     eta = np.where(keep, result.eta, 0)
     return [row for i, (mu, stable) in enumerate(zip(mus, result.stable.tolist()))
             if not result.degenerate_k[i]
@@ -569,6 +568,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnlsring",

@@ -116,13 +116,16 @@ def custom_potential(h, h_prime, G=None) -> PotentialModel:
 class RingSystem:
     """Problem instance: n oscillators of amplitude mu with a given potential.
 
-    The rotating-frame frequency ``omega`` is fixed by the equilibrium
-    condition; ``zeta = 2*pi/n`` is the lattice angle.
+    ``zeta = 2*pi/n`` is the lattice angle.  The potential is evaluated at mu^2
+    once, here: ``omega = 4 sin^2(zeta/2) - h(mu^2)`` (equilibrium condition)
+    and ``h_prime_mu2 = h'(mu^2)`` are stored outside ``==``, hash and repr.
     """
 
     n: int
     mu: float
     potential: PotentialModel = field(default_factory=cubic_potential)
+    omega: float = field(init=False, compare=False, repr=False)
+    h_prime_mu2: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -135,16 +138,15 @@ class RingSystem:
             s = float(self.mu) ** 2
         except OverflowError:
             raise ValueError(f"mu = {self.mu!r} is too large: mu^2 overflows") from None
-        if not np.isfinite([self.potential.h(s), self.potential.h_prime(s)]).all():
+        h, h_prime = self.potential.h(s), self.potential.h_prime(s)
+        if not np.isfinite([h, h_prime]).all():
             raise ValueError(f"h or h' is not finite at mu^2 = {s!r}")
+        object.__setattr__(self, "omega", 4.0 * np.sin(self.zeta / 2) ** 2 - float(h))
+        object.__setattr__(self, "h_prime_mu2", float(h_prime))
 
     @property
     def zeta(self) -> float:
         return 2.0 * np.pi / self.n
-
-    @property
-    def omega(self) -> float:
-        return 4.0 * np.sin(self.zeta / 2) ** 2 - float(self.potential.h(self.mu ** 2))
 
 
 def _as_state(ring: RingSystem, x) -> np.ndarray:
@@ -178,13 +180,17 @@ def _site_view(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (-1, 2))
 
 
+def _onsite(ring: RingSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = mu^2 |x|^2 and w = omega + h(s) at site views X (..., n, 2), the sites'
+    one h call; x_1 x_1 + x_2 x_2 has the bits of (X ** 2).sum(-1) and is faster."""
+    s = ring.mu ** 2 * (X[..., 0] * X[..., 0] + X[..., 1] * X[..., 1])
+    return s, ring.omega + np.asarray(ring.potential.h(s))
+
+
 def _gradient_sites(ring: RingSystem, X: np.ndarray) -> np.ndarray:
     """Gradient for stacked site views X of shape (..., n, 2)."""
-    mu2 = ring.mu ** 2
-    r2 = (X ** 2).sum(axis=-1)
-    hval = ring.potential.h(mu2 * r2)
     lap = np.roll(X, -1, axis=-2) - 2.0 * X + np.roll(X, 1, axis=-2)
-    return (ring.omega + hval)[..., None] * X + lap
+    return _onsite(ring, X)[1][..., None] * X + lap
 
 
 def gradient_V(ring: RingSystem, x) -> np.ndarray:
@@ -199,14 +205,11 @@ def gradient_V(ring: RingSystem, x) -> np.ndarray:
 
 def _hessian_apply_sites(ring: RingSystem, X: np.ndarray, dX: np.ndarray) -> np.ndarray:
     """Action of the Hessian at X on dX, both shaped (..., n, 2)."""
-    mu2 = ring.mu ** 2
-    r2 = (X ** 2).sum(axis=-1)
-    hval = ring.potential.h(mu2 * r2)
-    hp = ring.potential.h_prime(mu2 * r2)
-    dot = (X * dX).sum(axis=-1)
+    s, w = _onsite(ring, X)
+    hp = ring.potential.h_prime(s)
+    dot = X[..., 0] * dX[..., 0] + X[..., 1] * dX[..., 1]
     lap = np.roll(dX, -1, axis=-2) - 2.0 * dX + np.roll(dX, 1, axis=-2)
-    return (ring.omega + hval)[..., None] * dX \
-        + (2.0 * mu2 * hp * dot)[..., None] * X + lap
+    return w[..., None] * dX + (2.0 * ring.mu ** 2 * hp * dot)[..., None] * X + lap
 
 
 def _onsite_blocks(X: np.ndarray, diag: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -218,11 +221,9 @@ def _onsite_blocks(X: np.ndarray, diag: np.ndarray, outer: np.ndarray) -> np.nda
 def _onsite_hessian(ring: RingSystem, X: np.ndarray) -> np.ndarray:
     """On-site 2x2 Hessian blocks (omega + h - 2) I + 2 mu^2 h' x x^T, with h
     and h' at mu^2 |x|^2, for site views X of shape (..., n, 2)."""
-    mu2 = ring.mu ** 2
-    s = mu2 * (X ** 2).sum(axis=-1)
-    hval = np.asarray(ring.potential.h(s))
+    s, w = _onsite(ring, X)
     hp = np.asarray(ring.potential.h_prime(s))
-    return _onsite_blocks(X, ring.omega + hval - 2.0, 2.0 * mu2 * hp)
+    return _onsite_blocks(X, w - 2.0, 2.0 * ring.mu ** 2 * hp)
 
 
 def hessian_V(ring: RingSystem, x) -> np.ndarray:

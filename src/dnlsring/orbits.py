@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites,
+from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites, _onsite,
                     _onsite_blocks, _onsite_hessian)
 from .symmetry import t_k_matrix
 
@@ -271,11 +271,11 @@ class _FourierSpace:
         return _to_samples(V / self.scale, self.num).reshape(self.num, -1, 2)
 
     def modes(self, V: np.ndarray, nu: float) -> np.ndarray:
-        """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples
-        of (omega + h - 2) x, over the kept oscillators in V coordinates: (p+1, w)."""
-        ring, X = self.ring, self._samples(V)
-        s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
-        G = (ring.omega + ring.potential.h(s) - 2.0)[..., None] * X
+        """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples of
+        (omega + h - 2) x by ``model._onsite``, kept oscillators in V coordinates: (p+1, w)."""
+        X = self._samples(V)
+        _, w = _onsite(self.ring, X)
+        G = (w - 2.0)[..., None] * X
         onsite = _to_modes(G.reshape(self.num, -1), self.p) * self.scale
         ls = np.arange(self.p + 1)[:, None]
         if self.k is None:   # x_(j+1) + x_(j-1) at every site j
@@ -670,10 +670,10 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     after the residual reaches 1e-12 polishes the step.
 
     ``x0`` is validated once, here; the step loop works on site views with
-    omega, mu^2 and the neighbour indices hoisted.  The Newton matrix
-    I - dt/2 Df, Df = -JJ D2V, keeps its constant neighbour blocks
-    (dt/2) J2 and gets new on-site blocks per iteration, built from the same
-    h(mu^2 |x_j|^2) as the residual at that midpoint.
+    the neighbour indices hoisted.  The Newton matrix I - dt/2 Df,
+    Df = -JJ D2V, keeps its constant neighbour blocks (dt/2) J2 and gets new
+    on-site blocks per iteration, built from the same ``model._onsite``
+    values as the residual at that midpoint.
 
     Returns (times, states) with states of shape (steps+1, 2n).
 
@@ -692,9 +692,8 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
         raise ValueError("T and dt must be positive")
     x0 = _as_state(ring, x0)
     steps = int(round(T / dt))
-    n, h, h_prime = ring.n, ring.potential.h, ring.potential.h_prime
-    omega, mu2 = ring.omega, ring.mu ** 2
-    hp_scale, half = 2.0 * mu2, 0.5 * dt
+    n, h_prime = ring.n, ring.potential.h_prime
+    hp_scale, half = 2.0 * ring.mu ** 2, 0.5 * dt
     sites = np.arange(n)
     nxt, prv = np.roll(sites, -1), np.roll(sites, 1)
     M = np.eye(2 * n)
@@ -720,12 +719,11 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     with np.errstate(all="ignore"):   # non-finite values end in NoConvergence
         for step in range(steps):
             X = u.reshape(n, 2)
-            unew = u + dt * rhs(X, omega + np.asarray(h(mu2 * (X ** 2).sum(axis=-1))))
+            unew = u + dt * rhs(X, _onsite(ring, X)[1])
             for _ in range(_MIDPOINT_ITER):
                 mid = 0.5 * (u + unew)
                 X = mid.reshape(n, 2)
-                s = mu2 * (X ** 2).sum(axis=-1)
-                w = omega + np.asarray(h(s))
+                s, w = _onsite(ring, X)
                 G = unew - u - dt * rhs(X, w)
                 norm = math.sqrt(G @ G)   # np.linalg.norm's value, without its overhead
                 # an overflowing square of a finite G is no failure

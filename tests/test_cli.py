@@ -284,6 +284,15 @@ def test_import_loads_no_custom_potential_solver():
     assert run.stdout == "[]\n"
 
 
+def test_main_builds_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["equilibrium", "--n", "5", "--mu", "0.4"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert capsys.readouterr().out.count('"omega"') == 2
+
+
 def test_every_public_name_resolves():
     """Each name in a layer's ``__all__`` and in ``dnlsring.__all__`` is an
     attribute of its module; bench/tracing.py looks up every one."""

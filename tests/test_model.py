@@ -1,9 +1,14 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from dnlsring.model import (RingSystem, cubic_potential, custom_potential, gradient_V,
-                            hessian_V, saturable_potential, standing_wave, vector_field)
+from dnlsring import blocks, orbits
+from dnlsring.model import (RingSystem, _hessian_apply_sites, _onsite, cubic_potential,
+                            custom_potential, gradient_V, hessian_V, saturable_potential,
+                            standing_wave, vector_field)
 from references import block_symplectic, group_action, potential_V
 
 
@@ -127,6 +132,55 @@ def test_standing_wave_omega(n, mu, pot, expected):
     assert np.abs(gradient_V(ring, a)).max() <= 1e-12
 
 
+class _Counted:
+    """An on-site function that counts its calls; picklable with a ring."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.f(s)
+
+
+def _log1p_prime(s):
+    return 1.0 / (1.0 + np.asarray(s, dtype=float))
+
+
+def test_ring_evaluates_its_potential_at_mu2_once():
+    h, h_prime = _Counted(np.log1p), _Counted(_log1p_prime)
+    pot = custom_potential(h, h_prime)
+    ring = RingSystem(n=6, mu=0.5, potential=pot)
+    assert (h.calls, h_prime.calls) == (1, 1)
+    assert ring.omega == 4.0 * np.sin(ring.zeta / 2) ** 2 - np.log1p(0.25)
+    assert ring.h_prime_mu2 == 0.8
+    nu0 = blocks.critical_frequencies(ring, 1).nus[0]
+    for _ in range(2):
+        assert standing_wave(ring)[1] == ring.omega
+        assert blocks.mu_h_prime(ring) == 0.25 * 0.8
+        assert blocks.sigma(ring) == 1
+        assert blocks.eta(ring, 1, nu0) != 0
+    assert (h.calls, h_prime.calls) == (1, 1)
+    # one collocation residual: h once on its samples, h' never
+    space = orbits._FourierSpace(ring, 2)
+    V = np.zeros((3, 12), dtype=complex)
+    V[0] = standing_wave(ring)[0]
+    space.modes(V, 1.0)
+    assert (h.calls, h_prime.calls) == (2, 1)
+
+    other = dataclasses.replace(ring, mu=0.7)
+    assert (h.calls, h_prime.calls) == (3, 2)
+    assert other.omega == 4.0 * np.sin(ring.zeta / 2) ** 2 - np.log1p(0.7 ** 2)
+    back = pickle.loads(pickle.dumps(ring))
+    assert (back.omega, back.h_prime_mu2) == (ring.omega, ring.h_prime_mu2)
+    assert back.potential.h.calls == 3   # the copy's counter, not called again
+    # the stored values take no part in ==, hash or repr
+    twin = RingSystem(n=6, mu=0.5, potential=pot)
+    assert twin == ring != other
+    assert hash(twin) == hash(ring) == hash((6, 0.5, pot))
+    assert repr(ring) == f"RingSystem(n=6, mu=0.5, potential={pot!r})"
+
+
 def test_potential_V_zero_at_origin():
     ring = RingSystem(n=5, mu=0.8, potential=saturable_potential())
     assert potential_V(ring, np.zeros(10)) == 0.0
@@ -215,6 +269,47 @@ def test_hessian_matches_site_loop():
             ring = RingSystem(n=n, mu=float(rng.uniform(0.1, 2.0)), potential=pot)
             x = rng.normal(size=2 * n)
             assert np.array_equal(hessian_V(ring, x), loop_hessian_V(ring, x))
+
+
+# +-0, the least subnormal, the least normal, values whose square underflows
+# or overflows, +-inf and nan
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-170,
+                     -1.5, 3.0, 1e200, np.inf, -np.inf, np.nan])
+
+
+def test_onsite_squared_modulus_keeps_the_bits_of_the_sum():
+    """s = mu^2 (x_1 x_1 + x_2 x_2) has the bits of mu^2 (X ** 2).sum(-1),
+    signed zeros and nan included: no square is -0.0."""
+    X = np.stack(np.meshgrid(_SPECIAL, _SPECIAL), axis=-1)   # (12, 12, 2)
+    for mu in (0.1, 0.5, 3.0):
+        ring = RingSystem(n=12, mu=mu)
+        with np.errstate(all="ignore"):
+            s, w = _onsite(ring, X)
+            want = ring.mu ** 2 * (X ** 2).sum(axis=-1)
+        assert s.tobytes() == want.tobytes()
+        assert w.tobytes() == (ring.omega + want).tobytes()
+
+
+def test_hessian_apply_explicit_dot_differs_from_the_sum_only_in_zero_signs():
+    """The dot product x . dx is written x_1 dx_1 + x_2 dx_2.  numpy's .sum
+    gives +0.0 for (-0 * 0) + (0 * -0) where the explicit sum gives -0.0;
+    every other bit of the Hessian action is the same."""
+    finite = _SPECIAL[:8]
+    grid = np.stack(np.meshgrid(finite, finite), axis=-1).reshape(-1, 2)   # (64, 2)
+    X, dX = grid[:, None].repeat(64, 1), grid[None].repeat(64, 0)   # every pair
+    ring = RingSystem(n=64, mu=0.7, potential=saturable_potential())
+    with np.errstate(all="ignore"):
+        got = _hessian_apply_sites(ring, X, dX)
+        s = ring.mu ** 2 * (X ** 2).sum(axis=-1)
+        dot = (X * dX).sum(axis=-1)
+        lap = np.roll(dX, -1, axis=-2) - 2.0 * dX + np.roll(dX, 1, axis=-2)
+        want = (ring.omega + ring.potential.h(s))[..., None] * dX \
+            + (2.0 * ring.mu ** 2 * ring.potential.h_prime(s) * dot)[..., None] * X + lap
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert (got[differ] == 0.0).all()
+    explicit = X[..., 0] * dX[..., 0] + X[..., 1] * dX[..., 1]
+    assert (np.signbit(explicit) != np.signbit(dot)).any()   # the zeros do occur
 
 
 def test_vector_field_properties():
