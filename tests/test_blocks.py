@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -634,6 +635,33 @@ def test_full_spectrum_n4_doubled():
         assert abs(z - 1j * g) < 1e-6
 
 
+@pytest.mark.parametrize("n", [*range(3, 17), 64, 256])
+def test_symmetry_basis_splits_the_ring_group(n):
+    """Q'Q = I within 4 eps; each column is an exact +-1 eigenvector of R
+    and, for even n, of S, checked by moving its coordinates; even n has
+    four sectors of n/2 columns, odd n the two halves of R; a column mixes
+    at most 4 coordinates with weights 1/2, or 1/sqrt(2) on an orbit of 2
+    (1 where R fixes a coordinate, odd n)."""
+    index, weights = blocks._symmetry_basis(n)
+    sectors, order, m = index.shape
+    assert (sectors, order, m) == ((4, 4, n // 2) if n % 2 == 0 else (2, 2, n))
+    assert set(np.abs(weights[weights != 0.0])) <= {0.5, math.sqrt(0.5), 1.0}
+    columns = np.arange(2 * n).reshape(sectors, 1, m)
+    Q = np.zeros((2 * n, 2 * n))
+    np.add.at(Q, (index, columns), weights)
+    assert np.abs(Q.T @ Q - np.eye(2 * n)).max() <= 4 * np.finfo(float).eps
+    c = np.arange(2 * n)
+    site, y = c // 2, c % 2
+    # (image, sign) of each coordinate: g e_c = sign e_image
+    R = (2 * ((n - 2 - site) % n) + y, 1.0 - 2.0 * y)
+    S = (2 * ((site + n // 2) % n) + y, -np.ones(2 * n))
+    signs = [(r, s) for r in (1, -1) for s in (1, -1)] if n % 2 == 0 else [(1,), (-1,)]
+    for (image, sign), chi in zip((R, S), np.array(signs).T):
+        moved = np.zeros_like(Q)
+        np.add.at(moved, (image[index], columns), sign[index] * weights)
+        assert np.array_equal(moved, Q * np.repeat(chi, m))
+
+
 def reference_spectrum_oracle(ring):
     """Eigenvalues of the dense product -JJ D2V(a)."""
     a_bar, _ = standing_wave(ring)
@@ -686,14 +714,11 @@ QUINTIC = custom_potential(lambda s: s - np.asarray(s) ** 2 / 4,
                            lambda s: 1 - np.asarray(s) / 2)
 
 
-def test_spectrum_oracle_random_sweep():
-    """Seeded amplitudes, odd and even n (n = 3 and n = 4 with defective
-    roots), three potentials and, where mu^2 h'(mu^2) crosses the stability
-    threshold alpha_1/2, mu just either side of it: the reduced oracle gives
-    the 2n x 2n reference's multiset, its max real part and its verdict."""
-    rng = np.random.default_rng(11)
-    verdicts = set()
-    for n in (3, 4, 5, 6, 7, 10, 33, 48):
+def random_sweep_rings(ns=(3, 4, 5, 6, 7, 10, 33, 48), seed=11):
+    """Seeded amplitudes for each n, three potentials and, where mu^2 h'(mu^2)
+    crosses the stability threshold alpha_1/2, mu just either side of it."""
+    rng = np.random.default_rng(seed)
+    for n in ns:
         alpha1 = coefficients(n, 1).alpha
         # roots of x(mu^2) = alpha_1/2 (none for n = 4, where alpha_1 = 0)
         s_star = {CUBIC: alpha1 / 2 if alpha1 > 0 else None,
@@ -705,31 +730,37 @@ def test_spectrum_oracle_random_sweep():
             if s is not None:
                 mus += [math.sqrt(s) * (1 - 1e-3), math.sqrt(s) * (1 + 1e-3)]
             for mu in mus:
-                ring = RingSystem(n=n, mu=float(mu), potential=pot)
-                ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
-                assert cluster_match_error(ref, ev) <= 1e-10, (n, pot.kind, mu)
-                got, want = spectrum_max_real(ev), spectrum_max_real(ref)
-                assert abs(got - want) <= 1e-11, (n, pot.kind, mu)
-                assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
-                verdicts.add(got <= 1e-8)
+                yield RingSystem(n=n, mu=float(mu), potential=pot)
+
+
+def assert_oracle_matches_reference(rings):
+    """The oracle gives the 2n x 2n reference's multiset, its max real part
+    and its verdict, and the rings include stable and unstable ones."""
+    verdicts = set()
+    for ring in rings:
+        n, kind, mu = ring.n, ring.potential.kind, ring.mu
+        ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
+        assert cluster_match_error(ref, ev) <= 1e-10, (n, kind, mu)
+        got, want = spectrum_max_real(ev), spectrum_max_real(ref)
+        assert abs(got - want) <= 1e-11, (n, kind, mu)
+        assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
+        verdicts.add(got <= 1e-8)
     assert verdicts == {True, False}
 
 
-def random_sweep_rings():
-    """The rings of test_spectrum_oracle_random_sweep, in its order."""
-    rng = np.random.default_rng(11)
-    for n in (3, 4, 5, 6, 7, 10, 33, 48):
-        alpha1 = coefficients(n, 1).alpha
-        s_star = {CUBIC: alpha1 / 2 if alpha1 > 0 else None,
-                  QUINTIC: 1 - math.copysign(math.sqrt(1 - alpha1), alpha1) if alpha1
-                  else None,
-                  SAT: None}
-        for pot, s in s_star.items():
-            mus = list(rng.uniform(0.05, 2.0, size=2))
-            if s is not None:
-                mus += [math.sqrt(s) * (1 - 1e-3), math.sqrt(s) * (1 + 1e-3)]
-            for mu in mus:
-                yield RingSystem(n=n, mu=float(mu), potential=pot)
+def test_spectrum_oracle_random_sweep():
+    """Odd and even n (n = 3 and n = 4 with defective roots), three
+    potentials and seeded amplitudes, some either side of the stability
+    threshold: the oracle agrees with the 2n x 2n reference."""
+    assert_oracle_matches_reference(random_sweep_rings())
+
+
+def test_sector_oracle_random_sweep():
+    """The half-turn's sectors at even n, n = 0 and 2 mod 4 (with and
+    without sites that R S fixes): the two n/2 eigensolves agree with the
+    2n x 2n reference over seeded amplitudes and three potentials."""
+    assert_oracle_matches_reference(
+        random_sweep_rings(ns=(4, 6, 8, 10, 12, 16, 34, 64, 96), seed=25))
 
 
 def dgeev_eigvals(a):
@@ -765,21 +796,53 @@ def test_spectrum_oracle_eigvals_matches_dgeev(monkeypatch):
         assert got.tobytes() == want.tobytes(), (ring.n, ring.potential.kind, ring.mu)
 
 
+def test_stability_report_bytes_do_not_depend_on_the_blas_thread_count():
+    """At n = 256 the oracle's eigensolves are 128 x 128, and the stability
+    report is the same bytes at one and at two OpenBLAS threads.  (The one
+    n x n eigensolve of the reflection alone was not, from n ~ 160 up; at
+    n = 512 and 1024 the n/2 x n/2 ones are not either.)"""
+    src = os.path.dirname(os.path.dirname(blocks.__file__))
+    argv = [sys.executable, "-m", "dnlsring.cli", "stability", "--n", "256", "--mu", "0.7"]
+    reports = [subprocess.run(argv, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                         "PYTHONPATH": src},
+                              capture_output=True, check=True).stdout
+               for threads in ("1", "2")]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["payload"]["stable"] is False
+
+
 @pytest.mark.parametrize("skew", [1e-6, np.nan])
 def test_broken_reflection_is_a_numerical_failure(capsys, monkeypatch, skew):
-    """A Hessian that the ring reflection does not fix (site 1 changed, its
-    mirror n - 1 not) or that is not finite fails the premise check:
-    BrokenReflection with the reason (the residual, or the non-finite
+    """Site blocks of the Hessian that the ring reflection does not fix (site
+    1 changed, its mirror n - 1 not) or that are not finite fail the premise
+    check: BrokenReflection with the reason (the residual, or the non-finite
     Hessian), and exit 4 with it from the stability command."""
-    def skewed(ring, x):
-        H = hessian_V(ring, x)
-        H[0, 0] += skew
-        return H
+    assert_premise_failure(capsys, monkeypatch, [0], skew,
+                           "D2V(a) is not invariant under the ring reflection: the blocks "
+                           "P'AP and M'AM reach 5e-07" if skew == 1e-6
+                           else "the Hessian at the rotating wave is not finite")
 
-    monkeypatch.setattr(blocks, "hessian_V", skewed)
-    reason = ("D2V(a) is not invariant under the ring reflection: the blocks P'AP "
-              "and M'AM reach 5e-07" if skew == 1e-6
-              else "the Hessian at the rotating wave is not finite")
+
+def test_broken_half_turn_is_a_numerical_failure(capsys, monkeypatch):
+    """Site 1 and its mirror n - 1 changed alike, site 1 + n/2 not: the
+    reflection holds and the half-turn fails, by name."""
+    assert_premise_failure(capsys, monkeypatch, [0, 4], 1e-6,
+                           "D2V(a) is not invariant under the ring's half-turn: the blocks "
+                           "odd under S reach 5e-07")
+
+
+def assert_premise_failure(capsys, monkeypatch, sites, skew, reason):
+    """With the x x entry of the on-site blocks of ``sites`` (counted from 0)
+    of the cubic n = 6 ring shifted by ``skew`` in the kernel the oracle
+    calls, the oracle and the stability command fail with ``reason``."""
+    onsite_hessian = blocks._onsite_hessian
+
+    def skewed(ring, X):
+        D = onsite_hessian(ring, X)
+        D[sites, 0, 0] += skew
+        return D
+
+    monkeypatch.setattr(blocks, "_onsite_hessian", skewed)
     with pytest.raises(BrokenReflection, match=re.escape(reason)):
         full_spectrum_oracle(RingSystem(n=6, mu=0.5))
     assert cli.main(["stability", "--n", "6", "--mu", "0.5"]) == 4
@@ -844,18 +907,52 @@ def test_oracle_verdict_agrees_as_the_on_site_term_grows(n, potential, mus, stab
 
 def test_spectrum_max_real_edge_cases(monkeypatch):
     """A nan is a cluster of its own (and does not stall the loop); a zero
-    radius makes every eigenvalue its own cluster."""
+    radius makes every eigenvalue its own cluster; an infinite eigenvalue
+    makes the radius infinite.  None of them raises a warning."""
     # the radius grows with the largest eigenvalue: a pair 1.4e-6 apart is
     # one cluster once 1e-6 max(1, max |ev|) exceeds that
     pair = np.array([7e-7, -7e-7])
     assert spectrum_max_real(pair) == 7e-7
     assert spectrum_max_real(np.concatenate((pair, [2j, -2j]))) == 0.0
-    ev = np.array([1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8])
-    for radius in (1e-6, 0.0):
-        monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
-        got, want = spectrum_max_real(ev), reference_spectrum_max_real(ev, radius)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+    finite = [1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8]
+    for ev in (finite, finite + [np.inf], finite + [complex(0.0, -np.inf)],
+               [-np.inf, np.inf, 0.25 + 1j, 0.75 + 1j, np.nan]):
+        ev = np.array(ev, dtype=complex)
+        for radius in (1e-6, 0.0):
+            monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
+            got = spectrum_max_real(ev)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_spectrum_max_real(ev, radius)
+            assert got == want or (math.isnan(got) and math.isnan(want))
     assert spectrum_max_real(np.array([])) == 0.0
+
+
+def test_spectrum_max_real_matches_the_loop_on_chains_and_cell_edges():
+    """Lone eigenvalues found on a grid leave the greedy loop's result as it
+    is, bit for bit: for a chain a-b-c with |a - b| and |b - c| below the
+    radius but |a - c| above it, in every index order and along either axis,
+    and for clusters that straddle an edge of the grid's cells (side 2
+    radius) along either axis and at a corner."""
+    rng = np.random.default_rng(3)
+    # lone eigenvalues, |ev| < 1, so the radius is 1e-6
+    far = 0.1 + 0.9j * np.linspace(-1.0, 1.0, 9)
+    for step in (7e-7, 7e-7j):
+        chain = 0.3 + 0.2j + step * np.arange(3) + 1e-9 * rng.uniform(size=3)
+        results = set()
+        for order in itertools.permutations(range(3)):
+            ev = np.concatenate((far, chain[list(order)]))
+            got = spectrum_max_real(ev)
+            assert got == reference_spectrum_max_real(ev), order
+            results.add(got)
+        assert len(results) >= 3   # the order decides the clusters
+    edge = 2e-6 * 200_000   # a cell edge, up to the rounding of the cell number
+    offsets = 3e-7 * np.array([-1.0, 1.0])
+    for centre in (edge + 0.2j, 0.1 + 1j * edge, edge * (1 + 1j)):
+        for d in (offsets, 1j * offsets, np.add.outer(offsets, 1j * offsets).ravel()):
+            ev = np.concatenate((far, centre + d + 1e-9 * rng.uniform(size=d.size)))
+            ev = rng.permutation(ev)
+            assert spectrum_max_real(ev) == reference_spectrum_max_real(ev)
+            assert abs(spectrum_max_real(ev) - centre.real) < 3e-7
 
 
 def test_spectrum_max_real_builds_no_square_temporary():
