@@ -10,12 +10,19 @@ nu is ``m_k(nu) = -nu (iJ) + B_k``.  Everything downstream (Morse indices,
 index jumps, critical frequencies, degenerate amplitudes, linear stability)
 is closed form in these coefficients, whose structural zeros are decided
 by integer rules on (n, k).
+
+``full_spectrum_oracle`` checks that analysis by the ring's rotation, the
+shift by one site with a turn by zeta.  In the co-rotating frame the Hessian
+has three block diagonals that the rotation makes constant
+(``_rotated_diagonals``), so the linearization -JJ D2V(a) is block
+circulant and splits into one 2x2 symbol -J2 H_k per mode, whose
+eigenvalues are closed form.  The CLI's ``blocks`` reads the mode blocks off
+the same diagonals.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,17 +49,17 @@ __all__ = [
     "degenerate_amplitudes",
     "kernel_vector",
     "full_spectrum_oracle",
-    "spectrum_max_real",
     "linear_stability",
 ]
 
 _SINGULAR_TOL = 1e-12   # |det| below this counts as a singular block
 _DEGENERATE_TOL = 1e-12  # radicand below this counts as a double root
-# the parts of -JJ D2V(a) that the ring reflection and half-turn force to zero
-# may reach this many ulps of the largest entry
-_REFLECTION_TOL = 64.0 * np.finfo(float).eps
+# the spread along the ring of the rotated block diagonals of D2V(a), which
+# the ring's rotation makes constant, may reach this many ulps of the largest entry
+_SYMMETRY_TOL = 64.0 * np.finfo(float).eps
+# rounding of -H00 H11 in the oracle's symbols, per unit of its terms' moduli
+_ROUNDING = 8.0 * np.finfo(float).eps
 _S_RANGE = (0.0, 100.0)  # the range of s = mu^2 that custom potentials are scanned over
-_CLUSTER_RADIUS = 1e-6   # clusters of spectrum_max_real, relative to max(1, max |ev|)
 
 # Hermitian realization of the rotation generator
 IJ = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -68,8 +75,9 @@ class SearchRangeExhausted(RuntimeError):
 
 class BrokenReflection(RuntimeError):
     """The stability oracle's premise check failed: the Hessian at the
-    rotating wave is not finite, or not invariant under the ring reflection
-    or (for even n) the half-turn that the sector reduction relies on."""
+    rotating wave is not finite, or its block diagonals in the co-rotating
+    frame are not constant along the ring, as the ring's rotation (the shift
+    by one site with a turn by zeta) that splits it into symbols requires."""
 
 
 @dataclass(frozen=True)
@@ -317,223 +325,84 @@ def kernel_vector(ring: RingSystem, k: int, nu: float) -> np.ndarray:
     return vec[:, i]
 
 
-@functools.lru_cache(maxsize=16)
-def _symmetry_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis Q of R^2n adapted to the symmetries of the rotating
-    wave, as read-only index arithmetic.
+def _rotated_diagonals(ring: RingSystem) -> np.ndarray:
+    """The block diagonals d_m(j) = R_j' M_(j,j+m) R_(j+m), m = -1, 0, 1, of
+    the Hessian M = D2V(a) at the rotating wave, as an array (3, 2, 2, n):
+    diagonal m + 1, block entry, site j = 1..n, indices mod n.
 
-    The group is {1, R} for odd n and the Klein group {1, R, S, RS} for even
-    n.  R takes coordinate c (site c // 2, counted from 0) to the same
-    component of site (n - 2 - c // 2) mod n, negated for y; S takes it to
-    that of site c // 2 + n/2, negated; so g e_c = sign e_image for each
-    element g.  A sector is a character of the group, a sign for R and, for
-    even n, one for S; the sectors are ordered R's sign first: (+), (-) for
-    odd n and (+, +), (+, -), (-, +), (-, -) for even n.  Column q of sector
-    k is the normalized projection of e_c onto it, c the smallest coordinate
-    of its orbit: sum_g weights[k, g, q] e_{index[k, g, q]}, arrays of shape
-    (sectors, group order, 2n / sectors).  Its weights are +-1/sqrt(orbit
-    size) (1/2 on an orbit of 4, 1/sqrt(2) on one of 2, 1 on a coordinate
-    that R fixes for odd n) and 0 where an element repeats a coordinate.  An
-    orbit smaller than the group has a column only in the sectors whose sign
-    for its stabilizer is the sign the stabilizer multiplies it by.
-    """
-    c = np.arange(2 * n)
-    site, y = c // 2, c % 2
-    mirror = 2 * ((n - 2 - site) % n) + y
-    flip = 1.0 - 2.0 * y
-    if n % 2:
-        image = np.stack((c, mirror))
-        sign = np.stack((np.ones(2 * n), flip))
-        characters = np.array([[1, 1], [1, -1]])
-    else:
-        turn = 2 * ((site + n // 2) % n) + y
-        image = np.stack((c, mirror, turn, mirror[turn]))
-        sign = np.stack((np.ones(2 * n), flip, -np.ones(2 * n), -flip))
-        characters = np.array([[1, r, s, r * s] for r in (1, -1) for s in (1, -1)])
-    rep = np.flatnonzero(image.min(axis=0) == c)
-    image, sign = image[:, rep], sign[:, rep]
-    repeat = np.array([(image[g] == image[:g]).any(axis=0) for g in range(len(image))])
-    size = (~repeat).sum(axis=0)
-    index, weights = [], []
-    for character in characters:
-        w = character[:, None] * sign
-        # an element g with character(g) g e_c = -e_c annihilates the projection
-        kept = ((image != rep) | (w == 1.0)).all(axis=0)
-        index.append(image[:, kept])
-        weights.append(np.where(repeat, 0.0, w * np.sqrt(1.0 / size))[:, kept])
-    index, weights = np.array(index), np.array(weights)
-    index.flags.writeable = weights.flags.writeable = False
-    return index, weights
-
-
-@functools.lru_cache(maxsize=16)
-def _sector_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flat, weight, source)`` with which ``np.bincount(flat, weight *
-    values[source])`` is Y, of shape (sectors, m, m) with m = 2n / sectors,
-    where Y[k] = Q_k' A Q_l, Q_k the columns of sector k and l the sector of
-    the other sign for R and the same for S, for A = -JJ D2V(a).  ``values``
-    is the (n, 2, 2) array of A's on-site blocks, flattened, followed by 1
-    and -1.  Row c of A (site i, component y) has its on-site entries in
-    coordinates 2i, 2i + 1 and its neighbour entries, 1 - 2y, in 2(i +- 1) + 1
-    - y mod 2n, so each weighted coordinate of a column of Q_k gives four
-    terms, each kept where the partner sector has a column on its target."""
-    index, weights = _symmetry_basis(n)
-    sectors, _, m = index.shape
-    column = np.zeros((sectors, 2 * n), dtype=np.intp)
-    weight_of = np.zeros((sectors, 2 * n))
-    for k in range(sectors):
-        nonzero = weights[k] != 0.0
-        column[k, index[k][nonzero]] = np.nonzero(nonzero)[1]
-        weight_of[k, index[k][nonzero]] = weights[k][nonzero]
-    i, y = index // 2, index % 2
-    target = np.stack((2 * i, 2 * i + 1, 2 * ((i + 1) % n) + 1 - y,
-                       2 * ((i - 1) % n) + 1 - y), axis=-1)
-    source = np.stack((4 * i + 2 * y, 4 * i + 2 * y + 1, 4 * n + y, 4 * n + y), axis=-1)
-    k = np.arange(sectors)[:, None, None, None]
-    partner = (k + sectors // 2) % sectors
-    weight = weights[..., None] * weight_of[partner, target]
-    flat = (k * m + np.arange(m)[:, None]) * m + column[partner, target]
-    kept = weight != 0.0
-    return flat[kept], weight[kept], source[kept]
+    R_j is the rotation by j zeta, which takes e_1 to the wave's a_j.  d_0
+    rotates the on-site blocks of ``model._onsite_hessian`` and d_(+-1) the
+    neighbour blocks I.  The ring's rotation, the shift by one site with a
+    turn by zeta, fixes a and commutes with D2V(a) for every potential, so
+    each d_m is constant in j.  The sites run along the last, contiguous
+    axis, where numpy sums pairwise; the products are einsum's loops, not
+    the BLAS."""
+    X = _site_view(standing_wave(ring)[0])
+    c, s = X[:, 0], X[:, 1]
+    R = np.array([[c, -s], [s, c]])
+    D = np.moveaxis(_onsite_hessian(ring, X), 0, -1)
+    return np.stack((np.einsum("apj,aqj->pqj", R, np.roll(R, 1, axis=-1)),
+                     np.einsum("apj,abj,bqj->pqj", R, D, R),
+                     np.einsum("apj,aqj->pqj", R, np.roll(R, -1, axis=-1))))
 
 
 def full_spectrum_oracle(ring: RingSystem) -> np.ndarray:
     """Eigenvalues (with multiplicity) of the 2n x 2n linearization
-    A = -JJ D2V(a), by n/2 x n/2 ``np.linalg.eigvals`` calls, two for even
-    n, or one n x n call for odd n.
+    A = -JJ D2V(a), two for each mode k = 1..n, from its 2x2 symbols.
 
     Independent cross-check for the block analysis: the spectrum should be
-    the multiset {i nu : det m_k(nu) = 0, k = 1..n}.  It uses no Fourier
-    reduction, no block coefficient and no dense Hessian, only the on-site
-    2x2 blocks of D2V(a) (those ``hessian_V`` writes), the constant
-    neighbour blocks and symmetries that V has for every potential.  The
-    reflection kappa: q_j -> conj(q_{n-j}), as the real map R (sites
-    j -> n - j mod n, y -> -y), fixes the rotating wave and commutes with
-    D2V(a), while R JJ R = -JJ; so R A R = -A.  For even n the half-turn
-    (S x)_j = -x_{j+n/2} fixes the wave too (a_{j+n/2} = -a_j) and commutes
-    with D2V(a), JJ and R.  The traces of R, S and RS vanish, so in the
-    basis of ``_symmetry_basis`` (gathers and signed sums with weights 1/2
-    or 1/sqrt(2)) each joint eigenspace, a sector, has dimension n/2 (two of
-    dimension n for odd n).  A maps the sector (r, s) into (-r, s): in the
-    basis [Q_{+,s}, Q_{-,s}] it is [[0, B_s], [C_s, 0]], so its
-    characteristic polynomial is the product over s of det(lambda^2 - B_s
-    C_s) and the spectrum is the multiset +-sqrt(eig(B_s C_s)), square
-    roots taken in complex arithmetic.  B_s and C_s are gathered from the
-    site blocks by index arithmetic; no array has 2n rows.
+    the multiset {i nu : det m_k(nu) = 0, k = 1..n}.  It uses no block
+    coefficient and builds no matrix.  In the co-rotating frame x_j = R_j y_j
+    the Hessian has the constant block diagonals d_m of
+    ``_rotated_diagonals``, and J2 commutes with every R_j, so A is block
+    circulant: on y_j = e^(i k j zeta) v it acts as -J2 H_k with the
+    Hermitian symbol H_k = sum_m e^(i k m zeta) d_m, that is
 
-    The premise is checked on every call, on the site blocks: the parts of
-    A that the reduction discards, E_R = (A + RAR)/2 (its entries are those
-    of P'AP and M'AM in the basis of R alone, P and M its +1 and -1
-    eigenspaces) and, for even n, E_S = (A - SAS)/2, must stay within 64 eps
-    of the largest entry of the B_s and C_s (or of 1).  The neighbour blocks
-    have both symmetries exactly; the discarded blocks in the group basis,
-    P'AP and M'AM within each sector and the part odd under S, are those of
-    E_R + (E_S - R E_S R)/2, and vanish with E_R and E_S.  Otherwise, or when
-    a site block or B_s, C_s is not finite, ``BrokenReflection`` is raised
-    with the reason, naming the symmetry that fails.  The B_s and C_s are
-    scaled by a power of two (at most 2^-1023) before their product, which
-    is exact and keeps B_s C_s finite for any finite A.
+        H_k = diag(4 sin^2(zeta/2) - 2 + 2 mu^2 h'(mu^2), 4 sin^2(zeta/2) - 2)
+              + 2 cos(zeta) cos(k zeta) I + 2 sin(zeta) sin(k zeta) (iJ),
+
+    by the equilibrium condition omega + h(mu^2) = 4 sin^2(zeta/2) and
+    d_(+-1) = R(+-zeta).  H_k is evaluated by this formula: the rotation of
+    the on-site blocks rounds their term 2 mu^2 h' into every entry of d_0,
+    which would swamp H11 at large amplitude.  Its eigenvalues are
+    i 2 sin(zeta) sin(k zeta) +- sqrt(-H00 H11), in closed form.  The root is
+    taken as sqrt|H00| sqrt|H11|, real or imaginary by the signs, so it is
+    finite wherever H_k is.  Each entry of H_k is summed from the terms
+    above; with s00 and s11 the sums of their moduli, -H00 H11 is rounded by
+    less than 8 eps (|H00| s11 + |H11| s00), and a pair within that bound is
+    returned as its double root: the rotation zero (k = n) and, for n = 4,
+    every pair.  A stable spectrum thus has real parts exactly 0, and an
+    unstable one has its largest real part max_k sqrt(alpha_k (2 mu^2 h' -
+    alpha_k)) to rounding, at any amplitude.
+
+    The premise is checked on every call, on the rotated site blocks: the
+    spread (max - min over the sites) of each entry of each d_m may reach 64
+    eps times the largest entry, or 64 eps.  Otherwise, or when the Hessian
+    is not finite, ``BrokenReflection`` is raised with the reason.
     """
-    n = ring.n
-    D = _onsite_hessian(ring, _site_view(standing_wave(ring)[0]))
-    if not np.isfinite(D).all():
+    d = _rotated_diagonals(ring)
+    if not np.isfinite(d).all():
         raise BrokenReflection("the Hessian at the rotating wave is not finite")
-    # the site blocks of A = -JJ D2V(a), -J2 (v0, v1) = (v1, -v0) row by row
-    site_A = np.stack((D[:, 1], -D[:, 0]), axis=1)
-    sectors, _, m = _symmetry_basis(n)[0].shape
-    flat, weight, source = _sector_gather(n)
-    values = np.concatenate((site_A.ravel(), (1.0, -1.0)))
-    Y = np.bincount(flat, weight * values[source], minlength=sectors * m * m)
-    Y = Y.reshape(sectors, m, m)
-    big = float(np.abs(Y).max())
-    if not math.isfinite(big):
-        raise BrokenReflection("the blocks of -JJ D2V(a) in the symmetry basis overflow")
-    bound = _REFLECTION_TOL * max(1.0, big)
-    # halves of the blocks cannot overflow; R's sign pattern on a 2x2 block
-    half = 0.5 * site_A
-    mirror = (-2 - np.arange(n)) % n
-    defects = [("the ring reflection: the blocks P'AP and M'AM",
-                half + np.array([[0.5, -0.5], [-0.5, 0.5]]) * site_A[mirror])]
-    if n % 2 == 0:
-        defects.append(("the ring's half-turn: the blocks odd under S",
-                        half - 0.5 * np.roll(site_A, n // 2, axis=0)))
-    for name, E in defects:
-        defect = float(np.abs(E).max())
-        if defect > bound:
-            raise BrokenReflection(f"D2V(a) is not invariant under {name} reach "
-                                   f"{defect:.3g} against a bound of {bound:.3g}")
-    e = min(math.frexp(big)[1], 1023)   # 2^1024 is not a float
-    Y = np.ldexp(Y, -e)
-    # eigvals is real when every eigenvalue is: the roots of the negative
-    # ones are imaginary, so the cast comes before the square root
-    lam = np.concatenate([np.linalg.eigvals(B @ C).astype(complex)
-                          for B, C in zip(Y[:sectors // 2], Y[sectors // 2:])])
-    lam = np.sqrt(lam)
-    lam *= math.ldexp(1.0, e)
-    return np.concatenate((lam, -lam))
-
-
-def _lone(ev: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of eigenvalues with no other one within ``radius``.  On a grid
-    of cells of side 2 radius, a pair within the radius lies in neighbouring
-    cells however the coordinates round, so an eigenvalue alone in its 3 x 3
-    block of cells is marked; some lone ones sharing a block with a farther
-    one are not.  An eigenvalue that is not finite is within no radius of
-    another, and a radius of 0 or nan holds nothing."""
-    if not radius > 0.0:
-        return np.ones(ev.shape, dtype=bool)
-    lone = ~np.isfinite(ev)
-    side = 2.0 * radius
-    # |ev| <= radius / _CLUSTER_RADIUS, so the cell numbers stay small integers
-    cx = np.floor(ev.real[~lone] / side).astype(np.int64)
-    cy = np.floor(ev.imag[~lone] / side).astype(np.int64)
-    cy -= cy.min(initial=0)
-    width = cy.max(initial=0) + 3   # cy +- 1 never reaches the next column
-    key = cx * width + cy
-    ordered = np.sort(key)
-    count = sum(np.searchsorted(ordered, key + dx + 1, "right")
-                - np.searchsorted(ordered, key + dx - 1, "left")
-                for dx in (-width, 0, width))
-    lone[~lone] = count == 1
-    return lone
-
-
-def spectrum_max_real(eigenvalues: np.ndarray) -> float:
-    """Largest |real part| of the spectrum, measured on the means of clusters
-    of radius 1e-6 max(1, max |eigenvalue|).
-
-    Defective double eigenvalues (the rotation zero; every root when n = 4)
-    split under rounding by O(sqrt(eps)) times the norm of the
-    linearization, which grows with the on-site term mu^2 h' faster than
-    the spectrum does.  For cubic n = 3 at mu = 1..9 and for h = -s at
-    n = 6 at mu = 0.5..40 the split stays below 3.3e-7 max(1, max
-    |eigenvalue|), but it outgrows the radius from mu = 51 at cubic n = 3.
-    An unstable pair +-lambda lies 2 |Re lambda| apart, far outside it.
-    Averages of eigenvalue clusters perturb linearly, so comparing cluster
-    means against a 1e-8 threshold is numerically sound.
-
-    The clusters are greedy, in index order: the first remaining eigenvalue
-    and every remaining one within the radius of it.  An eigenvalue with no
-    other within the radius is a cluster of its own wherever it stands in
-    that order, so these are found first on a grid (O(n log n) time, O(n)
-    memory) and the greedy loop runs on the rest only; the result is the
-    loop's over all eigenvalues, bit for bit.  A nan is a cluster of its own
-    and never the largest; nan, +-inf and a zero radius raise no warning.
-    """
-    ev = np.asarray(eigenvalues, dtype=complex)
-    # 0 * inf radius; differences of infinite or huge eigenvalues
-    with np.errstate(invalid="ignore", over="ignore"):
-        # fmax skips a nan eigenvalue
-        radius = _CLUSTER_RADIUS * np.fmax.reduce(np.abs(ev), initial=1.0)
-        lone = _lone(ev, radius)
-        worst = np.fmax.reduce(np.abs(ev.real[lone]), initial=0.0)
-        remaining = np.flatnonzero(~lone)
-        while remaining.size:
-            near = np.abs(ev[remaining] - ev[remaining[0]]) < radius
-            near[0] = True
-            worst = max(worst, abs(np.mean(ev[remaining[near]]).real))
-            remaining = remaining[~near]
-    return float(worst)
+    spread = float(np.ptp(d, axis=-1).max())
+    bound = _SYMMETRY_TOL * max(1.0, float(np.abs(d).max()))
+    if spread > bound:
+        raise BrokenReflection(f"D2V(a) is not invariant under the ring's rotation: its "
+                               f"rotated block diagonals spread by {spread:.3g} against "
+                               f"a bound of {bound:.3g}")
+    theta = 2.0 * np.pi * (np.arange(1, ring.n + 1) % ring.n) / ring.n   # k zeta
+    omega_h = 4.0 * np.sin(ring.zeta / 2.0) ** 2   # omega + h(mu^2)
+    neighbour = 2.0 * np.cos(ring.zeta) * np.cos(theta)
+    x2 = 2.0 * mu_h_prime(ring)
+    H11 = omega_h - 2.0 + neighbour
+    H00 = H11 + x2
+    s11 = omega_h + 2.0 + np.abs(neighbour)
+    s00 = s11 + abs(x2)
+    root = np.sqrt(np.abs(H00)) * np.sqrt(np.abs(H11))
+    # the factors are ordered so that the bound cannot overflow
+    double = root <= np.sqrt(_ROUNDING * s11 * np.abs(H00) + _ROUNDING * s00 * np.abs(H11))
+    lam = np.where(double, 0.0, root * np.where(np.signbit(H00) == np.signbit(H11), 1j, 1.0))
+    i_gamma = 2j * np.sin(ring.zeta) * np.sin(theta)
+    return np.concatenate((i_gamma + lam, i_gamma - lam))
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ import numpy as np
 
 from . import blocks, classify, orbits
 from .model import (RingSystem, cubic_potential, custom_potential,
-                    gradient_V, hessian_V, saturable_potential, standing_wave)
-from .symmetry import IsotropyLabel, assemble_P, block_extract, traveling_wave_residual
+                    gradient_V, saturable_potential, standing_wave)
+from .symmetry import IsotropyLabel, traveling_wave_residual
 
 SCHEMA_VERSION = "1"
 
@@ -362,14 +362,21 @@ def cmd_blocks(cfg: SimpleNamespace):
     # near the float limit the Hessian, its blocks or their check overflow;
     # that is reported as one numerical failure, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        decomp = block_extract(assemble_P(n), hessian_V(ring, standing_wave(ring)[0]))
+        # the mode blocks of P^* D2V(a) P are sum_m e^(i k m zeta) mean_j d_m(j)
+        # (k zeta reduced mod 2 pi), and by Parseval the norm of everything
+        # off them is that of the d_m(j) about their means
+        d = blocks._rotated_diagonals(ring)
+        mean = d.mean(axis=-1)
+        turn = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)[:, None, None]
+        extracted = mean[1] + turn * mean[2] + turn.conj() * mean[0]
+        off_block = float(np.sqrt(((d - mean[..., None]) ** 2).sum()))
         # block_B of every mode, by its formula and with mu^2 h'(mu^2) evaluated once
         B = -np.array(alpha)[:, None, None] * np.eye(2, dtype=complex) \
             + np.array(gamma)[:, None, None] * blocks.IJ
         B[:, 0, 0] += 2.0 * blocks.mu_h_prime(ring)
-        extract_err = np.abs(B - decomp.blocks).max(axis=(1, 2))
+        extract_err = np.abs(B - extracted).max(axis=(1, 2))
     if not (np.isfinite(B).all() and np.isfinite(extract_err).all()
-            and math.isfinite(decomp.off_block_residual)):
+            and math.isfinite(off_block)):
         raise FloatingPointError(f"the mode blocks at mu = {ring.mu!r} or their extraction "
                                  "from the Hessian overflow")
     extract_err = extract_err.tolist()
@@ -383,8 +390,7 @@ def cmd_blocks(cfg: SimpleNamespace):
         })
         rows.append([k, a, g, "-" if d is None else _fmt(d),
                      _fmt(b_re[0][0]), _fmt(b_im[0][1]), _fmt(b_re[1][1]), err])
-    payload = {"mu": ring.mu, "blocks": records,
-               "off_block_residual": decomp.off_block_residual}
+    payload = {"mu": ring.mu, "blocks": records, "off_block_residual": off_block}
     header = ["k", "alpha", "gamma", "delta", "B00_re", "B01_im", "B11_re",
               "extract_residual"]
     return _report(cfg, payload), header, rows, _EXIT_OK
@@ -440,8 +446,7 @@ def cmd_bifurcations(cfg: SimpleNamespace):
 def cmd_stability(cfg: SimpleNamespace):
     ring = _ring(cfg)
     verdict = blocks.linear_stability(ring)
-    spectrum = blocks.full_spectrum_oracle(ring)
-    oracle = blocks.spectrum_max_real(spectrum)
+    oracle = float(np.abs(blocks.full_spectrum_oracle(ring).real).max())
     payload = {
         "stable": verdict.stable,
         "margin": verdict.margin,

@@ -10,9 +10,17 @@ equilibrium.
 
 P factors as P = D_R (F ⊗ I_2): D_R is block diagonal with the site
 rotations R(j zeta), and F_{jk} = n^{-1/2} e^{i k j zeta} is a discrete
-Fourier matrix (sites j and modes k both run 1..n).  ``block_extract``
-forms the full P^* M P through that factorisation, by a rotation of each
-2x2 block of M and two FFTs, without building P.
+Fourier matrix (sites j and modes k both run 1..n).  Rotated by D_R, a
+matrix M that couples neighbours only has the block diagonals
+d_m(j) = R_j^T M_{j,j+m} R_{j+m}, m = -1, 0, 1.  The diagonal blocks of
+P^* M P are then sum_m e^{i k m zeta} mean_j d_m(j), and by Parseval the
+norm of everything off them is that of the d_m(j) about their means.  When
+M commutes with the group the d_m are constant in j, and the blocks are its
+symbols.  The CLI's ``blocks`` reads the Hessian that way, in O(n), and
+``blocks.full_spectrum_oracle`` checks the constancy.  ``block_extract``
+forms the full P^* M P of any M through the factorisation, by a rotation of
+each 2x2 block of M and two FFTs, without building P; it is the dense
+reference for that reading.
 
 A branch born at a mode-k bifurcation point keeps the isotropy Z~_n(k).
 ``verify`` checks that pattern on every point by

@@ -1,25 +1,21 @@
-import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 from scipy.optimize import brentq
 
-from dnlsring import blocks, cli
+from dnlsring import blocks, cli, orbits
 from dnlsring.blocks import (IJ, BrokenReflection, SearchRangeExhausted, SingularBlock,
                              block_B, block_m, coefficients, critical_frequencies,
                              degenerate_amplitudes, det_trace, eta,
                              full_spectrum_oracle, kernel_vector,
-                             linear_stability, morse_index, mu_h_prime, sigma,
-                             spectrum_max_real)
+                             linear_stability, morse_index, mu_h_prime, sigma)
 from dnlsring.classify import _degenerate_table, enumerate_bifurcations, stability_interval
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
                             saturable_potential, standing_wave)
@@ -636,30 +632,33 @@ def test_full_spectrum_n4_doubled():
 
 
 @pytest.mark.parametrize("n", [*range(3, 17), 64, 256])
-def test_symmetry_basis_splits_the_ring_group(n):
-    """Q'Q = I within 4 eps; each column is an exact +-1 eigenvector of R
-    and, for even n, of S, checked by moving its coordinates; even n has
-    four sectors of n/2 columns, odd n the two halves of R; a column mixes
-    at most 4 coordinates with weights 1/2, or 1/sqrt(2) on an orbit of 2
-    (1 where R fixes a coordinate, odd n)."""
-    index, weights = blocks._symmetry_basis(n)
-    sectors, order, m = index.shape
-    assert (sectors, order, m) == ((4, 4, n // 2) if n % 2 == 0 else (2, 2, n))
-    assert set(np.abs(weights[weights != 0.0])) <= {0.5, math.sqrt(0.5), 1.0}
-    columns = np.arange(2 * n).reshape(sectors, 1, m)
-    Q = np.zeros((2 * n, 2 * n))
-    np.add.at(Q, (index, columns), weights)
-    assert np.abs(Q.T @ Q - np.eye(2 * n)).max() <= 4 * np.finfo(float).eps
-    c = np.arange(2 * n)
-    site, y = c // 2, c % 2
-    # (image, sign) of each coordinate: g e_c = sign e_image
-    R = (2 * ((n - 2 - site) % n) + y, 1.0 - 2.0 * y)
-    S = (2 * ((site + n // 2) % n) + y, -np.ones(2 * n))
-    signs = [(r, s) for r in (1, -1) for s in (1, -1)] if n % 2 == 0 else [(1,), (-1,)]
-    for (image, sign), chi in zip((R, S), np.array(signs).T):
-        moved = np.zeros_like(Q)
-        np.add.at(moved, (image[index], columns), sign[index] * weights)
-        assert np.array_equal(moved, Q * np.repeat(chi, m))
+def test_symmetry_basis_splits_the_ring_group(capsys, monkeypatch, n):
+    """The ring group's basis P = D_R (F ⊗ I_2) splits the Hessian into the
+    mode blocks that the blocks command reads off its rotated block
+    diagonals d_m(j).  At the wave they are constant in j within 8 eps.
+    With the on-site blocks of two sites perturbed, the command's
+    extract_residual and off_block_residual (the d_m(j) about their means,
+    by Parseval) are those of the dense P^* H P of block_extract."""
+    ring = RingSystem(n=n, mu=0.7, potential=SAT)
+    d = blocks._rotated_diagonals(ring)
+    assert d.shape == (3, 2, 2, n)
+    assert np.ptp(d, axis=-1).max() <= 8 * np.finfo(float).eps * np.abs(d).max()
+    skew = np.zeros((n, 2, 2))
+    skew[0, 0, 0] = 1e-3
+    skew[n // 2] = [[0.0, 2e-3], [2e-3, -1e-3]]
+    onsite_hessian = blocks._onsite_hessian
+    monkeypatch.setattr(blocks, "_onsite_hessian", lambda r, X: onsite_hessian(r, X) + skew)
+    assert cli.main(["blocks", "--n", str(n), "--potential", "saturable", "--mu", "0.7"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    H = hessian_V(ring, standing_wave(ring)[0])
+    j = np.arange(n)
+    H.reshape(n, 2, n, 2)[j, :, j, :] += skew
+    want = block_extract(assemble_P(n), H)
+    B = np.array([rec["B"] for rec in payload["blocks"]])
+    err = np.abs(B[..., 0] + 1j * B[..., 1] - want.blocks).max(axis=(1, 2))
+    got = np.array([rec["extract_residual"] for rec in payload["blocks"]])
+    assert np.abs(got - err).max() <= 1e-13
+    assert abs(payload["off_block_residual"] - want.off_block_residual) <= 1e-13
 
 
 def reference_spectrum_oracle(ring):
@@ -669,9 +668,12 @@ def reference_spectrum_oracle(ring):
 
 
 def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
-    """Greedy clusters by a pairwise loop: each cluster is the first
-    remaining eigenvalue and every later one within cluster_radius times
-    the largest of 1 and the moduli that are not nan of it."""
+    """Largest |real part| of a dense spectrum, on the means of greedy
+    clusters: defective double eigenvalues (the rotation zero; every root
+    when n = 4) split under rounding by O(sqrt(eps)) times the norm of the
+    linearization, while their mean perturbs linearly.  Each cluster is the
+    first remaining eigenvalue and every later one within cluster_radius
+    times the largest of 1 and the moduli that are not nan of it."""
     ev = np.asarray(eigenvalues, dtype=complex)
     cluster_radius *= max([1.0, *(abs(z) for z in ev if not math.isnan(abs(z)))])
     remaining = list(range(len(ev)))
@@ -690,22 +692,23 @@ def reference_spectrum_max_real(eigenvalues, cluster_radius=1e-6):
     return float(worst)
 
 
-def test_spectrum_oracle_matches_reference(monkeypatch):
-    """The reduced eigensolve gives the dense product's eigenvalues as a
-    multiset, to within 1e-10 on cluster means, and array clustering gives
-    the loop's verdict bit for bit, at the cluster radius and at a wider one;
-    n = 4 has only defective double roots."""
+def max_real(eigenvalues):
+    """The largest |real part|, as the stability command reports it."""
+    return float(np.abs(eigenvalues.real).max())
+
+
+def test_spectrum_oracle_matches_reference():
+    """The symbols' eigenvalues are the dense product's as a multiset, to
+    within 1e-10 on cluster means, with the largest real part of its
+    cluster means; n = 4 has only defective double roots."""
     rng = np.random.default_rng(12)
     for n in (3, 4, 5, 6, 8, 16, 64):
         for pot in (CUBIC, SAT):
             for mu in rng.uniform(0.05, 2.0, size=3):
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
-                ev = full_spectrum_oracle(ring)
-                assert cluster_match_error(reference_spectrum_oracle(ring), ev) <= 1e-10
-                assert spectrum_max_real(ev) == reference_spectrum_max_real(ev), (n, mu)
-                with monkeypatch.context() as patch:
-                    patch.setattr(blocks, "_CLUSTER_RADIUS", 1e-3)
-                    assert spectrum_max_real(ev) == reference_spectrum_max_real(ev, 1e-3)
+                ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
+                assert cluster_match_error(ref, ev) <= 1e-10
+                assert abs(max_real(ev) - reference_spectrum_max_real(ref)) <= 1e-11, (n, mu)
 
 
 # x = s h'(s) = s - s^2/2 rises to 1/2 at s = 1, then falls without bound, so
@@ -734,14 +737,15 @@ def random_sweep_rings(ns=(3, 4, 5, 6, 7, 10, 33, 48), seed=11):
 
 
 def assert_oracle_matches_reference(rings):
-    """The oracle gives the 2n x 2n reference's multiset, its max real part
-    and its verdict, and the rings include stable and unstable ones."""
+    """The oracle gives the 2n x 2n reference's multiset, the largest real
+    part of its cluster means and its verdict, and the rings include stable
+    and unstable ones."""
     verdicts = set()
     for ring in rings:
         n, kind, mu = ring.n, ring.potential.kind, ring.mu
         ev, ref = full_spectrum_oracle(ring), reference_spectrum_oracle(ring)
         assert cluster_match_error(ref, ev) <= 1e-10, (n, kind, mu)
-        got, want = spectrum_max_real(ev), spectrum_max_real(ref)
+        got, want = max_real(ev), reference_spectrum_max_real(ref)
         assert abs(got - want) <= 1e-11, (n, kind, mu)
         assert (got <= 1e-8) == (want <= 1e-8) == linear_stability(ring).stable
         verdicts.add(got <= 1e-8)
@@ -756,79 +760,64 @@ def test_spectrum_oracle_random_sweep():
 
 
 def test_sector_oracle_random_sweep():
-    """The half-turn's sectors at even n, n = 0 and 2 mod 4 (with and
-    without sites that R S fixes): the two n/2 eigensolves agree with the
-    2n x 2n reference over seeded amplitudes and three potentials."""
+    """Even n, n = 0 and 2 mod 4, over seeded amplitudes and three
+    potentials: the symbols agree with the 2n x 2n reference."""
     assert_oracle_matches_reference(
         random_sweep_rings(ns=(4, 6, 8, 10, 12, 16, 34, 64, 96), seed=25))
 
 
-def dgeev_eigvals(a):
-    """The oracle's former eigensolve: scipy's LAPACK dgeev with the optimal
-    workspace, eigenvalues as wr + i wi."""
-    lwork = int(lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=0)[0])
-    wr, wi, _, _, info = lapack.dgeev(a, compute_vl=0, compute_vr=0, lwork=lwork)
-    assert info == 0
-    return wr + 1j * wi
-
-
-def test_spectrum_oracle_eigvals_matches_dgeev(monkeypatch):
-    """np.linalg.eigvals and scipy's dgeev load separate OpenBLAS builds; at
-    one BLAS thread, as the benchmark runs, the oracle's spectrum is the same
-    bytes through either, over the random sweep and at n = 96 and 256.  With
-    more threads the bits from n ~ 160 up depend on the thread count, for
-    dgeev alone too, so the comparison runs in a one-thread interpreter."""
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        test = f"{__file__}::test_spectrum_oracle_eigvals_matches_dgeev"
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                              test], env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-                             capture_output=True, text=True)
-        assert run.returncode == 0, run.stdout[-3000:]
-        return
-    rings = list(random_sweep_rings()) + [
-        RingSystem(n=n, mu=mu, potential=pot)
-        for n, mu in ((96, 0.3), (256, 0.7)) for pot in (CUBIC, SAT, QUINTIC)]
-    for ring in rings:
-        got = full_spectrum_oracle(ring)
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvals", dgeev_eigvals)
-            want = full_spectrum_oracle(ring)
-        assert got.tobytes() == want.tobytes(), (ring.n, ring.potential.kind, ring.mu)
+@pytest.mark.parametrize("n, mu", [(1024, 0.3), (1024, 1e3), (4096, 0.3), (4096, 1e3)])
+def test_premise_check_holds_on_large_rings(n, mu):
+    """The spread of the rotated block diagonals is measured per entry (max
+    - min over the sites), which stays within a few eps at every n; a
+    deviation from a mean summed along the strided site axis reached 80
+    eps at n = 1024 and 450 eps at n = 4096.  Both verdicts hold."""
+    for pot, stable in ((CUBIC, False), (SAT, True)):
+        ev = full_spectrum_oracle(RingSystem(n=n, mu=mu, potential=pot))
+        assert ev.shape == (2 * n,)
+        assert (max_real(ev) == 0.0) is stable
 
 
 def test_stability_report_bytes_do_not_depend_on_the_blas_thread_count():
-    """At n = 256 the oracle's eigensolves are 128 x 128, and the stability
-    report is the same bytes at one and at two OpenBLAS threads.  (The one
-    n x n eigensolve of the reflection alone was not, from n ~ 160 up; at
-    n = 512 and 1024 the n/2 x n/2 ones are not either.)"""
+    """The stability reports at n = 256 and 1024 and the blocks report at
+    n = 1024 are the same bytes at one and at two OpenBLAS threads: the
+    symbols and the rotated block diagonals are elementwise numpy, with no
+    BLAS or LAPACK call.  (The oracle's former eigensolves were not, from
+    n ~ 160 up.)"""
     src = os.path.dirname(os.path.dirname(blocks.__file__))
-    argv = [sys.executable, "-m", "dnlsring.cli", "stability", "--n", "256", "--mu", "0.7"]
-    reports = [subprocess.run(argv, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                         "PYTHONPATH": src},
-                              capture_output=True, check=True).stdout
-               for threads in ("1", "2")]
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["payload"]["stable"] is False
+    for argv in (["stability", "--n", "256", "--mu", "0.7"],
+                 ["stability", "--n", "1024", "--mu", "0.7"],
+                 ["blocks", "--n", "1024", "--mu", "0.4"]):
+        command = [sys.executable, "-m", "dnlsring.cli", *argv]
+        reports = [subprocess.run(command, capture_output=True, check=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                       "PYTHONPATH": src}).stdout
+                   for threads in ("1", "2")]
+        assert reports[0] == reports[1], argv
+        assert json.loads(reports[0])["payload"].get("stable") in (False, None)
+
+
+_ROTATION_REASON = ("D2V(a) is not invariant under the ring's rotation: its rotated "
+                    "block diagonals spread by ")
 
 
 @pytest.mark.parametrize("skew", [1e-6, np.nan])
 def test_broken_reflection_is_a_numerical_failure(capsys, monkeypatch, skew):
-    """Site blocks of the Hessian that the ring reflection does not fix (site
-    1 changed, its mirror n - 1 not) or that are not finite fail the premise
-    check: BrokenReflection with the reason (the residual, or the non-finite
-    Hessian), and exit 4 with it from the stability command."""
+    """Site blocks of the Hessian that the ring's rotation does not carry
+    into each other (site 1 changed, the others not) or that are not finite
+    fail the premise check: BrokenReflection with the reason (the spread of
+    the rotated diagonals, or the non-finite Hessian), and exit 4 with it
+    from the stability command."""
     assert_premise_failure(capsys, monkeypatch, [0], skew,
-                           "D2V(a) is not invariant under the ring reflection: the blocks "
-                           "P'AP and M'AM reach 5e-07" if skew == 1e-6
+                           _ROTATION_REASON + "7.5e-07" if skew == 1e-6
                            else "the Hessian at the rotating wave is not finite")
 
 
 def test_broken_half_turn_is_a_numerical_failure(capsys, monkeypatch):
     """Site 1 and its mirror n - 1 changed alike, site 1 + n/2 not: the
-    reflection holds and the half-turn fails, by name."""
-    assert_premise_failure(capsys, monkeypatch, [0, 4], 1e-6,
-                           "D2V(a) is not invariant under the ring's half-turn: the blocks "
-                           "odd under S reach 5e-07")
+    ring's reflection holds and its half-turn does not.  The check is on
+    the rotation, which both break, and fails by its name."""
+    assert_premise_failure(capsys, monkeypatch, [0, 4], 1e-6, _ROTATION_REASON + "8.66e-07")
 
 
 def assert_premise_failure(capsys, monkeypatch, sites, skew, reason):
@@ -855,12 +844,12 @@ _OVERFLOW = "or their extraction from the Hessian overflow"
 
 
 @pytest.mark.parametrize("command, mu, reason", [
-    # 2 mu^2 h' = 1.62e308 is finite, the off-block norm of the extraction is not
+    # 2 mu^2 h' = 1.62e308 is finite, the mean of the rotated on-site blocks is not
     ("blocks", "9e153", f"the mode blocks at mu = 9e+153 {_OVERFLOW}"),
     # 2 mu^2 h' overflows: B_00 and the Hessian are infinite
     ("blocks", "1e154", f"the mode blocks at mu = 1e+154 {_OVERFLOW}"),
     ("stability", "1e154", "the Hessian at the rotating wave is not finite"),
-    # the Hessian and its blocks in the reflection basis are finite: a report
+    # the Hessian and the symbols are finite, and so is sqrt|H00| sqrt|H11|: a report
     ("stability", "9e153", None),
 ])
 def test_overflowing_amplitude(capsys, command, mu, reason):
@@ -876,6 +865,8 @@ def test_overflowing_amplitude(capsys, command, mu, reason):
         report = json.loads(captured.out, parse_constant=pytest.fail)
         assert report["payload"]["stable"] is False
         assert report["payload"]["oracle_agrees"] is True
+        # the closed form 2 mu of mode 3
+        assert report["payload"]["oracle_max_real_part"] == pytest.approx(1.8e154, rel=1e-15)
     else:
         assert code == 4 and captured.out == ""
         assert captured.err == f"error: {reason}\n"
@@ -884,100 +875,94 @@ def test_overflowing_amplitude(capsys, command, mu, reason):
 DEFOCUSING = custom_potential(lambda s: -np.asarray(s, dtype=float),
                               lambda s: -np.ones_like(np.asarray(s, dtype=float)),
                               lambda s: -np.asarray(s, dtype=float) ** 2 / 2)
+LARGE = np.geomspace(1.0, 1e150, 151)
 
 
 @pytest.mark.parametrize("n, potential, mus, stable",
                          [(3, CUBIC, np.linspace(1.0, 9.0, 801), True),
                           (6, DEFOCUSING, np.linspace(0.5, 40.0, 400), True),
-                          (6, CUBIC, np.geomspace(1e3, 1e7, 41), False)],
-                         ids=["n3-cubic", "n6-defocusing", "n6-cubic-unstable"])
+                          (6, CUBIC, np.geomspace(1e3, 1e7, 41), False),
+                          (3, CUBIC, LARGE, True), (4, CUBIC, LARGE, True),
+                          (6, CUBIC, LARGE, False), (7, CUBIC, LARGE, False),
+                          (8, CUBIC, LARGE, False)],
+                         ids=["n3-cubic", "n6-defocusing", "n6-cubic-unstable",
+                              "n3-cubic-large", "n4-cubic-large", "n6-cubic-large",
+                              "n7-cubic-large", "n8-cubic-large"])
 def test_oracle_verdict_agrees_as_the_on_site_term_grows(n, potential, mus, stable):
-    """The defective zero pair splits by O(sqrt(eps)) times the norm of the
-    linearization, which grows with |mu^2 h'|; the spectrum grows too, like
-    mu: with the cluster radius scaled by the largest eigenvalue the oracle's
-    verdict is the closed form's at every stable amplitude (an absolute 1e-6
-    fails from mu = 5.18 at n = 3), and an unstable pair +-lambda, whose
-    real parts grow like mu, never falls into one cluster (a radius scaled
-    by |mu^2 h'| swallows it at mu = 1e7)."""
+    """As |mu^2 h'| grows to 1e300 the oracle's verdict is the closed form's,
+    and its largest real part is max_k sqrt(alpha_k (2 mu^2 h' - alpha_k))
+    within 1e-12 relative, exactly 0 where no mode has a real root.  Dense
+    eigensolves give rounding noise there: a defective pair splits by
+    O(sqrt(eps)) times the norm of the linearization, which grows with
+    |mu^2 h'| faster than the spectrum (at cubic n = 6 the former oracle was
+    off by 2e-9 relative at mu = 1e4 and by a factor 27 at 1e10)."""
+    alphas = [coefficients(n, k).alpha for k in range(1, n + 1)]
     for mu in mus:
         ring = RingSystem(n=n, mu=float(mu), potential=potential)
         assert linear_stability(ring).stable is stable
-        assert (spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8) is stable, mu
+        got, x = max_real(full_spectrum_oracle(ring)), mu_h_prime(ring)
+        want = max([math.sqrt(a * (2 * x - a)) for a in alphas if a * (2 * x - a) > 0],
+                   default=0.0)
+        assert abs(got - want) <= 1e-12 * want, mu
+        assert (got <= 1e-8) is stable, mu
 
 
-def test_spectrum_max_real_edge_cases(monkeypatch):
-    """A nan is a cluster of its own (and does not stall the loop); a zero
-    radius makes every eigenvalue its own cluster; an infinite eigenvalue
-    makes the radius infinite.  None of them raises a warning."""
-    # the radius grows with the largest eigenvalue: a pair 1.4e-6 apart is
-    # one cluster once 1e-6 max(1, max |ev|) exceeds that
-    pair = np.array([7e-7, -7e-7])
-    assert spectrum_max_real(pair) == 7e-7
-    assert spectrum_max_real(np.concatenate((pair, [2j, -2j]))) == 0.0
-    finite = [1e-9 + 1j, -1e-9 + 1j, np.nan, 0.5 - 2j, 0.5 - 2j + 1e-8]
-    for ev in (finite, finite + [np.inf], finite + [complex(0.0, -np.inf)],
-               [-np.inf, np.inf, 0.25 + 1j, 0.75 + 1j, np.nan]):
-        ev = np.array(ev, dtype=complex)
-        for radius in (1e-6, 0.0):
-            monkeypatch.setattr(blocks, "_CLUSTER_RADIUS", radius)
-            got = spectrum_max_real(ev)
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = reference_spectrum_max_real(ev, radius)
-            assert got == want or (math.isnan(got) and math.isnan(want))
-    assert spectrum_max_real(np.array([])) == 0.0
+def test_oracle_reads_a_steep_custom_law(capsys):
+    """h' = 1 + (s/4.5)^200 at n = 8, mu = 2.5 puts mu^2 h' at 2.1e29: the
+    stability command's oracle agrees with the verdict and reads the closed
+    form sqrt(alpha_4 (2 mu^2 h' - alpha_4)) = 1.0989e15 (a cluster radius
+    scaled by the spectrum swallowed the unstable pair, reading 0)."""
+    argv = ["stability", "--n", "8", "--potential", "custom", "--mu", "2.5",
+            "--h-expr", "s + 4.5/201*(s/4.5)**201", "--h-prime-expr", "1 + (s/4.5)**200"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["stable"] is False and payload["oracle_agrees"] is True
+    x = 6.25 * (1.0 + (6.25 / 4.5) ** 200)
+    alpha = coefficients(8, 4).alpha
+    assert payload["oracle_max_real_part"] == pytest.approx(math.sqrt(alpha * (2 * x - alpha)),
+                                                            rel=1e-12)
+    assert payload["oracle_max_real_part"] == pytest.approx(1.0989e15, rel=1e-4)
 
 
-def test_spectrum_max_real_matches_the_loop_on_chains_and_cell_edges():
-    """Lone eigenvalues found on a grid leave the greedy loop's result as it
-    is, bit for bit: for a chain a-b-c with |a - b| and |b - c| below the
-    radius but |a - c| above it, in every index order and along either axis,
-    and for clusters that straddle an edge of the grid's cells (side 2
-    radius) along either axis and at a corner."""
-    rng = np.random.default_rng(3)
-    # lone eigenvalues, |ev| < 1, so the radius is 1e-6
-    far = 0.1 + 0.9j * np.linspace(-1.0, 1.0, 9)
-    for step in (7e-7, 7e-7j):
-        chain = 0.3 + 0.2j + step * np.arange(3) + 1e-9 * rng.uniform(size=3)
-        results = set()
-        for order in itertools.permutations(range(3)):
-            ev = np.concatenate((far, chain[list(order)]))
-            got = spectrum_max_real(ev)
-            assert got == reference_spectrum_max_real(ev), order
-            results.add(got)
-        assert len(results) >= 3   # the order decides the clusters
-    edge = 2e-6 * 200_000   # a cell edge, up to the rounding of the cell number
-    offsets = 3e-7 * np.array([-1.0, 1.0])
-    for centre in (edge + 0.2j, 0.1 + 1j * edge, edge * (1 + 1j)):
-        for d in (offsets, 1j * offsets, np.add.outer(offsets, 1j * offsets).ravel()):
-            ev = np.concatenate((far, centre + d + 1e-9 * rng.uniform(size=d.size)))
-            ev = rng.permutation(ev)
-            assert spectrum_max_real(ev) == reference_spectrum_max_real(ev)
-            assert abs(spectrum_max_real(ev) - centre.real) < 3e-7
+@pytest.mark.parametrize("n, mu", [(6, 0.45), (6, 0.6), (7, 0.6), (3, 1.0)])
+def test_oracle_growth_rate_is_the_flows(n, mu):
+    """The oracle evaluates its symbols by formula, not from the Hessian's
+    entries, so the flow checks it independently.  From the cubic wave
+    perturbed by 1e-8, ``orbits.integrate`` (implicit midpoint, dt = 0.02)
+    grows at the oracle's largest real part within 1 %, fitted on the second
+    half of t = 0..30, or stays within 1e-5 of the wave when that part is 0
+    (the rotation zero drifts only linearly); n = 6 straddles mu = 0.5."""
+    ring = RingSystem(n=n, mu=mu)
+    wave = standing_wave(ring)[0]
+    x0 = wave + 1e-8 * np.random.default_rng(1).normal(size=2 * n)
+    t, states = orbits.integrate(ring, x0, T=30.0, dt=0.02)
+    dev = np.linalg.norm(states - wave, axis=1)
+    rate = max_real(full_spectrum_oracle(ring))
+    if rate == 0.0:
+        assert dev.max() <= 1e-5
+    else:
+        half = len(t) // 2
+        fit = math.log(dev[-1] / dev[half]) / (t[-1] - t[half])
+        assert abs(fit - rate) <= 1e-2 * rate, (fit, rate)
 
 
-def test_spectrum_max_real_builds_no_square_temporary():
-    """Clustering 4096 eigenvalues allocates O(n), not an n x n table."""
-    ev = np.exp(1j * np.linspace(0.0, 6.0, 4096)) + 1e-3 * np.arange(4096)
-    tracemalloc.start()
-    try:
-        spectrum_max_real(ev)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+def clustered_reference_oracle(ring):
+    """The dense reference spectrum reduced to the largest real part of its
+    cluster means, as a one-element spectrum."""
+    return np.array([reference_spectrum_max_real(reference_spectrum_oracle(ring))])
 
 
 @pytest.mark.parametrize("potential, mu, stable", [("saturable", "0.8", True),
                                                    ("cubic", "0.3", False)])
 def test_stability_report_n256_matches_reference(capsys, monkeypatch, potential, mu, stable):
     """Every field of the report is the dense reference's, byte for byte,
-    but the residual-type oracle_max_real_part, which agrees within 1e-11."""
+    but the residual-type oracle_max_real_part, which agrees within 1e-11
+    with the reference's largest cluster-mean real part."""
     argv = ["stability", "--n", "256", "--potential", potential, "--mu", mu]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["payload"]["stable"] is stable
-    monkeypatch.setattr(blocks, "full_spectrum_oracle", reference_spectrum_oracle)
-    monkeypatch.setattr(blocks, "spectrum_max_real", reference_spectrum_max_real)
+    monkeypatch.setattr(blocks, "full_spectrum_oracle", clustered_reference_oracle)
     assert cli.main(argv) == 0
     reference = json.loads(capsys.readouterr().out)
     got = report["payload"].pop("oracle_max_real_part")
@@ -1032,5 +1017,5 @@ def test_stability_agrees_with_oracle():
         pot = SAT if rng.integers(2) else CUBIC
         ring = RingSystem(n=n, mu=float(rng.uniform(0.05, 2.0)), potential=pot)
         verdict = linear_stability(ring)
-        oracle_stable = spectrum_max_real(full_spectrum_oracle(ring)) <= 1e-8
+        oracle_stable = max_real(full_spectrum_oracle(ring)) <= 1e-8
         assert verdict.stable == oracle_stable

@@ -210,7 +210,8 @@ def test_verify_stops_where_the_frequency_crosses_zero(capsys):
 
 
 def test_blocks_large_ring_within_budget(capsys):
-    """The mode blocks at n = 1024 come from FFTs, not from a dense P^* H P."""
+    """The mode blocks at n = 1024 come from the Hessian's three rotated
+    block diagonals, not from a dense P^* H P."""
     t0 = time.perf_counter()
     doc = run_json(capsys, "blocks", "--n", "1024", "--mu", "0.4")
     elapsed = time.perf_counter() - t0
@@ -274,14 +275,18 @@ def test_input_too_large_to_allocate_exit_2(capsys, monkeypatch):
 def test_import_loads_no_custom_potential_solver():
     """A fresh ``import dnlsring.cli`` loads no scipy module: brentq (custom
     potentials), LAPACK (orbit solves and integration) and the FFT of
-    ``block_extract`` are imported where they are called."""
+    ``block_extract`` are imported where they are called.  Neither do the
+    stability and blocks commands, which read the Hessian's rotated block
+    diagonals with numpy alone."""
     src = str(pathlib.Path(cli.__file__).parents[1])
-    code = ("import sys, dnlsring.cli; print(sorted(name for name in sys.modules"
-            " if name.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    loaded = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    for command in ("", "assert dnlsring.cli.main(['stability', '--n', '64', '--mu', '0.3']) == 0",
+                    "assert dnlsring.cli.main(['blocks', '--n', '64', '--mu', '0.3']) == 0"):
+        code = f"import sys, dnlsring.cli\n{command}\n{loaded}"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]", command
 
 
 def test_main_builds_the_parser_once(capsys):
