@@ -143,9 +143,9 @@ class _Classification(NamedTuple):
         keep = keep & (self.eta != 0) & (self.degenerate_k == 0)[:, None, None]
         i, k, root = np.nonzero(keep)
         tags = self.regime[i, k].tolist()
-        return (i.tolist(), (k + 1).tolist(), [_ROOTS[r] for r in root.tolist()],
+        return (i.tolist(), (k + 1).tolist(), list(map(_ROOTS.__getitem__, root.tolist())),
                 self.nu[keep].tolist(), self.period[keep].tolist(), self.eta[keep].tolist(),
-                [_REGIMES[t] for t in tags], [_NOTES[t] for t in tags])
+                list(map(_REGIMES.__getitem__, tags)), list(map(_NOTES.__getitem__, tags)))
 
 
 def _classify(n: int, potential, mus) -> _Classification:

@@ -3,7 +3,11 @@
 Subcommands: equilibrium | blocks | bifurcations | stability | verify | sweep.
 Reports are emitted as JSON (default) or CSV, with sorted keys and fixed
 17-significant-digit float formatting so identical configurations produce
-byte-identical output.
+byte-identical output.  Each printed value is formatted once: the points of
+bifurcations and sweep are rendered in one pass over their columns
+(``_point_texts``), each mu, label, regime, note and root once per value and
+only nu and period per point, and their CSV rows are built as text
+(``_bifurcation_rows``, n, mu and stable once per mu) that ``_to_csv`` joins.
 
 Every subcommand takes --n, --potential, --h-expr, --h-prime-expr, --g-expr,
 --format, --out and --config, and every one but sweep takes --mu.  Only
@@ -37,11 +41,13 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import itertools
 import math
 import re
 import sys
 from json.encoder import encode_basestring
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +87,8 @@ _json_str = encode_basestring
 
 class _PointRecords:
     """Bifurcation point records held as columns, one list per JSON key in
-    key order; the writer renders every record from one template."""
+    key order.  The writer renders all of them in one pass (``_point_texts``):
+    mu and the strings once per value, nu and period per record."""
 
     KEYS = ("admissibility_note", "eta", "isotropy", "k", "mu", "nu", "period",
             "regime", "root")
@@ -90,33 +97,73 @@ class _PointRecords:
     def __init__(self, columns: tuple[list, ...]):
         self.columns = columns
 
-    def __getitem__(self, rows: slice) -> _PointRecords:
-        return _PointRecords(tuple(column[rows] for column in self.columns))
+
+class _Samples(NamedTuple):
+    """The sweep's samples as columns: the mu, verdict and point count of
+    each, whose point records (at that mu) follow one another in ``points``."""
+
+    mu: list[float]
+    stable: list[bool]
+    count: list[int]
+    points: _PointRecords
 
 
-@functools.lru_cache(maxsize=8)
-def _point_template(pad: str) -> str:
+# the +-inf that %.17g prints for nu or period, neither of them the last key
+_TEMPLATE_INF = re.compile(r'("(?:nu|period)": )(-?inf),')
+
+
+def _render_once(render, *columns: list):
+    """An iterator over ``render`` of the values of each row of ``columns``,
+    called once per distinct row (of one column: once per row where a zero
+    is among them, since -0.0 == 0.0 prints differently)."""
+    text = {row: render(*row) for row in set(zip(*columns))}
+    return map(render, *columns) if (0.0,) in text else map(text.__getitem__, zip(*columns))
+
+
+def _point_texts(columns: tuple[list, ...], pad: str, mu=None):
+    """The JSON texts of the records, indented from ``pad``, as they are
+    taken from the iterator returned.  The template's head (note, eta,
+    isotropy, k), its tail (regime, root) and mu, unless its texts are given,
+    are rendered once per value; only nu and period go through %.17g per
+    record."""
+    note, eta, isotropy, k, mu_values, nu, period, regime, root = columns
+    i = pad + "  "   # the keys in _PointRecords.KEYS order
+    head = (f'{{\n{i}"admissibility_note": %s,\n{i}"eta": %d,\n{i}"isotropy": %s,\n'
+            f'{i}"k": %d,\n')
+    body = f'%s{i}"mu": %s,\n{i}"nu": %.17g,\n{i}"period": %.17g%s'
+    tail = f',\n{i}"regime": %s,\n{i}"root": %s\n{pad}}}'
+    heads = _render_once(lambda *row: head % (_json_str(row[0]), row[1], _json_str(row[2]),
+                                              row[3]), note, eta, isotropy, k)
+    tails = _render_once(lambda *row: tail % tuple(map(_json_str, row)), regime, root)
+    mu = _render_once(_json_float, mu_values) if mu is None else mu
+    records = map(body.__mod__, zip(heads, mu, nu, period, tails))
+    if any(map(math.isinf, nu)) or any(map(math.isinf, period)):
+        records = map(functools.partial(_TEMPLATE_INF.sub, r'\1"\2",'), records)
+    return records
+
+
+def _json_list(texts, count: int, pad: str, out: list) -> None:
+    """Append the JSON list of the next ``count`` item ``texts``."""
     inner = pad + "  "
-    spec = {"eta": "%d", "k": "%d", "mu": "%.17g", "nu": "%.17g", "period": "%.17g"}
-    return ("{\n" + ",\n".join(f'{inner}"{key}": {spec.get(key, "%s")}'
-                                for key in _PointRecords.KEYS) + "\n" + pad + "}")
+    out.append(f"[\n{inner}" + f",\n{inner}".join(itertools.islice(texts, count))
+               + f"\n{pad}]" if count else "[]")
 
 
-# the +-inf that %.17g prints for mu, nu or period, none of them the last key
-_TEMPLATE_INF = re.compile(r'("(?:mu|nu|period)": )(-?inf),')
-
-
-def _json_points(points: _PointRecords, pad: str, out: list) -> None:
-    """The JSON list of the point records, each rendered from one template."""
-    note, eta, isotropy, k, mu, nu, period, regime, root = points.columns
+def _json_samples(samples: _Samples, pad: str, out: list) -> None:
+    """Append the JSON list of the samples, their points rendered in one pass."""
     inner = pad + "  "
-    template = _point_template(inner)
-    quoted = [list(map(_json_str, column)) for column in (note, isotropy, regime, root)]
-    rows = zip(quoted[0], eta, quoted[1], k, mu, nu, period, quoted[2], quoted[3])
-    text = (",\n" + inner).join([template % row for row in rows])
-    if any(map(math.isinf, mu + nu + period)):
-        text = _TEMPLATE_INF.sub(r'\1"\2",', text)
-    out.append("[\n" + inner + text + "\n" + pad + "]" if k else "[]")
+    mu = list(_render_once(_json_float, samples.mu))
+    mu_of_points = itertools.chain.from_iterable(map(itertools.repeat, mu, samples.count))
+    points = _point_texts(samples.points.columns, inner + "    ", mu_of_points)
+    head = f'{{\n{inner}  "count": %d,\n{inner}  "mu": %s,\n{inner}  "points": '
+    tail = f',\n{inner}  "stable": %s\n{inner}}}'
+    sep = "[\n" + inner
+    for mu_text, stable, count in zip(mu, samples.stable, samples.count):
+        out.append(sep + head % (count, mu_text))
+        _json_list(points, count, inner + "  ", out)
+        out.append(tail % ("true" if stable else "false"))
+        sep = ",\n" + inner
+    out.append("\n" + pad + "]" if samples.mu else "[]")
 
 
 def _json_write(obj, pad: str, out: list) -> None:
@@ -129,6 +176,8 @@ def _json_write(obj, pad: str, out: list) -> None:
             _json_write(obj[key], inner, out)
             sep = ",\n"
         out.append("\n" + pad + "}" if obj else "{}")
+    elif isinstance(obj, _Samples):
+        _json_samples(obj, pad, out)
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         sep = "[\n"
@@ -138,7 +187,7 @@ def _json_write(obj, pad: str, out: list) -> None:
             sep = ",\n"
         out.append("\n" + pad + "]" if obj else "[]")
     elif isinstance(obj, _PointRecords):
-        _json_points(obj, pad, out)
+        _json_list(_point_texts(obj.columns, pad + "  "), len(obj.columns[0]), pad, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -153,12 +202,16 @@ def _json_write(obj, pad: str, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _to_json(obj) -> str:
+def _to_json(obj, end: str = "") -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
-    +-inf as the strings "inf" and "-inf", two spaces per level.  One walk
-    tests each value's type; point records render from one template."""
+    +-inf as the strings "inf" and "-inf", two spaces per level, then
+    ``end``, joined with the rest so that a large report is not copied to
+    append it.  One walk tests each value's type; point records and the
+    sweep's samples are rendered in one pass over their columns, a sample's
+    mu once for it and its points."""
     out: list[str] = []
     _json_write(obj, "", out)
+    out.append(end)
     return "".join(out)
 
 
@@ -172,11 +225,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _to_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _to_csv(header: list[str], rows: list[str]) -> str:
+    """The CSV text of rows that are already text: each command renders its
+    cells where it builds them (``_csv_cell``, or ``_bifurcation_rows``)."""
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _build_potential(cfg: SimpleNamespace):
@@ -305,32 +357,30 @@ def _report(cfg: SimpleNamespace, payload) -> dict:
             "payload": payload}
 
 
-def _point_records(n: int, mus: list[float], result, keep) -> tuple[list[int], _PointRecords]:
-    """The points of a ``classify._classify`` result that its ``points(keep)``
-    selects: the index of each one's mu, in non-decreasing order, and their
-    records."""
+def _point_records(n: int, mus: list[float], result, keep) -> _PointRecords:
+    """The records of the points of a ``classify._classify`` result that its
+    ``points(keep)`` selects, in the order of their mu."""
     i, k, root, nu, period, eta, regime, note = result.points(keep)
     label = [IsotropyLabel(n=n, k=kk).label for kk in range(n)]
-    return i, _PointRecords((note, eta, [label[kk] for kk in k], k, [mus[ii] for ii in i],
-                             nu, period, regime, root))
+    return _PointRecords((note, eta, list(map(label.__getitem__, k)), k,
+                          list(map(mus.__getitem__, i)), nu, period, regime, root))
 
 
-def _bifurcation_rows(n: int, cells: list[list[str]], mu: float, stable: bool, nu, eta,
-                      regime, modes) -> list[list]:
-    """CSV rows of one mu, one per mode k in ``modes`` with both roots side
-    by side, from the (n - 1, 2) ``nu`` and ``eta`` of a ``classify._classify``
-    result (eta 0 where no point is kept), the per-mode ``regime`` and the
-    alpha, gamma and delta cells of each mode."""
+def _bifurcation_rows(n: int, cells: list[str], mu: float, stable: bool, nu, eta,
+                      regime, modes) -> list[str]:
+    """The CSV rows of one mu as text, one per mode k in ``modes`` with both
+    roots side by side, from the (n - 1, 2) ``nu`` and ``eta`` of a
+    ``classify._classify`` result (eta 0 where no point is kept), the
+    per-mode ``regime`` and the alpha,gamma,delta text of each mode."""
     nus, etas, tags = nu.tolist(), eta.tolist(), regime.tolist()
+    mu, stable = _fmt(mu), "true" if stable else "false"
     rows = []
     for k in modes:
         (nu_minus, nu_plus), (eta_minus, eta_plus) = nus[k - 1], etas[k - 1]
-        rows.append([
-            n, k, mu, *cells[k - 1],
-            nu_minus if eta_minus else None, nu_plus if eta_plus else None,
-            eta_minus or None, eta_plus or None, f"Z~_{n}({k})",
-            classify._REGIMES[tags[k - 1]] if eta_minus or eta_plus else "", stable,
-        ])
+        roots = (f"{_fmt(nu_minus) if eta_minus else ''},{_fmt(nu_plus) if eta_plus else ''},"
+                 f"{eta_minus or ''},{eta_plus or ''}")
+        regime = classify._REGIMES[tags[k - 1]] if eta_minus or eta_plus else ""
+        rows.append(f"{n},{k},{mu},{cells[k - 1]},{roots},Z~_{n}({k}),{regime},{stable}")
     return rows
 
 
@@ -347,7 +397,8 @@ def cmd_equilibrium(cfg: SimpleNamespace):
         "omega": omega,
         "gradient_residual": res,
     }
-    rows = [[j + 1, a_bar[2 * j], a_bar[2 * j + 1]] for j in range(ring.n)]
+    rows = [",".join(map(_csv_cell, (j + 1, a_bar[2 * j], a_bar[2 * j + 1])))
+            for j in range(ring.n) if cfg.format == "csv"]
     return _report(cfg, payload), ["j", "re", "im"], rows, _EXIT_OK
 
 
@@ -388,8 +439,9 @@ def cmd_blocks(cfg: SimpleNamespace):
             "B": [[[b_re[i][j], b_im[i][j]] for j in range(2)] for i in range(2)],
             "extract_residual": err,
         })
-        rows.append([k, a, g, "-" if d is None else _fmt(d),
-                     _fmt(b_re[0][0]), _fmt(b_im[0][1]), _fmt(b_re[1][1]), err])
+        if cfg.format == "csv":
+            rows.append(",".join(map(_csv_cell, (k, a, g, "-" if d is None else d,
+                                                 b_re[0][0], b_im[0][1], b_re[1][1], err))))
     payload = {"mu": ring.mu, "blocks": records, "off_block_residual": off_block}
     header = ["k", "alpha", "gamma", "delta", "B00_re", "B01_im", "B11_re",
               "extract_residual"]
@@ -409,14 +461,12 @@ def _classify_mus(cfg: SimpleNamespace):
         else _EXIT_ALL_DEGENERATE
 
 
-def _csv_rows(cfg: SimpleNamespace, mus, result, keep, modes) -> list[list]:
+def _csv_rows(cfg: SimpleNamespace, mus, result, keep, modes) -> list[str]:
     """The CSV rows of the amplitudes that are not degenerate, for the modes
     in ``modes``, with the points that the (mu, k - 1, root) mask ``keep``
-    selects; none for JSON output."""
-    if cfg.format != "csv":
-        return []
+    selects."""
     table = blocks._coefficient_table(cfg.n)
-    cells = [[_fmt(alpha), _fmt(gamma), "-" if math.isnan(delta) else _fmt(delta)]
+    cells = [f"{_fmt(alpha)},{_fmt(gamma)},{'-' if math.isnan(delta) else _fmt(delta)}"
              for alpha, gamma, delta in zip(*table)]
     eta = np.where(keep, result.eta, 0)
     return [row for i, (mu, stable) in enumerate(zip(mus, result.stable.tolist()))
@@ -437,10 +487,11 @@ def cmd_bifurcations(cfg: SimpleNamespace):
         keep = keep & (result.nu >= cfg.nu_min)
     if cfg.nu_max is not None:
         keep = keep & (result.nu <= cfg.nu_max)
-    _, records = _point_records(n, mus, result, keep)
-    payload = {"points": records, "excluded": excluded}
-    modes = range(1, n) if cfg.k is None else [cfg.k]
-    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, mus, result, keep, modes), code
+    if cfg.format == "csv":
+        modes = range(1, n) if cfg.k is None else [cfg.k]
+        return None, CSV_COLUMNS, _csv_rows(cfg, mus, result, keep, modes), code
+    payload = {"points": _point_records(n, mus, result, keep), "excluded": excluded}
+    return _report(cfg, payload), CSV_COLUMNS, [], code
 
 
 def cmd_stability(cfg: SimpleNamespace):
@@ -454,7 +505,8 @@ def cmd_stability(cfg: SimpleNamespace):
         "oracle_max_real_part": oracle,
         "oracle_agrees": verdict.stable == (oracle <= 1e-8),
     }
-    rows = [[ring.n, ring.mu, verdict.stable, verdict.margin, verdict.method, oracle]]
+    rows = [",".join(map(_csv_cell, (ring.n, ring.mu, verdict.stable, verdict.margin,
+                                     verdict.method, oracle)))]
     header = ["n", "mu", "stable", "margin", "method", "oracle_max_real_part"]
     return _report(cfg, payload), header, rows, _EXIT_OK
 
@@ -486,7 +538,8 @@ def cmd_verify(cfg: SimpleNamespace):
             "residual": bp.orbit.residual_norm,
             "symmetry_residual": sym,
         })
-        rows.append([bp.amplitude, bp.nu, bp.orbit.residual_norm, sym])
+        rows.append(",".join(map(_csv_cell, (bp.amplitude, bp.nu, bp.orbit.residual_norm,
+                                             sym))))
     extrapolated = orbits.extrapolate_nu_to_zero(branch) if branch.points else None
     passed = (failure is None and extrapolated is not None
               and abs(extrapolated - bif.nu) <= 1e-4)
@@ -522,19 +575,17 @@ def cmd_sweep(cfg: SimpleNamespace):
     if not cfg.mu_range:
         raise ConfigError("sweep needs --mu-range")
     mus, result, excluded, code = _classify_mus(cfg)
+    if cfg.format == "csv":
+        return None, CSV_COLUMNS, _csv_rows(cfg, mus, result, True, range(1, cfg.n)), code
     regimes = {"cubic": classify.schrodinger_regimes,
                "saturable": classify.saturable_regimes}.get(cfg.potential)
-    i, records = _point_records(cfg.n, mus, result, True)
-    bounds = np.searchsorted(i, np.arange(len(mus) + 1)).tolist()
-    samples = [{"mu": mu, "stable": stable, "count": hi - lo, "points": records[lo:hi]}
-               for mu, stable, degenerate, lo, hi
-               in zip(mus, result.stable.tolist(), result.degenerate_k.tolist(), bounds,
-                      bounds[1:])
-               if not degenerate]
+    kept, count = result.degenerate_k == 0, np.count_nonzero(result.eta, axis=(1, 2))
+    samples = _Samples(*([value for value, keep in zip(column, kept.tolist()) if keep]
+                         for column in (mus, result.stable.tolist(), count.tolist())),
+                       _point_records(cfg.n, mus, result, True))
     payload = {"regimes": _regimes_json(regimes(cfg.n)) if regimes else None,
                "samples": samples, "excluded": excluded}
-    modes = range(1, cfg.n)
-    return _report(cfg, payload), CSV_COLUMNS, _csv_rows(cfg, mus, result, True, modes), code
+    return _report(cfg, payload), CSV_COLUMNS, [], code
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +692,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(ns)
         report, header, rows, code = _COMMANDS[ns.command][1](cfg)
         if cfg.format == "json":
-            text = _to_json(report) + "\n"
+            text = _to_json(report, "\n")
         else:
             text = _to_csv(header, rows)
         if cfg.out:

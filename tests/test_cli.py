@@ -576,6 +576,23 @@ def test_csv_rows_built_only_for_csv(capsys, monkeypatch, command):
     assert len(out.strip().splitlines()) == 1 + 3 * 5
 
 
+@pytest.mark.parametrize("command", ["bifurcations", "sweep"])
+def test_point_records_built_only_for_json(capsys, monkeypatch, command):
+    calls = []
+    original = cli._point_records
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_point_records", counted)
+    argv = [command, "--n", "6", "--potential", "cubic", "--mu-range", "0.2:0.4:3"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and calls == [] and len(out.strip().splitlines()) == 1 + 3 * 5
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1 and json.loads(out)["payload"]
+
+
 _BASE_ARGS = {
     "equilibrium": ["--mu", "0.4"],
     "blocks": ["--mu", "0.4"],
@@ -765,6 +782,11 @@ def plain(obj):
     """The report as the recursive writer saw it: point records as dicts."""
     if isinstance(obj, cli._PointRecords):
         return [dict(zip(cli._PointRecords.KEYS, row)) for row in zip(*obj.columns)]
+    if isinstance(obj, cli._Samples):   # each sample's points follow the last's
+        points, ends = plain(obj.points), np.cumsum(obj.count, dtype=int).tolist()
+        return [{"mu": mu, "stable": stable, "count": count,
+                 "points": points[end - count:end]}
+                for mu, stable, count, end in zip(obj.mu, obj.stable, obj.count, ends)]
     if isinstance(obj, dict):
         return {key: plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -791,6 +813,7 @@ _WRITER_RUNS = [
     ["sweep", "--n", "16", "--potential", "saturable", "--mu-range", "0.5:1.5:5"],
     ["sweep", "--n", "8", *_SAT_EXPR, "--mu-range", "0.25:1.5:3"],   # regimes null
     ["sweep", "--n", "6", "--mu-range", "0.5:1.0:6"],
+    ["sweep", "--n", "32", "--mu-range", "0.02:1.1:120"],     # the benchmark's n and interval
     ["verify", "--n", "6", "--mu", "0.5", "--k", "3", "--branch", "plus", "--steps", "2"],
 ]
 
@@ -820,7 +843,18 @@ def test_writer_matches_recursive_writer():
                   + ([0.5, 0.5, 1e-300, 0.75, math.inf], [math.inf, 2.0, 1.5, -math.inf, 0.25],
                      [0.0, -math.inf, 4.0, math.inf, -2.5])
                   + tuple(c + c[:2] for c in columns[7:])),
-              "no points": cli._PointRecords(tuple([] for _ in columns))}
+              "no points": cli._PointRecords(tuple([] for _ in columns)),
+              # samples of +-inf and signed zero mu, one without points
+              "samples": cli._Samples(
+                  [0.5, -math.inf, -0.0, 0.0], [True, False, np.bool_(True), False],
+                  [2, 0, 1, 2],
+                  cli._PointRecords(tuple(c + c[:2] for c in columns[:4])
+                                    + ([0.5, 0.5, -0.0, 0.0, 0.0],
+                                       [math.inf, 2.0, 1.5, -math.inf, 0.25],
+                                       [0.0, -math.inf, 4.0, math.inf, -2.5])
+                                    + tuple(c + c[:2] for c in columns[7:]))),
+              "no samples": cli._Samples([], [], [],
+                                         cli._PointRecords(tuple([] for _ in columns)))}
     assert cli._to_json(values) == old_to_json(plain(values))
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._to_json({"x": object()})
@@ -848,9 +882,9 @@ def test_csv_rows_match_per_mode_rows():
     """The CSV of bifurcations and sweep, built from one array pass, equals
     rows built per mu from enumerate_bifurcations and per mode from
     blocks.coefficients, with the --nu-min/--nu-max filter applied to the
-    points."""
+    points and the rows of the --k mode alone."""
     for argv in _WRITER_RUNS:
-        if argv[0] not in ("bifurcations", "sweep") or "--k" in argv:
+        if argv[0] not in ("bifurcations", "sweep"):
             continue
         cfg = cli._merge_config(cli._build_parser().parse_args([*argv, "--format", "csv"]))
         _, header, rows, _ = cli._COMMANDS[cfg.command][1](cfg)
@@ -865,7 +899,10 @@ def test_csv_rows_match_per_mode_rows():
             points = [pt for pt in points
                       if (cfg.nu_min is None or pt.nu >= cfg.nu_min)
                       and (cfg.nu_max is None or pt.nu <= cfg.nu_max)]
-            want += old_bifurcation_rows(ring, points, blocks.linear_stability(ring).stable)
+            want += [row for row in old_bifurcation_rows(ring, points,
+                                                         blocks.linear_stability(ring).stable)
+                     if cfg.k in (None, row[1])]
+        want = [",".join(map(cli._csv_cell, row)) for row in want]
         assert cli._to_csv(header, rows) == cli._to_csv(CSV_COLUMNS, want), argv
 
 
