@@ -202,16 +202,16 @@ def _json_write(obj, pad: str, out: list) -> None:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _to_json(obj, end: str = "") -> str:
+def _to_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
-    +-inf as the strings "inf" and "-inf", two spaces per level, then
-    ``end``, joined with the rest so that a large report is not copied to
+    +-inf as the strings "inf" and "-inf", two spaces per level, and a final
+    newline, joined with the rest so that a large report is not copied to
     append it.  One walk tests each value's type; point records and the
     sweep's samples are rendered in one pass over their columns, a sample's
     mu once for it and its points."""
     out: list[str] = []
     _json_write(obj, "", out)
-    out.append(end)
+    out.append("\n")
     return "".join(out)
 
 
@@ -398,7 +398,7 @@ def cmd_equilibrium(cfg: SimpleNamespace):
         "gradient_residual": res,
     }
     rows = [",".join(map(_csv_cell, (j + 1, a_bar[2 * j], a_bar[2 * j + 1])))
-            for j in range(ring.n) if cfg.format == "csv"]
+            for j in range(ring.n)]
     return _report(cfg, payload), ["j", "re", "im"], rows, _EXIT_OK
 
 
@@ -692,7 +692,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(ns)
         report, header, rows, code = _COMMANDS[ns.command][1](cfg)
         if cfg.format == "json":
-            text = _to_json(report, "\n")
+            text = _to_json(report)
         else:
             text = _to_csv(header, rows)
         if cfg.out:

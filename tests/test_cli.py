@@ -824,7 +824,7 @@ def test_writer_matches_recursive_writer():
     for argv in _WRITER_RUNS:
         cfg = cli._merge_config(cli._build_parser().parse_args(argv))
         report = cli._COMMANDS[cfg.command][1](cfg)[0]
-        assert cli._to_json(report) == old_to_json(plain(report)), argv
+        assert cli._to_json(report) == old_to_json(plain(report)) + "\n", argv
     columns = (["", "q\"uote", "back\\slash"], [1, -1, 1], ["Z~_5(1)"] * 3, [1, 2, 3],
                [0.5, 0.5, 1e-300], [1.25, 2.0, 3.0], [5.0, 3.1, 2.0],
                ["generic-a", "tab\there", "new\nline\x01"],
@@ -855,7 +855,7 @@ def test_writer_matches_recursive_writer():
                                     + tuple(c + c[:2] for c in columns[7:]))),
               "no samples": cli._Samples([], [], [],
                                          cli._PointRecords(tuple([] for _ in columns)))}
-    assert cli._to_json(values) == old_to_json(plain(values))
+    assert cli._to_json(values) == old_to_json(plain(values)) + "\n"
     with pytest.raises(TypeError, match="cannot serialize"):
         cli._to_json({"x": object()})
 
