@@ -8,21 +8,25 @@ here by a truncated Fourier series with modes |l| <= p.  The module provides
 * the collocation residual and its exact linearization,
 * a gauged Newton solver for periodic orbits,
 * pseudo-arclength continuation of branches away from a bifurcation point,
-  restricted to the isotropy subspace of the bifurcating mode.
+  restricted to Fix(K) in the isotropy subspace of the bifurcating mode.
 
 The solver and the continuation share one set of coordinates: the modes
 l = 0..p of the oscillators they keep, with one coupling matrix K_l per mode
 (all n oscillators in the full space; oscillator n alone in the isotropy
-subspace of mode k, at a cost that does not grow with n).  There the
-residual and its closed-form Jacobian are written once, and one Newton loop
-solves the residual bordered by the caller's constraint rows (gauge
-conditions plus an amplitude or arclength condition).  The residual of every
-trial orbit is L2-orthogonal to the two group tangents (time shift and
-rotation), so the bordered system has two more equations than unknowns;
-one unfolding multiplier per tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0,
-makes it square and regular (Munoz-Almaraz, Freire, Galan, Doedel &
-Vanderbauwhede, Physica D 181, 2003), and lambda = 0 at every solution.
-Each Newton iteration is one LU factorization with a condition estimate.
+subspace of mode k, where the corrector's cost does not grow with n, though
+expanding and certifying each accepted point does).  There the residual and
+its closed-form Jacobian are written once, and one Newton loop solves it
+bordered by an amplitude or arclength row, each iteration one LU
+factorization with a condition estimate.  Every trial residual is
+L2-orthogonal to the two group tangents (time shift and rotation).  In the
+full space the loop adds a gauge row and an unfolding multiplier per
+tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0, which make the system square
+and regular (Munoz-Almaraz, Freire, Galan, Doedel & Vanderbauwhede,
+Physica D 181, 2003), with lambda = 0 at every solution.  The continuation
+keeps only Fix(K), K x(t) = kappa x(-t) with the ring reflection
+kappa: q_j -> conj(q_(n-j)) (Lamb & Roberts, Physica D 112, 1998): the
+residual maps Fix(K) into itself and both tangents are odd under K, so
+they vanish there and the system is square as it stands.
 """
 
 from __future__ import annotations
@@ -219,10 +223,12 @@ class _FourierSpace:
     no 2n x 2n matrix is built.  The Z~_n(k) fixed-point space keeps oscillator n
     alone, V_l = sqrt(n) x_(n,l) (w = 2): there x_(j,l) = e^(i k_l j zeta)
     R(j zeta) x_(n,l) with k_l = l k mod n, so mode l couples only to itself,
-    through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ; 4p + 3 real
-    unknowns in place of 2n(2p+1) + 1, with the L2 pairing of the whole orbit.
-    Points are packed as [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p, nu];
-    residuals the same way without nu.  The residual is written once, in
+    through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ, with the L2
+    pairing of the whole orbit.  The full space packs points as [V_0, Re V_1,
+    Im V_1, ..., Re V_p, Im V_p, nu], residuals the same way without nu; the
+    Z~_n(k) space keeps the ``fixed`` real parts of Fix(K), V_l = (x_l, y_l):
+    Re x_0, Re x_l and Im y_l (l = 1..p) and nu, 2p + 2 unknowns in place of
+    2n(2p+1) + 1.  The residual is written once, in
     :meth:`modes`: Newton solves it packed, and the full space's modes are
     the public :func:`residual`, the certificate of every solved orbit.  The
     signals are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
@@ -236,6 +242,7 @@ class _FourierSpace:
             self.width, self.scale = 2 * n, 1.0
             # the adjacency has zero blocks on the site diagonal
             self._onsite_coupling = np.zeros((1, 1, 2, 2))
+            self.fixed, self.dim = slice(None), 2 * n * (2 * p + 1) + 1
         else:   # k_l in 1..n
             self.kl = [(l * k - 1) % n + 1 for l in range(p + 1)]
             cs = [blocks.coefficients(n, kl) for kl in self.kl]
@@ -244,19 +251,20 @@ class _FourierSpace:
             self.width, self.scale = 2, np.sqrt(n)
             self._onsite_coupling = self.coupling[:, None]
             self.maps = np.array([t_k_matrix(n, kl) for kl in self.kl])   # x_l = t_(k_l) V_l
-
-    @property
-    def dim(self) -> int:
-        return self.width * (2 * self.p + 1) + 1
+            # Fix(K): Re x_0, then Re x_l and Im y_l, of all the real parts
+            self.fixed = np.r_[0, (np.arange(2, 4 * p, 4)[:, None] + [0, 3]).ravel()]
+            self.dim = 2 * p + 2
 
     def pack(self, V: np.ndarray, *tail: float) -> np.ndarray:
-        return np.concatenate([V[0].real, np.stack([V[1:].real, V[1:].imag], 1).ravel(),
-                               tail])
+        parts = np.concatenate([V[0].real, np.stack([V[1:].real, V[1:].imag], 1).ravel()])
+        return np.concatenate([parts[self.fixed], tail])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         w = self.width
-        rest = z[w:-1].reshape(self.p, 2, w)
-        return np.vstack([z[:w], rest[:, 0] + 1j * rest[:, 1]]), float(z[-1])
+        parts = np.zeros(w * (2 * self.p + 1))
+        parts[self.fixed] = z[:-1]
+        rest = parts[w:].reshape(self.p, 2, w)
+        return np.vstack([parts[:w], rest[:, 0] + 1j * rest[:, 1]]), float(z[-1])
 
     def expand(self, V: np.ndarray) -> np.ndarray:
         """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n): all n
@@ -300,17 +308,13 @@ class _FourierSpace:
         rotation = -(V.reshape(self.p + 1, -1, 2) @ J2.T).reshape(V.shape)
         return [1j * np.arange(self.p + 1)[:, None] * V, rotation]
 
-    def gauge_rows(self, V: np.ndarray) -> list[np.ndarray]:
-        """L2 rows of the group tangents at V, in the order of :meth:`tangents`."""
-        return [self.row(t) for t in self.tangents(V)]
-
     def amplitude(self, V: np.ndarray) -> float:
         """l2 norm of the oscillating modes, as :attr:`FourierOrbit.amplitude`."""
         return float(np.sqrt(2.0 * (np.abs(V[1:]) ** 2).sum()))
 
     def grown(self, *zs: np.ndarray) -> tuple["_FourierSpace", list[np.ndarray]]:
         """The space with twice the modes, and ``zs`` padded with zero modes."""
-        space = _FourierSpace(self.ring, 2 * self.p, self.k)
+        space = type(self)(self.ring, 2 * self.p, self.k)
         pad = np.zeros(space.dim - self.dim)
         return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
 
@@ -334,8 +338,9 @@ class _FourierSpace:
         S stays compact, (4p+1, sites, 2, 2): two index arrays gather every mode
         pair from it, the real rows of every mode and the imaginary rows of
         modes l >= 1 are written through one site-diagonal fancy index into a
-        (parts, site, 2, parts, site, 2) view of A, and in the full space one
-        more indexed add puts the ring adjacency on the diagonal mode blocks.
+        (parts, site, 2, parts, site, 2) view of all real parts, of A itself in
+        the full space, where one more indexed add puts the ring adjacency on
+        the diagonal mode blocks; the Z~_n(k) space keeps its ``fixed`` ones.
         """
         p, w = self.p, self.width
         parts, sites = 2 * p + 1, w // 2
@@ -351,22 +356,25 @@ class _FourierSpace:
         C[:, 0] = plus[:, 0]
         C[:, 1::2] = plus[:, 1:] + minus
         C[:, 2::2] = 1j * (plus[:, 1:] - minus)
-        rows, m = w * parts, len(unfold)
+        rows, m = self.dim - 1, len(unfold)
         A = np.zeros((rows + len(border), m + self.dim), order="F")
         A[rows:, m:] = border
         for j, t in enumerate(unfold):
             A[:rows, j] = t
         A[:rows, -1] = self.pack(-ls[:, None] * _apply_iJJ(V))
-        A6 = A[:rows, m:-1].reshape(parts, sites, 2, parts, sites, 2)   # a view of A
+        J = A[:rows, m:-1] if self.k is None else np.zeros((w * parts, w * parts))
+        J6 = J.reshape(parts, sites, 2, parts, sites, 2)
         site = np.arange(sites)
         C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
-        A6[0, site, :, :, site, :] = C[:, 0].real   # mode 0 of a real signal is real
-        A6[1::2, site, :, :, site, :] = C[:, 1:].real
-        A6[2::2, site, :, :, site, :] = C[:, 1:].imag
+        J6[0, site, :, :, site, :] = C[:, 0].real   # mode 0 of a real signal is real
+        J6[1::2, site, :, :, site, :] = C[:, 1:].real
+        J6[2::2, site, :, :, site, :] = C[:, 1:].imag
         if self.k is None:   # the identity between site j and its neighbours j +- 1
             diag = np.arange(parts)[:, None]
-            A6[diag, np.tile(site, 2), :, diag,
+            J6[diag, np.tile(site, 2), :, diag,
                np.concatenate([np.roll(site, -1), np.roll(site, 1)]), :] += _EYE2
+        else:
+            A[:rows, m:-1] = J[self.fixed][:, self.fixed]
         return A
 
 
@@ -375,17 +383,18 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
     coordinates of ``space``, whose ring and samples define the residual, to
     a residual norm of 1e-10 and constraint values of ``ctol``.
 
-    ``constraints(z)`` gives the border rows and their values at z; its first
-    two rows are the gauge rows of the time-shift and rotation tangents.
-    Each iteration solves the square system [J t; B 0] [dz; lambda] =
-    -[F; c], with one unfolding column t per group tangent at the iterate;
-    a tangent that is exactly zero (the time shift of a constant orbit)
-    drops out with its gauge row.  The system is factored once by LU, and
-    with ``guard`` its condition estimate is tested before convergence, so
-    a singular system raises even at a solution.  Without ``free_nu`` the
-    frequency column is dropped.  A non-finite residual, constraint value or
-    Jacobian raises :class:`NoConvergence`.  Returns the solution and the
-    iteration count.
+    ``constraints(z)`` gives the caller's border rows (amplitude or
+    arclength, or none) and their values at z; only this loop makes gauge
+    rows.  Each group tangent at the iterate that is not zero when packed
+    adds its gauge row (value 0) to the border B and its unfolding column to
+    t, and each iteration solves the square system [J t; B 0] [dz; lambda] =
+    -[F; c].  The time shift of a constant orbit packs to zero, and so do
+    both tangents in the Z~_n(k) space, where the system is [J; B] alone.
+    The system is factored once by LU, and with ``guard`` its condition
+    estimate is tested before convergence, so a singular system raises even
+    at a solution.  Without ``free_nu`` the frequency column is dropped.  A
+    non-finite residual, constraint value or Jacobian raises
+    :class:`NoConvergence`.  Returns the solution and the iteration count.
     """
     from scipy.linalg import lapack   # scipy loads only when an orbit is solved
     cols = slice(None) if free_nu else slice(-1)
@@ -395,19 +404,18 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
-        done = np.linalg.norm(res) <= _NEWTON_TOL and np.abs(values).max() <= ctol
+        done = np.linalg.norm(res) <= _NEWTON_TOL and np.all(np.abs(values) <= ctol)
         if done and not guard:
             return z, iteration
-        # a zero tangent drops with its gauge row; every border row and every
-        # unfolding column has unit length, so that the condition estimate
-        # does not scale with the amplitude of the orbit
-        tangents = [space.pack(t) for t in space.tangents(V)]
-        live = [i for i, t in enumerate(tangents) if t.any()]
-        keep = live + list(range(len(tangents), len(rows)))
-        size = np.linalg.norm(rows[keep], axis=1)
+        # a tangent that packs to zero drops with its gauge row; every border row and
+        # unfolding column has unit length, so rcond does not scale with the amplitude
+        tangents = [t for t in space.tangents(V) if space.pack(t).any()]
+        rows = np.vstack([space.row(t) for t in tangents] + [rows])
+        values = np.concatenate([np.zeros(len(tangents)), values])
+        size = np.linalg.norm(rows, axis=1)
         size[size == 0] = 1.0
-        rows, values = rows[keep] / size[:, None], values[keep] / size
-        unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
+        rows, values = rows / size[:, None], values / size
+        unfold = [t / np.linalg.norm(t) for t in map(space.pack, tangents)]
         A = space.jacobian(V, nu, rows, unfold)[:, cols]
         anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
         if not np.isfinite(anorm):
@@ -430,17 +438,15 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
 
 
 def _orbit_constraints(space, z, amplitude):
-    """Gauge rows at z with value 0 and, if given, the amplitude row."""
+    """The amplitude row at z and its value, or no row without ``amplitude``."""
+    if amplitude is None:
+        return np.zeros((0, space.dim)), np.zeros(0)
     V, _ = space.unpack(z)
-    rows, values = space.gauge_rows(V), [0.0, 0.0]
-    if amplitude is not None:
-        amp = space.amplitude(V)
-        grad = np.zeros_like(V)
-        if amp > 0:
-            grad[1:] = V[1:] / amp
-        rows.append(space.row(grad))
-        values.append(amp - amplitude)
-    return np.array(rows), np.array(values)
+    amp = space.amplitude(V)
+    grad = np.zeros_like(V)
+    if amp > 0:
+        grad[1:] = V[1:] / amp
+    return space.row(grad)[None], np.array([amp - amplitude])
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +535,18 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
                     p: int = 8, p_max: int = _P_MAX) -> ContinuationBranch:
     """Pseudo-arclength continuation of the periodic branch born at ``bif``.
 
-    The first predictor leaves the trivial solution along the kernel vector
-    of the singular block m_k(nu).  Correction and all subsequent steps run
-    in the Z~_n(k) fixed-point subspace, with secant tangents: the corrector
-    is the square Newton loop of :func:`newton_orbit` on oscillator n alone
-    (one complex 2-vector per mode l = 0..p), with the gauge rows at the
-    previous point and the arclength row as its border.  The trivial point
-    has no time-shift tangent, so the first corrector takes its gauge rows
-    at the iterate instead.  The Fourier order doubles
-    while the tail exceeds 1e-12, and every accepted point is re-checked
-    against the full-space residual.  The branch ends, with its
-    ``termination`` and, for every end but the first two, a ``reason``:
+    The branch runs in Fix(K) of the Z~_n(k) fixed-point subspace, on
+    oscillator n alone: per mode l = 0..p a real x_l and an imaginary y_l,
+    2p + 1 reals with nu.  The first predictor leaves the trivial solution
+    along the kernel vector of the singular block m_k(nu), turned so that
+    its first entry is real: m_k(nu) has a real diagonal and an imaginary
+    off-diagonal, so its second entry is imaginary, in Fix(K).  Later
+    predictors follow secant tangents.  Both group tangents vanish in Fix(K),
+    so every corrector is the square Newton loop of :func:`newton_orbit`
+    with the arclength row as its one border row.  The Fourier order doubles
+    while the tail exceeds 1e-12, and every accepted point is checked against
+    the full-space residual.  The branch ends, with its ``termination`` and,
+    for every end but the first two, a ``reason``:
 
     - ``steps`` points are accepted ("steps");
     - the amplitude of a point exceeds 10 ("amplitude-bound");
@@ -572,7 +579,8 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     V0[0] = np.sqrt(n) * np.array([1.0, 0.0])
     z_prev = space.pack(V0, bif.nu)
     dV = np.zeros((p + 1, 2), dtype=complex)
-    dV[1] = blocks.kernel_vector(ring, k, bif.nu)
+    w = blocks.kernel_vector(ring, k, bif.nu)
+    dV[1] = w * np.exp(-1j * np.angle(w[0]))   # x_1 real, so y_1 imaginary: in Fix(K)
     tangent = space.pack(dV, 0.0)
     tangent /= np.linalg.norm(tangent)
 
@@ -581,20 +589,12 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     def failed(reason):
         return ContinuationBranch(points, "step-failure" if points else "solver-error", reason)
 
-    ds_target = ds
-    halvings = 0
+    ds_target, halvings = ds, 0
     while len(points) < steps:
-        target = np.array([0.0, 0.0, ds])
-
-        def border_at(z):
-            return np.vstack(space.gauge_rows(space.unpack(z)[0]) + [tangent])
-        # the trivial point has no time-shift tangent: until a point is
-        # accepted, the gauge rows are taken at the iterate
-        anchored = border_at(z_prev) if points else None
+        border = tangent[None]
 
         def arclength(z):
-            border = border_at(z) if anchored is None else anchored
-            return border, border @ (z - z_prev) - target
+            return border, border @ (z - z_prev) - ds
         try:
             z_new, _ = _newton(space, z_prev + ds * tangent, arclength, 10 * _NEWTON_TOL, 24)
         except NoConvergence as exc:

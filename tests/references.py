@@ -13,7 +13,9 @@ from dnlsring import blocks, symmetry
 from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
 from dnlsring.model import (J2, _as_state, _gradient_sites, cubic_potential,
                             saturable_potential, standing_wave)
-from dnlsring.orbits import FourierOrbit, _apply_iJJ, _default_samples, _FourierSpace
+from dnlsring.orbits import (_AMPLITUDE_MAX, _NEWTON_TOL, _P_MAX, _TAIL_TOL, BranchPoint,
+                             ContinuationBranch, FourierOrbit, NoConvergence, _apply_iJJ,
+                             _default_samples, _FourierSpace, orbit_residual_norm, residual)
 
 
 def potential_V(ring, x):
@@ -162,6 +164,106 @@ def orthogonality_check(ring, orbit):
     c1 = 2.0 * np.pi * np.sum(F * xdot.conj()).real
     c2 = 2.0 * np.pi * np.sum(F * rot.conj()).real
     return float(c1), float(c2)
+
+
+class WholeIsotropySpace(_FourierSpace):
+    """The Z~_n(k) space of ``_FourierSpace(ring, p, k)`` with every real
+    part of oscillator n's modes, 4p + 3 unknowns with nu, as in the
+    continuation before it kept Fix(K): both group tangents are live here."""
+
+    def __init__(self, ring, p, k):
+        super().__init__(ring, p, k)
+        self.fixed, self.dim = slice(None), 4 * p + 3
+
+
+def gauged_newton(space, z, constraints, ctol, max_iter):
+    """The corrector's Newton loop before Fix(K): ``constraints(z)`` gives
+    the gauge rows of the time-shift and rotation tangents, then the
+    arclength row.  A tangent that is zero drops with its gauge row, and one
+    unit unfolding column per other tangent makes the system square."""
+    from scipy.linalg import lapack
+    for iteration in range(max_iter + 1):
+        V, nu = space.unpack(z)
+        res = space.residual(V, nu)
+        rows, values = constraints(z)
+        if not (np.isfinite(res).all() and np.isfinite(values).all()):
+            raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
+        if np.linalg.norm(res) <= _NEWTON_TOL and np.abs(values).max() <= ctol:
+            return z
+        tangents = [space.pack(t) for t in space.tangents(V)]
+        live = [i for i, t in enumerate(tangents) if t.any()]
+        keep = live + list(range(len(tangents), len(rows)))
+        size = np.linalg.norm(rows[keep], axis=1)
+        size[size == 0] = 1.0
+        rows, values = rows[keep] / size[:, None], values[keep] / size
+        unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
+        lu, piv, _ = lapack.dgetrf(space.jacobian(V, nu, rows, unfold))
+        step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
+        z = z + step[len(unfold):]
+    raise NoConvergence(f"no convergence after {max_iter} Newton iterations")
+
+
+def gauged_continue_branch(ring, bif, steps, ds, p=8, p_max=_P_MAX):
+    """The continuation before Fix(K), on the ``WholeIsotropySpace``: the
+    first predictor along the kernel vector of m_k(nu) as ``eigh`` returns
+    it, and each corrector bordered by the gauge rows and the arclength row,
+    the gauge rows taken at the previous point, or at the iterate until a
+    point is accepted (the trivial point has no time-shift tangent).  Its
+    steps, tail control, certificate and ends are those of
+    ``continue_branch``, with shorter reasons."""
+    space = WholeIsotropySpace(ring, p, bif.k)
+    V0 = np.zeros((p + 1, 2), dtype=complex)
+    V0[0, 0] = np.sqrt(ring.n)
+    z_prev = space.pack(V0, bif.nu)
+    dV = np.zeros_like(V0)
+    dV[1] = blocks.kernel_vector(ring, bif.k, bif.nu)
+    tangent = space.pack(dV, 0.0)
+    tangent /= np.linalg.norm(tangent)
+    points, ds_target, halvings = [], ds, 0
+    while len(points) < steps:
+        target = np.array([0.0, 0.0, ds])
+
+        def border_at(z):
+            rows = [space.row(t) for t in space.tangents(space.unpack(z)[0])]
+            return np.vstack(rows + [tangent])
+        anchored = border_at(z_prev) if points else None
+
+        def arclength(z):
+            border = border_at(z) if anchored is None else anchored
+            return border, border @ (z - z_prev) - target
+        failed = "step-failure" if points else "solver-error"
+        try:
+            z_new = gauged_newton(space, z_prev + ds * tangent, arclength, 10 * _NEWTON_TOL, 24)
+        except NoConvergence as exc:
+            halvings += 1
+            if halvings > 5:
+                return ContinuationBranch(points, failed, str(exc))
+            ds *= 0.5
+            continue
+        halvings = 0
+        V, nu = space.unpack(z_new)
+        coeffs = space.expand(V)
+        if np.abs(coeffs[[0, -1]]).max() > _TAIL_TOL:
+            if 2 * space.p > p_max:
+                return ContinuationBranch(points, failed, "Fourier tail")
+            space, (z_prev, tangent) = space.grown(z_prev, tangent)
+            continue
+        orbit = FourierOrbit(nu=nu, coeffs=coeffs)
+        orbit.residual_norm = orbit_residual_norm(residual(ring, orbit))
+        if not orbit.residual_norm <= 10 * _NEWTON_TOL:
+            return ContinuationBranch(points, "solver-error", "full-space residual")
+        amplitude = space.amplitude(V)
+        points.append(BranchPoint(orbit=orbit, amplitude=amplitude, nu=nu))
+        if nu <= 0:
+            return ContinuationBranch(points, "frequency-zero", "nu <= 0")
+        if amplitude > _AMPLITUDE_MAX:
+            return ContinuationBranch(points, "amplitude-bound")
+        secant = z_new - z_prev
+        if np.linalg.norm(secant) > 0:
+            tangent = secant / np.linalg.norm(secant)
+        z_prev = z_new
+        ds = min(ds * 1.3, ds_target)
+    return ContinuationBranch(points, "steps")
 
 
 N4_NOTE = "every block has a degenerate double root; no Morse-index jump for n = 4"

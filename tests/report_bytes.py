@@ -95,6 +95,7 @@ INVOCATIONS = [
     # exit 4: a numerical failure, or a verify branch that ended with a reason
     ["blocks", "--n", "6", "--mu", "1e154"],
     ["stability", "--n", "6", "--mu", "1e154"],
+    ["verify", "--n", "7", "--mu", "1.0657", "--k", "3", "--branch", "minus"],   # nu crosses 0
     ["verify", "--n", "6", "--potential", "custom", "--h-expr", "sqrt(1-s)",
      "--h-prime-expr=-0.5/sqrt(1-s)", "--mu", "0.95", "--k", "3", "--branch", "plus",
      "--p-max", "8"],

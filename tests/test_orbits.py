@@ -12,7 +12,7 @@ import scipy.linalg.lapack
 
 from dnlsring import cli, orbits
 from dnlsring.blocks import block_m, full_spectrum_oracle, kernel_vector
-from dnlsring.classify import enumerate_bifurcations
+from dnlsring.classify import enumerate_bifurcations, saturable_regimes, schrodinger_regimes
 from dnlsring.cli import _expr_fn
 from dnlsring.model import (RingSystem, _hessian_apply_sites, _onsite_hessian, cubic_potential,
                             custom_potential, hessian_V, saturable_potential, standing_wave,
@@ -26,8 +26,9 @@ from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, Continu
                              orbit_residual_norm, residual)
 from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
-from references import (block_symplectic, constant_orbit, group_action, modes_to_samples,
-                        orthogonality_check, potential_V, sampled_residual, samples_to_modes)
+from references import (block_symplectic, constant_orbit, gauged_continue_branch, group_action,
+                        modes_to_samples, orthogonality_check, potential_V, sampled_residual,
+                        samples_to_modes)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -296,7 +297,9 @@ def test_closed_form_jacobian_matches_column_assembly():
     # full space (k = None) and isotropy spaces over n, p and potentials; the
     # nu column is compared too, and fixing nu only drops that column.  The
     # unfolding columns lead and the border rows are zero under them.  The
-    # space residual is T_l^* of the full residual of the expanded orbit.
+    # space residual is T_l^* of the full residual of the expanded orbit; in
+    # the isotropy space the orbit is in Fix(K), where that residual is too,
+    # and both group tangents pack to zero.
     # 1024 samples: for a non-polynomial h the one-oscillator transform
     # aliases differently from the projected n-oscillator one.
     rng = np.random.default_rng(11)
@@ -314,15 +317,20 @@ def test_closed_form_jacobian_matches_column_assembly():
         V = 0.3 * (rng.normal(size=(p + 1, w)) + 1j * rng.normal(size=(p + 1, w)))
         V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(n), 0.0])
         z = space.pack(V, rng.uniform(0.5, 2.0))
+        V = space.unpack(z)[0]
         maps = space_maps(space)
         coeffs = map_expand(maps, V)
         assert np.abs(space.expand(V) - coeffs).max() <= 1e-12, (n, k, p)
         res = space.residual(V, z[-1])
-        ref_res = space.pack(map_project(
-            maps, sampled_residual(ring, FourierOrbit(z[-1], coeffs), num)))
+        modes = map_project(maps, sampled_residual(ring, FourierOrbit(z[-1], coeffs), num))
+        ref_res = space.pack(modes)
         assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
+        if k is not None:   # the parts that Fix(K) drops: Im x_l and Re y_l
+            off = np.abs(np.r_[modes[:, 0].imag, modes[:, 1].real]).max()
+            assert off <= 1e-12 * (1 + np.abs(modes).max()), (n, k, p)
         border = rng.normal(size=(3, space.dim))
         unfold = [space.pack(t) for t in space.tangents(V)]
+        assert k is None or not np.any(unfold), (n, k, p)
         A = space.jacobian(V, z[-1], border, unfold)
         rows = A.shape[0] - 3
         assert np.array_equal(A[rows:, 2:], border) and not A[rows:, :2].any()
@@ -355,28 +363,31 @@ def dense_coupling(space):
 
 def mode_loop_jacobian(space, V, nu, border, unfold):
     """Reference for _FourierSpace.jacobian: the on-site spectrum expanded to
-    block-diagonal w x w matrices, and one row mode l built at a time."""
+    block-diagonal w x w matrices, and one row mode l built at a time over
+    every real part, of which the space keeps its ``fixed`` rows and columns."""
     p, w = space.p, space.width
     coupling = dense_coupling(space)
     S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
     S = np.einsum("mjab,jk->mjakb", np.concatenate([S[:0:-1].conj(), S]),
                   np.eye(w // 2)).reshape(-1, w, w)
     ls, iJJ = np.arange(p + 1), 1j * block_symplectic(w // 2)
-    rows, m = w * (2 * p + 1), len(unfold)
-    A = np.zeros((rows + len(border), m + space.dim), order="F")
-    A[rows:, m:] = border
-    for j, t in enumerate(unfold):
-        A[:rows, j] = t
-    A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
+    J = np.zeros((w * (2 * p + 1), w * (2 * p + 1)))
     for l in range(p + 1):
         plus, minus = S[2 * p + l - ls], S[2 * p + l + ls[1:]]
         plus[l] += coupling[l] - l * nu * iJJ
         pairs = np.stack([plus[1:] + minus, 1j * (plus[1:] - minus)], 1)
         row = np.hstack([plus[0], pairs.transpose(2, 0, 1, 3).reshape(w, -1)])
         r = w * max(2 * l - 1, 0)
-        A[r:r + w, m:-1] = row.real
+        J[r:r + w] = row.real
         if l:
-            A[r + w:r + 2 * w, m:-1] = row.imag
+            J[r + w:r + 2 * w] = row.imag
+    rows, m = space.dim - 1, len(unfold)
+    A = np.zeros((rows + len(border), m + space.dim), order="F")
+    A[rows:, m:] = border
+    for j, t in enumerate(unfold):
+        A[:rows, j] = t
+    A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
+    A[:rows, m:-1] = J[space.fixed][:, space.fixed]
     return A
 
 
@@ -558,33 +569,37 @@ def test_isotropy_maps_built_once_per_space(monkeypatch):
 
 def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
     """Reference for the square solve: the Newton loop it replaced, which
-    solves the bordered system (two more rows than unknowns, no unfolding
-    columns) by least squares."""
+    solves the system bordered by the gauge rows of both group tangents at
+    the iterate and the caller's rows (two more rows than unknowns in the
+    full space, no unfolding columns) by least squares.  In Fix(K) of the
+    isotropy space the gauge rows are zero and the system is square."""
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
         res = space.residual(V, nu)
         rows, values = constraints(z)
-        if np.linalg.norm(res) <= tol and np.abs(values).max() <= ctol:
+        if np.linalg.norm(res) <= tol and np.all(np.abs(values) <= ctol):
             return z, iteration
-        A = space.jacobian(V, nu, rows, [])[:, cols]
+        gauge = [space.row(t) for t in space.tangents(V)]
+        A = space.jacobian(V, nu, np.vstack(gauge + [rows]), [])[:, cols]
+        rhs = -np.concatenate([res, np.zeros(len(gauge)), values])
         z = z.copy()
-        z[cols] += np.linalg.lstsq(A, -np.concatenate([res, values]), rcond=None)[0]
+        z[cols] += np.linalg.lstsq(A, rhs, rcond=None)[0]
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
 def unfolding_multipliers(space, z, constraints, free_nu):
     """lambda of the square system at z by a dense solve, for unit unfolding
-    columns along the nonzero group tangents, each paired with its gauge row."""
+    columns along the group tangents that are not zero when packed, each
+    paired with its gauge row."""
     cols = slice(None) if free_nu else slice(-1)
     V, nu = space.unpack(z)
     rows, values = constraints(z)
-    tangents = [space.pack(t) for t in space.tangents(V)]
-    live = [i for i, t in enumerate(tangents) if t.any()]
-    keep = live + list(range(2, len(rows)))
-    unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
-    A = space.jacobian(V, nu, rows[keep], unfold)[:, cols]
-    rhs = -np.concatenate([space.residual(V, nu), values[keep]])
+    live = [t for t in space.tangents(V) if space.pack(t).any()]
+    unfold = [space.pack(t) / np.linalg.norm(space.pack(t)) for t in live]
+    border = np.vstack([space.row(t) for t in live] + [rows])
+    A = space.jacobian(V, nu, border, unfold)[:, cols]
+    rhs = -np.concatenate([space.residual(V, nu), np.zeros(len(live)), values])
     return np.linalg.solve(A, rhs)[:len(unfold)]
 
 
@@ -602,10 +617,13 @@ def newton_cases(rng, n, iso, p, potential):
     kspace = _FourierSpace(ring, p, k)
     space = kspace if iso else _FourierSpace(ring, p)
 
+    w = kernel_vector(ring, k, nu0)
+    w *= np.exp(-1j * np.angle(w[0]))   # turned into Fix(K)
+
     def point(scale, nu):   # trivial point + scale * kernel mode, packed in space
         V = np.zeros((p + 1, 2), dtype=complex)
         V[0, 0] = np.sqrt(n)
-        V[1] = scale * kernel_vector(ring, k, nu0)
+        V[1] = scale * w
         return space.pack((V if iso else kspace.expand(V)[p:]), nu)
 
     tol = _NEWTON_TOL
@@ -620,26 +638,25 @@ def newton_cases(rng, n, iso, p, potential):
     z_amp, _ = _newton(space, point(0.05, nu0), amplitude, tol, 50, guard=True)
     # fixed nu, from a larger kernel mode to that branch orbit
     cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, True, tol))
-    # the first corrector of continue_branch: gauge rows at the iterate
+    # the correctors of continue_branch, bordered by the arclength row alone
+    # (in the full space the Newton loop adds the gauge rows at the iterate):
+    # the first one from the trivial point along the kernel mode, and a later
+    # one from that branch orbit along the secant
     ds, trivial = 0.02, point(0.0, nu0)
     tangent = point(1.0, nu0) - trivial
     tangent /= np.linalg.norm(tangent)
-
-    def first(z):
-        rows = np.vstack(space.gauge_rows(space.unpack(z)[0]) + [tangent])
-        return rows, rows @ (z - trivial) - [0.0, 0.0, ds]
+    first = lambda z: (tangent[None], tangent[None] @ (z - trivial) - ds)
     cases.append(("first-corrector", trivial + ds * tangent, first, True, False, 10 * tol))
-    # a later corrector: gauge rows at the previous point, secant tangent
     secant = (z_amp - trivial) / np.linalg.norm(z_amp - trivial)
-    border = np.vstack(space.gauge_rows(space.unpack(z_amp)[0]) + [secant])
-    later = lambda z: (border, border @ (z - z_amp) - [0.0, 0.0, ds])
+    later = lambda z: (secant[None], secant[None] @ (z - z_amp) - ds)
     cases.append(("corrector", z_amp + ds * secant, later, True, False, 10 * tol))
     return space, cases
 
 
 def test_square_newton_matches_lstsq_loop():
     # the unfolded square system reaches the solution of the least-squares
-    # loop it replaced, in the same number of iterations, with multipliers 0
+    # loop it replaced, in the same number of iterations, with multipliers 0;
+    # in Fix(K) of the isotropy space the system is square with no multiplier
     rng = np.random.default_rng(12)
     pots = [cubic_potential(), SAT, CUSTOM]
     for i, (n, iso) in enumerate((n, iso) for n in (3, 4, 5, 6, 7, 8, 24, 96)
@@ -654,7 +671,10 @@ def test_square_newton_matches_lstsq_loop():
             assert np.abs(z - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), label
             assert abs(iters - ref_iters) <= 1, label
             lam = unfolding_multipliers(space, z, constraints, free_nu)
-            assert np.abs(lam).max() <= 1e-12, label
+            if iso:
+                assert lam.size == 0, label
+            else:
+                assert np.abs(lam).max() <= 1e-12, label
 
 
 # --- newton_orbit ------------------------------------------------------------
@@ -874,19 +894,74 @@ def test_continue_branch_gives_up_after_failed_halvings(monkeypatch, fail_from, 
 
 
 def test_continue_branch_builds_border_once_per_step(monkeypatch):
-    # after the first point the border (gauge rows at the previous point and
-    # the tangent) is one array for every Newton iteration of a step; the
-    # first corrector takes its gauge rows at the iterate
+    # the border is the arclength row alone, one array for every Newton
+    # iteration of a step, the first step's as every other's
     borders = []
     newton = orbits._newton
 
     def spy(space, z, constraints, *args, **kwargs):
-        borders.append(constraints(z)[0] is constraints(z + 1e-3)[0])
+        rows = constraints(z)[0]
+        borders.append((rows.shape == (1, space.dim), rows is constraints(z + 1e-3)[0]))
         return newton(space, z, constraints, *args, **kwargs)
     monkeypatch.setattr(orbits, "_newton", spy)
     ring = RingSystem(n=6, mu=0.5)
     continue_branch(ring, branch_point(ring, 3, "plus"), steps=4, ds=0.04)
-    assert borders == [False, True, True, True]
+    assert borders == [(True, True)] * 4
+
+
+def test_continue_branch_does_not_depend_on_the_kernel_vector_phase(monkeypatch):
+    # the kernel vector of m_k(nu) is unique up to a phase, which eigh does
+    # not fix; turned by the phase of its first entry it lies in Fix(K), and
+    # the branch is the same for every phase
+    ring = RingSystem(n=7, mu=0.4)
+    bif = branch_point(ring, 2, "plus")
+    ref = [(q.nu, q.amplitude) for q in continue_branch(ring, bif, steps=4, ds=0.04).points]
+    for phase in (np.exp(0.7j), 1j, -1j, -1.0):   # +-i leave nothing in Fix(K) unturned
+        monkeypatch.setattr(orbits.blocks, "kernel_vector", lambda ring, k, nu, phase=phase:
+                            kernel_vector(ring, k, nu) * phase)
+        branch = continue_branch(ring, bif, steps=4, ds=0.04)
+        got = [(q.nu, q.amplitude) for q in branch.points]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, err_msg=str(phase))
+
+
+def regime_sweep():
+    """(ring, bifurcation point) over the regime tables, cubic and saturable,
+    n = 3..8: one amplitude per table entry, the middle of its interval or 1
+    past its start when the interval is unbounded, and every bifurcation
+    point of the entry's mode there."""
+    for n in range(3, 9):
+        for potential, regimes in ((cubic_potential(), schrodinger_regimes),
+                                   (SAT, saturable_regimes)):
+            for entry in regimes(n).entries:
+                lo, hi = entry.mu_interval
+                ring = RingSystem(n=n, mu=(lo + hi) / 2 if hi < np.inf else lo + 1.0,
+                                  potential=potential)
+                yield from ((ring, bif) for bif in enumerate_bifurcations(ring)
+                            if bif.k == entry.k)
+
+
+def test_reversible_corrector_matches_gauged_reference():
+    """Every branch of the regime sweep, continued in Fix(K) and by the
+    gauged corrector on every real part of the Z~_n(k) space, ends the same
+    way with as many points, and extrapolates to the same frequency within
+    1e-10.  The modes of oscillator n lie in Fix(K), x_l real and y_l
+    imaginary, to 1e-12 relative; so do those of the gauged branch after
+    the time shift that makes its x_1 real."""
+    branches = 0
+    for ring, bif in regime_sweep():
+        label = (ring.n, ring.potential.kind, ring.mu, bif.k, bif.root)
+        got = continue_branch(ring, bif, steps=12, ds=0.03)
+        ref = gauged_continue_branch(ring, bif, steps=12, ds=0.03)
+        assert (got.termination, len(got.points)) == (ref.termination, len(ref.points)), label
+        assert abs(extrapolate_nu_to_zero(got) - extrapolate_nu_to_zero(ref)) <= 1e-10, label
+        for bp, shifted in [(bp, False) for bp in got.points] + [(bp, True) for bp in ref.points]:
+            modes = bp.orbit.coeffs[bp.orbit.p:, -2:]   # oscillator n, l = 0..p
+            if shifted:
+                modes = modes * np.exp(-1j * np.angle(modes[1, 0]) * np.arange(len(modes)))[:, None]
+            off = np.abs(np.r_[modes[:, 0].imag, modes[:, 1].real]).max()
+            assert off <= 1e-12 * np.abs(modes).max(), label
+        branches += 1
+    assert branches == 52
 
 
 def test_continue_branch_rejects_nan_certificate(monkeypatch):
