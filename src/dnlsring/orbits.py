@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,32 +320,25 @@ class _FourierSpace:
         pad = np.zeros(space.dim - self.dim)
         return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
 
-    def jacobian(self, V: np.ndarray, nu: float, border: np.ndarray,
-                 unfold: list[np.ndarray]) -> np.ndarray:
-        """Packed Jacobian of :meth:`residual`, with ``border`` rows below and
-        the packed residual vectors ``unfold`` as leading columns.
-
-        The columns are [unfold | coordinates | nu] and the array is in
-        Fortran order, so dropping the nu column leaves a contiguous matrix
-        that LAPACK factors in place.
+    def _site_blocks(self, V: np.ndarray, nu: float) -> np.ndarray:
+        """The Jacobian of :meth:`residual` on the site diagonal, one real
+        (parts, 2, parts, 2) block per kept oscillator: (sites, parts, 2,
+        parts, 2), rows and columns in the packed order of the real parts.
 
         Closed form of the sampled linearization: with S_m the Fourier modes
-        of the on-site Hessian blocks along the orbit, one 2x2 block per kept
-        oscillator, mode block (l, l') is S_(l-l') on the site diagonal; the
-        conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'), the diagonal
-        mode block adds K_l - l nu iJJ and the nu column is -l iJJ V_l.  This
-        is the operator of :func:`linearized_residual`, not an approximation.
-        The blocks are real, so S_-m = conj(S_m): modes -2p..2p do not alias,
-        since the space samples at ``num`` >= 4p + 1 by construction.
-        S stays compact, (4p+1, sites, 2, 2): two index arrays gather every mode
-        pair from it, the real rows of every mode and the imaginary rows of
-        modes l >= 1 are written through one site-diagonal fancy index into a
-        (parts, site, 2, parts, site, 2) view of all real parts, of A itself in
-        the full space, where one more indexed add puts the ring adjacency on
-        the diagonal mode blocks; the Z~_n(k) space keeps its ``fixed`` ones.
+        of the on-site Hessian blocks along the orbit, mode block (l, l') is
+        S_(l-l'); the conjugate partner dV_-l' = conj(dV_l') adds S_(l+l'),
+        and the diagonal mode block adds K_l - l nu iJJ (the full space's
+        K_l has zero site-diagonal blocks).  This is the operator of
+        :func:`linearized_residual`, not an approximation.  The blocks are
+        real, so S_-m = conj(S_m): modes -2p..2p do not alias, since the
+        space samples at ``num`` >= 4p + 1 by construction.  S stays
+        compact, (4p+1, sites, 2, 2), and two index arrays gather every mode
+        pair from it; the real rows of every mode and the imaginary rows of
+        modes l >= 1 make the real parts.
         """
-        p, w = self.p, self.width
-        parts, sites = 2 * p + 1, w // 2
+        p, sites = self.p, self.width // 2
+        parts = 2 * p + 1
         # mode m = -2p..2p at row m + 2p; adding 0.0 stores a zero as +0.0, never -0.0
         S = _to_modes(_onsite_hessian(self.ring, self._samples(V)), 2 * p)
         S = np.concatenate([S[:0:-1].conj(), S]) + 0.0
@@ -356,26 +351,246 @@ class _FourierSpace:
         C[:, 0] = plus[:, 0]
         C[:, 1::2] = plus[:, 1:] + minus
         C[:, 2::2] = 1j * (plus[:, 1:] - minus)
+        C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
+        R = np.empty((sites, parts, 2, parts, 2))
+        R[:, 0] = C[:, 0].real   # mode 0 of a real signal is real
+        R[:, 1::2] = C[:, 1:].real
+        R[:, 2::2] = C[:, 1:].imag
+        return R
+
+    def _nu_column(self, V: np.ndarray) -> np.ndarray:
+        """Packed derivative of :meth:`residual` in nu, -l iJJ V_l."""
+        return self.pack(-np.arange(self.p + 1)[:, None] * _apply_iJJ(V))
+
+    def jacobian(self, V: np.ndarray, nu: float, border: np.ndarray,
+                 unfold: list[np.ndarray]) -> np.ndarray:
+        """Packed Jacobian of the Z~_n(k) space's :meth:`residual`, dense,
+        with ``border`` rows below and the packed residual vectors ``unfold``
+        as leading columns: the ``fixed`` rows and columns of
+        :meth:`_site_blocks`, and the nu column.
+
+        The columns are [unfold | coordinates | nu] and the array is in
+        Fortran order, so dropping the nu column leaves a contiguous matrix
+        that LAPACK factors in place.  The full space writes its Jacobian in
+        band storage instead (:meth:`band`).
+        """
+        J = self._site_blocks(V, nu)[0].reshape(self.width * (2 * self.p + 1), -1)
         rows, m = self.dim - 1, len(unfold)
         A = np.zeros((rows + len(border), m + self.dim), order="F")
         A[rows:, m:] = border
         for j, t in enumerate(unfold):
             A[:rows, j] = t
-        A[:rows, -1] = self.pack(-ls[:, None] * _apply_iJJ(V))
-        J = A[:rows, m:-1] if self.k is None else np.zeros((w * parts, w * parts))
-        J6 = J.reshape(parts, sites, 2, parts, sites, 2)
-        site = np.arange(sites)
-        C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
-        J6[0, site, :, :, site, :] = C[:, 0].real   # mode 0 of a real signal is real
-        J6[1::2, site, :, :, site, :] = C[:, 1:].real
-        J6[2::2, site, :, :, site, :] = C[:, 1:].imag
-        if self.k is None:   # the identity between site j and its neighbours j +- 1
-            diag = np.arange(parts)[:, None]
-            J6[diag, np.tile(site, 2), :, diag,
-               np.concatenate([np.roll(site, -1), np.roll(site, 1)]), :] += _EYE2
-        else:
-            A[:rows, m:-1] = J[self.fixed][:, self.fixed]
+        A[:rows, -1] = self._nu_column(V)
+        A[:rows, m:-1] = J[self.fixed][:, self.fixed]
         return A
+
+    @cached_property
+    def band_layout(self) -> "_BandLayout":
+        """Where the full space's Jacobian goes in LAPACK band storage,
+        worked out once per space (and only when a Jacobian is factored).
+
+        The band order is site-major, the ring interleaved as 0, n-1, 1,
+        n-2, ...: a site's two neighbours are at most two sites away, so with
+        b = 2(2p + 1) unknowns per site kl = ku = 2b (Golub & Van Loan,
+        *Matrix Computations*, section 4.3).  Within a site the unknowns keep
+        the packed order of the real parts.
+        """
+        n, parts = self.n, 2 * self.p + 1
+        b = 2 * parts
+        kl = 2 * b
+        ring = np.empty(n, dtype=np.intp)   # the site at each band position
+        ring[0::2], ring[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+        # packed index of unknown (site, part, a) and its band index, (sites, parts, 2)
+        packed = 2 * np.arange(n)[:, None, None] + (2 * n * np.arange(parts))[:, None] \
+            + np.arange(2)
+        at = (np.argsort(ring) * b)[:, None, None] + (2 * np.arange(parts))[:, None] \
+            + np.arange(2)
+        # A[i, j] sits at ab[2 kl + i - j, j] of the (3 kl + 1, N) Fortran-ordered storage
+        def flat(i, j):
+            return (2 * kl + i + 3 * kl * j).ravel()
+        blocks_at = flat(at[:, :, :, None, None], at[:, None, None])
+        ring_at = np.concatenate([flat(at, np.roll(at, -1, axis=0)),
+                                  flat(at, np.roll(at, 1, axis=0))])
+        return _BandLayout(kl, packed[ring].ravel(), blocks_at, ring_at)
+
+    def band(self, V: np.ndarray, nu: float) -> np.ndarray:
+        """The full space's packed Jacobian of :meth:`residual` without the
+        nu column, in the band order and LAPACK band storage of
+        :attr:`band_layout`: a zero (3 kl + 1, N) array in Fortran order,
+        the kl rows that ``dgbtrf`` fills in first, then the
+        :meth:`_site_blocks` and the identity between each site and its
+        neighbours j +- 1 (the ring adjacency on the diagonal mode blocks)."""
+        kl, order, blocks_at, ring_at = self.band_layout
+        flat = np.zeros((3 * kl + 1) * len(order))
+        flat[blocks_at] = self._site_blocks(V, nu).ravel()
+        flat[ring_at] = 1.0
+        return flat.reshape(3 * kl + 1, -1, order="F")
+
+    def factor(self, V: np.ndarray, nu: float, border: np.ndarray,
+               unfold: list[np.ndarray], free_nu: bool):
+        """LU factors of the square bordered Jacobian [J t c; B 0 d] at
+        (V, nu): the rows of the residual and the ``border`` rows, the
+        columns [unfold | coordinates | nu], the nu column c and the
+        border's last column d only with ``free_nu``.  The Z~_n(k) space
+        factors its dense :meth:`jacobian`, the full space its :meth:`band`
+        with the border eliminated around it (:class:`_BorderedBandLU`).
+
+        Raises FloatingPointError when the Jacobian is not finite.
+        """
+        if self.k is not None:
+            return _DenseLU(self.jacobian(V, nu, border, unfold)[:, :None if free_nu else -1])
+        m = len(unfold)
+        E = np.array(unfold + ([self._nu_column(V)] if free_nu else [])).reshape(-1, self.dim - 1).T
+        D = np.zeros((len(border), E.shape[1]))
+        if free_nu:
+            D[:, m] = border[:, -1]
+        return _BorderedBandLU(self.band_layout, self.band(V, nu), E, border[:, :-1], D, m)
+
+
+class _BandLayout(NamedTuple):
+    kl: int                 # sub- and superdiagonals of the band, kl = ku
+    order: np.ndarray       # packed index of each band index
+    blocks_at: np.ndarray   # storage index of each entry of the site blocks
+    ring_at: np.ndarray     # storage index of each neighbour identity entry
+
+
+class _DenseLU:
+    """LU factors of a dense square matrix, factored in place by ``dgetrf``,
+    with ``dgecon``'s condition estimate."""
+
+    def __init__(self, A: np.ndarray):
+        from scipy.linalg import lapack
+        self.anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
+        if not np.isfinite(self.anorm):
+            raise FloatingPointError("non-finite Jacobian")
+        self.lu, self.piv, _ = lapack.dgetrf(A, overwrite_a=True)
+
+    def rcond(self) -> float:
+        from scipy.linalg import lapack
+        return lapack.dgecon(self.lu, self.anorm, norm="1")[0]   # 0 when exactly singular
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        from scipy.linalg import lapack
+        return lapack.dgetrs(self.lu, self.piv, rhs)[0]
+
+
+class _BorderedBandLU:
+    """LU factors of the full space's bordered Jacobian M = [J E; B D]: J
+    the core in band storage, E the unfolding columns and the nu column, B
+    and D the s border rows on the coordinates and on E's unknowns.
+
+    J is singular at every solution, its kernel the group tangents, and near
+    a bifurcation a third singular value shrinks with the amplitude, so
+    eliminating the border around J alone is unstable.  Each border row
+    deflates one direction instead: Jh = J + sigma P P^T, sigma = max|J| and
+    P the unit columns at the pivots of a column-pivoted QR of B, where B is
+    far from orthogonal to the directions it pins down.  With w = P^T x,
+    M [x; y] = [f; g] reads Jh x - sigma P w + E y = f, B x + D y = g and
+    P^T x = w: one band solve with Jh, and a dense Schur complement of order
+    2s <= 6 in (w, y) (block elimination, Govaerts & Pryce, IMA J. Numer.
+    Anal. 13, 1993).  M^T is the same system in Jh^T, B^T, E^T and D^T.
+    The condition estimate is Higham's estimate of the 1-norm of M^-1 from
+    these solves, as ``dgecon`` makes it from a dense LU.
+
+    Vectors outside are in the packed layout, rows [residual | border] and
+    unknowns [unfold | coordinates | nu]; inside, the coordinates are in
+    band order.
+    """
+
+    def __init__(self, layout: _BandLayout, ab: np.ndarray, E: np.ndarray, B: np.ndarray,
+                 D: np.ndarray, m: int):
+        from scipy.linalg import lapack
+        self.kl, self.order, self.m = layout.kl, layout.order, m
+        self.inverse = np.argsort(self.order)
+        self.E, self.B, self.D = E[self.order], B[:, self.order], D
+        absJ = np.abs(ab[self.kl:])
+        # the 1-norm of M, nan or inf with any non-finite entry
+        self.anorm = np.concatenate([absJ.sum(axis=0) + np.abs(self.B).sum(axis=0),
+                                     np.abs(E).sum(axis=0) + np.abs(D).sum(axis=0)]).max()
+        if not np.isfinite(self.anorm):
+            raise FloatingPointError("non-finite Jacobian")
+        s = len(D)
+        self.pivots = lapack.dgeqp3(self.B)[1][:s] - 1 if s else np.zeros(0, dtype=int)
+        self.sigma = absJ.max()
+        ab[2 * self.kl, self.pivots] += self.sigma
+        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.kl, overwrite_ab=True)
+        self.singular, self.sides = info > 0, {}
+        if not self.singular:
+            self._side(0)   # a zero pivot of the Schur complement: M is singular too
+
+    def _side(self, trans: int):
+        """The elimination of M (trans 0) or M^T (trans 1): Z = Jh^-1 [sigma P, -E],
+        the rows G = [B; P^T] and the LU of the Schur complement S = G Z + [0 D; -I 0],
+        with E, B and D their transposes' roles for M^T."""
+        from scipy.linalg import lapack
+        if trans not in self.sides:
+            E, B, D = (self.E, self.B, self.D) if trans == 0 else (self.B.T, self.E.T, self.D.T)
+            s = len(D)
+            rhs = np.zeros((len(E), 2 * s), order="F")
+            rhs[self.pivots, np.arange(s)] = self.sigma
+            rhs[:, s:] = -E
+            Z = lapack.dgbtrs(self.lu, self.kl, self.kl, rhs, self.piv, trans=trans)[0]
+            S = np.vstack([B @ Z, Z[self.pivots]])
+            S[:s, s:] += D
+            S[s:, :s] -= np.eye(s)
+            lu, piv, info = lapack.dgetrf(S) if s else (S, np.zeros(0, dtype=np.int32), 0)
+            self.singular |= info > 0
+            self.sides[trans] = (Z, B, lu, piv)
+        return self.sides[trans]
+
+    def _solve(self, trans: int, f: np.ndarray, g: np.ndarray):
+        from scipy.linalg import lapack
+        Z, B, lu, piv = self._side(trans)
+        x = lapack.dgbtrs(self.lu, self.kl, self.kl, f, self.piv, trans=trans)[0]
+        u = np.concatenate([g - B @ x, -x[self.pivots]])
+        if len(u):
+            u = lapack.dgetrs(lu, piv, u)[0]
+        return x + Z @ u, u[len(g):]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 rhs: rhs in the rows' layout, the result in the unknowns'."""
+        N = len(self.order)
+        x, y = self._solve(0, rhs[:N][self.order], rhs[N:])
+        return np.concatenate([y[:self.m], x[self.inverse], y[self.m:]])
+
+    def _solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-T rhs: rhs in the unknowns' layout, the result in the rows'."""
+        N, m = len(self.order), self.m
+        x, y = self._solve(1, rhs[m:m + N][self.order], np.concatenate([rhs[:m], rhs[m + N:]]))
+        return np.concatenate([x[self.inverse], y])
+
+    def rcond(self) -> float:
+        """1 / (||M||_1 est ||M^-1||_1), 0 when the band or the Schur
+        complement has a zero pivot or the estimate is not finite."""
+        if self.singular:
+            return 0.0
+        with np.errstate(all="ignore"):
+            est = _inverse_norm_estimate(self.solve, self._solve_transposed,
+                                         len(self.order) + len(self.D))
+        return 1.0 / est / self.anorm if 0.0 < est < math.inf else 0.0
+
+
+def _inverse_norm_estimate(solve, solve_transposed, size: int) -> float:
+    """Higham's estimate of ||M^-1||_1 from solves with M and M^T, the
+    iteration of LAPACK's ``dlacn2`` that ``dgecon`` runs (N. J. Higham, ACM
+    TOMS 14, 1988)."""
+    def sign(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+    x = solve(np.full(size, 1.0 / size))
+    est, xi = np.abs(x).sum(), sign(x)
+    j = int(np.argmax(np.abs(solve_transposed(xi))))
+    for _ in range(4):   # iterations 2..5
+        x = solve(np.eye(1, size, j)[0])
+        old, est = est, np.abs(x).sum()
+        if np.array_equal(sign(x), xi) or est <= old:
+            break
+        xi = sign(x)
+        y = solve_transposed(xi)
+        last, j = j, int(np.argmax(np.abs(y)))
+        if y[last] == abs(y[j]):
+            break
+    alternating = (-1.0) ** np.arange(size) * (1.0 + np.arange(size) / (size - 1))
+    return max(est, 2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
 
 
 def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False):
@@ -390,13 +605,13 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
     t, and each iteration solves the square system [J t; B 0] [dz; lambda] =
     -[F; c].  The time shift of a constant orbit packs to zero, and so do
     both tangents in the Z~_n(k) space, where the system is [J; B] alone.
-    The system is factored once by LU, and with ``guard`` its condition
+    Each iteration factors the system once, as the space does it
+    (:meth:`_FourierSpace.factor`), and with ``guard`` its condition
     estimate is tested before convergence, so a singular system raises even
     at a solution.  Without ``free_nu`` the frequency column is dropped.  A
     non-finite residual, constraint value or Jacobian raises
     :class:`NoConvergence`.  Returns the solution and the iteration count.
     """
-    from scipy.linalg import lapack   # scipy loads only when an orbit is solved
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
@@ -416,20 +631,17 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
         size[size == 0] = 1.0
         rows, values = rows / size[:, None], values / size
         unfold = [t / np.linalg.norm(t) for t in map(space.pack, tangents)]
-        A = space.jacobian(V, nu, rows, unfold)[:, cols]
-        anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
-        if not np.isfinite(anorm):
-            raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}")
-        lu, piv, _ = lapack.dgetrf(A, overwrite_a=True)
-        del A   # factored in place: lu holds the only reference
-        rcond = lapack.dgecon(lu, anorm, norm="1")[0]   # 0 for an exactly singular A
-        if guard and rcond < _RCOND_MIN:
+        try:
+            lu = space.factor(V, nu, rows, unfold, free_nu)
+        except FloatingPointError:
+            raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}") from None
+        if guard and (rcond := lu.rcond()) < _RCOND_MIN:
             raise SingularJacobian(
                 f"gauged Jacobian is singular (condition estimate rcond {rcond:.2e}); "
                 f"expected exactly at a bifurcation point")
         if done:
             return z, iteration
-        step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
+        step = lu.solve(-np.concatenate([res, values]))
         del lu   # the next Jacobian is built without this one alive
         z = z.copy()
         z[cols] += step[len(unfold):]

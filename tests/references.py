@@ -11,11 +11,12 @@ import numpy as np
 
 from dnlsring import blocks, symmetry
 from dnlsring.classify import RegimeEntry, RegimeReport, _degenerate_table, stability_interval
-from dnlsring.model import (J2, _as_state, _gradient_sites, cubic_potential,
-                            saturable_potential, standing_wave)
-from dnlsring.orbits import (_AMPLITUDE_MAX, _NEWTON_TOL, _P_MAX, _TAIL_TOL, BranchPoint,
-                             ContinuationBranch, FourierOrbit, NoConvergence, _apply_iJJ,
-                             _default_samples, _FourierSpace, orbit_residual_norm, residual)
+from dnlsring.model import (_EYE2, J2, _as_state, _gradient_sites, _onsite_hessian,
+                            cubic_potential, saturable_potential, standing_wave)
+from dnlsring.orbits import (_AMPLITUDE_MAX, _NEWTON_TOL, _P_MAX, _RCOND_MIN, _TAIL_TOL,
+                             BranchPoint, ContinuationBranch, FourierOrbit, NoConvergence,
+                             SingularJacobian, _apply_iJJ, _default_samples, _FourierSpace,
+                             _to_modes, orbit_residual_norm, residual)
 
 
 def potential_V(ring, x):
@@ -81,8 +82,129 @@ def collocation_mode1_blocks(ring, nus):
     V = np.zeros((2, 2 * n), dtype=complex)
     V[0] = standing_wave(ring)[0]
     border = np.zeros((0, space.dim))
-    return np.array([space.jacobian(V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
+    return np.array([dense_jacobian(space, V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
                      for nu in nus])
+
+
+def dense_jacobian(space, V, nu, border, unfold):
+    """The packed Jacobian of ``space.residual`` as one dense matrix, with
+    ``border`` rows below and the packed residual vectors ``unfold`` as
+    leading columns, [unfold | coordinates | nu], in Fortran order: the
+    assembly that the full space used before it wrote a band, for either
+    space.  Mode block (l, l') is S_(l-l') on the site diagonal, S_m the
+    modes of the on-site Hessian blocks; the conjugate partner adds
+    S_(l+l'), the diagonal mode block K_l - l nu iJJ, and the nu column is
+    -l iJJ V_l.  The blocks are written through one site-diagonal fancy
+    index into a (parts, site, 2, parts, site, 2) view of all real parts,
+    of A itself in the full space, where one more indexed add puts the ring
+    adjacency on the diagonal mode blocks."""
+    p, w = space.p, space.width
+    parts, sites = 2 * p + 1, w // 2
+    S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
+    S = np.concatenate([S[:0:-1].conj(), S]) + 0.0
+    ls = np.arange(p + 1)
+    plus, minus = S[2 * p + ls[:, None] - ls], S[2 * p + ls[:, None] + ls[1:]]
+    plus[ls, ls] += space._onsite_coupling - (ls * nu)[:, None, None, None] * blocks.IJ
+    C = np.empty((p + 1, parts, sites, 2, 2), dtype=complex)  # row mode, column part
+    C[:, 0] = plus[:, 0]
+    C[:, 1::2] = plus[:, 1:] + minus
+    C[:, 2::2] = 1j * (plus[:, 1:] - minus)
+    rows, m = space.dim - 1, len(unfold)
+    A = np.zeros((rows + len(border), m + space.dim), order="F")
+    A[rows:, m:] = border
+    for j, t in enumerate(unfold):
+        A[:rows, j] = t
+    A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
+    J = A[:rows, m:-1] if space.k is None else np.zeros((w * parts, w * parts))
+    J6 = J.reshape(parts, sites, 2, parts, sites, 2)
+    site = np.arange(sites)
+    C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
+    J6[0, site, :, :, site, :] = C[:, 0].real
+    J6[1::2, site, :, :, site, :] = C[:, 1:].real
+    J6[2::2, site, :, :, site, :] = C[:, 1:].imag
+    if space.k is None:   # the identity between site j and its neighbours j +- 1
+        diag = np.arange(parts)[:, None]
+        J6[diag, np.tile(site, 2), :, diag,
+           np.concatenate([np.roll(site, -1), np.roll(site, 1)]), :] += _EYE2
+    else:
+        A[:rows, m:-1] = J[space.fixed][:, space.fixed]
+    return A
+
+
+def band_to_dense(space, ab):
+    """The full space's band storage ``ab`` (``space.band``) as the dense
+    core in the packed order: entry (i, j) of the band order is
+    ab[2 kl + i - j, j] within kl of the diagonal and zero beyond, and band
+    index i is packed index ``order[i]``."""
+    kl, order = space.band_layout.kl, space.band_layout.order
+    r, j = np.indices(ab[kl:].shape)   # row kl + r of ab holds entry (j + r - kl, j)
+    i = j + r - kl
+    inside = (i >= 0) & (i < len(order))
+    J = np.zeros((len(order), len(order)))
+    J[order[i[inside]], order[j[inside]]] = ab[kl:][inside]
+    return J
+
+
+def bordered_jacobian(space, V, nu, border, unfold):
+    """The bordered Jacobian that ``space.factor`` factors, as one dense
+    matrix in the layout of ``dense_jacobian``: the isotropy space's own
+    ``jacobian``, or the full space's band expanded, with the border, the
+    unfolding columns and the nu column around it."""
+    if space.k is not None:
+        return space.jacobian(V, nu, border, unfold)
+    rows, m = space.dim - 1, len(unfold)
+    A = np.zeros((rows + len(border), m + space.dim), order="F")
+    A[rows:, m:] = border
+    A[:rows, :m] = np.reshape(unfold, (m, rows)).T
+    A[:rows, m:-1] = band_to_dense(space, space.band(V, nu))
+    A[:rows, -1] = space._nu_column(V)
+    return A
+
+
+def dense_rcond(A):
+    """``dgecon``'s estimate of the 1-norm reciprocal condition number of the
+    square matrix A from its ``dgetrf`` LU, with the ``dlange`` norm."""
+    from scipy.linalg import lapack
+    return lapack.dgecon(lapack.dgetrf(A)[0], lapack.dlange("1", A), norm="1")[0]
+
+
+def dense_newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False):
+    """The Newton loop of ``orbits._newton`` on the ``dense_jacobian``: each
+    iteration factors the whole bordered system by ``dgetrf`` and estimates
+    its condition by ``dlange`` and ``dgecon``.  Returns the solution and
+    the iteration count."""
+    from scipy.linalg import lapack
+    cols = slice(None) if free_nu else slice(-1)
+    for iteration in range(max_iter + 1):
+        V, nu = space.unpack(z)
+        res = space.residual(V, nu)
+        rows, values = constraints(z)
+        if not (np.isfinite(res).all() and np.isfinite(values).all()):
+            raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
+        done = np.linalg.norm(res) <= _NEWTON_TOL and np.all(np.abs(values) <= ctol)
+        if done and not guard:
+            return z, iteration
+        tangents = [t for t in space.tangents(V) if space.pack(t).any()]
+        rows = np.vstack([space.row(t) for t in tangents] + [rows])
+        values = np.concatenate([np.zeros(len(tangents)), values])
+        size = np.linalg.norm(rows, axis=1)
+        size[size == 0] = 1.0
+        rows, values = rows / size[:, None], values / size
+        unfold = [t / np.linalg.norm(t) for t in map(space.pack, tangents)]
+        A = dense_jacobian(space, V, nu, rows, unfold)[:, cols]
+        anorm = lapack.dlange("1", A)
+        if not np.isfinite(anorm):
+            raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}")
+        lu, piv, _ = lapack.dgetrf(A, overwrite_a=True)
+        rcond = lapack.dgecon(lu, anorm, norm="1")[0]
+        if guard and rcond < _RCOND_MIN:
+            raise SingularJacobian(f"condition estimate rcond {rcond:.2e}")
+        if done:
+            return z, iteration
+        step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
+        z = z.copy()
+        z[cols] += step[len(unfold):]
+    raise NoConvergence(f"no convergence after {max_iter} Newton iterations")
 
 
 def block_symplectic(n):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -26,9 +29,9 @@ from dnlsring.orbits import (_MIDPOINT_ITER, _MIDPOINT_TOL, _NEWTON_TOL, Continu
                              orbit_residual_norm, residual)
 from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
-from references import (block_symplectic, constant_orbit, gauged_continue_branch, group_action,
-                        modes_to_samples, orthogonality_check, potential_V, sampled_residual,
-                        samples_to_modes)
+from references import (block_symplectic, bordered_jacobian, constant_orbit, dense_jacobian,
+                        dense_newton, dense_rcond, gauged_continue_branch, group_action, modes_to_samples,
+                        orthogonality_check, potential_V, sampled_residual, samples_to_modes)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -299,7 +302,8 @@ def test_closed_form_jacobian_matches_column_assembly():
     # unfolding columns lead and the border rows are zero under them.  The
     # space residual is T_l^* of the full residual of the expanded orbit; in
     # the isotropy space the orbit is in Fix(K), where that residual is too,
-    # and both group tangents pack to zero.
+    # and both group tangents pack to zero.  The full space's Jacobian is its
+    # band, expanded to the packed order.
     # 1024 samples: for a non-polynomial h the one-oscillator transform
     # aliases differently from the projected n-oscillator one.
     rng = np.random.default_rng(11)
@@ -331,7 +335,7 @@ def test_closed_form_jacobian_matches_column_assembly():
         border = rng.normal(size=(3, space.dim))
         unfold = [space.pack(t) for t in space.tangents(V)]
         assert k is None or not np.any(unfold), (n, k, p)
-        A = space.jacobian(V, z[-1], border, unfold)
+        A = bordered_jacobian(space, V, z[-1], border, unfold)
         rows = A.shape[0] - 3
         assert np.array_equal(A[rows:, 2:], border) and not A[rows:, :2].any()
         assert np.array_equal(A[:rows, :2], np.transpose(unfold))
@@ -394,7 +398,9 @@ def mode_loop_jacobian(space, V, nu, border, unfold):
 def test_jacobian_matches_mode_loop():
     # bit for bit, full and isotropy spaces over n, p and the three potential
     # kinds, with random orbits, frequencies, border rows and unfolding
-    # columns; the trivial orbit and orbits with a zero component too
+    # columns; the trivial orbit and orbits with a zero component too.  The
+    # full space's band, expanded to the packed order, and the dense assembly
+    # that the band replaced, are both compared
     rng = np.random.default_rng(13)
     pots = [cubic_potential(), SAT, CUSTOM]
     cases = [(n, k, p) for n in (3, 4, 5, 6, 7, 8, 24, 96)
@@ -416,10 +422,12 @@ def test_jacobian_matches_mode_loop():
         space.num += int(rng.integers(2)) * 64
         border = rng.normal(size=(int(rng.integers(4)), space.dim))
         unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1)))
-        A = space.jacobian(V, nu, border, unfold)
+        A = bordered_jacobian(space, V, nu, border, unfold)
         ref = mode_loop_jacobian(space, V, nu, border, unfold)
         assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
         assert A.tobytes() == ref.tobytes(), (n, k, p)
+        if k is None:
+            assert dense_jacobian(space, V, nu, border, unfold).tobytes() == ref.tobytes()
 
 
 def dense_residual(space, V, nu):
@@ -581,7 +589,7 @@ def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
         if np.linalg.norm(res) <= tol and np.all(np.abs(values) <= ctol):
             return z, iteration
         gauge = [space.row(t) for t in space.tangents(V)]
-        A = space.jacobian(V, nu, np.vstack(gauge + [rows]), [])[:, cols]
+        A = dense_jacobian(space, V, nu, np.vstack(gauge + [rows]), [])[:, cols]
         rhs = -np.concatenate([res, np.zeros(len(gauge)), values])
         z = z.copy()
         z[cols] += np.linalg.lstsq(A, rhs, rcond=None)[0]
@@ -598,7 +606,7 @@ def unfolding_multipliers(space, z, constraints, free_nu):
     live = [t for t in space.tangents(V) if space.pack(t).any()]
     unfold = [space.pack(t) / np.linalg.norm(space.pack(t)) for t in live]
     border = np.vstack([space.row(t) for t in live] + [rows])
-    A = space.jacobian(V, nu, border, unfold)[:, cols]
+    A = dense_jacobian(space, V, nu, border, unfold)[:, cols]
     rhs = -np.concatenate([space.residual(V, nu), np.zeros(len(live)), values])
     return np.linalg.solve(A, rhs)[:len(unfold)]
 
@@ -675,6 +683,174 @@ def test_square_newton_matches_lstsq_loop():
                 assert lam.size == 0, label
             else:
                 assert np.abs(lam).max() <= 1e-12, label
+
+
+# --- the bordered band solve of the full space -------------------------------
+
+def band_cases(rng, n, p, potential):
+    """Starts of the full-space Newton loop on one seeded ring, as (name,
+    start, constraints, free_nu): the kernel mode of a bifurcation point,
+    lifted from Fix(K), pinned at amplitude 1e-2, 1e-3 and 1e-4 with nu
+    free; with nu fixed, a small kernel mode off the critical frequency
+    (back to the trivial orbit), a larger one at the frequency of the branch
+    orbit of amplitude 0.05, and the trivial orbit at the critical
+    frequency; and the trivial
+    orbit pinned at amplitude 0, whose amplitude row is zero.  n = 4 has no
+    bifurcation point, and only the starts that need none."""
+    ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.0), potential=potential)
+    points = [pt for pt in enumerate_bifurcations(ring) if pt.k != n]
+    bif = points[int(rng.integers(len(points)))] if points else None
+    k, nu0 = (bif.k, bif.nu) if bif else (1, 1.3)
+    kspace, space = _FourierSpace(ring, p, k), _FourierSpace(ring, p)
+    w = kernel_vector(ring, k, nu0)
+    w *= np.exp(-1j * np.angle(w[0]))
+
+    def point(scale, nu):
+        V = np.zeros((p + 1, 2), dtype=complex)
+        V[0, 0], V[1] = np.sqrt(n), scale * w
+        return space.pack(kspace.expand(V)[p:], nu)
+
+    def pinned(amplitude):
+        return lambda z: _orbit_constraints(space, z, amplitude)
+    fixed = pinned(None)
+    cases = [("fix_nu-trivial", point(5e-3, nu0 + 0.1), fixed, False),
+             ("amplitude-0", point(0.0, nu0 + 0.1), pinned(0.0), True)]
+    if bif is not None:
+        cases += [(f"amplitude-{a:g}", point(a, nu0), pinned(a), True) for a in (1e-2, 1e-3, 1e-4)]
+        # with nu fixed, a branch orbit of amplitude a is isolated with rcond ~ a^2:
+        # at 0.05 the solution is fixed to well below 1e-12
+        z_amp, _ = _newton(space, point(0.05, nu0), pinned(0.05), _NEWTON_TOL, 50, guard=True)
+        cases += [("fix_nu-branch", point(0.06, z_amp[-1]), fixed, False),
+                  ("fix_nu-critical", point(0.0, nu0), fixed, False)]
+    return space, cases
+
+
+def test_band_newton_matches_dense_oracle(monkeypatch):
+    """The full-space Newton loop on the bordered band LU against the dense
+    dgetrf/dgecon loop it replaced (``references.dense_newton``), over n, p,
+    the three potential kinds and the starts of ``band_cases``: the same
+    cases raise SingularJacobian, and the others reach the same z within
+    1e-12 (1 + |z|) in as many iterations.  Each band condition estimate is
+    within a factor of 2 of dgecon's for the same matrix, expanded dense,
+    unless both are below 1e-12, the rounding noise of an exactly singular
+    system and two orders below the guard's 1e-10, or dgecon's is itself more
+    than a factor of 2 above the exact rcond: Higham's estimator follows
+    another path through dgecon's row-permuted LU, and on nearly singular
+    systems (around the constant orbit at n = 4 above all) either can miss
+    the worst direction.  There the band estimate must still bound the
+    exact rcond from above, and such estimates are at most 1 in 20."""
+    estimates = []
+    factor, rcond = _FourierSpace.factor, orbits._BorderedBandLU.rcond
+
+    def recorded_factor(space, *args):
+        lu = factor(space, *args)
+        lu.args = (space, *args)
+        return lu
+
+    def recorded_rcond(lu):
+        space, V, nu, border, unfold, free_nu = lu.args
+        A = dense_jacobian(space, V, nu, border, unfold)[:, :None if free_nu else -1]
+        estimates.append((rcond(lu), dense_rcond(A.copy(order="F")), A))
+        return estimates[-1][0]
+    monkeypatch.setattr(_FourierSpace, "factor", recorded_factor)
+    monkeypatch.setattr(orbits._BorderedBandLU, "rcond", recorded_rcond)
+
+    def outcome(solve, *args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except SingularJacobian:
+            return None
+
+    rng = np.random.default_rng(29)
+    pots = [cubic_potential(), SAT, CUSTOM]
+    sizes = [(3, 1), (3, 16), (4, 2), (4, 8), (5, 4), (5, 16), (6, 8), (6, 16),
+             (7, 1), (7, 4), (8, 2), (8, 16), (24, 4), (24, 8), (96, 1)]
+    seen, compared, excused = set(), 0, []
+    for i, (n, p) in enumerate(sizes):
+        space, cases = band_cases(rng, n, p, pots[i % 3])
+        for name, z0, constraints, free_nu in cases:
+            label = (n, p, i % 3, name)
+            ref = outcome(dense_newton, space, z0, constraints, _NEWTON_TOL, 50,
+                          free_nu=free_nu, guard=True)
+            estimates.clear()
+            got = outcome(_newton, space, z0, constraints, _NEWTON_TOL, 50,
+                          free_nu=free_nu, guard=True)
+            assert (ref is None) == (got is None), label
+            if ref is not None:
+                assert np.abs(got[0] - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max()), label
+                assert got[1] == ref[1], label
+            for band, dense, A in estimates:
+                if 0.5 * dense <= band <= 2.0 * dense or max(band, dense) < 1e-12:
+                    compared += 1
+                    continue
+                try:
+                    exact = 1.0 / np.abs(np.linalg.inv(A)).sum(axis=0).max() / np.abs(A).sum(axis=0).max()
+                except np.linalg.LinAlgError:
+                    exact = 0.0
+                assert dense > 2.0 * exact and band >= 0.5 * exact, (label, band, dense, exact)
+                excused.append(label)
+            seen.add((name, ref is None))
+    assert seen >= {("amplitude-0.01", False), ("amplitude-0.001", False),
+                    ("amplitude-0.0001", False), ("fix_nu-trivial", False),
+                    ("fix_nu-branch", False), ("fix_nu-critical", True), ("amplitude-0", True)}
+    assert compared >= 200 and len(excused) <= compared / 20, excused
+
+
+@pytest.mark.parametrize("routine", ["dgbtrf", "dgetrf"])
+def test_newton_zero_band_or_schur_pivot_is_singular(monkeypatch, routine):
+    """A zero pivot of the band LU or of the border's Schur complement
+    (LAPACK info > 0) makes the condition estimate 0: newton_orbit raises
+    SingularJacobian naming rcond, at a start that is otherwise regular."""
+    ring = RingSystem(n=6, mu=0.5)
+    initial = mode_perturbed_orbit(ring, 3, 0.05, np.sqrt(3.0))
+    factor = getattr(scipy.linalg.lapack, routine)
+
+    def zero_pivot(a, *args, **kwargs):
+        return *factor(a, *args, **kwargs)[:2], 3
+    monkeypatch.setattr(scipy.linalg.lapack, routine, zero_pivot)
+    with pytest.raises(SingularJacobian, match=r"rcond 0\.00e\+00"):
+        newton_orbit(ring, initial, fix_nu=False, amplitude=initial.amplitude)
+
+
+def test_newton_orbit_n96_within_budget():
+    """newton_orbit at n = 96, p = 8, free nu and amplitude 0.01, started
+    from its own solution, in a process with one OpenBLAS thread: the
+    bordered band LU takes under 0.25 s (best of 3) and a tracemalloc peak
+    under 16 MiB; the dense LU of the 3267 x 3267 system took 0.64 s and
+    84 MiB."""
+    script = """if True:
+        import time, tracemalloc
+        from dnlsring.blocks import kernel_vector
+        from dnlsring.classify import enumerate_bifurcations
+        from dnlsring.model import RingSystem, standing_wave
+        from dnlsring.orbits import FourierOrbit, newton_orbit
+        from dnlsring.symmetry import t_k_matrix
+        ring, p, amplitude = RingSystem(n=96, mu=0.3), 8, 0.01
+        nu = next(pt.nu for pt in enumerate_bifurcations(ring) if (pt.k, pt.root) == (48, "plus"))
+        coeffs = np.zeros((2 * p + 1, 192), dtype=complex)
+        coeffs[p] = standing_wave(ring)[0]
+        coeffs[p + 1] = amplitude / 2 * (t_k_matrix(96, 48) @ kernel_vector(ring, 48, nu))
+        coeffs[p - 1] = coeffs[p + 1].conj()
+        solved = newton_orbit(ring, FourierOrbit(nu, coeffs), fix_nu=False, amplitude=amplitude)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            again = newton_orbit(ring, solved, fix_nu=False, amplitude=amplitude)
+            times.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        newton_orbit(ring, solved, fix_nu=False, amplitude=amplitude)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(min(times), peak, again.residual_norm, again.p)
+    """
+    src = os.path.dirname(os.path.dirname(orbits.__file__))
+    done = subprocess.run([sys.executable, "-c", "import numpy as np\n" + script],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src})
+    elapsed, peak, res, p = map(float, done.stdout.split())
+    assert res <= 1e-10 and p == 8
+    assert elapsed < 0.25, f"{elapsed:.3f} s"
+    assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 # --- newton_orbit ------------------------------------------------------------
