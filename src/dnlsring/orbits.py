@@ -16,8 +16,11 @@ l = 0..p of the oscillators they keep, with one coupling matrix K_l per mode
 subspace of mode k, where the corrector's cost does not grow with n, though
 expanding and certifying each accepted point does).  There the residual and
 its closed-form Jacobian are written once, and one Newton loop solves it
-bordered by an amplitude or arclength row, each iteration one LU
-factorization with a condition estimate.  Every trial residual is
+bordered by an amplitude or arclength row, each iteration one factorization
+with a condition estimate: a dense LU in the isotropy subspace, and in the
+full space a band LU, the sites ordered around the ring so that each meets
+its neighbours within a bandwidth that does not grow with n, with the border
+eliminated around it.  Every trial residual is
 L2-orthogonal to the two group tangents (time shift and rotation).  In the
 full space the loop adds a gauge row and an unfolding multiplier per
 tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0, which make the system square
@@ -396,22 +399,20 @@ class _FourierSpace:
         the packed order of the real parts.
         """
         n, parts = self.n, 2 * self.p + 1
-        b = 2 * parts
-        kl = 2 * b
+        sites, kl = np.arange(n), 4 * parts
         ring = np.empty(n, dtype=np.intp)   # the site at each band position
-        ring[0::2], ring[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
-        # packed index of unknown (site, part, a) and its band index, (sites, parts, 2)
-        packed = 2 * np.arange(n)[:, None, None] + (2 * n * np.arange(parts))[:, None] \
-            + np.arange(2)
-        at = (np.argsort(ring) * b)[:, None, None] + (2 * np.arange(parts))[:, None] \
-            + np.arange(2)
-        # A[i, j] sits at ab[2 kl + i - j, j] of the (3 kl + 1, N) Fortran-ordered storage
-        def flat(i, j):
+        ring[0::2], ring[1::2] = sites[:(n + 1) // 2], sites[:(n - 1) // 2:-1]
+        position = np.empty(n, dtype=np.intp)
+        position[ring] = sites
+        # band index of unknown (site, part, a), (sites, parts, 2)
+        at = (2 * parts * position)[:, None, None] + 2 * np.arange(parts)[:, None] + np.arange(2)
+        order = (2 * ring[:, None, None] + 2 * n * np.arange(parts)[:, None] + np.arange(2)).ravel()
+
+        def flat(i, j):   # A[i, j] is ab[2 kl + i - j, j] of the (3 kl + 1, N) storage
             return (2 * kl + i + 3 * kl * j).ravel()
         blocks_at = flat(at[:, :, :, None, None], at[:, None, None])
-        ring_at = np.concatenate([flat(at, np.roll(at, -1, axis=0)),
-                                  flat(at, np.roll(at, 1, axis=0))])
-        return _BandLayout(kl, packed[ring].ravel(), blocks_at, ring_at)
+        ring_at = np.concatenate([flat(at, at[(sites + 1) % n]), flat(at, at[sites - 1])])
+        return _BandLayout(kl, order, np.argsort(order), blocks_at, ring_at)
 
     def band(self, V: np.ndarray, nu: float) -> np.ndarray:
         """The full space's packed Jacobian of :meth:`residual` without the
@@ -420,7 +421,7 @@ class _FourierSpace:
         the kl rows that ``dgbtrf`` fills in first, then the
         :meth:`_site_blocks` and the identity between each site and its
         neighbours j +- 1 (the ring adjacency on the diagonal mode blocks)."""
-        kl, order, blocks_at, ring_at = self.band_layout
+        kl, order, _, blocks_at, ring_at = self.band_layout
         flat = np.zeros((3 * kl + 1) * len(order))
         flat[blocks_at] = self._site_blocks(V, nu).ravel()
         flat[ring_at] = 1.0
@@ -450,6 +451,7 @@ class _FourierSpace:
 class _BandLayout(NamedTuple):
     kl: int                 # sub- and superdiagonals of the band, kl = ku
     order: np.ndarray       # packed index of each band index
+    inverse: np.ndarray     # band index of each packed index
     blocks_at: np.ndarray   # storage index of each entry of the site blocks
     ring_at: np.ndarray     # storage index of each neighbour identity entry
 
@@ -500,8 +502,7 @@ class _BorderedBandLU:
     def __init__(self, layout: _BandLayout, ab: np.ndarray, E: np.ndarray, B: np.ndarray,
                  D: np.ndarray, m: int):
         from scipy.linalg import lapack
-        self.kl, self.order, self.m = layout.kl, layout.order, m
-        self.inverse = np.argsort(self.order)
+        self.kl, self.order, self.inverse, self.m = layout.kl, layout.order, layout.inverse, m
         self.E, self.B, self.D = E[self.order], B[:, self.order], D
         absJ = np.abs(ab[self.kl:])
         # the 1-norm of M, nan or inf with any non-finite entry
@@ -624,13 +625,13 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
             return z, iteration
         # a tangent that packs to zero drops with its gauge row; every border row and
         # unfolding column has unit length, so rcond does not scale with the amplitude
-        tangents = [t for t in space.tangents(V) if space.pack(t).any()]
-        rows = np.vstack([space.row(t) for t in tangents] + [rows])
+        tangents = [(t, packed) for t in space.tangents(V) if (packed := space.pack(t)).any()]
+        rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
         values = np.concatenate([np.zeros(len(tangents)), values])
         size = np.linalg.norm(rows, axis=1)
         size[size == 0] = 1.0
         rows, values = rows / size[:, None], values / size
-        unfold = [t / np.linalg.norm(t) for t in map(space.pack, tangents)]
+        unfold = [packed / np.linalg.norm(packed) for _, packed in tangents]
         try:
             lu = space.factor(V, nu, rows, unfold, free_nu)
         except FloatingPointError:
@@ -680,9 +681,14 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
     bifurcation.  Each iteration builds the Jacobian in closed form from the
     Fourier modes of the sampled Hessian (the same operator as
     :func:`linearized_residual`), adds one unfolding multiplier per nonzero
-    group tangent to make the gauged system square, and solves it by one LU
-    factorization; its condition estimate is tested before convergence.
-    The Fourier order doubles while the tail exceeds 1e-12.
+    group tangent to make the gauged system square, and solves it by one
+    band LU: ordered site by site as 0, n-1, 1, n-2, ... around the ring,
+    the Jacobian has kl = ku = 4(2p+1) at every n, and the gauge and
+    amplitude rows, the unfolding columns and the nu column are eliminated
+    around it, so an iteration costs O(n p^3) time and O(n p^2) memory.  Its
+    condition estimate (Higham's, of the whole bordered system) is tested
+    before convergence.  The Fourier order doubles while the tail exceeds
+    1e-12.
 
     Raises
     ------
