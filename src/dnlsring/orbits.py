@@ -261,7 +261,7 @@ class _FourierSpace:
             self.dim = 2 * p + 2
 
     def pack(self, V: np.ndarray, *tail: float) -> np.ndarray:
-        parts = np.concatenate([V[0].real, np.stack([V[1:].real, V[1:].imag], 1).ravel()])
+        parts = np.concatenate([V[0].real, np.concatenate([V[1:].real, V[1:].imag], 1).ravel()])
         return np.concatenate([parts[self.fixed], tail])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -406,7 +406,8 @@ class _FourierSpace:
         position[ring] = sites
         # band index of unknown (site, part, a), (sites, parts, 2)
         at = (2 * parts * position)[:, None, None] + 2 * np.arange(parts)[:, None] + np.arange(2)
-        order = (2 * ring[:, None, None] + 2 * n * np.arange(parts)[:, None] + np.arange(2)).ravel()
+        order = (2 * ring[:, None, None] + 2 * n * np.arange(parts)[:, None]
+                 + np.arange(2)).ravel()
 
         def flat(i, j):   # A[i, j] is ab[2 kl + i - j, j] of the (3 kl + 1, N) storage
             return (2 * kl + i + 3 * kl * j).ravel()
@@ -440,12 +441,13 @@ class _FourierSpace:
         """
         if self.k is not None:
             return _DenseLU(self.jacobian(V, nu, border, unfold)[:, :None if free_nu else -1])
-        m = len(unfold)
-        E = np.array(unfold + ([self._nu_column(V)] if free_nu else [])).reshape(-1, self.dim - 1).T
-        D = np.zeros((len(border), E.shape[1]))
+        columns = unfold + ([self._nu_column(V)] if free_nu else [])
+        E = np.reshape(columns, (len(columns), self.dim - 1)).T
+        D = np.zeros((len(border), len(columns)))
         if free_nu:
-            D[:, m] = border[:, -1]
-        return _BorderedBandLU(self.band_layout, self.band(V, nu), E, border[:, :-1], D, m)
+            D[:, -1] = border[:, -1]
+        return _BorderedBandLU(self.band_layout, self.band(V, nu), E, border[:, :-1], D,
+                               len(unfold))
 
 
 class _BandLayout(NamedTuple):
@@ -492,7 +494,7 @@ class _BorderedBandLU:
     2s <= 6 in (w, y) (block elimination, Govaerts & Pryce, IMA J. Numer.
     Anal. 13, 1993).  M^T is the same system in Jh^T, B^T, E^T and D^T.
     The condition estimate is Higham's estimate of the 1-norm of M^-1 from
-    these solves, as ``dgecon`` makes it from a dense LU.
+    these solves, the iteration that ``dgecon`` runs on a dense LU.
 
     Vectors outside are in the packed layout, rows [residual | border] and
     unknowns [unfold | coordinates | nu]; inside, the coordinates are in
@@ -506,8 +508,8 @@ class _BorderedBandLU:
         self.E, self.B, self.D = E[self.order], B[:, self.order], D
         absJ = np.abs(ab[self.kl:])
         # the 1-norm of M, nan or inf with any non-finite entry
-        self.anorm = np.concatenate([absJ.sum(axis=0) + np.abs(self.B).sum(axis=0),
-                                     np.abs(E).sum(axis=0) + np.abs(D).sum(axis=0)]).max()
+        self.anorm = np.maximum((absJ.sum(axis=0) + np.abs(self.B).sum(axis=0)).max(),
+                                np.abs(np.vstack([E, D])).sum(axis=0).max(initial=0.0))
         if not np.isfinite(self.anorm):
             raise FloatingPointError("non-finite Jacobian")
         s = len(D)
