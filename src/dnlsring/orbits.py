@@ -440,7 +440,8 @@ class _FourierSpace:
         Raises FloatingPointError when the Jacobian is not finite.
         """
         if self.k is not None:
-            return _DenseLU(self.jacobian(V, nu, border, unfold)[:, :None if free_nu else -1])
+            A = self.jacobian(V, nu, border, unfold)
+            return _DenseLU(A if free_nu else A[:, :-1])
         columns = unfold + ([self._nu_column(V)] if free_nu else [])
         E = np.reshape(columns, (len(columns), self.dim - 1)).T
         D = np.zeros((len(border), len(columns)))
