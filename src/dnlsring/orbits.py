@@ -491,11 +491,11 @@ class _BorderedBandLU:
     P the unit columns at the pivots of a column-pivoted QR of B, where B is
     far from orthogonal to the directions it pins down.  With w = P^T x,
     M [x; y] = [f; g] reads Jh x - sigma P w + E y = f, B x + D y = g and
-    P^T x = w: one band solve with Jh, and a dense Schur complement of order
-    2s <= 6 in (w, y) (block elimination, Govaerts & Pryce, IMA J. Numer.
-    Anal. 13, 1993).  M^T is the same system in Jh^T, B^T, E^T and D^T.
-    The condition estimate is Higham's estimate of the 1-norm of M^-1 from
-    these solves, the iteration that ``dgecon`` runs on a dense LU.
+    P^T x = w: one band solve with Jh, and a dense Schur complement S of
+    order 2s <= 6 in u = (w, y) (block elimination, Govaerts & Pryce, IMA J.
+    Numer. Anal. 13, 1993).  M^T is solved with Jh^T and S^T.  The
+    condition estimate is Higham's estimate of the 1-norm of M^-1 from these
+    solves, the iteration that ``dgecon`` runs on a dense LU.
 
     Vectors outside are in the packed layout, rows [residual | border] and
     unknowns [unfold | coordinates | nu]; inside, the coordinates are in
@@ -506,62 +506,62 @@ class _BorderedBandLU:
                  D: np.ndarray, m: int):
         from scipy.linalg import lapack
         self.kl, self.order, self.inverse, self.m = layout.kl, layout.order, layout.inverse, m
-        self.E, self.B, self.D = E[self.order], B[:, self.order], D
+        self.E, self.B = E[self.order], B[:, self.order]
         absJ = np.abs(ab[self.kl:])
         # the 1-norm of M, nan or inf with any non-finite entry
         self.anorm = np.maximum((absJ.sum(axis=0) + np.abs(self.B).sum(axis=0)).max(),
                                 np.abs(np.vstack([E, D])).sum(axis=0).max(initial=0.0))
         if not np.isfinite(self.anorm):
             raise FloatingPointError("non-finite Jacobian")
-        s = len(D)
+        s = self.s = len(D)
         self.pivots = lapack.dgeqp3(self.B)[1][:s] - 1 if s else np.zeros(0, dtype=int)
         self.sigma = absJ.max()
         ab[2 * self.kl, self.pivots] += self.sigma
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.kl, overwrite_ab=True)
-        self.singular, self.sides = info > 0, {}
-        if not self.singular:
-            self._side(0)   # a zero pivot of the Schur complement: M is singular too
+        # x = Jh^-1 f + Z u with Z = Jh^-1 [sigma P, -E], and S u = [g - B x; -P^T x]
+        # for S = [B; P^T] Z + [0 D; -I 0]; a zero pivot of the band leaves Z non-finite
+        rhs = np.zeros((len(self.order), 2 * s), order="F")
+        rhs[self.pivots, np.arange(s)] = self.sigma
+        rhs[:, s:] = -self.E
+        with np.errstate(all="ignore"):
+            self.Z = self._band_solve(rhs, 0)
+            S = np.vstack([self.B @ self.Z, self.Z[self.pivots]])
+        S[:s, s:] += D
+        S[s:, :s] -= np.eye(s)
+        self.schur = lapack.dgetrf(S) if s else (S, np.zeros(0, dtype=np.int32), 0)
+        self.singular = info > 0 or self.schur[2] > 0
+        self.Zt = None   # Jh^-T [B^T, P], for solves with M^T
 
-    def _side(self, trans: int):
-        """The elimination of M (trans 0) or M^T (trans 1): Z = Jh^-1 [sigma P, -E],
-        the rows G = [B; P^T] and the LU of the Schur complement S = G Z + [0 D; -I 0],
-        with E, B and D their transposes' roles for M^T."""
+    def _band_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
         from scipy.linalg import lapack
-        if trans not in self.sides:
-            E, B, D = (self.E, self.B, self.D) if trans == 0 else (self.B.T, self.E.T, self.D.T)
-            s = len(D)
-            rhs = np.zeros((len(E), 2 * s), order="F")
-            rhs[self.pivots, np.arange(s)] = self.sigma
-            rhs[:, s:] = -E
-            Z = lapack.dgbtrs(self.lu, self.kl, self.kl, rhs, self.piv, trans=trans)[0]
-            S = np.vstack([B @ Z, Z[self.pivots]])
-            S[:s, s:] += D
-            S[s:, :s] -= np.eye(s)
-            lu, piv, info = lapack.dgetrf(S) if s else (S, np.zeros(0, dtype=np.int32), 0)
-            self.singular |= info > 0
-            self.sides[trans] = (Z, B, lu, piv)
-        return self.sides[trans]
+        return lapack.dgbtrs(self.lu, self.kl, self.kl, rhs, self.piv, trans=trans)[0]
 
-    def _solve(self, trans: int, f: np.ndarray, g: np.ndarray):
+    def _schur_solve(self, u: np.ndarray, trans: int) -> np.ndarray:
         from scipy.linalg import lapack
-        Z, B, lu, piv = self._side(trans)
-        x = lapack.dgbtrs(self.lu, self.kl, self.kl, f, self.piv, trans=trans)[0]
-        u = np.concatenate([g - B @ x, -x[self.pivots]])
-        if len(u):
-            u = lapack.dgetrs(lu, piv, u)[0]
-        return x + Z @ u, u[len(g):]
+        return lapack.dgetrs(*self.schur[:2], u, trans=trans)[0] if self.s else u
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs: rhs in the rows' layout, the result in the unknowns'."""
-        N = len(self.order)
-        x, y = self._solve(0, rhs[:N][self.order], rhs[N:])
-        return np.concatenate([y[:self.m], x[self.inverse], y[self.m:]])
+        N, m = len(self.order), self.m
+        x = self._band_solve(rhs[:N][self.order], 0)
+        u = self._schur_solve(np.concatenate([rhs[N:] - self.B @ x, -x[self.pivots]]), 0)
+        y = u[self.s:]
+        return np.concatenate([y[:m], (x + self.Z @ u)[self.inverse], y[m:]])
 
     def _solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-T rhs: rhs in the unknowns' layout, the result in the rows'."""
-        N, m = len(self.order), self.m
-        x, y = self._solve(1, rhs[m:m + N][self.order], np.concatenate([rhs[:m], rhs[m + N:]]))
-        return np.concatenate([x[self.inverse], y])
+        """M^-T rhs: rhs in the unknowns' layout, the result in the rows'.
+        With x = Jh^-T f - Zt v, Zt = Jh^-T [B^T, P], the border rows' part of
+        v = (y, v') solves S^T v = [sigma P^T x_f; g - E^T x_f]."""
+        N, m, s = len(self.order), self.m, self.s
+        if self.Zt is None:
+            rhs_t = np.zeros((N, 2 * s), order="F")
+            rhs_t[:, :s] = self.B.T
+            rhs_t[self.pivots, s + np.arange(s)] = 1.0
+            self.Zt = self._band_solve(rhs_t, 1)
+        x = self._band_solve(rhs[m:m + N][self.order], 1)
+        g = np.concatenate([rhs[:m], rhs[m + N:]])
+        v = self._schur_solve(np.concatenate([self.sigma * x[self.pivots], g - self.E.T @ x]), 1)
+        return np.concatenate([(x - self.Zt @ v)[self.inverse], v[:s]])
 
     def rcond(self) -> float:
         """1 / (||M||_1 est ||M^-1||_1), 0 when the band or the Schur
@@ -570,7 +570,7 @@ class _BorderedBandLU:
             return 0.0
         with np.errstate(all="ignore"):
             est = _inverse_norm_estimate(self.solve, self._solve_transposed,
-                                         len(self.order) + len(self.D))
+                                         len(self.order) + self.s)
         return 1.0 / est / self.anorm if 0.0 < est < math.inf else 0.0
 
 
