@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 import warnings
@@ -695,9 +696,9 @@ def band_cases(rng, n, p, potential):
     free; with nu fixed, a small kernel mode off the critical frequency
     (back to the trivial orbit), a larger one at the frequency of the branch
     orbit of amplitude 0.05, and the trivial orbit at the critical
-    frequency; and the trivial
-    orbit pinned at amplitude 0, whose amplitude row is zero.  n = 4 has no
-    bifurcation point, and only the starts that need none."""
+    frequency; and the trivial orbit pinned at amplitude 0, whose amplitude
+    row is zero.  n = 4 has no bifurcation point, and only the starts that
+    need none."""
     ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.0), potential=potential)
     points = [pt for pt in enumerate_bifurcations(ring) if pt.k != n]
     bif = points[int(rng.integers(len(points)))] if points else None
@@ -750,7 +751,8 @@ def test_band_newton_matches_dense_oracle(monkeypatch):
 
     def recorded_rcond(lu):
         space, V, nu, border, unfold, free_nu = lu.args
-        A = dense_jacobian(space, V, nu, border, unfold)[:, :None if free_nu else -1]
+        A = dense_jacobian(space, V, nu, border, unfold)
+        A = A if free_nu else A[:, :-1]
         estimates.append((rcond(lu), dense_rcond(A.copy(order="F")), A))
         return estimates[-1][0]
     monkeypatch.setattr(_FourierSpace, "factor", recorded_factor)
@@ -818,10 +820,11 @@ def test_newton_orbit_n96_within_budget():
     """newton_orbit at n = 96, p = 8, free nu and amplitude 0.01, started
     from its own solution, in a process with one OpenBLAS thread: the
     bordered band LU takes under 0.25 s (best of 3) and a tracemalloc peak
-    under 16 MiB; the dense LU of the 3267 x 3267 system took 0.64 s and
-    84 MiB."""
-    script = """if True:
+    under 16 MiB, where the dense LU of the 3267 x 3267 system took about
+    0.5 s and 84 MiB."""
+    script = textwrap.dedent("""
         import time, tracemalloc
+        import numpy as np
         from dnlsring.blocks import kernel_vector
         from dnlsring.classify import enumerate_bifurcations
         from dnlsring.model import RingSystem, standing_wave
@@ -844,9 +847,9 @@ def test_newton_orbit_n96_within_budget():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         print(min(times), peak, again.residual_norm, again.p)
-    """
+    """)
     src = os.path.dirname(os.path.dirname(orbits.__file__))
-    done = subprocess.run([sys.executable, "-c", "import numpy as np\n" + script],
+    done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src})
     elapsed, peak, res, p = map(float, done.stdout.split())
