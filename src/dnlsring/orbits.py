@@ -415,16 +415,17 @@ class _FourierSpace:
         ring_at = np.concatenate([flat(at, at[(sites + 1) % n]), flat(at, at[sites - 1])])
         return _BandLayout(kl, order, np.argsort(order), blocks_at, ring_at)
 
-    def band(self, V: np.ndarray, nu: float) -> np.ndarray:
+    def band(self, blocks: np.ndarray) -> np.ndarray:
         """The full space's packed Jacobian of :meth:`residual` without the
-        nu column, in the band order and LAPACK band storage of
-        :attr:`band_layout`: a zero (3 kl + 1, N) array in Fortran order,
-        the kl rows that ``dgbtrf`` fills in first, then the
-        :meth:`_site_blocks` and the identity between each site and its
-        neighbours j +- 1 (the ring adjacency on the diagonal mode blocks)."""
+        nu column, with the site blocks ``blocks`` of :meth:`_site_blocks`,
+        in the band order and LAPACK band storage of :attr:`band_layout`: a
+        zero (3 kl + 1, N) array in Fortran order, the kl rows that
+        ``dgbtrf`` fills in first, then the site blocks and the identity
+        between each site and its neighbours j +- 1 (the ring adjacency on
+        the diagonal mode blocks)."""
         kl, order, _, blocks_at, ring_at = self.band_layout
         flat = np.zeros((3 * kl + 1) * len(order))
-        flat[blocks_at] = self._site_blocks(V, nu).ravel()
+        flat[blocks_at] = blocks.ravel()
         flat[ring_at] = 1.0
         return flat.reshape(3 * kl + 1, -1, order="F")
 
@@ -447,8 +448,12 @@ class _FourierSpace:
         D = np.zeros((len(border), len(columns)))
         if free_nu:
             D[:, -1] = border[:, -1]
-        return _BorderedBandLU(self.band_layout, self.band(V, nu), E, border[:, :-1], D,
-                               len(unfold))
+        blocks = self._site_blocks(V, nu)
+        size = np.abs(blocks)
+        # the 1-norms of J's columns in the packed order, each with two neighbour ones
+        norms = size.sum(axis=(1, 2)).transpose(1, 0, 2).ravel() + 2.0
+        return _BorderedBandLU(self.band_layout, self.band(blocks), norms, max(size.max(), 1.0),
+                               E, border[:, :-1], D, len(unfold))
 
 
 class _BandLayout(NamedTuple):
@@ -502,21 +507,22 @@ class _BorderedBandLU:
     band order.
     """
 
-    def __init__(self, layout: _BandLayout, ab: np.ndarray, E: np.ndarray, B: np.ndarray,
-                 D: np.ndarray, m: int):
+    def __init__(self, layout: _BandLayout, ab: np.ndarray, norms: np.ndarray, sigma: float,
+                 E: np.ndarray, B: np.ndarray, D: np.ndarray, m: int):
+        """``ab`` holds J in band storage, ``norms`` the 1-norms of its
+        columns in the packed order and ``sigma`` its largest |entry|; J is
+        factored in ``ab``."""
         from scipy.linalg import lapack
         self.kl, self.order, self.inverse, self.m = layout.kl, layout.order, layout.inverse, m
-        self.E, self.B = E[self.order], B[:, self.order]
-        absJ = np.abs(ab[self.kl:])
         # the 1-norm of M, nan or inf with any non-finite entry
-        self.anorm = np.maximum((absJ.sum(axis=0) + np.abs(self.B).sum(axis=0)).max(),
+        self.anorm = np.maximum((norms + np.abs(B).sum(axis=0)).max(),
                                 np.abs(np.vstack([E, D])).sum(axis=0).max(initial=0.0))
         if not np.isfinite(self.anorm):
             raise FloatingPointError("non-finite Jacobian")
+        self.E, self.B, self.sigma = E[self.order], B[:, self.order], sigma
         s = self.s = len(D)
         self.pivots = lapack.dgeqp3(self.B)[1][:s] - 1 if s else np.zeros(0, dtype=int)
-        self.sigma = absJ.max()
-        ab[2 * self.kl, self.pivots] += self.sigma
+        ab[2 * self.kl, self.pivots] += sigma
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.kl, overwrite_ab=True)
         # x = Jh^-1 f + Z u with Z = Jh^-1 [sigma P, -E], and S u = [g - B x; -P^T x]
         # for S = [B; P^T] Z + [0 D; -I 0]; a zero pivot of the band leaves Z non-finite

@@ -156,7 +156,7 @@ def bordered_jacobian(space, V, nu, border, unfold):
     A = np.zeros((rows + len(border), m + space.dim), order="F")
     A[rows:, m:] = border
     A[:rows, :m] = np.reshape(unfold, (m, rows)).T
-    A[:rows, m:-1] = band_to_dense(space, space.band(V, nu))
+    A[:rows, m:-1] = band_to_dense(space, space.band(space._site_blocks(V, nu)))
     A[:rows, -1] = space._nu_column(V)
     return A
 
