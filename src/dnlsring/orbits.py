@@ -449,11 +449,11 @@ class _FourierSpace:
         if free_nu:
             D[:, -1] = border[:, -1]
         blocks = self._site_blocks(V, nu)
-        size = np.abs(blocks)
+        magnitudes = np.abs(blocks)
         # the 1-norms of J's columns in the packed order, each with two neighbour ones
-        norms = size.sum(axis=(1, 2)).transpose(1, 0, 2).ravel() + 2.0
-        return _BorderedBandLU(self.band_layout, self.band(blocks), norms, max(size.max(), 1.0),
-                               E, border[:, :-1], D, len(unfold))
+        norms = magnitudes.sum(axis=(1, 2)).transpose(1, 0, 2).ravel() + 2.0
+        return _BorderedBandLU(self.band_layout, self.band(blocks), norms,
+                               max(magnitudes.max(), 1.0), E, border[:, :-1], D, len(unfold))
 
 
 class _BandLayout(NamedTuple):
