@@ -69,7 +69,8 @@ def constant_orbit(state, nu, p):
 
 def collocation_mode1_blocks(ring, nus):
     """The mode-1 diagonal block of the Newton Jacobian at the rotating wave,
-    at each frequency of ``nus``: ``_FourierSpace(ring, 1).jacobian`` at
+    at each frequency of ``nus``: the band of ``_FourierSpace(ring, 1)``
+    that ``newton_orbit`` factors, expanded by ``bordered_jacobian``, at
     V_0 = a, V_1 = 0, with no border and no unfolding columns, rows and
     columns 2n:6n (Re V_1, Im V_1).  The Hessian is constant along that
     orbit, so the block is [[L_r, -L_i], [L_i, L_r]], the real form of the
@@ -82,7 +83,7 @@ def collocation_mode1_blocks(ring, nus):
     V = np.zeros((2, 2 * n), dtype=complex)
     V[0] = standing_wave(ring)[0]
     border = np.zeros((0, space.dim))
-    return np.array([dense_jacobian(space, V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
+    return np.array([bordered_jacobian(space, V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
                      for nu in nus])
 
 
