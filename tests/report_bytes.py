@@ -78,6 +78,10 @@ INVOCATIONS = [
      *_CSV],
     ["verify", "--n", "5", *_SAT, "--mu", "0.6", "--k", "1", "--branch", "plus", "--steps",
      "2"],
+    ["verify", "--n", "6", "--mu", "0.5", "--k", "3", "--branch", "plus"],    # 24 steps
+    ["verify", "--n", "3", *_SAT, "--mu", "1.0", "--k", "1", "--branch", "minus", "--steps",
+     "8"],                                                                 # p 8 -> 16
+    ["verify", "--n", "96", "--mu", "0.3", "--k", "48", "--branch", "plus", "--steps", "3"],
     # exit 2: invalid input, from argparse and from the commands
     ["equilibrium", "--n", "2", "--mu", "0.5"],
     ["stability", "--n", "6", "--mu", "0"],
