@@ -16,16 +16,20 @@ l = 0..p of the oscillators they keep, with one coupling matrix K_l per mode
 subspace of mode k, where the corrector's cost does not grow with n, though
 expanding and certifying each accepted point does).  There the residual and
 its closed-form Jacobian are written once, and one Newton loop solves it
-bordered by an amplitude or arclength row, each iteration one factorization
-with a condition estimate: a dense LU in the isotropy subspace, and in the
-full space a band LU, the sites ordered around the ring so that each meets
-its neighbours within a bandwidth that does not grow with n, with the border
-eliminated around it.  Every trial residual is
-L2-orthogonal to the two group tangents (time shift and rotation).  In the
-full space the loop adds a gauge row and an unfolding multiplier per
-tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0, which make the system square
-and regular (Munoz-Almaraz, Freire, Galan, Doedel & Vanderbauwhede,
-Physica D 181, 2003), with lambda = 0 at every solution.  The continuation
+bordered by an amplitude or arclength row.  Each iterate is sampled once,
+and the residual, the Jacobian and its nu column read those samples.  Each
+iteration that takes a step factors the system once: a dense LU in the
+isotropy subspace, and in the full space a band LU, the sites ordered
+around the ring so that each meets its neighbours within a bandwidth that
+does not grow with n, with the border eliminated around it.  Only
+:func:`newton_orbit` estimates the condition of its factorizations, the
+converged iterate's too, to report a singular system; the continuation
+estimates none.  Every trial residual is L2-orthogonal to the two group
+tangents (time shift and rotation).  In the full space the loop adds a
+gauge row and an unfolding multiplier per tangent, F + lambda_1 t_1 +
+lambda_2 t_2 = 0, which make the system square and regular
+(Munoz-Almaraz, Freire, Galan, Doedel & Vanderbauwhede, Physica D 181,
+2003), with lambda = 0 at every solution.  The continuation
 keeps only Fix(K), K x(t) = kappa x(-t) with the ring reflection
 kappa: q_j -> conj(q_(n-j)) (Lamb & Roberts, Physica D 112, 1998): the
 residual maps Fix(K) into itself and both tangents are odd under K, so
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import blocks
 from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites, _onsite,
-                    _onsite_blocks, _onsite_hessian)
+                    _onsite_blocks)
 from .symmetry import t_k_matrix
 
 __all__ = [
@@ -173,7 +177,8 @@ def residual(ring: RingSystem, orbit: FourierOrbit) -> np.ndarray:
     """
     _check_sizes(ring, orbit)
     p = orbit.p
-    F = _FourierSpace(ring, p).modes(orbit.coeffs[p:], orbit.nu)
+    space = _FourierSpace(ring, p)
+    F = space.modes(space.evaluate(orbit.coeffs[p:], orbit.nu))
     return np.concatenate([F[:0:-1].conj(), F])
 
 
@@ -233,10 +238,19 @@ class _FourierSpace:
     Im V_1, ..., Re V_p, Im V_p, nu], residuals the same way without nu; the
     Z~_n(k) space keeps the ``fixed`` real parts of Fix(K), V_l = (x_l, y_l):
     Re x_0, Re x_l and Im y_l (l = 1..p) and nu, 2p + 2 unknowns in place of
-    2n(2p+1) + 1.  The residual is written once, in
+    2n(2p+1) + 1; :meth:`pack` and :meth:`unpack` move them through one
+    index into the real view of V.  The residual is written once, in
     :meth:`modes`: Newton solves it packed, and the full space's modes are
     the public :func:`residual`, the certificate of every solved orbit.  The
     signals are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
+
+    A point is sampled once, by :meth:`evaluate`: its ``num`` samples, the
+    site values s and w = omega + h(s) there, and iJJ V.  :meth:`modes` and
+    :meth:`residual`, :meth:`_site_blocks` (with :meth:`jacobian` and
+    :meth:`factor`) and :meth:`_nu_column` take that evaluation, so the
+    residual and the Jacobian of one iterate share their samples and h, and
+    h' is evaluated only for a Jacobian.  The space keeps no state between
+    points.
     """
 
     def __init__(self, ring: RingSystem, p: int, k: int | None = None):
@@ -260,21 +274,31 @@ class _FourierSpace:
             self.fixed = np.r_[0, (np.arange(2, 4 * p, 4)[:, None] + [0, 3]).ravel()]
             self.dim = 2 * p + 2
 
+    @cached_property
+    def _packed_at(self) -> np.ndarray:
+        """Where each packed coordinate sits in ``V.view(float)``, flat: the
+        real parts in the order [Re V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p],
+        of which the space keeps its ``fixed`` ones.  Worked out on first use,
+        so a subclass may set ``fixed`` after this constructor."""
+        w, p = self.width, self.p
+        real = 2 * np.arange(w)   # Re V_l[c] at 2c of row l, Im V_l[c] at 2c + 1
+        rest = 2 * w * np.arange(1, p + 1)[:, None, None] + np.arange(2)[:, None] + real
+        return np.concatenate([real, rest.ravel()])[self.fixed]
+
     def pack(self, V: np.ndarray, *tail: float) -> np.ndarray:
-        parts = np.concatenate([V[0].real, np.concatenate([V[1:].real, V[1:].imag], 1).ravel()])
-        return np.concatenate([parts[self.fixed], tail])
+        """The kept real parts of the complex coordinates V (p+1, w), whose
+        rows are contiguous, then ``tail``."""
+        return np.concatenate([V.view(float).take(self._packed_at), tail])
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        w = self.width
-        parts = np.zeros(w * (2 * self.p + 1))
-        parts[self.fixed] = z[:-1]
-        rest = parts[w:].reshape(self.p, 2, w)
-        return np.vstack([parts[:w], rest[:, 0] + 1j * rest[:, 1]]), float(z[-1])
+        V = np.zeros((self.p + 1, self.width), dtype=complex)
+        V.view(float).put(self._packed_at, z[:-1])
+        return V, float(z[-1])
 
     def expand(self, V: np.ndarray) -> np.ndarray:
         """Coordinates (p+1, w) -> orbit coefficients (2p+1, 2n): all n
         oscillators, built once per corrected point, never inside Newton."""
-        X = V if self.k is None else np.array([T @ v for T, v in zip(self.maps, V)])
+        X = V if self.k is None else (self.maps @ V[:, :, None])[..., 0]
         coeffs = np.concatenate([X[:0:-1].conj(), X])
         coeffs[self.p] = coeffs[self.p].real
         return coeffs
@@ -283,12 +307,19 @@ class _FourierSpace:
         """Time samples (num, w/2, 2) of the kept oscillators."""
         return _to_samples(V / self.scale, self.num).reshape(self.num, -1, 2)
 
-    def modes(self, V: np.ndarray, nu: float) -> np.ndarray:
-        """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples of
-        (omega + h - 2) x by ``model._onsite``, kept oscillators in V coordinates: (p+1, w)."""
+    def evaluate(self, V: np.ndarray, nu: float) -> _Evaluation:
+        """The point (V, nu) sampled once: its ``num`` samples X, s and
+        w = omega + h(s) there by ``model._onsite``, and iJJ V.  The
+        residual, the Jacobian and the nu column all read it."""
         X = self._samples(V)
-        _, w = _onsite(self.ring, X)
-        G = (w - 2.0)[..., None] * X
+        s, w = _onsite(self.ring, X)
+        return _Evaluation(V, nu, X, s, w, _apply_iJJ(V))
+
+    def modes(self, at: _Evaluation) -> np.ndarray:
+        """F_l = (K_l - l nu iJJ) V_l + g_l, l = 0..p, g_l the modes of the samples of
+        (omega + h - 2) x, kept oscillators in V coordinates: (p+1, w)."""
+        V = at.V
+        G = (at.w - 2.0)[..., None] * at.X
         onsite = _to_modes(G.reshape(self.num, -1), self.p) * self.scale
         ls = np.arange(self.p + 1)[:, None]
         if self.k is None:   # x_(j+1) + x_(j-1) at every site j
@@ -296,16 +327,26 @@ class _FourierSpace:
             coupled = (np.roll(sites, -1, axis=1) + np.roll(sites, 1, axis=1)).reshape(V.shape)
         else:
             coupled = (self.coupling @ V[:, :, None])[:, :, 0]
-        return coupled - nu * ls * _apply_iJJ(V) + onsite
+        return coupled - at.nu * ls * at.iJJV + onsite
 
-    def residual(self, V: np.ndarray, nu: float) -> np.ndarray:
+    def residual(self, at: _Evaluation) -> np.ndarray:
         """The packed :meth:`modes`, the residual that Newton solves."""
-        return self.pack(self.modes(V, nu))
+        return self.pack(self.modes(at))
 
     def row(self, t: np.ndarray) -> np.ndarray:
         """Packed row r with r . dz = Re <dV_0, t_0> + 2 Re sum_{l>0} <dV_l, t_l>,
         the L2 pairing of the orbits whose coordinates are dV and t."""
         return self.pack(np.vstack([t[:1], 2.0 * t[1:]]), 0.0)
+
+    @cached_property
+    def gauged(self) -> bool:
+        """Whether a group tangent of some point of the space packs to a
+        nonzero vector.  Each tangent sends every real part to one real part,
+        times l or +-1, so it packs to zero at every point exactly when it
+        does at the point whose kept parts are all 1: true in the full space,
+        false in Fix(K)."""
+        V, _ = self.unpack(np.ones(self.dim))
+        return any(self.pack(t).any() for t in self.tangents(V))
 
     def tangents(self, V: np.ndarray) -> list[np.ndarray]:
         """The group tangents at V: the time shift i l V_l and the rotation
@@ -323,8 +364,8 @@ class _FourierSpace:
         pad = np.zeros(space.dim - self.dim)
         return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
 
-    def _site_blocks(self, V: np.ndarray, nu: float) -> np.ndarray:
-        """The Jacobian of :meth:`residual` on the site diagonal, one real
+    def _site_blocks(self, at: _Evaluation) -> np.ndarray:
+        """The Jacobian of :meth:`residual` at ``at`` on the site diagonal, one real
         (parts, 2, parts, 2) block per kept oscillator: (sites, parts, 2,
         parts, 2), rows and columns in the packed order of the real parts.
 
@@ -340,10 +381,13 @@ class _FourierSpace:
         pair from it; the real rows of every mode and the imaginary rows of
         modes l >= 1 make the real parts.
         """
-        p, sites = self.p, self.width // 2
+        p, sites, nu = self.p, self.width // 2, at.nu
         parts = 2 * p + 1
+        # the on-site Hessian blocks (omega + h - 2) I + 2 mu^2 h' x x^T, h' only here
+        hp = np.asarray(self.ring.potential.h_prime(at.s))
+        H = _onsite_blocks(at.X, at.w - 2.0, 2.0 * self.ring.mu ** 2 * hp)
         # mode m = -2p..2p at row m + 2p; adding 0.0 stores a zero as +0.0, never -0.0
-        S = _to_modes(_onsite_hessian(self.ring, self._samples(V)), 2 * p)
+        S = _to_modes(H, 2 * p)
         S = np.concatenate([S[:0:-1].conj(), S]) + 0.0
         ls = np.arange(p + 1)
         # row mode l, column mode l': dV_l' = a + i b enters as
@@ -361,14 +405,14 @@ class _FourierSpace:
         R[:, 2::2] = C[:, 1:].imag
         return R
 
-    def _nu_column(self, V: np.ndarray) -> np.ndarray:
+    def _nu_column(self, at: _Evaluation) -> np.ndarray:
         """Packed derivative of :meth:`residual` in nu, -l iJJ V_l."""
-        return self.pack(-np.arange(self.p + 1)[:, None] * _apply_iJJ(V))
+        return self.pack(-np.arange(self.p + 1)[:, None] * at.iJJV)
 
-    def jacobian(self, V: np.ndarray, nu: float, border: np.ndarray,
+    def jacobian(self, at: _Evaluation, border: np.ndarray,
                  unfold: list[np.ndarray]) -> np.ndarray:
-        """Packed Jacobian of the Z~_n(k) space's :meth:`residual`, dense,
-        with ``border`` rows below and the packed residual vectors ``unfold``
+        """Packed Jacobian of the Z~_n(k) space's :meth:`residual` at ``at``,
+        dense, with ``border`` rows below and the packed residual vectors ``unfold``
         as leading columns: the ``fixed`` rows and columns of
         :meth:`_site_blocks`, and the nu column.
 
@@ -377,13 +421,13 @@ class _FourierSpace:
         that LAPACK factors in place.  The full space writes its Jacobian in
         band storage instead (:meth:`band`).
         """
-        J = self._site_blocks(V, nu)[0].reshape(self.width * (2 * self.p + 1), -1)
+        J = self._site_blocks(at)[0].reshape(self.width * (2 * self.p + 1), -1)
         rows, m = self.dim - 1, len(unfold)
         A = np.zeros((rows + len(border), m + self.dim), order="F")
         A[rows:, m:] = border
         for j, t in enumerate(unfold):
             A[:rows, j] = t
-        A[:rows, -1] = self._nu_column(V)
+        A[:rows, -1] = self._nu_column(at)
         A[:rows, m:-1] = J[self.fixed][:, self.fixed]
         return A
 
@@ -429,11 +473,11 @@ class _FourierSpace:
         flat[ring_at] = 1.0
         return flat.reshape(3 * kl + 1, -1, order="F")
 
-    def factor(self, V: np.ndarray, nu: float, border: np.ndarray,
+    def factor(self, at: _Evaluation, border: np.ndarray,
                unfold: list[np.ndarray], free_nu: bool):
-        """LU factors of the square bordered Jacobian [J t c; B 0 d] at
-        (V, nu): the rows of the residual and the ``border`` rows, the
-        columns [unfold | coordinates | nu], the nu column c and the
+        """LU factors of the square bordered Jacobian [J t c; B 0 d] at the
+        evaluated point ``at``: the rows of the residual and the ``border``
+        rows, the columns [unfold | coordinates | nu], the nu column c and the
         border's last column d only with ``free_nu``.  The Z~_n(k) space
         factors its dense :meth:`jacobian`, the full space its :meth:`band`
         with the border eliminated around it (:class:`_BorderedBandLU`).
@@ -441,19 +485,30 @@ class _FourierSpace:
         Raises FloatingPointError when the Jacobian is not finite.
         """
         if self.k is not None:
-            A = self.jacobian(V, nu, border, unfold)
+            A = self.jacobian(at, border, unfold)
             return _DenseLU(A if free_nu else A[:, :-1])
-        columns = unfold + ([self._nu_column(V)] if free_nu else [])
+        columns = unfold + ([self._nu_column(at)] if free_nu else [])
         E = np.reshape(columns, (len(columns), self.dim - 1)).T
         D = np.zeros((len(border), len(columns)))
         if free_nu:
             D[:, -1] = border[:, -1]
-        blocks = self._site_blocks(V, nu)
+        blocks = self._site_blocks(at)
         magnitudes = np.abs(blocks)
         # the 1-norms of J's columns in the packed order, each with two neighbour ones
         norms = magnitudes.sum(axis=(1, 2)).transpose(1, 0, 2).ravel() + 2.0
         return _BorderedBandLU(self.band_layout, self.band(blocks), norms,
                                max(magnitudes.max(), 1.0), E, border[:, :-1], D, len(unfold))
+
+
+class _Evaluation(NamedTuple):
+    """One point of a :class:`_FourierSpace`, sampled once
+    (:meth:`_FourierSpace.evaluate`)."""
+    V: np.ndarray       # the coordinates (p+1, w)
+    nu: float
+    X: np.ndarray       # their num time samples (num, w/2, 2)
+    s: np.ndarray       # mu^2 |x|^2 at the samples
+    w: np.ndarray       # omega + h(s)
+    iJJV: np.ndarray    # iJJ V_l, every mode
 
 
 class _BandLayout(NamedTuple):
@@ -608,14 +663,18 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
     coordinates of ``space``, whose ring and samples define the residual, to
     a residual norm of 1e-10 and constraint values of ``ctol``.
 
-    ``constraints(z)`` gives the caller's border rows (amplitude or
-    arclength, or none) and their values at z; only this loop makes gauge
-    rows.  Each group tangent at the iterate that is not zero when packed
-    adds its gauge row (value 0) to the border B and its unfolding column to
-    t, and each iteration solves the square system [J t; B 0] [dz; lambda] =
-    -[F; c].  The time shift of a constant orbit packs to zero, and so do
-    both tangents in the Z~_n(k) space, where the system is [J; B] alone.
-    Each iteration factors the system once, as the space does it
+    Each iteration evaluates its iterate once (:meth:`_FourierSpace.evaluate`)
+    and passes that evaluation to the residual and, unless the iterate has
+    converged without ``guard``, to the factorization.  ``constraints(z)``
+    gives the caller's border rows (amplitude or arclength, or none) and
+    their values at z; only this loop makes gauge rows.  In a space whose
+    tangents can be live (:attr:`_FourierSpace.gauged`), each group tangent
+    at the iterate that is not zero when packed adds its gauge row (value 0)
+    to the border B and its unfolding column to t, and each iteration solves
+    the square system [J t; B 0] [dz; lambda] = -[F; c].  The time shift of
+    a constant orbit packs to zero; in Fix(K) of the Z~_n(k) space both
+    tangents do at every point, so none is built and the system is [J; B]
+    alone.  Each iteration factors the system once, as the space does it
     (:meth:`_FourierSpace.factor`), and with ``guard`` its condition
     estimate is tested before convergence, so a singular system raises even
     at a solution.  Without ``free_nu`` the frequency column is dropped.  A
@@ -624,8 +683,8 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
     """
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
-        V, nu = space.unpack(z)
-        res = space.residual(V, nu)
+        at = space.evaluate(*space.unpack(z))
+        res = space.residual(at)
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
@@ -634,15 +693,17 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
             return z, iteration
         # a tangent that packs to zero drops with its gauge row; every border row and
         # unfolding column has unit length, so rcond does not scale with the amplitude
-        tangents = [(t, packed) for t in space.tangents(V) if (packed := space.pack(t)).any()]
-        rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
-        values = np.concatenate([np.zeros(len(tangents)), values])
+        live = space.tangents(at.V) if space.gauged else []
+        tangents = [(t, packed) for t in live if (packed := space.pack(t)).any()]
+        if tangents:
+            rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
+            values = np.concatenate([np.zeros(len(tangents)), values])
         size = np.linalg.norm(rows, axis=1)
         size[size == 0] = 1.0
         rows, values = rows / size[:, None], values / size
         unfold = [packed / np.linalg.norm(packed) for _, packed in tangents]
         try:
-            lu = space.factor(V, nu, rows, unfold, free_nu)
+            lu = space.factor(at, rows, unfold, free_nu)
         except FloatingPointError:
             raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}") from None
         if guard and (rcond := lu.rcond()) < _RCOND_MIN:
@@ -869,14 +930,17 @@ def extrapolate_nu_to_zero(branch: ContinuationBranch) -> float:
 
     Fits nu = c0 + c2 a^2 (+ c4 a^4 with five points or more) through the
     12 smallest-amplitude points; near a bifurcation the family is an even
-    function of the amplitude, so c0 estimates the critical frequency.
+    function of the amplitude, so c0 estimates the critical frequency.  The
+    fit has no more coefficients than points: one point gives its own nu.
     """
     if not branch.points:
         raise ValueError("empty branch")
     pts = sorted(branch.points, key=lambda q: q.amplitude)[:_EXTRAPOLATION_POINTS]
     a = np.array([q.amplitude for q in pts])
     nu = np.array([q.nu for q in pts])
-    cols = [np.ones_like(a), a ** 2]
+    cols = [np.ones_like(a)]
+    if len(pts) >= 2:
+        cols.append(a ** 2)
     if len(pts) >= 5:
         cols.append(a ** 4)
     c = np.linalg.lstsq(np.column_stack(cols), nu, rcond=None)[0]

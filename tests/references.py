@@ -152,13 +152,14 @@ def bordered_jacobian(space, V, nu, border, unfold):
     ``jacobian``, or the full space's band expanded, with the border, the
     unfolding columns and the nu column around it."""
     if space.k is not None:
-        return space.jacobian(V, nu, border, unfold)
+        return space.jacobian(space.evaluate(V, nu), border, unfold)
     rows, m = space.dim - 1, len(unfold)
     A = np.zeros((rows + len(border), m + space.dim), order="F")
     A[rows:, m:] = border
     A[:rows, :m] = np.reshape(unfold, (m, rows)).T
-    A[:rows, m:-1] = band_to_dense(space, space.band(space._site_blocks(V, nu)))
-    A[:rows, -1] = space._nu_column(V)
+    at = space.evaluate(V, nu)
+    A[:rows, m:-1] = band_to_dense(space, space.band(space._site_blocks(at)))
+    A[:rows, -1] = space._nu_column(at)
     return A
 
 
@@ -178,7 +179,7 @@ def dense_newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=F
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
-        res = space.residual(V, nu)
+        res = space.residual(space.evaluate(V, nu))
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
@@ -279,7 +280,7 @@ def orthogonality_check(ring, orbit):
     """
     space = _FourierSpace(ring, orbit.p)
     space.num = max(8 * orbit.p + 1, 257)
-    F = space.modes(orbit.coeffs[orbit.p:], orbit.nu)
+    F = space.modes(space.evaluate(orbit.coeffs[orbit.p:], orbit.nu))
     F = np.concatenate([F[:0:-1].conj(), F])
     ls = np.arange(-orbit.p, orbit.p + 1)[:, None]
     xdot = 1j * ls * orbit.coeffs
@@ -307,7 +308,7 @@ def gauged_newton(space, z, constraints, ctol, max_iter):
     from scipy.linalg import lapack
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
-        res = space.residual(V, nu)
+        res = space.residual(space.evaluate(V, nu))
         rows, values = constraints(z)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
@@ -320,7 +321,7 @@ def gauged_newton(space, z, constraints, ctol, max_iter):
         size[size == 0] = 1.0
         rows, values = rows[keep] / size[:, None], values[keep] / size
         unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
-        lu, piv, _ = lapack.dgetrf(space.jacobian(V, nu, rows, unfold))
+        lu, piv, _ = lapack.dgetrf(space.jacobian(space.evaluate(V, nu), rows, unfold))
         step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
         z = z + step[len(unfold):]
     raise NoConvergence(f"no convergence after {max_iter} Newton iterations")

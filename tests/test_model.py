@@ -165,7 +165,7 @@ def test_ring_evaluates_its_potential_at_mu2_once():
     space = orbits._FourierSpace(ring, 2)
     V = np.zeros((3, 12), dtype=complex)
     V[0] = standing_wave(ring)[0]
-    space.modes(V, 1.0)
+    space.modes(space.evaluate(V, 1.0))
     assert (h.calls, h_prime.calls) == (2, 1)
 
     other = dataclasses.replace(ring, mu=0.7)

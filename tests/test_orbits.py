@@ -327,7 +327,7 @@ def test_closed_form_jacobian_matches_column_assembly():
         maps = space_maps(space)
         coeffs = map_expand(maps, V)
         assert np.abs(space.expand(V) - coeffs).max() <= 1e-12, (n, k, p)
-        res = space.residual(V, z[-1])
+        res = space.residual(space.evaluate(V, z[-1]))
         modes = map_project(maps, sampled_residual(ring, FourierOrbit(z[-1], coeffs), num))
         ref_res = space.pack(modes)
         assert np.abs(res - ref_res).max() <= 1e-12 * (1 + np.abs(res).max()), (n, k, p)
@@ -367,11 +367,12 @@ def dense_coupling(space):
                            (space.p + 1,) + eye.shape)
 
 
-def mode_loop_jacobian(space, V, nu, border, unfold):
-    """Reference for _FourierSpace.jacobian: the on-site spectrum expanded to
-    block-diagonal w x w matrices, and one row mode l built at a time over
-    every real part, of which the space keeps its ``fixed`` rows and columns."""
-    p, w = space.p, space.width
+def mode_loop_jacobian(space, at, border, unfold):
+    """Reference for _FourierSpace.jacobian at the evaluated point ``at``:
+    the orbit sampled again, the on-site spectrum expanded to block-diagonal
+    w x w matrices, and one row mode l built at a time over every real part,
+    of which the space keeps its ``fixed`` rows and columns."""
+    p, w, V, nu = space.p, space.width, at.V, at.nu
     coupling = dense_coupling(space)
     S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
     S = np.einsum("mjab,jk->mjakb", np.concatenate([S[:0:-1].conj(), S]),
@@ -425,7 +426,7 @@ def test_jacobian_matches_mode_loop():
         border = rng.normal(size=(int(rng.integers(4)), space.dim))
         unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1)))
         A = bordered_jacobian(space, V, nu, border, unfold)
-        ref = mode_loop_jacobian(space, V, nu, border, unfold)
+        ref = mode_loop_jacobian(space, space.evaluate(V, nu), border, unfold)
         assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
         assert A.tobytes() == ref.tobytes(), (n, k, p)
         if k is None:
@@ -465,7 +466,7 @@ def test_full_space_residual_matches_dense_adjacency():
             V[rng.random(V.shape) < 0.5] = complex(-0.0, -0.0)
         V[0] = V[0].real + standing_wave(ring)[0]
         nu = rng.uniform(0.5, 2.0)
-        got = space.residual(V, nu)
+        got = space.residual(space.evaluate(V, nu))
         assert got.tobytes() == dense_residual(space, V, nu).tobytes(), (n, p)
     n, p = 512, 4
     ring = RingSystem(n=n, mu=0.5)
@@ -474,11 +475,39 @@ def test_full_space_residual_matches_dense_adjacency():
     V[0] = V[0].real + standing_wave(ring)[0]
     tracemalloc.start()
     try:
-        space.residual(V, 1.0)
+        space.residual(space.evaluate(V, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20_000_000
+
+
+def test_sample_count_of_a_space_reaches_residual_and_jacobian():
+    # a ``num`` set on the instance is the count of the one evaluation that
+    # both the residual and the Jacobian read: at 4p + 1 samples a saturable
+    # h aliases, so both differ from the default 128 samples, and each has
+    # the bytes of its reference, which samples the orbit again
+    rng = np.random.default_rng(19)
+    ring, p, nu = RingSystem(n=5, mu=0.9, potential=SAT), 2, 1.3
+    for k in (None, 2):
+        space = _FourierSpace(ring, p, k)
+        V = 0.3 * (rng.normal(size=(p + 1, space.width))
+                   + 1j * rng.normal(size=(p + 1, space.width)))
+        V[0] = V[0].real + (standing_wave(ring)[0] if k is None else [np.sqrt(5), 0.0])
+        V = space.unpack(space.pack(V, nu))[0]
+        border = np.zeros((0, space.dim))
+        results = []
+        for num in (4 * p + 1, space.num):
+            space.num = num
+            at = space.evaluate(V, nu)
+            assert at.X.shape[0] == num
+            res, A = space.residual(at), bordered_jacobian(space, V, nu, border, [])
+            assert res.tobytes() == dense_residual(space, V, nu).tobytes(), (k, num)
+            assert A.tobytes() == mode_loop_jacobian(space, at, border, []).tobytes(), (k, num)
+            results.append((res, A))
+        (res, A), (res_default, A_default) = results
+        assert np.abs(res - res_default).max() > 1e-8, k
+        assert np.abs(A - A_default).max() > 1e-8, k
 
 
 def site_loop_symmetry_residual(orbit, k, num_samples=256):
@@ -577,6 +606,36 @@ def test_isotropy_maps_built_once_per_space(monkeypatch):
 
 # --- the square Newton solve -------------------------------------------------
 
+def test_newton_samples_each_iterate_once(monkeypatch):
+    # each Newton iterate is sampled once: the residual, the Jacobian and the
+    # nu column read one evaluation, so a call of n iterations evaluates n + 1
+    # iterates, with one _to_samples each; on a Fix(K) branch, where the last
+    # iterate is not factored, and in the full space, where it is
+    calls, counts = [], []
+    to_samples, newton = orbits._to_samples, orbits._newton
+
+    def counted_samples(*args):
+        calls.append(args)
+        return to_samples(*args)
+
+    def counted_newton(*args, **kwargs):
+        before = len(calls)
+        z, iterations = newton(*args, **kwargs)
+        counts.append((len(calls) - before, iterations))
+        return z, iterations
+    monkeypatch.setattr(orbits, "_to_samples", counted_samples)
+    monkeypatch.setattr(orbits, "_newton", counted_newton)
+    ring = RingSystem(n=6, mu=0.5)
+    bif = branch_point(ring, 3, "plus")
+    branch = continue_branch(ring, bif, steps=4, ds=0.03)
+    assert len(branch.points) == 4 and len(counts) == 4
+    start = mode_perturbed_orbit(ring, 3, 0.02, bif.nu, p=8)
+    newton_orbit(ring, start, fix_nu=False, amplitude=start.amplitude)
+    assert len(counts) >= 5
+    assert all(iterations >= 1 for _, iterations in counts), counts
+    assert all(samples == iterations + 1 for samples, iterations in counts), counts
+
+
 def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
     """Reference for the square solve: the Newton loop it replaced, which
     solves the system bordered by the gauge rows of both group tangents at
@@ -586,7 +645,7 @@ def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
     cols = slice(None) if free_nu else slice(-1)
     for iteration in range(max_iter + 1):
         V, nu = space.unpack(z)
-        res = space.residual(V, nu)
+        res = space.residual(space.evaluate(V, nu))
         rows, values = constraints(z)
         if np.linalg.norm(res) <= tol and np.all(np.abs(values) <= ctol):
             return z, iteration
@@ -609,7 +668,7 @@ def unfolding_multipliers(space, z, constraints, free_nu):
     unfold = [space.pack(t) / np.linalg.norm(space.pack(t)) for t in live]
     border = np.vstack([space.row(t) for t in live] + [rows])
     A = dense_jacobian(space, V, nu, border, unfold)[:, cols]
-    rhs = -np.concatenate([space.residual(V, nu), np.zeros(len(live)), values])
+    rhs = -np.concatenate([space.residual(space.evaluate(V, nu)), np.zeros(len(live)), values])
     return np.linalg.solve(A, rhs)[:len(unfold)]
 
 
@@ -750,8 +809,8 @@ def test_band_newton_matches_dense_oracle(monkeypatch):
         return lu
 
     def recorded_rcond(lu):
-        space, V, nu, border, unfold, free_nu = lu.args
-        A = dense_jacobian(space, V, nu, border, unfold)
+        space, at, border, unfold, free_nu = lu.args
+        A = dense_jacobian(space, at.V, at.nu, border, unfold)
         A = A if free_nu else A[:, :-1]
         estimates.append((rcond(lu), dense_rcond(A.copy(order="F")), A))
         return estimates[-1][0]
@@ -1161,6 +1220,17 @@ def test_continue_branch_rejects_nan_certificate(monkeypatch):
 def test_extrapolate_empty_branch_raises():
     with pytest.raises(ValueError):
         extrapolate_nu_to_zero(ContinuationBranch(points=[]))
+
+
+def test_extrapolate_fits_no_more_coefficients_than_points():
+    # one point gives its own nu; two points the line in a^2 through both
+    ring = RingSystem(n=6, mu=0.5)
+    branch = continue_branch(ring, branch_point(ring, 3, "plus"), steps=2, ds=0.03)
+    first = ContinuationBranch(points=branch.points[:1])
+    assert extrapolate_nu_to_zero(first) == branch.points[0].nu
+    (a1, nu1), (a2, nu2) = [(bp.amplitude ** 2, bp.nu) for bp in branch.points]
+    line = (nu1 * a2 - nu2 * a1) / (a2 - a1)
+    assert abs(extrapolate_nu_to_zero(branch) - line) <= 1e-12
 
 
 # --- integration -------------------------------------------------------------
