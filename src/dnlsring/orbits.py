@@ -695,9 +695,8 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
         # unfolding column has unit length, so rcond does not scale with the amplitude
         live = space.tangents(at.V) if space.gauged else []
         tangents = [(t, packed) for t in live if (packed := space.pack(t)).any()]
-        if tangents:
-            rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
-            values = np.concatenate([np.zeros(len(tangents)), values])
+        rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
+        values = np.concatenate([np.zeros(len(tangents)), values])
         size = np.linalg.norm(rows, axis=1)
         size[size == 0] = 1.0
         rows, values = rows / size[:, None], values / size
