@@ -4,7 +4,9 @@ Periodic orbits of ``JJ du/dt = grad_V(u)`` with frequency nu are zeros of
 the 2*pi-periodic residual ``F(x) = -nu JJ dx/dt + grad_V(x)``, represented
 here by a truncated Fourier series with modes |l| <= p.  The module provides
 
-* a conservative implicit-midpoint time integrator,
+* a conservative implicit-midpoint time integrator, whose Newton matrix is
+  a band in the interleaved ring order of :func:`_ring_order`, factored
+  about once per step from a quadratic predictor,
 * the collocation residual and its exact linearization,
 * a gauged Newton solver for periodic orbits,
 * pseudo-arclength continuation of branches away from a bifurcation point,
@@ -214,6 +216,17 @@ def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
 def orbit_residual_norm(F: np.ndarray) -> float:
     """l2 norm over all retained modes of a residual array."""
     return float(np.sqrt((np.abs(F) ** 2).sum()))
+
+
+def _ring_order(n: int) -> np.ndarray:
+    """The site at each band position, the ring interleaved as 0, n-1, 1,
+    n-2, ...: each site's two neighbours are at most two positions away, so
+    a ring operator has a bandwidth that does not grow with n (Golub & Van
+    Loan, *Matrix Computations*, section 4.3)."""
+    sites = np.arange(n)
+    ring = np.empty(n, dtype=np.intp)
+    ring[0::2], ring[1::2] = sites[:(n + 1) // 2], sites[:(n - 1) // 2:-1]
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +449,14 @@ class _FourierSpace:
         """Where the full space's Jacobian goes in LAPACK band storage,
         worked out once per space (and only when a Jacobian is factored).
 
-        The band order is site-major, the ring interleaved as 0, n-1, 1,
-        n-2, ...: a site's two neighbours are at most two sites away, so with
-        b = 2(2p + 1) unknowns per site kl = ku = 2b (Golub & Van Loan,
-        *Matrix Computations*, section 4.3).  Within a site the unknowns keep
-        the packed order of the real parts.
+        The band order is site-major in :func:`_ring_order`: a site's two
+        neighbours are at most two sites away, so with b = 2(2p + 1) unknowns
+        per site kl = ku = 2b.  Within a site the unknowns keep the packed
+        order of the real parts.
         """
         n, parts = self.n, 2 * self.p + 1
         sites, kl = np.arange(n), 4 * parts
-        ring = np.empty(n, dtype=np.intp)   # the site at each band position
-        ring[0::2], ring[1::2] = sites[:(n + 1) // 2], sites[:(n - 1) // 2:-1]
+        ring = _ring_order(n)
         position = np.empty(n, dtype=np.intp)
         position[ring] = sites
         # band index of unknown (site, part, a), (sites, parts, 2)
@@ -951,19 +962,33 @@ def extrapolate_nu_to_zero(branch: ContinuationBranch) -> float:
 
 
 def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Advance du/dt = -JJ grad_V(u) with the implicit midpoint rule.
+    """Advance du/dt = f(u) = -JJ grad_V(u) with the implicit midpoint rule.
 
     The scheme is second order and time symmetric; quadratic invariants
     (in particular the total power sum |u_j|^2) are conserved up to the
-    inner solve tolerance per step.  Each step starts from an Euler
-    predictor and runs full Newton on the midpoint equation; the update
-    after the residual reaches 1e-12 polishes the step.
+    inner solve tolerance per step.  Each step solves
+    G(u') = u' - u - dt f((u + u')/2) = 0 for the new state u' by Newton's
+    method.  Steps 0 and 1 start from the Euler predictor u + dt f(u); every
+    later step from the quadratic through the last three states,
+    3(u_k - u_(k-1)) + u_(k-2), whose error is O(dt^3) against Euler's
+    O(dt^2) and which evaluates no f.
 
-    ``x0`` is validated once, here; the step loop works on site views with
-    the neighbour indices hoisted.  The Newton matrix I - dt/2 Df,
-    Df = -JJ D2V, keeps its constant neighbour blocks (dt/2) J2 and gets new
-    on-site blocks per iteration, built from the same ``model._onsite``
-    values as the residual at that midpoint.
+    The Newton matrix I - (dt/2) Df, Df = -JJ D2V, couples each site to its
+    two ring neighbours only, so in the site order of :func:`_ring_order`
+    it is banded with kl = ku = min(5, 2n - 1); it is held in LAPACK band
+    storage and factored and solved by ``dgbsv``.  Its constant neighbour
+    blocks (dt/2) J2 are written once per call; each factorization writes
+    only the on-site blocks, built from the same ``model._onsite`` values as
+    the residual at that midpoint.  A step factors while its residual is
+    above 1e-12, and at least once.  The update after the residual has met
+    that tolerance polishes the step to machine precision, keeping quadratic
+    invariants tight; it reuses the step's last factors (``dgbtrs``).
+
+    ``x0`` is validated once, here.  The loop holds the states in the band
+    order; they go back to site order once, at the end, in place, so the
+    states come back C-contiguous: a sum over each state (the power, say)
+    then runs in numpy's pairwise order over contiguous rows, as for any
+    state in site order, where a strided result would round it differently.
 
     Returns (times, states) with states of shape (steps+1, 2n).
 
@@ -984,18 +1009,30 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     steps = int(round(T / dt))
     n, h_prime = ring.n, ring.potential.h_prime
     hp_scale, half = 2.0 * ring.mu ** 2, 0.5 * dt
-    sites = np.arange(n)
-    nxt, prv = np.roll(sites, -1), np.roll(sites, 1)
-    M = np.eye(2 * n)
-    M4 = M.reshape(n, 2, n, 2)
-    M4[sites, :, nxt, :] = half * J2
-    M4[nxt, :, sites, :] = half * J2
-    onsite_at = np.arange(M.size).reshape(n, 2, n, 2)[sites, :, sites, :].ravel()
+    order = _ring_order(n)                  # the site at each band position
+    position = np.empty(n, dtype=np.intp)   # the band position of each site
+    position[order] = np.arange(n)
+    nxt, prv = position[(order + 1) % n], position[order - 1]
+    unknowns = 2 * np.arange(n)[:, None] + np.arange(2)   # band indices at each position
+    # I - (dt/2) Df in band storage: A[i, j] is ab[2 kl + i - j, j] (ab is flat's view)
+    kl, size = min(5, 2 * n - 1), 2 * n
+    flat = np.zeros((3 * kl + 1) * size)
+    ab = flat.reshape(3 * kl + 1, size, order="F")
+
+    def block_at(rows, cols):
+        """Storage indices in flat of the 2x2 blocks A[rows, cols], rows and
+        cols of shape (n, 2)."""
+        i, j = rows[:, :, None], cols[:, None, :]
+        return 2 * kl + i - j + (3 * kl + 1) * j
+
+    flat[block_at(unknowns, unknowns[nxt])] = half * J2
+    flat[block_at(unknowns, unknowns[prv])] = half * J2
+    onsite_at = block_at(unknowns, unknowns).ravel()
     # dt/2 times the sign of -J2 = swap rows, negate the second
     half_sign = half * _SWAP_SIGN[:, None]
 
     def rhs(X, w):
-        """-JJ grad_V at site views X, given w = omega + h(mu^2 |X|^2)."""
+        """-JJ grad_V at site views X in band order, given w = omega + h(mu^2 |X|^2)."""
         grad = w[:, None] * X + (X[nxt] - 2.0 * X + X[prv])
         return (grad[:, ::-1] * _SWAP_SIGN).reshape(-1)
 
@@ -1003,13 +1040,16 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
         return NoConvergence(f"implicit midpoint {what} at step {step} "
                              f"(t = {step * dt:.3f}); try a smaller dt")
 
-    out = np.empty((steps + 1, 2 * n))
-    out[0] = x0
-    u = x0
+    out = np.empty((steps + 1, size))
+    u = out[0] = x0.reshape(n, 2)[order].reshape(-1)
     with np.errstate(all="ignore"):   # non-finite values end in NoConvergence
         for step in range(steps):
-            X = u.reshape(n, 2)
-            unew = u + dt * rhs(X, _onsite(ring, X)[1])
+            if step < 2:
+                X = u.reshape(n, 2)
+                unew = u + dt * rhs(X, _onsite(ring, X)[1])
+            else:
+                unew = 3.0 * (u - out[step - 1]) + out[step - 2]
+            lu = None
             for _ in range(_MIDPOINT_ITER):
                 mid = 0.5 * (u + unew)
                 X = mid.reshape(n, 2)
@@ -1019,21 +1059,27 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
                 # an overflowing square of a finite G is no failure
                 if not math.isfinite(norm) and not np.isfinite(G).all():
                     raise fail(step, "residual is not finite")
-                # on-site blocks of D2V, then of -JJ D2V by a row swap and sign
-                onsite = _onsite_blocks(X, w - 2.0, hp_scale * np.asarray(h_prime(s)))
-                M.put(onsite_at, _EYE2 - onsite[:, ::-1, :] * half_sign)
-                _, _, delta, info = lapack.dgesv(M, G)
-                if info > 0:
-                    raise fail(step, "matrix is singular")
+                converged = norm <= _MIDPOINT_TOL
+                if lu is None or not converged:
+                    # on-site blocks of D2V, then of -JJ D2V by a row swap and sign
+                    onsite = _onsite_blocks(X, w - 2.0, hp_scale * np.asarray(h_prime(s)))
+                    flat.put(onsite_at, _EYE2 - onsite[:, ::-1, :] * half_sign)
+                    lu, piv, delta, info = lapack.dgbsv(kl, kl, ab, G)
+                    if info > 0:
+                        raise fail(step, "matrix is singular")
+                else:
+                    delta = lapack.dgbtrs(lu, kl, kl, G, piv)[0]
                 unew = unew - delta
-                # the update after the tolerance is met polishes the step to
-                # machine precision, keeping quadratic invariants tight
-                if norm <= _MIDPOINT_TOL:
+                if converged:
                     break
             else:
                 raise fail(step, "solve did not converge")
             if not np.isfinite(delta).all():
                 raise fail(step, "update is not finite")
-            u = unew
-            out[step + 1] = u
+            u = out[step + 1] = unew
+    # back to site order in place, 256 rows at a time, so that the copy the
+    # permutation needs stays small next to the trajectory
+    site_order = unknowns[position].ravel()
+    for rows in range(0, steps + 1, 256):
+        out[rows:rows + 256] = out[rows:rows + 256, site_order]
     return dt * np.arange(steps + 1), out

@@ -246,3 +246,18 @@ def test_criterion_8_conservation():
     report(8, "conservation", worst_power <= 1e-8 and worst_V <= 1e-6,
            f"power drift {worst_power:.2e} vs 1e-8, V drift {worst_V:.2e} "
            f"vs 1e-6", time.time() - t0, 30.0)
+
+
+def test_criterion_8_integrate_large_ring_within_budget():
+    """100 implicit midpoint steps at n = 1024, one band solve per Newton
+    update, within 1 s and with the power conserved to 1e-10."""
+    t0 = time.time()
+    rng = np.random.default_rng(31)
+    ring = RingSystem(n=1024, mu=0.3)
+    a, _ = standing_wave(ring)
+    x0 = a + 0.05 * rng.normal(size=2048)
+    _, X = integrate(ring, x0, T=1.0, dt=0.01)
+    power = (X ** 2).sum(axis=1)
+    drift = np.abs(power - power[0]).max()
+    report(8, "conservation at n = 1024", X.shape == (101, 2048) and drift <= 1e-10,
+           f"power drift {drift:.2e} vs 1e-10", time.time() - t0, 1.0)

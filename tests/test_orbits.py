@@ -1288,19 +1288,24 @@ def reference_integrate(ring, x0, T, dt):
 
 
 def test_integrate_matches_reference_loop():
-    """The hoisted kernel gives the reference loop's trajectory bit for bit."""
+    """The band solve in ring order, with its quadratic predictor and its
+    polish through the last factors, gives the dense reference loop's
+    trajectory to rounding: within 1e-13 over T = 0.5, and over T = 0.1 at
+    n = 64 and 65, where the interleave and the band's wrap-around entries
+    matter."""
     expr = custom_potential(_expr_fn("s / (1 + s**2)"), _expr_fn("(1 - s**2) / (1 + s**2)**2"))
     rng = np.random.default_rng(10)
-    for n in (3, 4, 5, 6, 9):
+    for n, T in [(3, 0.5), (4, 0.5), (5, 0.5), (6, 0.5), (9, 0.5), (64, 0.1), (65, 0.1)]:
         for pot in (cubic_potential(), SAT, expr):
             for dt in (0.01, 0.05):
                 ring = RingSystem(n=n, mu=float(rng.uniform(0.2, 1.2)), potential=pot)
                 a, _ = standing_wave(ring)
                 x0 = a + 0.05 * rng.normal(size=2 * n)
-                times, X = integrate(ring, x0, T=0.5, dt=dt)
-                ref_times, ref_X = reference_integrate(ring, x0, T=0.5, dt=dt)
+                times, X = integrate(ring, x0, T=T, dt=dt)
+                ref_times, ref_X = reference_integrate(ring, x0, T=T, dt=dt)
                 assert np.array_equal(times, ref_times)
-                assert np.array_equal(X, ref_X), (n, pot.kind, dt)
+                assert X.flags.c_contiguous
+                assert np.abs(X - ref_X).max() <= 1e-13, (n, pot.kind, dt)
 
 
 def test_integrate_non_finite_residual_no_convergence():
@@ -1328,20 +1333,52 @@ def test_integrate_non_finite_update_no_convergence():
 
 
 def test_integrate_singular_matrix_no_convergence(monkeypatch):
-    """dgesv reporting an exactly singular midpoint matrix (info > 0) ends
-    the run at once."""
+    """dgbsv reporting an exactly singular midpoint matrix (info > 0) ends
+    the run at once.  The first four factorizations are real, since the
+    polishing updates solve through them."""
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
     calls = []
+    real = scipy.linalg.lapack.dgbsv
 
-    def dgesv(A, b):
+    def dgbsv(kl, ku, ab, b):
         calls.append(1)
-        return A, None, b, 3 if len(calls) > 4 else 0
+        if len(calls) > 4:
+            return ab, None, b, 3
+        return real(kl, ku, ab, b)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", dgesv)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbsv", dgbsv)
     with pytest.raises(NoConvergence, match=r"matrix is singular at step \d+ \(t = "):
         integrate(ring, a + 0.01, T=1.0, dt=0.01)
     assert len(calls) == 5
+
+
+def test_integrate_factors_once_and_polishes_once_per_step(monkeypatch):
+    """On the dense benchmark's case (n = 6, saturable, mu near 0.4, the
+    rotating wave perturbed by 0.05, dt = 0.01, T = 10) every step polishes
+    once through its factors (dgbtrs), and every step from 2 on, started
+    from the quadratic predictor, factors once (dgbsv).  Steps 0 and 1 start
+    from Euler's predictor, which can leave one more factorization each."""
+    counts = {}
+    for name in ("dgbsv", "dgbtrs"):
+        def counted(*args, _real=getattr(scipy.linalg.lapack, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+
+    def calls(ring, x0, T):
+        counts.update(dgbsv=0, dgbtrs=0)
+        integrate(ring, x0, T=T, dt=0.01)
+        return counts["dgbsv"], counts["dgbtrs"]
+
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        ring = RingSystem(n=6, mu=0.4 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0)), potential=SAT)
+        a, _ = standing_wave(ring)
+        x0 = a + 0.05 * rng.normal(size=12)
+        (head, head_polish), (full, polish) = calls(ring, x0, 0.02), calls(ring, x0, 10.0)
+        assert (head_polish, polish) == (2, 1000)
+        assert full - head == 998 and 2 <= head <= 4
 
 
 @pytest.mark.parametrize("pot", [cubic_potential(), SAT])
