@@ -23,19 +23,19 @@ and the residual, the Jacobian and its nu column read those samples.  Each
 iteration that takes a step factors the system once: a dense LU in the
 isotropy subspace, and in the full space a band LU, the sites ordered
 around the ring so that each meets its neighbours within a bandwidth that
-does not grow with n, with the border eliminated around it.  Only
-:func:`newton_orbit` estimates the condition of its factorizations, the
-converged iterate's too, to report a singular system; the continuation
-estimates none.  Every trial residual is L2-orthogonal to the two group
-tangents (time shift and rotation).  In the full space the loop adds a
-gauge row and an unfolding multiplier per tangent, F + lambda_1 t_1 +
-lambda_2 t_2 = 0, which make the system square and regular
-(Munoz-Almaraz, Freire, Galan, Doedel & Vanderbauwhede, Physica D 181,
-2003), with lambda = 0 at every solution.  The continuation
-keeps only Fix(K), K x(t) = kappa x(-t) with the ring reflection
-kappa: q_j -> conj(q_(n-j)) (Lamb & Roberts, Physica D 112, 1998): the
-residual maps Fix(K) into itself and both tangents are odd under K, so
-they vanish there and the system is square as it stands.
+does not grow with n, with the border eliminated around it.  Every trial
+residual is L2-orthogonal to the two group tangents (time shift and
+rotation), and whether the space is the full one decides the rest.  The
+full space of :func:`newton_orbit` adds a gauge row and an unfolding
+multiplier per live tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0, which
+make the system square and regular (Munoz-Almaraz, Freire, Galan, Doedel &
+Vanderbauwhede, Physica D 181, 2003), with lambda = 0 at every solution,
+and tests the condition of every factorization, the converged iterate's
+too.  The continuation keeps only Fix(K), K x(t) = kappa x(-t) with the
+ring reflection kappa: q_j -> conj(q_(n-j)) (Lamb & Roberts, Physica D
+112, 1998): the residual maps Fix(K) into itself and both tangents are odd
+under K, so they vanish there, and the system is square with no gauge, no
+multiplier and no guard.
 """
 
 from __future__ import annotations
@@ -190,17 +190,19 @@ def linearized_residual(ring: RingSystem, orbit: FourierOrbit,
     layout and at its samples.
 
     ``dcoeffs`` has the shape of ``orbit.coeffs`` and must describe a real
-    perturbation, i.e. satisfy the same reality condition.
+    perturbation, i.e. be finite and satisfy the same reality condition.
 
     Raises
     ------
     ValueError
-        When the orbit and ring sizes differ, or ``dcoeffs`` has another shape
-        or is not real.
+        When the orbit and ring sizes differ, or ``dcoeffs`` has another shape,
+        has a non-finite entry or is not real.
     """
     _check_sizes(ring, orbit)
     if dcoeffs.shape != orbit.coeffs.shape:
         raise ValueError(f"dcoeffs has shape {dcoeffs.shape}, the orbit {orbit.coeffs.shape}")
+    if not np.isfinite(dcoeffs).all():
+        raise ValueError("dcoeffs contain non-finite entries")
     if np.abs(dcoeffs[::-1].conj() - dcoeffs).max() > 1e-12 * (1 + np.abs(dcoeffs).max()):
         raise ValueError("dcoeffs must satisfy the reality condition")
     p = orbit.p
@@ -263,7 +265,8 @@ class _FourierSpace:
     :meth:`factor`) and :meth:`_nu_column` take that evaluation, so the
     residual and the Jacobian of one iterate share their samples and h, and
     h' is evaluated only for a Jacobian.  The space keeps no state between
-    points.
+    points.  ``k is None`` marks the full space, the one that :func:`_newton`
+    gauges and guards; in Fix(K) both group tangents pack to zero.
     """
 
     def __init__(self, ring: RingSystem, p: int, k: int | None = None):
@@ -351,16 +354,6 @@ class _FourierSpace:
         the L2 pairing of the orbits whose coordinates are dV and t."""
         return self.pack(np.vstack([t[:1], 2.0 * t[1:]]), 0.0)
 
-    @cached_property
-    def gauged(self) -> bool:
-        """Whether a group tangent of some point of the space packs to a
-        nonzero vector.  Each tangent sends every real part to one real part,
-        times l or +-1, so it packs to zero at every point exactly when it
-        does at the point whose kept parts are all 1: true in the full space,
-        false in Fix(K)."""
-        V, _ = self.unpack(np.ones(self.dim))
-        return any(self.pack(t).any() for t in self.tangents(V))
-
     def tangents(self, V: np.ndarray) -> list[np.ndarray]:
         """The group tangents at V: the time shift i l V_l and the rotation
         -J2 V_l (the rotation commutes with the symmetry pattern)."""
@@ -422,26 +415,23 @@ class _FourierSpace:
         """Packed derivative of :meth:`residual` in nu, -l iJJ V_l."""
         return self.pack(-np.arange(self.p + 1)[:, None] * at.iJJV)
 
-    def jacobian(self, at: _Evaluation, border: np.ndarray,
-                 unfold: list[np.ndarray]) -> np.ndarray:
+    def jacobian(self, at: _Evaluation, border: np.ndarray) -> np.ndarray:
         """Packed Jacobian of the Z~_n(k) space's :meth:`residual` at ``at``,
-        dense, with ``border`` rows below and the packed residual vectors ``unfold``
-        as leading columns: the ``fixed`` rows and columns of
-        :meth:`_site_blocks`, and the nu column.
+        dense, with ``border`` rows below: the ``fixed`` rows and columns of
+        :meth:`_site_blocks`, and the nu column.  Fix(K) has no unfolding
+        columns.
 
-        The columns are [unfold | coordinates | nu] and the array is in
-        Fortran order, so dropping the nu column leaves a contiguous matrix
-        that LAPACK factors in place.  The full space writes its Jacobian in
-        band storage instead (:meth:`band`).
+        The columns are [coordinates | nu] and the array is in Fortran
+        order, so dropping the nu column leaves a contiguous matrix that
+        LAPACK factors in place.  The full space writes its Jacobian in band
+        storage instead (:meth:`band`).
         """
         J = self._site_blocks(at)[0].reshape(self.width * (2 * self.p + 1), -1)
-        rows, m = self.dim - 1, len(unfold)
-        A = np.zeros((rows + len(border), m + self.dim), order="F")
-        A[rows:, m:] = border
-        for j, t in enumerate(unfold):
-            A[:rows, j] = t
+        rows = self.dim - 1
+        A = np.zeros((rows + len(border), self.dim), order="F")
+        A[rows:] = border
         A[:rows, -1] = self._nu_column(at)
-        A[:rows, m:-1] = J[self.fixed][:, self.fixed]
+        A[:rows, :-1] = J[self.fixed][:, self.fixed]
         return A
 
     @cached_property
@@ -489,14 +479,15 @@ class _FourierSpace:
         """LU factors of the square bordered Jacobian [J t c; B 0 d] at the
         evaluated point ``at``: the rows of the residual and the ``border``
         rows, the columns [unfold | coordinates | nu], the nu column c and the
-        border's last column d only with ``free_nu``.  The Z~_n(k) space
-        factors its dense :meth:`jacobian`, the full space its :meth:`band`
-        with the border eliminated around it (:class:`_BorderedBandLU`).
+        border's last column d only with ``free_nu``.  The full space factors
+        its :meth:`band` with the border and its live tangents ``unfold``
+        eliminated around it (:class:`_BorderedBandLU`, which estimates its
+        condition); Fix(K), with no ``unfold``, its dense :meth:`jacobian`.
 
         Raises FloatingPointError when the Jacobian is not finite.
         """
         if self.k is not None:
-            A = self.jacobian(at, border, unfold)
+            A = self.jacobian(at, border)
             return _DenseLU(A if free_nu else A[:, :-1])
         columns = unfold + ([self._nu_column(at)] if free_nu else [])
         E = np.reshape(columns, (len(columns), self.dim - 1)).T
@@ -531,19 +522,14 @@ class _BandLayout(NamedTuple):
 
 
 class _DenseLU:
-    """LU factors of a dense square matrix, factored in place by ``dgetrf``,
-    with ``dgecon``'s condition estimate."""
+    """LU factors of Fix(K)'s dense square Jacobian, factored in place by
+    ``dgetrf``; Fix(K) is not guarded, so it has no condition estimate."""
 
     def __init__(self, A: np.ndarray):
         from scipy.linalg import lapack
-        self.anorm = lapack.dlange("1", A)   # nan or inf with any non-finite entry
-        if not np.isfinite(self.anorm):
+        if not np.isfinite(A).all():
             raise FloatingPointError("non-finite Jacobian")
         self.lu, self.piv, _ = lapack.dgetrf(A, overwrite_a=True)
-
-    def rcond(self) -> float:
-        from scipy.linalg import lapack
-        return lapack.dgecon(self.lu, self.anorm, norm="1")[0]   # 0 when exactly singular
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         from scipy.linalg import lapack
@@ -669,30 +655,31 @@ def _inverse_norm_estimate(solve, solve_transposed, size: int) -> float:
     return max(est, 2.0 * np.abs(solve(alternating)).sum() / (3.0 * size))
 
 
-def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False):
+def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True):
     """Newton iteration on [residual; constraints] = 0 in the packed
     coordinates of ``space``, whose ring and samples define the residual, to
     a residual norm of 1e-10 and constraint values of ``ctol``.
 
     Each iteration evaluates its iterate once (:meth:`_FourierSpace.evaluate`)
-    and passes that evaluation to the residual and, unless the iterate has
-    converged without ``guard``, to the factorization.  ``constraints(z)``
-    gives the caller's border rows (amplitude or arclength, or none) and
-    their values at z; only this loop makes gauge rows.  In a space whose
-    tangents can be live (:attr:`_FourierSpace.gauged`), each group tangent
-    at the iterate that is not zero when packed adds its gauge row (value 0)
-    to the border B and its unfolding column to t, and each iteration solves
-    the square system [J t; B 0] [dz; lambda] = -[F; c].  The time shift of
-    a constant orbit packs to zero; in Fix(K) of the Z~_n(k) space both
-    tangents do at every point, so none is built and the system is [J; B]
-    alone.  Each iteration factors the system once, as the space does it
-    (:meth:`_FourierSpace.factor`), and with ``guard`` its condition
-    estimate is tested before convergence, so a singular system raises even
-    at a solution.  Without ``free_nu`` the frequency column is dropped.  A
-    non-finite residual, constraint value or Jacobian raises
-    :class:`NoConvergence`.  Returns the solution and the iteration count.
+    and passes that evaluation to the residual and the factorization.
+    ``constraints(z)`` gives the caller's border rows (amplitude or
+    arclength, or none) and their values at z; only this loop makes gauge
+    rows, and only in the full space (``space.k is None``): there each group
+    tangent at the iterate that is not zero when packed (the time shift of a
+    constant orbit is) adds its gauge row (value 0) to the border B and its
+    unfolding column to t, each iteration solves the square system
+    [J t; B 0] [dz; lambda] = -[F; c], and the condition estimate of its
+    factorization is tested before convergence, so a singular system raises
+    even at a solution.  In Fix(K) both tangents vanish: none is built, the
+    system is [J; B], nothing is estimated and a converged iterate is not
+    factored.  Each iteration factors the system once, as the space does it
+    (:meth:`_FourierSpace.factor`).  Without ``free_nu`` the frequency
+    column is dropped.  A non-finite residual, constraint value or Jacobian
+    raises :class:`NoConvergence`.  Returns the solution and the iteration
+    count.
     """
     cols = slice(None) if free_nu else slice(-1)
+    full = space.k is None
     for iteration in range(max_iter + 1):
         at = space.evaluate(*space.unpack(z))
         res = space.residual(at)
@@ -700,11 +687,11 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
         if not (np.isfinite(res).all() and np.isfinite(values).all()):
             raise NoConvergence(f"non-finite residual at Newton iteration {iteration}")
         done = np.linalg.norm(res) <= _NEWTON_TOL and np.all(np.abs(values) <= ctol)
-        if done and not guard:
+        if done and not full:
             return z, iteration
         # a tangent that packs to zero drops with its gauge row; every border row and
         # unfolding column has unit length, so rcond does not scale with the amplitude
-        live = space.tangents(at.V) if space.gauged else []
+        live = space.tangents(at.V) if full else []
         tangents = [(t, packed) for t in live if (packed := space.pack(t)).any()]
         rows = np.vstack([space.row(t) for t, _ in tangents] + [rows])
         values = np.concatenate([np.zeros(len(tangents)), values])
@@ -716,7 +703,7 @@ def _newton(space, z, constraints, ctol, max_iter, *, free_nu=True, guard=False)
             lu = space.factor(at, rows, unfold, free_nu)
         except FloatingPointError:
             raise NoConvergence(f"non-finite Jacobian at Newton iteration {iteration}") from None
-        if guard and (rcond := lu.rcond()) < _RCOND_MIN:
+        if full and (rcond := lu.rcond()) < _RCOND_MIN:
             raise SingularJacobian(
                 f"gauged Jacobian is singular (condition estimate rcond {rcond:.2e}); "
                 f"expected exactly at a bifurcation point")
@@ -792,7 +779,7 @@ def newton_orbit(ring: RingSystem, initial: FourierOrbit, *,
     total_iters = 0
     while True:
         z, iters = _newton(space, z, lambda z: _orbit_constraints(space, z, amplitude),
-                           _NEWTON_TOL, _MAX_ITER, free_nu=not fix_nu, guard=True)
+                           _NEWTON_TOL, _MAX_ITER, free_nu=not fix_nu)
         total_iters += iters
         coeffs = space.expand(space.unpack(z)[0])
         tail = 0.0 if space.p == 0 else np.abs(coeffs[[0, -1]]).max()
@@ -841,7 +828,8 @@ def continue_branch(ring: RingSystem, bif, steps: int, ds: float, *,
     off-diagonal, so its second entry is imaginary, in Fix(K).  Later
     predictors follow secant tangents.  Both group tangents vanish in Fix(K),
     so every corrector is the square Newton loop of :func:`newton_orbit`
-    with the arclength row as its one border row.  The Fourier order doubles
+    without gauge rows, unfolding multipliers or the singularity guard, with
+    the arclength row as its one border row.  The Fourier order doubles
     while the tail exceeds 1e-12, and every accepted point is checked against
     the full-space residual.  The branch ends, with its ``termination`` and,
     for every end but the first two, a ``reason``:
@@ -995,16 +983,16 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     Raises
     ------
     ValueError
-        When T or dt is not positive, or x0 is not a finite state of shape
-        (2n,).
+        When T or dt is not a finite number > 0, or x0 is not a finite state
+        of shape (2n,).
     NoConvergence
         When the inner Newton solve stalls, its residual at a midpoint is
         not finite, or the midpoint matrix is singular (or its solution not
         finite); the message names the failing step and its time t.
     """
     from scipy.linalg import lapack   # scipy loads only when an orbit is integrated
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"T and dt must be finite and positive, got T = {T}, dt = {dt}")
     x0 = _as_state(ring, x0)
     steps = int(round(T / dt))
     n, h_prime = ring.n, ring.potential.h_prime

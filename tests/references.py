@@ -148,16 +148,18 @@ def band_to_dense(space, ab):
 
 def bordered_jacobian(space, V, nu, border, unfold):
     """The bordered Jacobian that ``space.factor`` factors, as one dense
-    matrix in the layout of ``dense_jacobian``: the isotropy space's own
-    ``jacobian``, or the full space's band expanded, with the border, the
-    unfolding columns and the nu column around it."""
-    if space.k is not None:
-        return space.jacobian(space.evaluate(V, nu), border, unfold)
+    matrix in the layout of ``dense_jacobian``, with the packed vectors
+    ``unfold`` as leading columns: the isotropy space's own ``jacobian``,
+    which has no unfolding columns, after them, or the full space's band
+    expanded, with the border and the nu column around it."""
+    at = space.evaluate(V, nu)
     rows, m = space.dim - 1, len(unfold)
     A = np.zeros((rows + len(border), m + space.dim), order="F")
-    A[rows:, m:] = border
     A[:rows, :m] = np.reshape(unfold, (m, rows)).T
-    at = space.evaluate(V, nu)
+    if space.k is not None:
+        A[:, m:] = space.jacobian(at, border)
+        return A
+    A[rows:, m:] = border
     A[:rows, m:-1] = band_to_dense(space, space.band(space._site_blocks(at)))
     A[:rows, -1] = space._nu_column(at)
     return A
@@ -321,7 +323,7 @@ def gauged_newton(space, z, constraints, ctol, max_iter):
         size[size == 0] = 1.0
         rows, values = rows[keep] / size[:, None], values[keep] / size
         unfold = [tangents[i] / np.linalg.norm(tangents[i]) for i in live]
-        lu, piv, _ = lapack.dgetrf(space.jacobian(space.evaluate(V, nu), rows, unfold))
+        lu, piv, _ = lapack.dgetrf(dense_jacobian(space, V, nu, rows, unfold))
         step = lapack.dgetrs(lu, piv, -np.concatenate([res, values]))[0]
         z = z + step[len(unfold):]
     raise NoConvergence(f"no convergence after {max_iter} Newton iterations")

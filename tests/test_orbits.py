@@ -162,6 +162,18 @@ def test_linearized_residual_rejects_other_perturbation_shape(shape):
         linearized_residual(ring, orbit, dcoeffs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_linearized_residual_rejects_non_finite_perturbation(bad):
+    # a nan entry passed the reality check, whose comparisons with nan are
+    # false, and came back as a nan residual
+    ring = RingSystem(n=4, mu=0.5)
+    orbit = constant_orbit(standing_wave(ring)[0], nu=1.0, p=2)
+    dcoeffs = np.zeros((5, 8), dtype=complex)
+    dcoeffs[2, 3] = bad
+    with pytest.raises(ValueError, match="dcoeffs contain non-finite entries"):
+        linearized_residual(ring, orbit, dcoeffs)
+
+
 def test_residual_zero_at_equilibrium():
     ring = RingSystem(n=6, mu=0.5)
     a, _ = standing_wave(ring)
@@ -400,10 +412,11 @@ def mode_loop_jacobian(space, at, border, unfold):
 
 def test_jacobian_matches_mode_loop():
     # bit for bit, full and isotropy spaces over n, p and the three potential
-    # kinds, with random orbits, frequencies, border rows and unfolding
-    # columns; the trivial orbit and orbits with a zero component too.  The
-    # full space's band, expanded to the packed order, and the dense assembly
-    # that the band replaced, are both compared
+    # kinds, with random orbits, frequencies and border rows, and unfolding
+    # columns in the full space (Fix(K) has none); the trivial orbit and
+    # orbits with a zero component too.  The full space's band, expanded to
+    # the packed order, and the dense assembly that the band replaced, are
+    # both compared
     rng = np.random.default_rng(13)
     pots = [cubic_potential(), SAT, CUSTOM]
     cases = [(n, k, p) for n in (3, 4, 5, 6, 7, 8, 24, 96)
@@ -424,13 +437,15 @@ def test_jacobian_matches_mode_loop():
         nu = rng.uniform(0.5, 2.0)
         space.num += int(rng.integers(2)) * 64
         border = rng.normal(size=(int(rng.integers(4)), space.dim))
-        unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1)))
+        unfold = list(rng.normal(size=(int(rng.integers(3)), space.dim - 1))) if k is None else []
         A = bordered_jacobian(space, V, nu, border, unfold)
         ref = mode_loop_jacobian(space, space.evaluate(V, nu), border, unfold)
         assert A.flags.f_contiguous and A.shape == ref.shape, (n, k, p)
         assert A.tobytes() == ref.tobytes(), (n, k, p)
         if k is None:
             assert dense_jacobian(space, V, nu, border, unfold).tobytes() == ref.tobytes()
+        else:
+            assert space.jacobian(space.evaluate(V, nu), border).flags.f_contiguous, (n, k, p)
 
 
 def dense_residual(space, V, nu):
@@ -581,7 +596,8 @@ def test_verify_matches_reference_paths(monkeypatch):
     monkeypatch.setattr(cli, "traveling_wave_residual",
                         lambda orbit, k: max(site_loop_symmetry_residual(orbit, k)))
     outputs = [run(fmt) for fmt in ("json", "csv")]
-    monkeypatch.setattr(_FourierSpace, "jacobian", mode_loop_jacobian)
+    monkeypatch.setattr(_FourierSpace, "jacobian",
+                        lambda space, at, border: mode_loop_jacobian(space, at, border, []))
     assert [run(fmt) for fmt in ("json", "csv")] == outputs
     points = [json.loads(out)["payload"]["points"] for out in (plain, outputs[0])]
     assert len(points[0]) == 8
@@ -636,6 +652,36 @@ def test_newton_samples_each_iterate_once(monkeypatch):
     assert all(samples == iterations + 1 for samples, iterations in counts), counts
 
 
+def test_only_the_full_space_gauges_and_guards(monkeypatch):
+    # whether the space is the full one decides: a Fix(K) branch builds no
+    # group tangent and estimates no condition, and newton_orbit from a
+    # converged orbit builds the tangents and tests the condition estimate
+    # once per factorization, the converged iterate's included
+    counts = {"tangents": 0, "factor": 0, "rcond": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+    counted(_FourierSpace, "tangents")
+    counted(_FourierSpace, "factor")
+    counted(orbits._BorderedBandLU, "rcond")
+    ring = RingSystem(n=6, mu=0.5)
+    bif = branch_point(ring, 3, "plus")
+    branch = continue_branch(ring, bif, steps=4, ds=0.03)
+    assert len(branch.points) == 4 and counts["factor"] >= 4, counts
+    assert counts["tangents"] == counts["rcond"] == 0, counts
+    start = mode_perturbed_orbit(ring, 3, 0.02, bif.nu, p=8)
+    solved = newton_orbit(ring, start, fix_nu=False, amplitude=start.amplitude)
+    counts.update(dict.fromkeys(counts, 0))
+    again = newton_orbit(ring, solved, fix_nu=False, amplitude=solved.amplitude)
+    assert again.residual_norm <= 1e-10
+    assert counts["rcond"] == counts["tangents"] == counts["factor"] >= 1, counts
+
+
 def lstsq_newton(space, z, constraints, tol, ctol, max_iter, *, free_nu=True):
     """Reference for the square solve: the Newton loop it replaced, which
     solves the system bordered by the gauge rows of both group tangents at
@@ -674,7 +720,7 @@ def unfolding_multipliers(space, z, constraints, free_nu):
 
 def newton_cases(rng, n, iso, p, potential):
     """The space of the Newton loop on one ring and its borders, as (name,
-    start, constraints, free_nu, guard, ctol): starts built from the kernel
+    start, constraints, free_nu, ctol): starts built from the kernel
     mode of a bifurcation point in the Z~_n(k) space, lifted to the full
     space unless ``iso``."""
     ring = RingSystem(n=n, mu=rng.uniform(0.3, 1.0), potential=potential)
@@ -698,15 +744,15 @@ def newton_cases(rng, n, iso, p, potential):
     tol = _NEWTON_TOL
     fixed = lambda z: _orbit_constraints(space, z, None)
     # fixed nu, off the critical frequency, from a small kernel mode back to the trivial orbit
-    cases = [("fix_nu-trivial", point(5e-3, nu0 + 0.1), fixed, False, True, tol)]
+    cases = [("fix_nu-trivial", point(5e-3, nu0 + 0.1), fixed, False, tol)]
     if bif is None:
         return space, cases if iso else []
     # newton_orbit with an amplitude border and free nu
     amplitude = lambda z: _orbit_constraints(space, z, 0.05)
-    cases.append(("amplitude", point(0.05, nu0), amplitude, True, True, tol))
-    z_amp, _ = _newton(space, point(0.05, nu0), amplitude, tol, 50, guard=True)
+    cases.append(("amplitude", point(0.05, nu0), amplitude, True, tol))
+    z_amp, _ = _newton(space, point(0.05, nu0), amplitude, tol, 50)
     # fixed nu, from a larger kernel mode to that branch orbit
-    cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, True, tol))
+    cases.append(("fix_nu", point(0.06, z_amp[-1]), fixed, False, tol))
     # the correctors of continue_branch, bordered by the arclength row alone
     # (in the full space the Newton loop adds the gauge rows at the iterate):
     # the first one from the trivial point along the kernel mode, and a later
@@ -715,26 +761,28 @@ def newton_cases(rng, n, iso, p, potential):
     tangent = point(1.0, nu0) - trivial
     tangent /= np.linalg.norm(tangent)
     first = lambda z: (tangent[None], tangent[None] @ (z - trivial) - ds)
-    cases.append(("first-corrector", trivial + ds * tangent, first, True, False, 10 * tol))
+    cases.append(("first-corrector", trivial + ds * tangent, first, True, 10 * tol))
     secant = (z_amp - trivial) / np.linalg.norm(z_amp - trivial)
     later = lambda z: (secant[None], secant[None] @ (z - z_amp) - ds)
-    cases.append(("corrector", z_amp + ds * secant, later, True, False, 10 * tol))
+    cases.append(("corrector", z_amp + ds * secant, later, True, 10 * tol))
     return space, cases
 
 
 def test_square_newton_matches_lstsq_loop():
     # the unfolded square system reaches the solution of the least-squares
     # loop it replaced, in the same number of iterations, with multipliers 0;
-    # in Fix(K) of the isotropy space the system is square with no multiplier
+    # the full space is guarded by the loop itself.  In Fix(K) of the
+    # isotropy space the system is square with no multiplier and no guard,
+    # and the dense reference loop, guarded, reaches the same solution
     rng = np.random.default_rng(12)
     pots = [cubic_potential(), SAT, CUSTOM]
     for i, (n, iso) in enumerate((n, iso) for n in (3, 4, 5, 6, 7, 8, 24, 96)
                                  for iso in (False, True)):
         p = 1 if (n, iso) == (96, False) else (1, 2, 5, 8)[i % 4]
         space, cases = newton_cases(rng, n, iso, p, pots[i % 3])
-        for name, z0, constraints, free_nu, guard, ctol in cases:
+        for name, z0, constraints, free_nu, ctol in cases:
             label = (n, iso, p, i % 3, name)
-            z, iters = _newton(space, z0, constraints, ctol, 50, free_nu=free_nu, guard=guard)
+            z, iters = _newton(space, z0, constraints, ctol, 50, free_nu=free_nu)
             ref, ref_iters = lstsq_newton(space, z0, constraints, _NEWTON_TOL, ctol, 50,
                                           free_nu=free_nu)
             assert np.abs(z - ref).max() <= 1e-12 * (1 + np.abs(ref).max()), label
@@ -742,6 +790,9 @@ def test_square_newton_matches_lstsq_loop():
             lam = unfolding_multipliers(space, z, constraints, free_nu)
             if iso:
                 assert lam.size == 0, label
+                guarded, _ = dense_newton(space, z0, constraints, ctol, 50,
+                                          free_nu=free_nu, guard=True)
+                assert np.abs(z - guarded).max() <= 1e-12 * (1 + np.abs(z).max()), label
             else:
                 assert np.abs(lam).max() <= 1e-12, label
 
@@ -780,7 +831,7 @@ def band_cases(rng, n, p, potential):
         cases += [(f"amplitude-{a:g}", point(a, nu0), pinned(a), True) for a in (1e-2, 1e-3, 1e-4)]
         # with nu fixed, a branch orbit of amplitude a is isolated with rcond ~ a^2:
         # at 0.05 the solution is fixed to well below 1e-12
-        z_amp, _ = _newton(space, point(0.05, nu0), pinned(0.05), _NEWTON_TOL, 50, guard=True)
+        z_amp, _ = _newton(space, point(0.05, nu0), pinned(0.05), _NEWTON_TOL, 50)
         cases += [("fix_nu-branch", point(0.06, z_amp[-1]), fixed, False),
                   ("fix_nu-critical", point(0.0, nu0), fixed, False)]
     return space, cases
@@ -835,8 +886,7 @@ def test_band_newton_matches_dense_oracle(monkeypatch):
             ref = outcome(dense_newton, space, z0, constraints, _NEWTON_TOL, 50,
                           free_nu=free_nu, guard=True)
             estimates.clear()
-            got = outcome(_newton, space, z0, constraints, _NEWTON_TOL, 50,
-                          free_nu=free_nu, guard=True)
+            got = outcome(_newton, space, z0, constraints, _NEWTON_TOL, 50, free_nu=free_nu)
             assert (ref is None) == (got is None), label
             if ref is not None:
                 assert np.abs(got[0] - ref[0]).max() <= 1e-12 * (1 + np.abs(ref[0]).max()), label
@@ -1258,6 +1308,11 @@ def test_integrate_validates_arguments():
         x0[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             integrate(ring, x0, T=1.0, dt=0.1)
+    # inf T overflowed the step count, nan T failed to convert, and inf dt
+    # came back as one row at time nan
+    for T, dt in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="T and dt must be finite and positive"):
+            integrate(ring, a, T=T, dt=dt)
 
 
 def reference_integrate(ring, x0, T, dt):
