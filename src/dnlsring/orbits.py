@@ -4,9 +4,10 @@ Periodic orbits of ``JJ du/dt = grad_V(u)`` with frequency nu are zeros of
 the 2*pi-periodic residual ``F(x) = -nu JJ dx/dt + grad_V(x)``, represented
 here by a truncated Fourier series with modes |l| <= p.  The module provides
 
-* a conservative implicit-midpoint time integrator, whose Newton matrix is
-  a band in the interleaved ring order of :func:`_ring_order`, factored
-  about once per step from a quadratic predictor,
+* a conservative implicit-midpoint time integrator that solves each step
+  for its stage increment, the midpoint less the state, with a Newton
+  matrix banded in the interleaved ring order of :func:`_ring_order` and
+  factored about once per step from a quadratic predictor,
 * the collocation residual and its exact linearization,
 * a gauged Newton solver for periodic orbits,
 * pseudo-arclength continuation of branches away from a bifurcation point,
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import blocks
-from .model import (_EYE2, J2, RingSystem, _as_state, _hessian_apply_sites, _onsite,
+from .model import (J2, RingSystem, _as_state, _hessian_apply_sites, _onsite,
                     _onsite_blocks)
 from .symmetry import t_k_matrix
 
@@ -954,23 +955,29 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
 
     The scheme is second order and time symmetric; quadratic invariants
     (in particular the total power sum |u_j|^2) are conserved up to the
-    inner solve tolerance per step.  Each step solves
-    G(u') = u' - u - dt f((u + u')/2) = 0 for the new state u' by Newton's
-    method.  Steps 0 and 1 start from the Euler predictor u + dt f(u); every
-    later step from the quadratic through the last three states,
-    3(u_k - u_(k-1)) + u_(k-2), whose error is O(dt^3) against Euler's
-    O(dt^2) and which evaluates no f.
+    inner solve tolerance per step.  It is the one-stage Gauss method, and
+    each step solves for its stage increment z = m - u, m the midpoint,
+    H(z) = z - (dt/2) f(u + z) = 0 by Newton's method, then sets
+    u' = u + 2z (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+    2nd ed., 2006, sections VIII.5-6).  Steps 0 and 1 start from the Euler
+    predictor z = (dt/2) f(u); every later step from the midpoint of the
+    quadratic through the last three states, z = u_k - 1.5 u_(k-1)
+    + 0.5 u_(k-2), whose error is O(dt^3) against Euler's O(dt^2) and which
+    evaluates no f.  A step has converged when |H| <= 1e-12 / 2, that is
+    when the residual G = 2H of the new state u' meets 1e-12.
 
     The Newton matrix I - (dt/2) Df, Df = -JJ D2V, couples each site to its
     two ring neighbours only, so in the site order of :func:`_ring_order`
     it is banded with kl = ku = min(5, 2n - 1); it is held in LAPACK band
     storage and factored and solved by ``dgbsv``.  Its constant neighbour
     blocks (dt/2) J2 are written once per call; each factorization writes
-    only the on-site blocks, built from the same ``model._onsite`` values as
-    the residual at that midpoint.  A step factors while its residual is
-    above 1e-12, and at least once.  The update after the residual has met
-    that tolerance polishes the step to machine precision, keeping quadratic
-    invariants tight; it reuses the step's last factors (``dgbtrs``).
+    only the two on-site entries of each unknown.  The residual and those
+    entries are formed per unknown, from s = mu^2 (x^2 + x_swap^2) with
+    x_swap the other coordinate of the unknown's site.  A step factors
+    while its residual is above tolerance, and at least once.  The update
+    after the residual has met it polishes the step to machine precision,
+    keeping quadratic invariants tight; it reuses the step's last factors
+    (``dgbtrs``).
 
     ``x0`` is validated once, here.  The loop holds the states in the band
     order; they go back to site order once, at the end, in place, so the
@@ -983,8 +990,8 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     Raises
     ------
     ValueError
-        When T or dt is not a finite number > 0, or x0 is not a finite state
-        of shape (2n,).
+        When T or dt is not a finite number > 0, the step count T/dt is not
+        finite, or x0 is not a finite state of shape (2n,).
     NoConvergence
         When the inner Newton solve stalls, its residual at a midpoint is
         not finite, or the midpoint matrix is singular (or its solution not
@@ -993,36 +1000,46 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     from scipy.linalg import lapack   # scipy loads only when an orbit is integrated
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise ValueError(f"T and dt must be finite and positive, got T = {T}, dt = {dt}")
+    if not T / dt < math.inf:
+        raise ValueError(f"the step count T/dt must be finite, got T = {T}, dt = {dt}")
     x0 = _as_state(ring, x0)
     steps = int(round(T / dt))
-    n, h_prime = ring.n, ring.potential.h_prime
-    hp_scale, half = 2.0 * ring.mu ** 2, 0.5 * dt
+    n, h, h_prime = ring.n, ring.potential.h, ring.potential.h_prime
+    mu2, shift, tol = ring.mu ** 2, ring.omega - 2.0, 0.5 * _MIDPOINT_TOL
     order = _ring_order(n)                  # the site at each band position
     position = np.empty(n, dtype=np.intp)   # the band position of each site
     position[order] = np.arange(n)
     nxt, prv = position[(order + 1) % n], position[order - 1]
     unknowns = 2 * np.arange(n)[:, None] + np.arange(2)   # band indices at each position
+    # each unknown's swap (its site's other coordinate) and the swaps of its
+    # two ring neighbours
+    swap = unknowns[:, ::-1].ravel()
+    nxt_swap, prv_swap = unknowns[nxt][:, ::-1].ravel(), unknowns[prv][:, ::-1].ravel()
     # I - (dt/2) Df in band storage: A[i, j] is ab[2 kl + i - j, j] (ab is flat's view)
     kl, size = min(5, 2 * n - 1), 2 * n
     flat = np.zeros((3 * kl + 1) * size)
     ab = flat.reshape(3 * kl + 1, size, order="F")
 
-    def block_at(rows, cols):
-        """Storage indices in flat of the 2x2 blocks A[rows, cols], rows and
-        cols of shape (n, 2)."""
-        i, j = rows[:, :, None], cols[:, None, :]
+    def band_at(i, j):
+        """Storage indices in flat of the entries A[i, j]."""
         return 2 * kl + i - j + (3 * kl + 1) * j
 
-    flat[block_at(unknowns, unknowns[nxt])] = half * J2
-    flat[block_at(unknowns, unknowns[prv])] = half * J2
-    onsite_at = block_at(unknowns, unknowns).ravel()
-    # dt/2 times the sign of -J2 = swap rows, negate the second
-    half_sign = half * _SWAP_SIGN[:, None]
+    for neighbour in (nxt, prv):
+        flat[band_at(unknowns[:, :, None], unknowns[neighbour][:, None, :])] = 0.5 * dt * J2
+    each = np.arange(size)
+    diag_at, cross_at = band_at(each, each), band_at(each, swap)
+    # -J2 v = (v_1, -v_0): f at an unknown is its sign times grad_V at its swap;
+    # half carries dt/2 and that sign, half_hp also 2 mu^2 for h'
+    half = 0.5 * dt * np.tile(_SWAP_SIGN, n)
+    half_hp = 2.0 * mu2 * half
 
-    def rhs(X, w):
-        """-JJ grad_V at site views X in band order, given w = omega + h(mu^2 |X|^2)."""
-        grad = w[:, None] * X + (X[nxt] - 2.0 * X + X[prv])
-        return (grad[:, ::-1] * _SWAP_SIGN).reshape(-1)
+    def half_f(m):
+        """(dt/2) f(m) at a state m in band order, with m's swap, s and
+        w - 2 = omega + h(s) - 2 per unknown."""
+        ms = m[swap]
+        s = mu2 * (m * m + ms * ms)
+        w2 = shift + np.asarray(h(s))
+        return half * (w2 * ms + m[nxt_swap] + m[prv_swap]), ms, s, w2
 
     def fail(step, what):
         return NoConvergence(f"implicit midpoint {what} at step {step} "
@@ -1033,38 +1050,38 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     with np.errstate(all="ignore"):   # non-finite values end in NoConvergence
         for step in range(steps):
             if step < 2:
-                X = u.reshape(n, 2)
-                unew = u + dt * rhs(X, _onsite(ring, X)[1])
+                z = half_f(u)[0]
             else:
-                unew = 3.0 * (u - out[step - 1]) + out[step - 2]
+                z = u - 1.5 * out[step - 1] + 0.5 * out[step - 2]
             lu = None
             for _ in range(_MIDPOINT_ITER):
-                mid = 0.5 * (u + unew)
-                X = mid.reshape(n, 2)
-                s, w = _onsite(ring, X)
-                G = unew - u - dt * rhs(X, w)
-                norm = math.sqrt(G @ G)   # np.linalg.norm's value, without its overhead
-                # an overflowing square of a finite G is no failure
-                if not math.isfinite(norm) and not np.isfinite(G).all():
+                m = u + z
+                hf, ms, s, w2 = half_f(m)
+                H = z - hf
+                norm = math.sqrt(H @ H)   # np.linalg.norm's value, without its overhead
+                # an overflowing square of a finite H is no failure
+                if not math.isfinite(norm) and not np.isfinite(H).all():
                     raise fail(step, "residual is not finite")
-                converged = norm <= _MIDPOINT_TOL
+                converged = norm <= tol
                 if lu is None or not converged:
-                    # on-site blocks of D2V, then of -JJ D2V by a row swap and sign
-                    onsite = _onsite_blocks(X, w - 2.0, hp_scale * np.asarray(h_prime(s)))
-                    flat.put(onsite_at, _EYE2 - onsite[:, ::-1, :] * half_sign)
-                    lu, piv, delta, info = lapack.dgbsv(kl, kl, ab, G)
+                    # the unknown's row of I - (dt/2) Df on its site: D2V's
+                    # on-site block is (w - 2) I + 2 mu^2 h' x x^T
+                    t = half_hp * np.asarray(h_prime(s)) * ms
+                    flat[diag_at] = 1.0 - t * m
+                    flat[cross_at] = -(half * w2 + t * ms)
+                    lu, piv, delta, info = lapack.dgbsv(kl, kl, ab, H)
                     if info > 0:
                         raise fail(step, "matrix is singular")
                 else:
-                    delta = lapack.dgbtrs(lu, kl, kl, G, piv)[0]
-                unew = unew - delta
+                    delta = lapack.dgbtrs(lu, kl, kl, H, piv)[0]
+                z = z - delta
                 if converged:
                     break
             else:
                 raise fail(step, "solve did not converge")
-            if not np.isfinite(delta).all():
+            if not math.isfinite(delta @ delta) and not np.isfinite(delta).all():
                 raise fail(step, "update is not finite")
-            u = out[step + 1] = unew
+            u = out[step + 1] = u + 2.0 * z
     # back to site order in place, 256 rows at a time, so that the copy the
     # permutation needs stays small next to the trajectory
     site_order = unknowns[position].ravel()

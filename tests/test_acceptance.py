@@ -26,7 +26,7 @@ SAT = saturable_potential()
 def report(number, name, ok, detail, elapsed, budget):
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"ACCEPTANCE {number} ({name}): {status}  [{detail}; {elapsed:.2f}s "
-          f"of {budget:.0f}s budget]")
+          f"of {budget:g}s budget]")
     assert ok, f"criterion {number} ({name}): {detail}"
     assert elapsed < budget, f"criterion {number} over budget: {elapsed:.2f}s"
 
@@ -261,3 +261,19 @@ def test_criterion_8_integrate_large_ring_within_budget():
     drift = np.abs(power - power[0]).max()
     report(8, "conservation at n = 1024", X.shape == (101, 2048) and drift <= 1e-10,
            f"power drift {drift:.2e} vs 1e-10", time.time() - t0, 1.0)
+
+
+def test_criterion_8_integrate_dense_case_within_budget():
+    """The dense benchmark's integrate, 1000 implicit midpoint steps at
+    n = 6 (saturable, mu = 0.4, the rotating wave perturbed by 0.05,
+    dt = 0.01), within 0.5 s and with the power conserved to 1e-10."""
+    t0 = time.time()
+    rng = np.random.default_rng(33)
+    ring = RingSystem(n=6, mu=0.4, potential=SAT)
+    a, _ = standing_wave(ring)
+    x0 = a + 0.05 * rng.normal(size=12)
+    _, X = integrate(ring, x0, T=10.0, dt=0.01)
+    power = (X ** 2).sum(axis=1)
+    drift = np.abs(power - power[0]).max()
+    report(8, "1000 steps at n = 6", X.shape == (1001, 12) and drift <= 1e-10,
+           f"power drift {drift:.2e} vs 1e-10", time.time() - t0, 0.5)

@@ -1313,6 +1313,9 @@ def test_integrate_validates_arguments():
     for T, dt in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(ValueError, match="T and dt must be finite and positive"):
             integrate(ring, a, T=T, dt=dt)
+    # finite T and dt whose step count overflows raised OverflowError
+    with pytest.raises(ValueError, match="step count T/dt must be finite"):
+        integrate(ring, a, T=1e300, dt=1e-10)
 
 
 def reference_integrate(ring, x0, T, dt):
@@ -1361,6 +1364,54 @@ def test_integrate_matches_reference_loop():
                 assert np.array_equal(times, ref_times)
                 assert X.flags.c_contiguous
                 assert np.abs(X - ref_X).max() <= 1e-13, (n, pot.kind, dt)
+
+
+def test_integrate_matches_reference_loop_on_the_benchmark_case():
+    """All 1000 steps of the dense benchmark's case (n = 6, saturable, mu
+    near 0.4, the rotating wave perturbed by 0.05, dt = 0.01, T = 10) give
+    the dense reference loop's trajectory within 1e-13."""
+    rng = np.random.default_rng(32)
+    ring = RingSystem(n=6, mu=0.4 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0)), potential=SAT)
+    a, _ = standing_wave(ring)
+    x0 = a + 0.05 * rng.normal(size=12)
+    _, X = integrate(ring, x0, T=10.0, dt=0.01)
+    _, ref_X = reference_integrate(ring, x0, T=10.0, dt=0.01)
+    assert X.shape == (1001, 12)
+    assert np.abs(X - ref_X).max() <= 1e-13
+
+
+def test_integrate_steps_solve_the_midpoint_equation():
+    """Every returned step solves the implicit midpoint equation through the
+    public kernel, |x_(k+1) - x_k - dt vector_field((x_k + x_(k+1)) / 2)| <=
+    1e-13, whatever unknown the solver iterates on: cubic, saturable and an
+    expression potential at n = 3, 6 and 64."""
+    expr = custom_potential(_expr_fn("s / (1 + s**2)"), _expr_fn("(1 - s**2) / (1 + s**2)**2"))
+    rng = np.random.default_rng(33)
+    dt = 0.01
+    for n in (3, 6, 64):
+        for pot in (cubic_potential(), SAT, expr):
+            ring = RingSystem(n=n, mu=float(rng.uniform(0.2, 1.2)), potential=pot)
+            a, _ = standing_wave(ring)
+            _, X = integrate(ring, a + 0.05 * rng.normal(size=2 * n), T=1.0, dt=dt)
+            f = np.array([vector_field(ring, mid) for mid in 0.5 * (X[1:] + X[:-1])])
+            err = np.linalg.norm(X[1:] - X[:-1] - dt * f, axis=1).max()
+            assert err <= 1e-13, (n, pot.kind, err)
+
+
+@pytest.mark.parametrize("n, pot, mu", [(6, SAT, 0.4), (64, cubic_potential(), 0.3)])
+def test_integrate_is_time_reversible(n, pot, mu):
+    """The flow is reversible under complex conjugation C, per site
+    [1, -1], and so is the symmetric midpoint rule: integrating forward
+    from C x(T) returns C x0 within 1e-9.  At the dense benchmark's case
+    (n = 6, saturable, T = 10, dt = 0.01) and at n = 64, cubic."""
+    rng = np.random.default_rng(34)
+    ring = RingSystem(n=n, mu=mu, potential=pot)
+    a, _ = standing_wave(ring)
+    x0 = a + 0.05 * rng.normal(size=2 * n)
+    flip = np.tile([1.0, -1.0], n)
+    _, X = integrate(ring, x0, T=10.0, dt=0.01)
+    _, back = integrate(ring, flip * X[-1], T=10.0, dt=0.01)
+    assert np.abs(flip * back[-1] - x0).max() <= 1e-9
 
 
 def test_integrate_non_finite_residual_no_convergence():
