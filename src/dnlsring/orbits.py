@@ -7,7 +7,8 @@ here by a truncated Fourier series with modes |l| <= p.  The module provides
 * a conservative implicit-midpoint time integrator that solves each step
   for its stage increment, the midpoint less the state, with a Newton
   matrix banded in the interleaved ring order of :func:`_ring_order` and
-  factored about once per step from a quadratic predictor,
+  factored about once per step, started from the order-8 extrapolation of
+  the last stage increments,
 * the collocation residual and its exact linearization,
 * a gauged Newton solver for periodic orbits,
 * pseudo-arclength continuation of branches away from a bifurcation point,
@@ -75,10 +76,16 @@ _MAX_ITER = 50          # Newton iterations of newton_orbit
 _P_MAX = 256            # Fourier order at which p-doubling gives up
 _MIDPOINT_TOL = 1e-12   # inner Newton solve of one implicit-midpoint step
 _MIDPOINT_ITER = 25
+_PREDICTOR_ORDER = 8    # stage increments that the midpoint predictor extrapolates
 _RCOND_MIN = 1e-10      # condition estimate below which newton_orbit reports a singularity
 _AMPLITUDE_MAX = 10.0   # amplitude at which continue_branch stops
 _EXTRAPOLATION_POINTS = 12   # smallest-amplitude points that extrapolate_nu_to_zero fits
 _SWAP_SIGN = np.array([1.0, -1.0])              # -J2 v = (v_1, -v_0): swap, then this
+# row m: the weights, oldest first, of the order-m extrapolation of the last
+# m stage increments, z_k = sum_(j=1..m) (-1)^(j+1) C(m, j) z_(k-j)
+_PREDICTOR_WEIGHTS = {
+    m: np.array([(-1.0) ** (j + 1) * math.comb(m, j) for j in range(m, 0, -1)])
+    for m in range(1, _PREDICTOR_ORDER + 1)}
 
 
 class NoConvergence(RuntimeError):
@@ -960,11 +967,22 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     H(z) = z - (dt/2) f(u + z) = 0 by Newton's method, then sets
     u' = u + 2z (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
     2nd ed., 2006, sections VIII.5-6).  Steps 0 and 1 start from the Euler
-    predictor z = (dt/2) f(u); every later step from the midpoint of the
-    quadratic through the last three states, z = u_k - 1.5 u_(k-1)
-    + 0.5 u_(k-2), whose error is O(dt^3) against Euler's O(dt^2) and which
-    evaluates no f.  A step has converged when |H| <= 1e-12 / 2, that is
-    when the residual G = 2H of the new state u' meets 1e-12.
+    predictor z = (dt/2) f(u); step k from 2 on from the order-q
+    extrapolation of the last q stage increments, q = min(k, 8),
+    z_k = sum_(j=1..q) (-1)^(j+1) C(q, j) z_(k-j) (ibid., section VIII.6),
+    one product of a row of ``_PREDICTOR_WEIGHTS`` with the last q rows of
+    a ring buffer; it evaluates no f, its error is O(dt^(q+1)), and at
+    q = 2 it is the quadratic through the last three states.  It
+    extrapolates the increments, which are O(dt), and not the states,
+    which are O(1): the weights sum to 1, but their magnitudes to
+    2^8 - 1 = 255, and on the states their rounding, which grows like
+    sqrt(2n) in |H|, misses the tolerance at large n.  At n = 16384
+    (cubic, mu = 0.3, dt = 0.01) every step from the states needs a second
+    residual, and 8 of 50 from the increments.  A step has converged
+    when |H| <= 1e-12 / 2, that is when the residual G = 2H of the new
+    state u' meets 1e-12.  At dt = 0.01 the predictor's residual is about
+    1e-14, so most steps meet the tolerance at their predictor and factor
+    once, for their polish.
 
     The Newton matrix I - (dt/2) Df, Df = -JJ D2V, couples each site to its
     two ring neighbours only, so in the site order of :func:`_ring_order`
@@ -977,7 +995,8 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     while its residual is above tolerance, and at least once.  The update
     after the residual has met it polishes the step to machine precision,
     keeping quadratic invariants tight; it reuses the step's last factors
-    (``dgbtrs``).
+    (``dgbtrs``), or the one factorization of a step whose predictor
+    already meets the tolerance.
 
     ``x0`` is validated once, here.  The loop holds the states in the band
     order; they go back to site order once, at the end, in place, so the
@@ -1046,13 +1065,19 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
                              f"(t = {step * dt:.3f}); try a smaller dt")
 
     out = np.empty((steps + 1, size))
+    # the stage increments, each written at slot and slot + _PREDICTOR_ORDER,
+    # so that past[end - depth:end] holds the last depth of them, oldest first
+    past = np.empty((2 * _PREDICTOR_ORDER, size))
     u = out[0] = x0.reshape(n, 2)[order].reshape(-1)
     with np.errstate(all="ignore"):   # non-finite values end in NoConvergence
         for step in range(steps):
+            slot = step % _PREDICTOR_ORDER
             if step < 2:
                 z = half_f(u)[0]
             else:
-                z = u - 1.5 * out[step - 1] + 0.5 * out[step - 2]
+                depth = min(step, _PREDICTOR_ORDER)
+                end = slot + _PREDICTOR_ORDER
+                z = _PREDICTOR_WEIGHTS[depth] @ past[end - depth:end]
             lu = None
             for _ in range(_MIDPOINT_ITER):
                 m = u + z
@@ -1081,6 +1106,7 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
                 raise fail(step, "solve did not converge")
             if not math.isfinite(delta @ delta) and not np.isfinite(delta).all():
                 raise fail(step, "update is not finite")
+            past[slot] = past[slot + _PREDICTOR_ORDER] = z
             u = out[step + 1] = u + 2.0 * z
     # back to site order in place, 256 rows at a time, so that the copy the
     # permutation needs stays small next to the trajectory
