@@ -366,12 +366,12 @@ def _point_records(n: int, mus: list[float], result, keep) -> _PointRecords:
                           list(map(mus.__getitem__, i)), nu, period, regime, root))
 
 
-def _bifurcation_rows(n: int, cells: list[str], mu: float, stable: bool, nu, eta,
-                      regime, modes) -> list[str]:
+def _bifurcation_rows(n: int, cells: list[str], labels: list[str], mu: float, stable: bool,
+                      nu, eta, regime, modes) -> list[str]:
     """The CSV rows of one mu as text, one per mode k in ``modes`` with both
     roots side by side, from the (n - 1, 2) ``nu`` and ``eta`` of a
     ``classify._classify`` result (eta 0 where no point is kept), the
-    per-mode ``regime`` and the alpha,gamma,delta text of each mode."""
+    per-mode ``regime`` and each mode's alpha,gamma,delta text and label."""
     nus, etas, tags = nu.tolist(), eta.tolist(), regime.tolist()
     mu, stable = _fmt(mu), "true" if stable else "false"
     rows = []
@@ -380,7 +380,7 @@ def _bifurcation_rows(n: int, cells: list[str], mu: float, stable: bool, nu, eta
         roots = (f"{_fmt(nu_minus) if eta_minus else ''},{_fmt(nu_plus) if eta_plus else ''},"
                  f"{eta_minus or ''},{eta_plus or ''}")
         regime = classify._REGIMES[tags[k - 1]] if eta_minus or eta_plus else ""
-        rows.append(f"{n},{k},{mu},{cells[k - 1]},{roots},Z~_{n}({k}),{regime},{stable}")
+        rows.append(f"{n},{k},{mu},{cells[k - 1]},{roots},{labels[k - 1]},{regime},{stable}")
     return rows
 
 
@@ -468,11 +468,12 @@ def _csv_rows(cfg: SimpleNamespace, mus, result, keep, modes) -> list[str]:
     table = blocks._coefficient_table(cfg.n)
     cells = [f"{_fmt(alpha)},{_fmt(gamma)},{'-' if math.isnan(delta) else _fmt(delta)}"
              for alpha, gamma, delta in zip(*table)]
+    labels = [IsotropyLabel(n=cfg.n, k=k).label for k in range(1, cfg.n)]
     eta = np.where(keep, result.eta, 0)
     return [row for i, (mu, stable) in enumerate(zip(mus, result.stable.tolist()))
             if not result.degenerate_k[i]
-            for row in _bifurcation_rows(cfg.n, cells, mu, stable, result.nu[i], eta[i],
-                                         result.regime[i], modes)]
+            for row in _bifurcation_rows(cfg.n, cells, labels, mu, stable, result.nu[i],
+                                         eta[i], result.regime[i], modes)]
 
 
 def cmd_bifurcations(cfg: SimpleNamespace):

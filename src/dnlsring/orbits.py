@@ -25,9 +25,10 @@ and the residual, the Jacobian and its nu column read those samples.  Each
 iteration that takes a step factors the system once: a dense LU in the
 isotropy subspace, and in the full space a band LU, the sites ordered
 around the ring so that each meets its neighbours within a bandwidth that
-does not grow with n, with the border eliminated around it.  Every trial
-residual is L2-orthogonal to the two group tangents (time shift and
-rotation), and whether the space is the full one decides the rest.  The
+does not grow with n, the unknowns packed in that order and the border
+eliminated around it.  Every trial residual is L2-orthogonal to the two
+group tangents (time shift and rotation), and whether the space is the
+full one decides the rest.  The
 full space of :func:`newton_orbit` adds a gauge row and an unfolding
 multiplier per live tangent, F + lambda_1 t_1 + lambda_2 t_2 = 0, which
 make the system square and regular (Munoz-Almaraz, Freire, Galan, Doedel &
@@ -228,15 +229,22 @@ def orbit_residual_norm(F: np.ndarray) -> float:
     return float(np.sqrt((np.abs(F) ** 2).sum()))
 
 
-def _ring_order(n: int) -> np.ndarray:
+def _ring_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The site at each band position, the ring interleaved as 0, n-1, 1,
-    n-2, ...: each site's two neighbours are at most two positions away, so
-    a ring operator has a bandwidth that does not grow with n (Golub & Van
-    Loan, *Matrix Computations*, section 4.3)."""
+    n-2, ..., and the position of each site: each site's two neighbours are
+    at most two positions away, so a ring operator has a bandwidth that does
+    not grow with n (Golub & Van Loan, *Matrix Computations*, section 4.3)."""
     sites = np.arange(n)
-    ring = np.empty(n, dtype=np.intp)
+    ring, position = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     ring[0::2], ring[1::2] = sites[:(n + 1) // 2], sites[:(n - 1) // 2:-1]
-    return ring
+    position[ring] = sites
+    return ring, position
+
+
+def _band_at(kl: int, i, j):
+    """Where A[i, j], ab[2 kl + i - j, j], sits in the flat LAPACK band
+    storage, (3 kl + 1, N) in Fortran order, of a matrix with kl = ku."""
+    return 2 * kl + i + 3 * kl * j
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +265,17 @@ class _FourierSpace:
     alone, V_l = sqrt(n) x_(n,l) (w = 2): there x_(j,l) = e^(i k_l j zeta)
     R(j zeta) x_(n,l) with k_l = l k mod n, so mode l couples only to itself,
     through K_l = (2 cos zeta - alpha_(k_l)) I + gamma_(k_l) iJ, with the L2
-    pairing of the whole orbit.  The full space packs points as [V_0, Re V_1,
-    Im V_1, ..., Re V_p, Im V_p, nu], residuals the same way without nu; the
-    Z~_n(k) space keeps the ``fixed`` real parts of Fix(K), V_l = (x_l, y_l):
-    Re x_0, Re x_l and Im y_l (l = 1..p) and nu, 2p + 2 unknowns in place of
-    2n(2p+1) + 1; :meth:`pack` and :meth:`unpack` move them through one
-    index into the real view of V.  The residual is written once, in
-    :meth:`modes`: Newton solves it packed, and the full space's modes are
-    the public :func:`residual`, the certificate of every solved orbit.  The
-    signals are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
+    pairing of the whole orbit.  The full space packs points site by site in
+    :func:`_ring_order`, each site's real parts [V_0, Re V_1, Im V_1, ...,
+    Re V_p, Im V_p] x (x, y), then nu: its band order.  Residuals pack the
+    same way without nu.  The Z~_n(k) space, one site, keeps the ``fixed``
+    real parts of Fix(K), V_l = (x_l, y_l): Re x_0, Re x_l and Im y_l
+    (l = 1..p) and nu, 2p + 2 unknowns in place of 2n(2p+1) + 1.
+    :meth:`pack` and :meth:`unpack` move them through one index into the
+    real view of V.  The residual is written once, in :meth:`modes`: Newton
+    solves it packed, and the full space's modes are the public
+    :func:`residual`, the certificate of every solved orbit.  The signals
+    are real: every transform is :func:`_to_samples` / :func:`_to_modes`.
 
     A point is sampled once, by :meth:`evaluate`: its ``num`` samples, the
     site values s and w = omega + h(s) there, and iJJ V.  :meth:`modes` and
@@ -300,14 +310,16 @@ class _FourierSpace:
 
     @cached_property
     def _packed_at(self) -> np.ndarray:
-        """Where each packed coordinate sits in ``V.view(float)``, flat: the
-        real parts in the order [Re V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p],
-        of which the space keeps its ``fixed`` ones.  Worked out on first use,
-        so a subclass may set ``fixed`` after this constructor."""
+        """Where each packed coordinate sits in ``V.view(float)``, flat: part
+        q of [V_0, Re V_1, Im V_1, ..., Re V_p, Im V_p], component a, of the
+        site at position r of :func:`_ring_order` at 2(2p + 1) r + 2q + a,
+        the band order; the space keeps its ``fixed`` ones.  Worked out on
+        first use, so a subclass may set ``fixed`` after this constructor."""
         w, p = self.width, self.p
-        real = 2 * np.arange(w)   # Re V_l[c] at 2c of row l, Im V_l[c] at 2c + 1
-        rest = 2 * w * np.arange(1, p + 1)[:, None, None] + np.arange(2)[:, None] + real
-        return np.concatenate([real, rest.ravel()])[self.fixed]
+        # Re V_l[c] at 2c of row l, Im V_l[c] at 2c + 1; part 2l - 1 is Re V_l, part 2l Im V_l
+        parts = np.r_[0, 2 * w * np.repeat(np.arange(1, p + 1), 2) + np.tile([0, 1], p)]
+        real = 2 * (2 * _ring_order(w // 2)[0][:, None] + np.arange(2))   # Re x, Re y by site
+        return (real[:, None] + parts[:, None]).ravel()[self.fixed]
 
     def pack(self, V: np.ndarray, *tail: float) -> np.ndarray:
         """The kept real parts of the complex coordinates V (p+1, w), whose
@@ -375,8 +387,8 @@ class _FourierSpace:
     def grown(self, *zs: np.ndarray) -> tuple["_FourierSpace", list[np.ndarray]]:
         """The space with twice the modes, and ``zs`` padded with zero modes."""
         space = type(self)(self.ring, 2 * self.p, self.k)
-        pad = np.zeros(space.dim - self.dim)
-        return space, [np.concatenate([z[:-1], pad, z[-1:]]) for z in zs]
+        pad = np.zeros((self.p, self.width), dtype=complex)
+        return space, [space.pack(np.vstack([V, pad]), nu) for V, nu in map(self.unpack, zs)]
 
     def _site_blocks(self, at: _Evaluation) -> np.ndarray:
         """The Jacobian of :meth:`residual` at ``at`` on the site diagonal, one real
@@ -447,37 +459,30 @@ class _FourierSpace:
         """Where the full space's Jacobian goes in LAPACK band storage,
         worked out once per space (and only when a Jacobian is factored).
 
-        The band order is site-major in :func:`_ring_order`: a site's two
-        neighbours are at most two sites away, so with b = 2(2p + 1) unknowns
-        per site kl = ku = 2b.  Within a site the unknowns keep the packed
-        order of the real parts.
+        The band index of an unknown is its packed index (:attr:`_packed_at`),
+        site-major in :func:`_ring_order`: a site's two neighbours are at
+        most two sites away, so with b = 2(2p + 1) unknowns per site
+        kl = ku = 2b.
         """
         n, parts = self.n, 2 * self.p + 1
         sites, kl = np.arange(n), 4 * parts
-        ring = _ring_order(n)
-        position = np.empty(n, dtype=np.intp)
-        position[ring] = sites
+        ring, position = _ring_order(n)
         # band index of unknown (site, part, a), (sites, parts, 2)
         at = (2 * parts * position)[:, None, None] + 2 * np.arange(parts)[:, None] + np.arange(2)
-        order = (2 * ring[:, None, None] + 2 * n * np.arange(parts)[:, None]
-                 + np.arange(2)).ravel()
-
-        def flat(i, j):   # A[i, j] is ab[2 kl + i - j, j] of the (3 kl + 1, N) storage
-            return (2 * kl + i + 3 * kl * j).ravel()
-        blocks_at = flat(at[:, :, :, None, None], at[:, None, None])
-        ring_at = np.concatenate([flat(at, at[(sites + 1) % n]), flat(at, at[sites - 1])])
-        return _BandLayout(kl, order, np.argsort(order), blocks_at, ring_at)
+        blocks_at = _band_at(kl, at[:, :, :, None, None], at[:, None, None]).ravel()
+        ring_at = _band_at(kl, at, at[np.stack([(sites + 1) % n, sites - 1])]).ravel()
+        return _BandLayout(kl, ring, blocks_at, ring_at)
 
     def band(self, blocks: np.ndarray) -> np.ndarray:
         """The full space's packed Jacobian of :meth:`residual` without the
         nu column, with the site blocks ``blocks`` of :meth:`_site_blocks`,
-        in the band order and LAPACK band storage of :attr:`band_layout`: a
-        zero (3 kl + 1, N) array in Fortran order, the kl rows that
-        ``dgbtrf`` fills in first, then the site blocks and the identity
+        in the LAPACK band storage of :attr:`band_layout`, whose order is the
+        packed one: a zero (3 kl + 1, N) array in Fortran order, the kl rows
+        that ``dgbtrf`` fills in first, then the site blocks and the identity
         between each site and its neighbours j +- 1 (the ring adjacency on
         the diagonal mode blocks)."""
-        kl, order, _, blocks_at, ring_at = self.band_layout
-        flat = np.zeros((3 * kl + 1) * len(order))
+        kl, _, blocks_at, ring_at = self.band_layout
+        flat = np.zeros((3 * kl + 1) * (self.dim - 1))
         flat[blocks_at] = blocks.ravel()
         flat[ring_at] = 1.0
         return flat.reshape(3 * kl + 1, -1, order="F")
@@ -504,9 +509,9 @@ class _FourierSpace:
             D[:, -1] = border[:, -1]
         blocks = self._site_blocks(at)
         magnitudes = np.abs(blocks)
-        # the 1-norms of J's columns in the packed order, each with two neighbour ones
-        norms = magnitudes.sum(axis=(1, 2)).transpose(1, 0, 2).ravel() + 2.0
-        return _BorderedBandLU(self.band_layout, self.band(blocks), norms,
+        # the 1-norms of J's columns in the band order, each with two neighbour ones
+        norms = magnitudes.sum(axis=(1, 2))[self.band_layout.ring].ravel() + 2.0
+        return _BorderedBandLU(self.band_layout.kl, self.band(blocks), norms,
                                max(magnitudes.max(), 1.0), E, border[:, :-1], D, len(unfold))
 
 
@@ -523,8 +528,7 @@ class _Evaluation(NamedTuple):
 
 class _BandLayout(NamedTuple):
     kl: int                 # sub- and superdiagonals of the band, kl = ku
-    order: np.ndarray       # packed index of each band index
-    inverse: np.ndarray     # band index of each packed index
+    ring: np.ndarray        # the site at each band position
     blocks_at: np.ndarray   # storage index of each entry of the site blocks
     ring_at: np.ndarray     # storage index of each neighbour identity entry
 
@@ -562,31 +566,29 @@ class _BorderedBandLU:
     condition estimate is Higham's estimate of the 1-norm of M^-1 from these
     solves, the iteration that ``dgecon`` runs on a dense LU.
 
-    Vectors outside are in the packed layout, rows [residual | border] and
-    unknowns [unfold | coordinates | nu]; inside, the coordinates are in
-    band order.
+    The rows are [residual | border] and the unknowns [unfold | coordinates
+    | nu], the coordinates in the packed order, which is the band order.
     """
 
-    def __init__(self, layout: _BandLayout, ab: np.ndarray, norms: np.ndarray, sigma: float,
+    def __init__(self, kl: int, ab: np.ndarray, norms: np.ndarray, sigma: float,
                  E: np.ndarray, B: np.ndarray, D: np.ndarray, m: int):
-        """``ab`` holds J in band storage, ``norms`` the 1-norms of its
-        columns in the packed order and ``sigma`` its largest |entry|; J is
-        factored in ``ab``."""
+        """``ab`` holds J in band storage, kl = ku = ``kl``, ``norms`` its
+        column 1-norms and ``sigma`` its largest |entry|; J is factored in ``ab``."""
         from scipy.linalg import lapack
-        self.kl, self.order, self.inverse, self.m = layout.kl, layout.order, layout.inverse, m
+        self.kl, self.m = kl, m
         # the 1-norm of M, nan or inf with any non-finite entry
         self.anorm = np.maximum((norms + np.abs(B).sum(axis=0)).max(),
                                 np.abs(np.vstack([E, D])).sum(axis=0).max(initial=0.0))
         if not np.isfinite(self.anorm):
             raise FloatingPointError("non-finite Jacobian")
-        self.E, self.B, self.sigma = E[self.order], B[:, self.order], sigma
+        self.E, self.B, self.sigma = E, B, sigma
         s = self.s = len(D)
         self.pivots = lapack.dgeqp3(self.B)[1][:s] - 1 if s else np.zeros(0, dtype=int)
         ab[2 * self.kl, self.pivots] += sigma
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.kl, overwrite_ab=True)
         # x = Jh^-1 f + Z u with Z = Jh^-1 [sigma P, -E], and S u = [g - B x; -P^T x]
         # for S = [B; P^T] Z + [0 D; -I 0]; a zero pivot of the band leaves Z non-finite
-        rhs = np.zeros((len(self.order), 2 * s), order="F")
+        rhs = np.zeros((len(E), 2 * s), order="F")
         rhs[self.pivots, np.arange(s)] = self.sigma
         rhs[:, s:] = -self.E
         with np.errstate(all="ignore"):
@@ -608,26 +610,26 @@ class _BorderedBandLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs: rhs in the rows' layout, the result in the unknowns'."""
-        N, m = len(self.order), self.m
-        x = self._band_solve(rhs[:N][self.order], 0)
+        N, m = len(self.E), self.m
+        x = self._band_solve(rhs[:N], 0)
         u = self._schur_solve(np.concatenate([rhs[N:] - self.B @ x, -x[self.pivots]]), 0)
         y = u[self.s:]
-        return np.concatenate([y[:m], (x + self.Z @ u)[self.inverse], y[m:]])
+        return np.concatenate([y[:m], x + self.Z @ u, y[m:]])
 
     def _solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """M^-T rhs: rhs in the unknowns' layout, the result in the rows'.
         With x = Jh^-T f - Zt v, Zt = Jh^-T [B^T, P], the border rows' part of
         v = (y, v') solves S^T v = [sigma P^T x_f; g - E^T x_f]."""
-        N, m, s = len(self.order), self.m, self.s
+        N, m, s = len(self.E), self.m, self.s
         if self.Zt is None:
             rhs_t = np.zeros((N, 2 * s), order="F")
             rhs_t[:, :s] = self.B.T
             rhs_t[self.pivots, s + np.arange(s)] = 1.0
             self.Zt = self._band_solve(rhs_t, 1)
-        x = self._band_solve(rhs[m:m + N][self.order], 1)
+        x = self._band_solve(rhs[m:m + N], 1)
         g = np.concatenate([rhs[:m], rhs[m + N:]])
         v = self._schur_solve(np.concatenate([self.sigma * x[self.pivots], g - self.E.T @ x]), 1)
-        return np.concatenate([(x - self.Zt @ v)[self.inverse], v[:s]])
+        return np.concatenate([x - self.Zt @ v, v[:s]])
 
     def rcond(self) -> float:
         """1 / (||M||_1 est ||M^-1||_1), 0 when the band or the Schur
@@ -636,7 +638,7 @@ class _BorderedBandLU:
             return 0.0
         with np.errstate(all="ignore"):
             est = _inverse_norm_estimate(self.solve, self._solve_transposed,
-                                         len(self.order) + self.s)
+                                         len(self.E) + self.s)
         return 1.0 / est / self.anorm if 0.0 < est < math.inf else 0.0
 
 
@@ -986,10 +988,11 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
 
     The Newton matrix I - (dt/2) Df, Df = -JJ D2V, couples each site to its
     two ring neighbours only, so in the site order of :func:`_ring_order`
-    it is banded with kl = ku = min(5, 2n - 1); it is held in LAPACK band
-    storage and factored and solved by ``dgbsv``.  Its constant neighbour
-    blocks (dt/2) J2 are written once per call; each factorization writes
-    only the two on-site entries of each unknown.  The residual and those
+    it is banded with kl = ku = 5: a neighbour two positions away meets a
+    site's other coordinate five band indices away.  It is held in LAPACK
+    band storage and factored and solved by ``dgbsv``.  Its constant
+    neighbour blocks (dt/2) J2 are written once per call; each factorization
+    writes only the two on-site entries of each unknown.  The residual and those
     entries are formed per unknown, from s = mu^2 (x^2 + x_swap^2) with
     x_swap the other coordinate of the unknown's site.  A step factors
     while its residual is above tolerance, and at least once.  The update
@@ -1025,28 +1028,22 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     steps = int(round(T / dt))
     n, h, h_prime = ring.n, ring.potential.h, ring.potential.h_prime
     mu2, shift, tol = ring.mu ** 2, ring.omega - 2.0, 0.5 * _MIDPOINT_TOL
-    order = _ring_order(n)                  # the site at each band position
-    position = np.empty(n, dtype=np.intp)   # the band position of each site
-    position[order] = np.arange(n)
+    order, position = _ring_order(n)   # the site at each band position, and its inverse
     nxt, prv = position[(order + 1) % n], position[order - 1]
     unknowns = 2 * np.arange(n)[:, None] + np.arange(2)   # band indices at each position
     # each unknown's swap (its site's other coordinate) and the swaps of its
     # two ring neighbours
     swap = unknowns[:, ::-1].ravel()
     nxt_swap, prv_swap = unknowns[nxt][:, ::-1].ravel(), unknowns[prv][:, ::-1].ravel()
-    # I - (dt/2) Df in band storage: A[i, j] is ab[2 kl + i - j, j] (ab is flat's view)
-    kl, size = min(5, 2 * n - 1), 2 * n
+    # I - (dt/2) Df in band storage (ab is flat's view); a neighbour two
+    # positions away meets a site's other coordinate five band indices away
+    kl, size = 5, 2 * n
     flat = np.zeros((3 * kl + 1) * size)
     ab = flat.reshape(3 * kl + 1, size, order="F")
-
-    def band_at(i, j):
-        """Storage indices in flat of the entries A[i, j]."""
-        return 2 * kl + i - j + (3 * kl + 1) * j
-
     for neighbour in (nxt, prv):
-        flat[band_at(unknowns[:, :, None], unknowns[neighbour][:, None, :])] = 0.5 * dt * J2
+        flat[_band_at(kl, unknowns[:, :, None], unknowns[neighbour][:, None, :])] = 0.5 * dt * J2
     each = np.arange(size)
-    diag_at, cross_at = band_at(each, each), band_at(each, swap)
+    diag_at, cross_at = _band_at(kl, each, each), _band_at(kl, each, swap)
     # -J2 v = (v_1, -v_0): f at an unknown is its sign times grad_V at its swap;
     # half carries dt/2 and that sign, half_hp also 2 mu^2 for h'
     half = 0.5 * dt * np.tile(_SWAP_SIGN, n)

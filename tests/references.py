@@ -72,19 +72,35 @@ def collocation_mode1_blocks(ring, nus):
     at each frequency of ``nus``: the band of ``_FourierSpace(ring, 1)``
     that ``newton_orbit`` factors, expanded by ``bordered_jacobian``, at
     V_0 = a, V_1 = 0, with no border and no unfolding columns, rows and
-    columns 2n:6n (Re V_1, Im V_1).  The Hessian is constant along that
-    orbit, so the block is [[L_r, -L_i], [L_i, L_r]], the real form of the
-    Hermitian L(nu) = D2V(a) - nu iJJ: symmetric, each eigenvalue of L twice.
-    A constant orbit needs no more than the 4p + 1 = 5 samples that keep
-    the Hessian modes -2..2 apart, and the space takes just those."""
+    columns Re V_1, Im V_1 (mode-major indices 2n:6n, through
+    ``mode_major``).  The Hessian is constant along that orbit, so the
+    block is [[L_r, -L_i], [L_i, L_r]], the real form of the Hermitian
+    L(nu) = D2V(a) - nu iJJ: symmetric, each eigenvalue of L twice.  A
+    constant orbit needs no more than the 4p + 1 = 5 samples that keep the
+    Hessian modes -2..2 apart, and the space takes just those."""
     n = ring.n
     space = _FourierSpace(ring, 1)
     space.num = 5
     V = np.zeros((2, 2 * n), dtype=complex)
     V[0] = standing_wave(ring)[0]
     border = np.zeros((0, space.dim))
-    return np.array([bordered_jacobian(space, V, nu, border, [])[2 * n:6 * n, 2 * n:6 * n]
+    at = np.argsort(mode_major(space))[2 * n:6 * n]
+    return np.array([bordered_jacobian(space, V, nu, border, [])[np.ix_(at, at)]
                      for nu in nus])
+
+
+def mode_major(space):
+    """The mode-major index of each packed coordinate of ``space``: its
+    place among all real parts in the order [Re V_0, Re V_1, Im V_1, ...,
+    Re V_p, Im V_p], each part over all w components, the layout of a
+    Jacobian built one mode block at a time.  It is ``space.pack`` of those
+    indices written as labels into V, so it follows the packed order
+    whatever that is; in the Z~_n(k) space it is the ``fixed`` indices."""
+    p, w = space.p, space.width
+    labels = np.zeros((p + 1, w), dtype=complex)
+    labels.real = w * np.maximum(2 * np.arange(p + 1) - 1, 0)[:, None] + np.arange(w)
+    labels.imag[1:] = 2 * w * np.arange(1, p + 1)[:, None] + np.arange(w)
+    return space.pack(labels).astype(np.intp)
 
 
 def dense_jacobian(space, V, nu, border, unfold):
@@ -97,8 +113,9 @@ def dense_jacobian(space, V, nu, border, unfold):
     S_(l+l'), the diagonal mode block K_l - l nu iJJ, and the nu column is
     -l iJJ V_l.  The blocks are written through one site-diagonal fancy
     index into a (parts, site, 2, parts, site, 2) view of all real parts,
-    of A itself in the full space, where one more indexed add puts the ring
-    adjacency on the diagonal mode blocks."""
+    mode-major, where in the full space one more indexed add puts the ring
+    adjacency on the diagonal mode blocks; ``mode_major`` takes the packed
+    rows and columns from it."""
     p, w = space.p, space.width
     parts, sites = 2 * p + 1, w // 2
     S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
@@ -116,7 +133,7 @@ def dense_jacobian(space, V, nu, border, unfold):
     for j, t in enumerate(unfold):
         A[:rows, j] = t
     A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
-    J = A[:rows, m:-1] if space.k is None else np.zeros((w * parts, w * parts))
+    J = np.zeros((w * parts, w * parts))
     J6 = J.reshape(parts, sites, 2, parts, sites, 2)
     site = np.arange(sites)
     C = C.transpose(2, 0, 3, 1, 4)    # site, row mode, a, column part, b
@@ -127,22 +144,21 @@ def dense_jacobian(space, V, nu, border, unfold):
         diag = np.arange(parts)[:, None]
         J6[diag, np.tile(site, 2), :, diag,
            np.concatenate([np.roll(site, -1), np.roll(site, 1)]), :] += _EYE2
-    else:
-        A[:rows, m:-1] = J[space.fixed][:, space.fixed]
+    at = mode_major(space)
+    A[:rows, m:-1] = J[np.ix_(at, at)]
     return A
 
 
 def band_to_dense(space, ab):
     """The full space's band storage ``ab`` (``space.band``) as the dense
-    core in the packed order: entry (i, j) of the band order is
-    ab[2 kl + i - j, j] within kl of the diagonal and zero beyond, and band
-    index i is packed index ``order[i]``."""
-    kl, order = space.band_layout.kl, space.band_layout.order
+    core: entry (i, j) is ab[2 kl + i - j, j] within kl of the diagonal and
+    zero beyond, and the band order is the packed order."""
+    kl, size = space.band_layout.kl, ab.shape[1]
     r, j = np.indices(ab[kl:].shape)   # row kl + r of ab holds entry (j + r - kl, j)
     i = j + r - kl
-    inside = (i >= 0) & (i < len(order))
-    J = np.zeros((len(order), len(order)))
-    J[order[i[inside]], order[j[inside]]] = ab[kl:][inside]
+    inside = (i >= 0) & (i < size)
+    J = np.zeros((size, size))
+    J[i[inside], j[inside]] = ab[kl:][inside]
     return J
 
 

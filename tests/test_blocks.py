@@ -438,6 +438,11 @@ def test_degenerate_amplitudes_saturable_threshold():
     assert degenerate_amplitudes(15, 1, SAT) == ()    # delta_1 < -1/4
 
 
+def test_level_amplitudes_saturable_double_root():
+    # at level -1/4 the two saturable roots meet at s = 1: one amplitude
+    assert blocks._level_amplitudes(SAT, -0.25) == (1.0,)
+
+
 def test_degenerate_amplitudes_custom_matches_cubic():
     # h' may return an array or, for an array input, a plain float
     for hp in (lambda s: np.ones_like(np.asarray(s, float)), lambda s: 1.0):

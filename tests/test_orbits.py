@@ -34,8 +34,8 @@ from dnlsring.symmetry import (SymmetryResidual, symmetry_residual, t_k_matrix,
                                traveling_wave_residual)
 from references import (block_symplectic, bordered_jacobian, constant_orbit, dense_jacobian,
                         dense_newton, dense_rcond, gauged_continue_branch, group_action,
-                        modes_to_samples, orthogonality_check, potential_V, sampled_residual,
-                        samples_to_modes)
+                        mode_major, modes_to_samples, orthogonality_check, potential_V,
+                        sampled_residual, samples_to_modes)
 
 SAT = saturable_potential()
 CUSTOM = custom_potential(np.tanh, lambda s: 1.0 / np.cosh(s) ** 2)
@@ -173,6 +173,16 @@ def test_linearized_residual_rejects_non_finite_perturbation(bad):
     dcoeffs = np.zeros((5, 8), dtype=complex)
     dcoeffs[2, 3] = bad
     with pytest.raises(ValueError, match="dcoeffs contain non-finite entries"):
+        linearized_residual(ring, orbit, dcoeffs)
+
+
+def test_linearized_residual_rejects_non_real_perturbation():
+    # mode 1 without its conjugate partner at mode -1 is not a real signal
+    ring = RingSystem(n=4, mu=0.5)
+    orbit = constant_orbit(standing_wave(ring)[0], nu=1.0, p=2)
+    dcoeffs = np.zeros((5, 8), dtype=complex)
+    dcoeffs[3, 0] = 0.1
+    with pytest.raises(ValueError, match="dcoeffs must satisfy the reality condition"):
         linearized_residual(ring, orbit, dcoeffs)
 
 
@@ -385,7 +395,7 @@ def mode_loop_jacobian(space, at, border, unfold):
     """Reference for _FourierSpace.jacobian at the evaluated point ``at``:
     the orbit sampled again, the on-site spectrum expanded to block-diagonal
     w x w matrices, and one row mode l built at a time over every real part,
-    of which the space keeps its ``fixed`` rows and columns."""
+    mode-major, of which ``mode_major`` takes the packed rows and columns."""
     p, w, V, nu = space.p, space.width, at.V, at.nu
     coupling = dense_coupling(space)
     S = _to_modes(_onsite_hessian(space.ring, space._samples(V)), 2 * p)
@@ -408,7 +418,8 @@ def mode_loop_jacobian(space, at, border, unfold):
     for j, t in enumerate(unfold):
         A[:rows, j] = t
     A[:rows, -1] = space.pack(-ls[:, None] * _apply_iJJ(V))
-    A[:rows, m:-1] = J[space.fixed][:, space.fixed]
+    at = mode_major(space)
+    A[:rows, m:-1] = J[np.ix_(at, at)]
     return A
 
 
@@ -448,6 +459,55 @@ def test_jacobian_matches_mode_loop():
             assert dense_jacobian(space, V, nu, border, unfold).tobytes() == ref.tobytes()
         else:
             assert space.jacobian(space.evaluate(V, nu), border).flags.f_contiguous, (n, k, p)
+
+
+def test_full_space_packs_in_band_order():
+    # part q (V_0, Re V_1, Im V_1, ...), component a of site s is packed at
+    # 2(2p+1) position[s] + 2q + a, the sites at positions 0, 1, 2, ...
+    # being 0, n-1, 1, n-2, ...: the order of the band, so the band LU
+    # permutes nothing.  Fix(K) has one site and keeps its order
+    # [Re x_0, Re x_1, Im y_1, ..., Re x_p, Im y_p, nu]
+    rng = np.random.default_rng(37)
+    for n, p in ((3, 0), (3, 2), (4, 1), (7, 3), (8, 2)):
+        ring = RingSystem(n=n, mu=0.5)
+        space, parts = _FourierSpace(ring, p), 2 * p + 1
+        sites = [s for pair in zip(range(n), range(n - 1, -1, -1)) for s in pair][:n]
+        position = np.argsort(sites)
+        s, q, a = np.indices((n, parts, 2))
+        value = 1.0 + a + 2 * q + 2 * parts * s   # distinct, labelled by site
+        V = np.zeros((p + 1, 2 * n), dtype=complex)
+        V.real[0] = value[:, 0].ravel()
+        V.real[1:] = value[:, 1::2].transpose(1, 0, 2).reshape(p, 2 * n)
+        V.imag[1:] = value[:, 2::2].transpose(1, 0, 2).reshape(p, 2 * n)
+        z = space.pack(V, 0.7)
+        assert len(z) == space.dim and z[-1] == 0.7, (n, p)
+        assert np.array_equal(z[2 * parts * position[s] + 2 * q + a], value), (n, p)
+        assert np.array_equal(space.unpack(z)[0], V), (n, p)
+        iso = _FourierSpace(ring, p, 1)
+        V = rng.normal(size=(p + 1, 2)) + 1j * rng.normal(size=(p + 1, 2))
+        want = np.r_[V[0, 0].real, np.column_stack([V[1:, 0].real, V[1:, 1].imag]).ravel(), 0.7]
+        assert np.array_equal(iso.pack(V, 0.7), want), (n, p)
+
+
+def test_grown_pads_with_zero_modes_and_carries_nu():
+    # both spaces: the grown space has order 2p, and each packed vector,
+    # a point or a tangent, keeps its modes 0..p and its last entry (nu or
+    # its nu part), with zero modes p+1..2p, so its orbit is the old one
+    rng = np.random.default_rng(41)
+    ring = RingSystem(n=5, mu=0.6)
+    for k, p in ((None, 1), (None, 3), (2, 2), (3, 4)):
+        space = _FourierSpace(ring, p, k)
+        zs = [rng.normal(size=space.dim) for _ in range(2)]
+        grown, padded = space.grown(*zs)
+        assert (grown.p, grown.k, len(padded)) == (2 * p, k, 2), (k, p)
+        for z, g in zip(zs, padded):
+            V, nu = space.unpack(z)
+            W, grown_nu = grown.unpack(g)
+            assert len(g) == grown.dim and grown_nu == nu, (k, p)
+            assert np.array_equal(W[:p + 1], V) and not W[p + 1:].any(), (k, p)
+            want = np.zeros((4 * p + 1, 2 * ring.n), dtype=complex)
+            want[p:3 * p + 1] = space.expand(V)
+            assert np.array_equal(grown.expand(W), want), (k, p)
 
 
 def dense_residual(space, V, nu):
@@ -1033,6 +1093,24 @@ def test_newton_non_finite_stops_with_no_convergence():
         newton_orbit(ring, small, fix_nu=False, amplitude=float("nan"))
 
 
+def test_isotropy_newton_non_finite_jacobian_stops_with_no_convergence():
+    # Fix(K) factors a dense LU with no condition estimate: an h' that is
+    # nan away from s = mu^2 makes its Jacobian non-finite, while h keeps
+    # the residual finite and away from zero
+    mu = 0.6
+    pot = custom_potential(lambda s: s, lambda s: np.where(s == mu ** 2, 1.0, np.nan))
+    ring = RingSystem(n=6, mu=mu, potential=pot)
+    space = _FourierSpace(ring, 2, 3)
+    V = np.zeros((3, 2), dtype=complex)
+    V[0, 0], V[1] = np.sqrt(6.0), [0.1, 0.1j]   # x_1 real, y_1 imaginary: in Fix(K)
+    z = space.pack(V, 1.0)
+
+    def no_border(z):
+        return np.zeros((0, space.dim)), np.zeros(0)
+    with pytest.raises(NoConvergence, match="non-finite Jacobian at Newton iteration 0"):
+        _newton(space, z, no_border, _NEWTON_TOL, 5, free_nu=False)
+
+
 def test_newton_iteration_and_fourier_order_caps(monkeypatch):
     """newton_orbit raises NoConvergence when a Newton solve needs more than
     _MAX_ITER iterations, or when the Fourier tail is still above 1e-12 once
@@ -1496,6 +1574,17 @@ def test_integrate_singular_matrix_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match=r"matrix is singular at step \d+ \(t = "):
         integrate(ring, a + 0.01, T=1.0, dt=0.01)
     assert len(calls) == 5
+
+
+def test_integrate_stalled_solve_no_convergence(monkeypatch):
+    """With one inner iteration allowed, the first step, which starts from
+    Euler's predictor with a residual of O(dt^2), cannot meet the tolerance
+    and ends the run."""
+    monkeypatch.setattr(orbits, "_MIDPOINT_ITER", 1)
+    ring = RingSystem(n=6, mu=0.5)
+    a, _ = standing_wave(ring)
+    with pytest.raises(NoConvergence, match=r"solve did not converge at step 0 \(t = 0.000\)"):
+        integrate(ring, a + 0.01, T=1.0, dt=0.01)
 
 
 def test_integrate_factors_once_and_polishes_once_per_step(monkeypatch):

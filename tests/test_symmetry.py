@@ -68,6 +68,16 @@ def test_t_k_rejects_out_of_range():
         t_k_matrix(5, 6)
 
 
+def test_assemble_P_rejects_rings_below_three():
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        assemble_P(2)
+
+
+def test_block_extract_rejects_other_matrix_shape():
+    with pytest.raises(ValueError, match=r"M must be \(8, 8\), got \(6, 6\)"):
+        block_extract(assemble_P(4), np.eye(6))
+
+
 @pytest.mark.parametrize("n", [3, 12])
 def test_assemble_P_unitary(n):
     P = dense_P(n)
