@@ -978,13 +978,14 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     extrapolates the increments, which are O(dt), and not the states,
     which are O(1): the weights sum to 1, but their magnitudes to
     2^8 - 1 = 255, and on the states their rounding, which grows like
-    sqrt(2n) in |H|, misses the tolerance at large n.  At n = 16384
-    (cubic, mu = 0.3, dt = 0.01) every step from the states needs a second
-    residual, and 8 of 50 from the increments.  A step has converged
-    when |H| <= 1e-12 / 2, that is when the residual G = 2H of the new
-    state u' meets 1e-12.  At dt = 0.01 the predictor's residual is about
-    1e-14, so most steps meet the tolerance at their predictor and factor
-    once, for their polish.
+    sqrt(2n) in |H|, misses the tolerance at large n.  A step has converged
+    when |H| <= 1e-12 / 2 * sqrt(max(n, 6) / 6): the residual G = 2H of the
+    new state u' meets 1e-12 at n <= 6, and above a bound per unknown that
+    grows as the rounding of |H| does.  At dt = 0.01 the predictor's
+    residual is about 1e-14, so most steps meet the tolerance at their
+    predictor and factor once, for their polish; at n = 16384 (saturable,
+    mu = 0.4) 7 of 50 steps polish through the factors of an earlier
+    iterate (``dgbtrs``), against all 50 under 1e-12 / 2 at every n.
 
     The Newton matrix I - (dt/2) Df, Df = -JJ D2V, couples each site to its
     two ring neighbours only, so in the site order of :func:`_ring_order`
@@ -1027,7 +1028,8 @@ def integrate(ring: RingSystem, x0, T: float, dt: float) -> tuple[np.ndarray, np
     x0 = _as_state(ring, x0)
     steps = int(round(T / dt))
     n, h, h_prime = ring.n, ring.potential.h, ring.potential.h_prime
-    mu2, shift, tol = ring.mu ** 2, ring.omega - 2.0, 0.5 * _MIDPOINT_TOL
+    mu2, shift = ring.mu ** 2, ring.omega - 2.0
+    tol = 0.5 * _MIDPOINT_TOL * math.sqrt(max(n, 6) / 6)   # per unknown; exact at n <= 6
     order, position = _ring_order(n)   # the site at each band position, and its inverse
     nxt, prv = position[(order + 1) % n], position[order - 1]
     unknowns = 2 * np.arange(n)[:, None] + np.arange(2)   # band indices at each position

@@ -6,21 +6,10 @@ fixes the rotating-wave equilibrium.  Its irreducible representation spaces
 isometry ``t_k`` from C^2 into C^{2n}.  Stacking all the ``t_k`` columns
 gives a unitary change of variables P that block-diagonalizes every matrix
 commuting with the group action, in particular the Hessian at the
-equilibrium.
-
-P factors as P = D_R (F ⊗ I_2): D_R is block diagonal with the site
-rotations R(j zeta), and F_{jk} = n^{-1/2} e^{i k j zeta} is a discrete
-Fourier matrix (sites j and modes k both run 1..n).  Rotated by D_R, a
-matrix M that couples neighbours only has the block diagonals
-d_m(j) = R_j^T M_{j,j+m} R_{j+m}, m = -1, 0, 1.  The diagonal blocks of
-P^* M P are then sum_m e^{i k m zeta} mean_j d_m(j), and by Parseval the
-norm of everything off them is that of the d_m(j) about their means.  When
-M commutes with the group the d_m are constant in j, and the blocks are its
-symbols.  The CLI's ``blocks`` reads the Hessian that way, in O(n), and
-``blocks.full_spectrum_oracle`` checks the constancy.  ``block_extract``
-forms the full P^* M P of any M through the factorisation, by a rotation of
-each 2x2 block of M and two FFTs, without building P; it is the dense
-reference for that reading.
+equilibrium.  ``block_extract`` forms the dense P^* M P of any M; it is the
+reference for the O(n) reading of the Hessian's blocks off its rotated
+block diagonals, ``blocks._rotated_diagonals``, which the CLI's ``blocks``
+runs.
 
 A branch born at a mode-k bifurcation point keeps the isotropy Z~_n(k).
 ``verify`` checks that pattern on every point by
@@ -37,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "ChangeOfVariables",
     "IsotropyLabel",
     "t_k_matrix",
     "assemble_P",
@@ -56,6 +44,18 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _mode_maps(n: int, k: np.ndarray) -> np.ndarray:
+    """The t_k of every mode in the integer array k, as site blocks of
+    shape k.shape + (n, 2, 2): site j's block is
+    ``n^{-1/2} exp(i k j zeta) R(j zeta)``."""
+    j = np.arange(1, n + 1)
+    # reducing k*j mod n keeps the phase exact at multiples of 2*pi,
+    # so the fully symmetric mode k = n comes out exactly real
+    phase = np.exp(2j * np.pi * (k[..., None] * j % n) / n)
+    R = np.moveaxis(_rotation(j * (2.0 * np.pi / n)), -1, 0)   # (n, 2, 2)
+    return phase[..., None, None] * R / np.sqrt(n)
+
+
 def t_k_matrix(n: int, k: int) -> np.ndarray:
     """2n x 2 complex matrix of the isometry onto the mode space W_k.
 
@@ -64,28 +64,16 @@ def t_k_matrix(n: int, k: int) -> np.ndarray:
     """
     if not 1 <= k <= n:
         raise ValueError(f"mode index k must be in 1..{n}, got {k}")
-    j = np.arange(1, n + 1)
-    # reducing k*j mod n keeps the phase exact at multiples of 2*pi,
-    # so the fully symmetric mode k = n comes out exactly real
-    phase = np.exp(2j * np.pi * (k * j % n) / n)
-    R = np.moveaxis(_rotation(j * (2.0 * np.pi / n)), -1, 0)   # (n, 2, 2)
-    return (phase[:, None, None] * R).reshape(2 * n, 2) / np.sqrt(n)
+    return _mode_maps(n, np.asarray(k)).reshape(2 * n, 2)
 
 
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """The unitary 2n x 2n change of variables P = D_R (F ⊗ I_2), whose
-    column block k (columns 2(k-1), 2(k-1)+1) is t_k.  ``block_extract``
-    applies it by FFT; the dense P is never built."""
-
-    n: int
-
-
-def assemble_P(n: int) -> ChangeOfVariables:
-    """Unitary change of variables of the n-ring; builds no matrix."""
+def assemble_P(n: int) -> np.ndarray:
+    """The unitary 2n x 2n change of variables of the n-ring, whose column
+    block k (columns 2(k-1), 2(k-1)+1) is t_k."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return ChangeOfVariables(n=n)
+    # (mode k, site j, row, column) -> rows (j, row), columns (k, column)
+    return np.moveaxis(_mode_maps(n, np.arange(1, n + 1)), 0, 2).reshape(2 * n, 2 * n)
 
 
 class BlockDecomposition(NamedTuple):
@@ -93,41 +81,19 @@ class BlockDecomposition(NamedTuple):
     off_block_residual: float
 
 
-def block_extract(P: ChangeOfVariables, M) -> BlockDecomposition:
+def block_extract(P, M) -> BlockDecomposition:
     """Diagonal 2x2 blocks of P^* M P as an (n, 2, 2) array, mode k = 1..n
     at index k - 1, and the Frobenius norm of everything off those blocks;
     a large norm signals that M does not commute with the group action.
-
-    The full P^* M P is formed through P = D_R (F ⊗ I_2), in O(n^2 log n):
-    each 2x2 block becomes X_{jj'} = R_j^T M_{jj'} R_{j'}, and then
-    (P^* M P)_{kk'} = n^{-1} sum_{j,j'} e^{-i k j zeta} X_{jj'} e^{i k' j' zeta},
-    a forward FFT over the row sites and an inverse one over the column
-    sites, with mode k at FFT index k mod n.  The FFTs hold site j at index
-    j - 1; that offset multiplies entry (k, k') by e^{i (k - k') zeta},
-    which changes neither the diagonal blocks nor any modulus, so the
-    blocks and the off-block norm are those of P^* M P.  The dense P is not
-    built.
-    """
-    if not isinstance(P, ChangeOfVariables):
-        raise TypeError(f"P must be the ChangeOfVariables of assemble_P, "
-                        f"got {type(P).__name__}")
-    n = P.n
-    M = np.asarray(M)
-    if M.shape != (2 * n, 2 * n):
-        raise ValueError(f"M must be {(2 * n, 2 * n)}, got {M.shape}")
-    import scipy.fft   # scipy loads only when a matrix is decomposed
-    theta = np.arange(1, n + 1) * (2.0 * np.pi / n)
-    c, s = np.cos(theta), np.sin(theta)
-    M = M.reshape(n, 2, n, 2)
-    # columns: Y = M R_{j'}, with R = [[c, -s], [s, c]]
-    x, y = M[..., 0], M[..., 1]
-    Y = np.stack([x * c + y * s, y * c - x * s], axis=-1)
-    # rows: X = R_j^T Y
-    cr, sr = c[:, None, None], s[:, None, None]
-    x, y = Y[:, 0], Y[:, 1]
-    X = np.stack([cr * x + sr * y, cr * y - sr * x], axis=1)
-    C = scipy.fft.fft(scipy.fft.ifft(X, axis=2), axis=0, overwrite_x=True)
-    k = np.arange(1, n + 1) % n                 # mode k = n at FFT index 0
+    P is the matrix of ``assemble_P(n)``, and the product is dense."""
+    P, M = np.asarray(P), np.asarray(M)
+    n = len(P) // 2 if P.ndim == 2 else 0
+    if n < 3 or P.shape != (2 * n, 2 * n):
+        raise ValueError(f"P must be (2n, 2n) with n >= 3, got {P.shape}")
+    if M.shape != P.shape:
+        raise ValueError(f"M must be {P.shape}, got {M.shape}")
+    C = (P.conj().T @ M @ P).reshape(n, 2, n, 2)
+    k = np.arange(n)
     blocks = C[k, :, k, :]
     C[k, :, k, :] = 0.0
     return BlockDecomposition(blocks, float(np.linalg.norm(C)))

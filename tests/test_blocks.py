@@ -26,15 +26,15 @@ CUBIC = cubic_potential()
 SAT = saturable_potential()
 
 
-def probe_etas(ring, ks, nus, gaps):
+def probe_etas(ring, P, ks, nus, gaps):
     """Reference index jumps at the roots ``nus`` of the modes ``ks``, whose
     two roots lie ``gaps`` apart: sigma times the Morse index of
     m_k(nu) = B_k - nu (iJ) at nu - rho minus that at nu + rho, with rho small
     enough never to straddle both roots.  The blocks B_k come from one
-    block_extract of the dense Hessian, and one eigvalsh call counts the
-    negative eigenvalues of every stacked 2x2 block."""
+    block_extract of the dense Hessian by P = assemble_P(ring.n), and one
+    eigvalsh call counts the negative eigenvalues of every stacked 2x2 block."""
     rho = np.minimum(1e-4 * np.maximum(1.0, np.abs(nus)), gaps / 10.0)
-    B = block_extract(assemble_P(ring.n), hessian_V(ring, standing_wave(ring)[0])).blocks
+    B = block_extract(P, hessian_V(ring, standing_wave(ring)[0])).blocks
     m = B[ks - 1] - np.stack([nus - rho, nus + rho])[..., None, None] * IJ
     below, above = (np.linalg.eigvalsh(m) < 0.0).sum(axis=-1)
     return sigma(ring) * (below - above)
@@ -323,6 +323,7 @@ def test_eta_closed_form_matches_morse_probe():
     rng = np.random.default_rng(1303)
     roots = 0
     for n in range(3, 40):
+        P = assemble_P(n)
         for mu in rng.uniform(0.02, 3.0, 60):
             for pot in pots:
                 ring = RingSystem(n=n, mu=float(mu), potential=pot)
@@ -333,7 +334,7 @@ def test_eta_closed_form_matches_morse_probe():
                     continue
                 ks, nus, gaps = (np.array(column) for column in zip(*cases))
                 got = [eta(ring, k, nu) for k, nu, _ in cases]
-                want = probe_etas(ring, ks, nus, gaps).tolist()
+                want = probe_etas(ring, P, ks, nus, gaps).tolist()
                 assert got == want, (n, mu, [c for c, g, w in zip(cases, got, want) if g != w])
                 roots += len(cases)
     assert roots > 50000

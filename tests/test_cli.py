@@ -274,10 +274,9 @@ def test_input_too_large_to_allocate_exit_2(capsys, monkeypatch):
 
 def test_import_loads_no_custom_potential_solver():
     """A fresh ``import dnlsring.cli`` loads no scipy module: brentq (custom
-    potentials), LAPACK (orbit solves and integration) and the FFT of
-    ``block_extract`` are imported where they are called.  Neither do the
-    stability and blocks commands, which read the Hessian's rotated block
-    diagonals with numpy alone."""
+    potentials) and LAPACK (orbit solves and integration) are imported where
+    they are called.  Neither do the stability and blocks commands, which
+    read the Hessian's rotated block diagonals with numpy alone."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     loaded = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
     for command in ("", "assert dnlsring.cli.main(['stability', '--n', '64', '--mu', '0.3']) == 0",

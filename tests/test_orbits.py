@@ -1531,6 +1531,61 @@ def test_integrate_is_time_reversible(n, pot, mu):
     assert np.abs(flip * back[-1] - x0).max() <= 1e-9
 
 
+def ring_map(n, sites, theta, x):
+    """Site j of the result is site ``sites[j]`` of x, turned by theta; x is
+    a state or any stack of states (or Fourier coefficients) along its last
+    axis.  Every such map whose sites form a shift or a reversal of the ring
+    is a symmetry of the flow."""
+    c, s = np.cos(theta), np.sin(theta)
+    X = x.reshape(*x.shape[:-1], n, 2)[..., sites, :]
+    return (X @ np.array([[c, s], [-s, c]])).reshape(x.shape)
+
+
+def ring_group_elements(n, rng):
+    """A random site shift, the reversal q_j -> q_(n-j) (sites 1..n, q_0 = q_n)
+    and a random phase rotation, as (name, sites, theta)."""
+    j = np.arange(n)
+    return [("shift", (j + int(rng.integers(1, n))) % n, 0.0),
+            ("reversal", (-j - 2) % n, 0.0),
+            ("phase", j, float(rng.uniform(0.0, 2.0 * np.pi)))]
+
+
+def test_integrate_commutes_with_the_ring_group():
+    """integrate(g x0) = g integrate(x0) within 1e-14 for a site shift, the
+    ring reversal and a phase rotation, over 100 steps at dt = 0.01, n = 3,
+    4, 5, 6, 7 and 64, cubic and saturable: no reference loop needed to see
+    a wrong wrap-around neighbour.  Worst cases seen: 2.2e-16 (shift),
+    5.6e-16 (reversal), 1.8e-15 (phase)."""
+    rng = np.random.default_rng(36)
+    for n in (3, 4, 5, 6, 7, 64):
+        for pot in (cubic_potential(), SAT):
+            ring = RingSystem(n=n, mu=float(rng.uniform(0.2, 1.2)), potential=pot)
+            a, _ = standing_wave(ring)
+            x0 = a + 0.05 * rng.normal(size=2 * n)
+            _, X = integrate(ring, x0, T=1.0, dt=0.01)
+            for name, sites, theta in ring_group_elements(n, rng):
+                _, Y = integrate(ring, ring_map(n, sites, theta, x0), T=1.0, dt=0.01)
+                err = np.abs(Y - ring_map(n, sites, theta, X)).max()
+                assert err <= 1e-14, (n, pot.kind, name, err)
+
+
+def test_residual_commutes_with_the_ring_group():
+    """The full-space residual of a site-shifted, reversed or phase-rotated
+    orbit is the residual moved the same way, within 1e-13 relative, at
+    n = 3..7 and 64 with random orbits of order p = 1..6.  Worst cases seen:
+    0 for the shift and the reversal, 5.6e-16 for the phase."""
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 5, 6, 7, 64):
+        for pot in (cubic_potential(), SAT):
+            ring = RingSystem(n=n, mu=float(rng.uniform(0.2, 1.2)), potential=pot)
+            orbit = random_trig_orbit(rng, n, int(rng.integers(1, 7)))
+            F = residual(ring, orbit)
+            for name, sites, theta in ring_group_elements(n, rng):
+                moved = FourierOrbit(orbit.nu, ring_map(n, sites, theta, orbit.coeffs))
+                err = np.abs(residual(ring, moved) - ring_map(n, sites, theta, F)).max()
+                assert err <= 1e-13 * np.abs(F).max(), (n, pot.kind, name, err)
+
+
 def test_integrate_non_finite_residual_no_convergence():
     """h = inf beyond s = 4 puts inf into the first midpoint residual: the
     run ends there with NoConvergence naming step and t, and no warning."""
@@ -1623,6 +1678,28 @@ def test_integrate_factors_once_and_polishes_once_per_step(monkeypatch):
         assert (head_polish, polish) == (2, 1000)
         assert full - head == 998 and 2 <= head <= 4
         assert through_factors <= 8
+
+
+def test_integrate_tolerance_is_per_unknown_at_large_n(monkeypatch):
+    """At n = 16384 (saturable, mu = 0.4, the rotating wave perturbed by
+    0.05, dt = 0.01, 50 steps) the rounding of |H| over 32768 unknowns is
+    above 1e-12 / 2, so a test not scaled by n sent every step through the
+    factors of an earlier iterate again (dgbtrs, 50 calls).  Per unknown,
+    at most 8 steps do; each step still factors once (dgbsv), and the
+    power is conserved to 1e-10."""
+    counts = dict(dgbsv=0, dgbtrs=0)
+    for name in counts:
+        def counted(*args, _real=getattr(scipy.linalg.lapack, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+    rng = np.random.default_rng(14)
+    ring = RingSystem(n=16384, mu=0.4, potential=SAT)
+    a, _ = standing_wave(ring)
+    _, X = integrate(ring, a + 0.05 * rng.normal(size=2 * ring.n), T=0.5, dt=0.01)
+    power = (X ** 2).sum(axis=1)
+    assert counts["dgbtrs"] <= 8 and counts["dgbsv"] <= 52, counts
+    assert np.abs(power - power[0]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("pot", [cubic_potential(), SAT])

@@ -3,7 +3,6 @@ import time
 import numpy as np
 import pytest
 
-from dnlsring import symmetry
 from dnlsring.blocks import block_B
 from dnlsring.model import (RingSystem, cubic_potential, custom_potential, hessian_V,
                             saturable_potential, standing_wave)
@@ -78,6 +77,24 @@ def test_block_extract_rejects_other_matrix_shape():
         block_extract(assemble_P(4), np.eye(6))
 
 
+@pytest.mark.parametrize("P, shape", [(np.eye(4), r"\(4, 4\)"), (np.eye(7), r"\(7, 7\)"),
+                                      (np.eye(8)[:, :6], r"\(8, 6\)"),
+                                      (np.ones(8), r"\(8,\)"), (np.float64(1.0), r"\(\)")])
+def test_block_extract_rejects_other_P(P, shape):
+    """P must be a 2n x 2n matrix with n >= 3, or block_extract names its shape."""
+    with pytest.raises(ValueError, match=r"P must be \(2n, 2n\) with n >= 3, got " + shape):
+        block_extract(P, np.eye(8))
+
+
+def test_assemble_P_column_blocks_are_t_k_bit_for_bit():
+    """Every column block k of the one-expression P is t_k_matrix(n, k), bit for bit."""
+    for n in list(range(3, 81)) + [96, 97, 256]:
+        P = assemble_P(n)
+        assert P.shape == (2 * n, 2 * n)
+        for k in range(1, n + 1):
+            assert np.array_equal(P[:, 2 * k - 2:2 * k], t_k_matrix(n, k)), (n, k)
+
+
 @pytest.mark.parametrize("n", [3, 12])
 def test_assemble_P_unitary(n):
     P = dense_P(n)
@@ -114,9 +131,9 @@ def test_block_extract_reports_nonequivariant_matrix():
 
 
 def dense_block_extract(P, M):
-    """The mode blocks and off-block norm of the dense product P^* M P: the
-    reference of the FFT path."""
-    n = P.n
+    """The mode blocks and off-block norm of the dense product P^* M P, with
+    P built mode by mode from the t_k: the reference of the one-expression P."""
+    n = len(P) // 2
     Pd = dense_P(n)
     C = Pd.conj().T @ M @ Pd
     blocks = np.array([C[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)])
@@ -145,26 +162,6 @@ def test_block_extract_matches_dense_product():
         want, want_off = dense_block_extract(P, M)
         assert np.abs(blocks - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
         assert abs(off - want_off) <= 1e-12 * want_off
-
-
-def test_block_extract_needs_no_dense_P(monkeypatch):
-    """block_extract builds no dense P, which is built from the t_k, and
-    takes no matrix in place of the ChangeOfVariables."""
-    calls = []
-    original = symmetry.t_k_matrix
-
-    def counted(n, k):
-        calls.append(k)
-        return original(n, k)
-
-    monkeypatch.setattr(symmetry, "t_k_matrix", counted)
-    P = assemble_P(7)
-    ring = RingSystem(n=7, mu=0.6)
-    block_extract(P, hessian_V(ring, standing_wave(ring)[0]))
-    assert calls == []
-    assert dense_P(7).shape == (14, 14) and len(calls) == 7
-    with pytest.raises(TypeError):
-        block_extract(dense_P(7), np.eye(14))
 
 
 @pytest.mark.parametrize("n", range(3, 13))
